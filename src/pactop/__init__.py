@@ -1,11 +1,12 @@
 """Exact engine for partial actions of finite groups on finite spaces.
 
 Everything is computed over explicit tables: group multiplication,
-open-set families as bitmasks, per-element partial maps.  The package
-validates partial-action axioms in two independent formulations, builds
-the enveloping space with its quotient topology and total action,
-computes category transforms, and certifies selector, transversal
-topology and bireducibility facts, each as a structured report.
+topologies as minimal-neighborhood bitmasks, per-element partial
+maps.  The package validates partial-action axioms in two independent
+formulations, builds the enveloping space with its quotient topology
+and total action, computes category transforms, and certifies
+selector, transversal topology and bireducibility facts, each as a
+structured report.
 """
 
 from .errors import (
@@ -13,6 +14,7 @@ from .errors import (
     InvalidOpenSet,
     InvalidOrder,
     InvalidSubset,
+    LimitExceeded,
     NoIdentity,
     NoInverse,
     NotAnAction,
@@ -48,7 +50,7 @@ from .paction import (
     subgroup_restriction,
     validate,
 )
-from .relations import EqRel, from_blocks, from_relation
+from .relations import EqRel, from_relation
 from .reports import Check, Report, ReportBuilder
 from .selector import (
     BorelReport,
@@ -65,7 +67,6 @@ from .selector import (
 from .topology import (
     FinTop,
     SeparationFlags,
-    SetFamily,
     all_topologies,
     borel_algebra,
     borel_atoms,
@@ -88,7 +89,6 @@ from .topology import (
     quotient,
     separation,
     subspace,
-    transported,
 )
 from .vaught import (
     delta_transform,

@@ -89,10 +89,12 @@ def _parse_group(doc, path: str) -> FiniteGroup:
         table = doc.get("table")
         _expect(isinstance(table, list) and table, f"{path}/table",
                 "expected a nonempty list of rows")
+        n = len(table)
         for i, row in enumerate(table):
             _expect(
-                isinstance(row, list) and all(isinstance(v, int) for v in row),
-                f"{path}/table/{i}", "expected a list of integers",
+                isinstance(row, list) and len(row) == n
+                and all(isinstance(v, int) and 0 <= v < n for v in row),
+                f"{path}/table/{i}", f"expected a list of {n} integers in 0..{n - 1}",
             )
         try:
             return make_group(tuple(tuple(row) for row in table))

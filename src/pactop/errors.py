@@ -64,3 +64,20 @@ class SchemaError(PactopError):
 
     ``witness`` holds a JSON-pointer-ish path such as ``("/maps/1/v",)``.
     """
+
+
+class LimitExceeded(PactopError):
+    """An enumeration would pass one of the engine's size limits.
+
+    ``limit`` names what is counted and ``size`` is the count that hit
+    the limit; for a family built up step by step (open sets) it is the
+    count reached when the limit tripped, so a lower bound.
+    """
+
+    def __init__(self, limit: str, size: int, bound: int):
+        super().__init__(
+            f"size limit hit: {size:,} {limit} exceed the {bound:,} allowed",
+            (limit, size),
+        )
+        self.limit = limit
+        self.size = size

@@ -52,26 +52,6 @@ class EqRel:
             masks[c] |= 1 << x
         return tuple(masks)
 
-    def class_mask(self, c: int) -> int:
-        mask = 0
-        for x, d in enumerate(self.class_id):
-            if d == c:
-                mask |= 1 << x
-        return mask
-
-
-def from_blocks(size: int, blocks: Iterable[Iterable[int]]) -> EqRel:
-    """Build an EqRel from disjoint blocks covering ``range(size)``."""
-    cid = [-1] * size
-    for i, block in enumerate(blocks):
-        for x in block:
-            if cid[x] != -1:
-                raise ValueError(f"point {x} appears in two blocks")
-            cid[x] = i
-    if -1 in cid:
-        raise ValueError(f"point {cid.index(-1)} not covered by any block")
-    return EqRel(size, tuple(cid))
-
 
 def from_relation(size: int, related: Callable[[int, int], bool]) -> EqRel:
     """Build an EqRel from a relation predicate, checking the axioms.

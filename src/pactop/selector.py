@@ -25,7 +25,7 @@ from .paction import (
 )
 from .relations import EqRel, from_relation
 from .reports import Report, ReportBuilder
-from .topology import FinTop, SetFamily, iter_bits, mask_of
+from .topology import FinTop, iter_bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -119,18 +119,32 @@ def normalized_selector(pa: PartialAction) -> SelectorMap:
 
 @dataclass(frozen=True)
 class BorelReport:
-    """Transversal topology with the two Borel-structure families and
-    the clause-by-clause report."""
+    """Transversal topology, the atoms of the two Borel structures it
+    is compared on, and the clause-by-clause report."""
 
     tau: FinTop
-    quotient_borel: SetFamily
-    tau_borel: SetFamily
+    quotient_atoms: tuple[int, ...]
+    tau_atoms: tuple[int, ...]
     report: Report
 
 
 def _class_order(glob: Globalization, sel: SelectorMap) -> list[int]:
     # Transversal points sorted; entry i is the class of the i-th one.
     return [glob.relation.class_of(p) for p in iter_bits(transversal(sel))]
+
+
+def _quotient_borel_atoms(glob: Globalization) -> tuple[int, ...]:
+    # A class set is Borel in the quotient when its preimage is a union
+    # of product atoms.  So the classes meeting one product atom share
+    # an atom, and an atom is a class set joined by such overlaps.
+    atoms: list[int] = []
+    for product_atom in topo.borel_atoms(glob.product):
+        met = mask_of(glob.relation.class_of(p) for p in iter_bits(product_atom))
+        for a in [a for a in atoms if a & met]:
+            atoms.remove(a)
+            met |= a
+        atoms.append(met)
+    return tuple(sorted(atoms))
 
 
 def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
@@ -149,15 +163,17 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
             tuple(classes_of_t),
         )
 
-    sub = topo.subspace(glob.product, t_mask)
-    tau_opens = []
-    for u in sub.opens:
-        tau_opens.append(mask_of(classes_of_t[i] for i in iter_bits(u)))
-    tau = FinTop(n_classes, tuple(tau_opens))
+    tau_nbrs = [0] * n_classes
+    for p in iter_bits(t_mask):
+        tau_nbrs[glob.relation.class_of(p)] = mask_of(
+            glob.relation.class_of(q) for q in iter_bits(glob.product.nbrs[p] & t_mask)
+        )
+    tau = FinTop.from_neighborhoods(tau_nbrs)
 
     rb = ReportBuilder("transversal-topology")
-    tau_open_set = set(tau.opens)
-    missing = [u for u in glob.topology.opens if u not in tau_open_set]
+    # the quotient topology lies inside tau when each of its minimal
+    # neighborhoods is tau-open; the witnesses are those that are not
+    missing = [u for u in glob.topology.nbrs if not topo.is_open(tau, u)]
     rb.check(
         "transversal topology extends the quotient topology",
         not missing,
@@ -169,20 +185,12 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
         "strictness of the extension is not asserted",
     )
 
-    class_masks = glob.relation.classes()
-    quotient_borel_members = []
-    for b in range(1 << n_classes):
-        pre = 0
-        for c in iter_bits(b):
-            pre |= class_masks[c]
-        if topo.is_borel(glob.product, pre):
-            quotient_borel_members.append(b)
-    quotient_borel = SetFamily(n_classes, tuple(quotient_borel_members))
-    tau_borel = topo.borel_algebra(tau)
+    quotient_atoms = _quotient_borel_atoms(glob)
+    tau_atoms = topo.borel_atoms(tau)
     rb.check(
         "quotient Borel structure equals the transversal Borel algebra",
-        quotient_borel == tau_borel,
-        (len(quotient_borel), len(tau_borel)),
+        quotient_atoms == tau_atoms,
+        (2 ** len(quotient_atoms), 2 ** len(tau_atoms)),
     )
 
     image = glob.embedded_classes()
@@ -201,37 +209,32 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
     )
 
     img_positions = {c: i for i, c in enumerate(iter_bits(image))}
-    tau_on_image = topo.subspace(tau, image)
-    image_borel = topo.borel_algebra(tau_on_image)
-    transported = SetFamily(
-        tau_on_image.size,
-        tuple(
-            mask_of(img_positions[glob.embedding[x]] for x in iter_bits(m))
-            for m in topo.borel_algebra(space).members
-        ),
-    )
+    image_atoms = topo.borel_atoms(topo.subspace(tau, image))
+    carrier_atoms = tuple(sorted(
+        mask_of(img_positions[glob.embedding[x]] for x in iter_bits(atom))
+        for atom in topo.borel_atoms(space)
+    ))
     rb.check(
         "Borel algebra of the embedded image matches the carrier's",
-        image_borel == transported,
-        (len(image_borel.members), len(transported.members)),
+        image_atoms == carrier_atoms,
+        (2 ** len(image_atoms), 2 ** len(carrier_atoms)),
     )
 
-    tau_borel_set = set(tau_borel.members)
     bad_meas = []
     for g in pa.group.elements():
-        for b in tau_borel.members:
+        for atom in tau_atoms:
             pre = mask_of(
-                c for c in range(n_classes) if (b >> glob.action[g][c]) & 1
+                c for c in range(n_classes) if (atom >> glob.action[g][c]) & 1
             )
-            if pre not in tau_borel_set:
-                bad_meas.append((g, b))
+            if not topo.is_borel(tau, pre):
+                bad_meas.append((g, atom))
     rb.check(
         "every translation is Borel measurable for the transversal topology",
         not bad_meas,
         tuple(bad_meas[:8]),
     )
 
-    return BorelReport(tau, quotient_borel, tau_borel, rb.build())
+    return BorelReport(tau, quotient_atoms, tau_atoms, rb.build())
 
 
 def action_continuity_table(
@@ -325,7 +328,6 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
     rel = orbit_equivalence(lifted)
     group_top = topo.discrete(group.order)
     class_masks = rel.classes()
-    orbit_subs: dict[int, FinTop] = {}
 
     bad_bij: list[tuple] = []
     bad_inv: list[tuple] = []
@@ -350,9 +352,7 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
                     bad_inv.append((g, x, p))
             if not ok_inv:
                 continue
-            if o_mask not in orbit_subs:
-                orbit_subs[o_mask] = topo.subspace(lifted.space, o_mask)
-            sub_o = orbit_subs[o_mask]
+            sub_o = topo.subspace(lifted.space, o_mask)
             sub_g = topo.subspace(group_top, gx)
             pos = {p: i for i, p in enumerate(iter_bits(o_mask))}
             f = [pos[rho[h]] for h in iter_bits(gx)]

@@ -1,26 +1,27 @@
-"""Finite topological spaces with explicit open-set families.
+"""Finite topological spaces stored as their specialization preorders.
 
 Subsets of the carrier ``range(size)`` are bitmask integers throughout.
 A finite topology is fully determined by the minimal open neighborhood
 of each point (any family closed under union and intersection is the
-up-set family of its specialization preorder), so the operations below
-lean on minimal neighborhoods internally while the stored ``opens``
-tuple stays the source of truth for equality and iteration.
+up-set family of its specialization preorder; Alexandrov 1937), so a
+``FinTop`` stores only those neighborhoods and every construction below
+builds them directly.  The open-set family is derived on demand, for
+output and for the tests' brute-force oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Sequence
 
-from .errors import InvalidSubset
+from .errors import InvalidSubset, LimitExceeded
 from .relations import EqRel
 
-# Constructions that enumerate candidate subsets refuse to go past this
-# many points; the engine targets desk-scale instances only.
-_ENUM_LIMIT = 20
+# Largest open-set family ``FinTop.opens`` lists; the 2**21 subsets of
+# a 21-point discrete space already pass it.
+OPEN_SET_LIMIT = 2_000_000
 
 
 def iter_bits(mask: int):
@@ -38,30 +39,54 @@ def mask_of(points: Iterable[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinTop:
-    """Topology on ``range(size)``; ``opens`` is the full open-set family.
+    """Topology on ``range(size)``; ``nbrs[x]`` is the minimal open
+    neighborhood of ``x``.  Equality and hashing use ``nbrs`` only.
 
-    The constructor normalizes ``opens`` to a sorted deduplicated tuple
-    and insists on the empty set and the whole carrier being present.
-    Closure under union/intersection is the caller's contract; use
-    ``make_topology`` to close an arbitrary generating family.
+    ``FinTop(size, opens)`` takes an open-set family, which must contain
+    the empty set and the whole carrier; the topology stored is the one
+    the family generates under union and intersection, so for a family
+    that already is a topology, exactly that family.
+    ``from_neighborhoods`` builds a topology from its neighborhoods.
     """
 
     size: int
-    opens: tuple[int, ...]
+    nbrs: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.size < 0:
+    def __init__(self, size: int, opens: Iterable[int]):
+        if size < 0:
             raise ValueError("size must be nonnegative")
-        full = (1 << self.size) - 1
-        for u in self.opens:
+        full = (1 << size) - 1
+        family = set(opens)
+        for u in family:
             if u < 0 or u > full:
                 raise ValueError(f"open set {u:#x} outside the carrier")
-        normalized = tuple(sorted(set(self.opens)))
-        object.__setattr__(self, "opens", normalized)
-        if 0 not in self.opens or full not in self.opens:
+        if 0 not in family or full not in family:
             raise ValueError("opens must contain the empty set and the carrier")
+        nbrs = [full] * size
+        for u in family:
+            for x in iter_bits(u):
+                nbrs[x] &= u
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "nbrs", tuple(nbrs))
+
+    @classmethod
+    def from_neighborhoods(cls, nbrs: Iterable[int]) -> FinTop:
+        """The topology on ``range(len(nbrs))`` whose minimal
+        neighborhoods are ``nbrs``.  That each ``nbrs[x]`` contains ``x``
+        and the neighborhood of each of its points (the specialization
+        preorder is reflexive and transitive) is the caller's contract."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "nbrs", tuple(nbrs))
+        object.__setattr__(t, "size", len(t.nbrs))
+        return t
+
+    @cached_property
+    def opens(self) -> tuple[int, ...]:
+        """Every open set, in increasing order; computed once.  Raises
+        LimitExceeded past ``OPEN_SET_LIMIT`` sets."""
+        return _up_sets(self.nbrs)
 
     @property
     def full(self) -> int:
@@ -71,25 +96,29 @@ class FinTop:
         return range(self.size)
 
 
-@dataclass(frozen=True)
-class SetFamily:
-    """A plain family of subsets of ``range(size)``, canonically sorted."""
+def _points_by_nbr(nbrs: Sequence[int]) -> dict[int, int]:
+    # mask of the points sharing each minimal neighborhood
+    out: dict[int, int] = {}
+    for x, n in enumerate(nbrs):
+        out[n] = out.get(n, 0) | 1 << x
+    return out
 
-    size: int
-    members: tuple[int, ...]
 
-    def __post_init__(self):
-        full = (1 << self.size) - 1
-        for m in self.members:
-            if m < 0 or m > full:
-                raise ValueError(f"member {m:#x} outside the carrier")
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
+def _up_sets(nbrs: Sequence[int]) -> tuple[int, ...]:
+    # Points sharing a neighborhood are added together, smallest
+    # neighborhoods first.  The rest of a neighborhood is then already
+    # placed, and the open sets so far that contain it are exactly those
+    # that stay open with the new points added.
+    together = _points_by_nbr(nbrs)
+    family = [0]
+    for n in sorted(together, key=int.bit_count):
+        new = together[n]
+        rest = n & ~new
+        family += [u | new for u in family if u & rest == rest]
+        if len(family) > OPEN_SET_LIMIT:
+            raise LimitExceeded("open sets", len(family), OPEN_SET_LIMIT)
+    family.sort()
+    return tuple(family)
 
 
 @dataclass(frozen=True)
@@ -104,28 +133,20 @@ def _check_subset(t: FinTop, mask: int, what: str) -> None:
         raise InvalidSubset(f"{what} {mask:#x} is not within the point range", (mask,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def minimal_neighborhoods(t: FinTop) -> tuple[int, ...]:
-    """Minimal open neighborhood of each point.
+    """Minimal open neighborhood of each point, i.e. ``t.nbrs``.
 
     Doubles as the specialization preorder: ``y`` is in the minimal
     neighborhood of ``x`` exactly when ``x`` lies in the closure of
     ``{y}``.
     """
-    nbrs = []
-    for x in t.points():
-        acc = t.full
-        bit = 1 << x
-        for u in t.opens:
-            if u & bit:
-                acc &= u
-        nbrs.append(acc)
-    return tuple(nbrs)
+    return t.nbrs
 
 
 def is_open(t: FinTop, mask: int) -> bool:
     _check_subset(t, mask, "set")
-    nbrs = minimal_neighborhoods(t)
+    nbrs = t.nbrs
     return all(nbrs[x] & ~mask == 0 for x in iter_bits(mask))
 
 
@@ -137,7 +158,7 @@ def is_closed(t: FinTop, mask: int) -> bool:
 def interior(t: FinTop, mask: int) -> int:
     """Largest open subset: points whose minimal neighborhood fits."""
     _check_subset(t, mask, "set")
-    nbrs = minimal_neighborhoods(t)
+    nbrs = t.nbrs
     return mask_of(x for x in iter_bits(mask) if nbrs[x] & ~mask == 0)
 
 
@@ -159,9 +180,9 @@ def _sub_interior(nbrs: Sequence[int], ambient: int, mask: int) -> int:
     return mask_of(x for x in iter_bits(mask) if nbrs[x] & ambient & ~mask == 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _meager_cached(t: FinTop, a: int, s: int) -> bool:
-    nbrs = minimal_neighborhoods(t)
+    nbrs = t.nbrs
     for x in iter_bits(a):
         # closure of {x} inside the subspace on s
         cl = mask_of(y for y in iter_bits(s) if nbrs[y] & s & (1 << x))
@@ -185,7 +206,7 @@ def is_meager_in(t: FinTop, a: int, s: int) -> bool:
 
 def separation(t: FinTop) -> SeparationFlags:
     """T0/T1/T2 flags, each decided from minimal neighborhoods."""
-    nbrs = minimal_neighborhoods(t)
+    nbrs = t.nbrs
     t0 = t1 = t2 = True
     for x in t.points():
         for y in range(x + 1, t.size):
@@ -199,14 +220,14 @@ def separation(t: FinTop) -> SeparationFlags:
 
 
 def subspace(t: FinTop, s: int) -> FinTop:
-    """Subspace on the points of ``s``, reindexed densely in sorted order."""
+    """Subspace on the points of ``s``, reindexed densely in sorted order;
+    its neighborhoods are the traces of the parent ones."""
     _check_subset(t, s, "subspace carrier")
     points = list(iter_bits(s))
     pos = {p: i for i, p in enumerate(points)}
-    traces = set()
-    for u in t.opens:
-        traces.add(mask_of(pos[p] for p in iter_bits(u & s)))
-    return FinTop(len(points), tuple(traces))
+    return FinTop.from_neighborhoods(
+        mask_of(pos[q] for q in iter_bits(t.nbrs[p] & s)) for p in points
+    )
 
 
 def product_with_discrete(t: FinTop, k: int) -> FinTop:
@@ -217,56 +238,49 @@ def product_with_discrete(t: FinTop, k: int) -> FinTop:
     """
     if k < 1:
         raise ValueError("the discrete factor needs at least one point")
-    count = len(t.opens) ** k
-    if count > 2_000_000:
-        raise ValueError("product open family too large for desk scale")
-    opens = []
-    for combo in itertools.product(t.opens, repeat=k):
-        acc = 0
-        for j, u in enumerate(combo):
-            acc |= u << (j * t.size)
-        opens.append(acc)
-    return FinTop(k * t.size, tuple(opens))
+    return FinTop.from_neighborhoods(
+        n << (j * t.size) for j in range(k) for n in t.nbrs
+    )
 
 
 def product(a: FinTop, b: FinTop) -> FinTop:
-    """Product topology; point ``(x, y)`` is encoded as ``x * b.size + y``."""
-    n = a.size * b.size
-    if n > _ENUM_LIMIT:
-        raise ValueError("product carrier too large for desk scale")
-    na = minimal_neighborhoods(a)
-    nb = minimal_neighborhoods(b)
+    """Product topology; point ``(x, y)`` is encoded as ``x * b.size + y``.
+    The neighborhood of a point is the product of its coordinates'."""
     nbrs = []
     for x in a.points():
         for y in b.points():
             acc = 0
-            for x2 in iter_bits(na[x]):
-                acc |= nb[y] << (x2 * b.size)
+            for x2 in iter_bits(a.nbrs[x]):
+                acc |= b.nbrs[y] << (x2 * b.size)
             nbrs.append(acc)
-    opens = [s for s in range(1 << n)
-             if all(nbrs[p] & ~s == 0 for p in iter_bits(s))]
-    return FinTop(n, tuple(opens))
+    return FinTop.from_neighborhoods(nbrs)
 
 
 def quotient(t: FinTop, e: EqRel) -> FinTop:
     """Quotient topology on the classes of ``e``.
 
-    A class set is open exactly when its preimage is open in ``t``.
+    A class set is open exactly when its preimage is open in ``t``, so
+    the neighborhood of a class is the least class set that contains it
+    and every class meeting the neighborhood of a member: saturate up to
+    a fixed point.
     """
     if e.size != t.size:
         raise ValueError("relation carrier does not match the space")
-    masks = e.classes()
-    c = len(masks)
-    if c > _ENUM_LIMIT:
-        raise ValueError("too many classes for desk scale")
-    opens = []
-    for b in range(1 << c):
-        pre = 0
-        for i in iter_bits(b):
-            pre |= masks[i]
-        if is_open(t, pre):
-            opens.append(b)
-    return FinTop(c, tuple(opens))
+    cid = e.class_id
+    step = [0] * e.num_classes
+    for x, n in enumerate(t.nbrs):
+        step[cid[x]] |= mask_of(cid[y] for y in iter_bits(n))
+    nbrs = []
+    for c in range(len(step)):
+        reach = frontier = 1 << c
+        while frontier:
+            grown = 0
+            for d in iter_bits(frontier):
+                grown |= step[d]
+            frontier = grown & ~reach
+            reach |= frontier
+        nbrs.append(reach)
+    return FinTop.from_neighborhoods(nbrs)
 
 
 def borel_atoms(t: FinTop) -> tuple[int, ...]:
@@ -275,11 +289,7 @@ def borel_atoms(t: FinTop) -> tuple[int, ...]:
     Two points sit in the same atom exactly when every open contains
     both or neither, i.e. when their minimal neighborhoods coincide.
     """
-    nbrs = minimal_neighborhoods(t)
-    groups: dict[int, int] = {}
-    for x in t.points():
-        groups[nbrs[x]] = groups.get(nbrs[x], 0) | (1 << x)
-    return tuple(sorted(groups.values()))
+    return tuple(sorted(_points_by_nbr(t.nbrs).values()))
 
 
 def is_borel(t: FinTop, mask: int) -> bool:
@@ -287,83 +297,74 @@ def is_borel(t: FinTop, mask: int) -> bool:
     return all(atom & mask in (0, atom) for atom in borel_atoms(t))
 
 
-def borel_algebra(t: FinTop) -> SetFamily:
-    """All members of the algebra generated by the opens (finite Borel)."""
+def borel_algebra(t: FinTop) -> tuple[int, ...]:
+    """All members of the algebra generated by the opens (finite Borel),
+    in increasing order; raises LimitExceeded past 16 atoms."""
     atoms = borel_atoms(t)
     if len(atoms) > 16:
-        raise ValueError("Borel algebra too large for desk scale")
-    members = []
-    for pick in range(1 << len(atoms)):
-        acc = 0
-        for i in iter_bits(pick):
-            acc |= atoms[i]
-        members.append(acc)
-    return SetFamily(t.size, tuple(members))
+        raise LimitExceeded("Borel atoms", len(atoms), 16)
+    members = [0]
+    for atom in atoms:
+        members += [m | atom for m in members]
+    return tuple(sorted(members))
 
 
 def is_continuous(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
-    """Whether the preimage of every open of ``dst`` is open in ``src``."""
+    """Whether the preimage of every open of ``dst`` is open in ``src``;
+    on finite spaces, whether ``f`` is monotone for the specialization
+    preorders: ``f(nbrs[x])`` lies in the neighborhood of ``f(x)``."""
     if len(f) != src.size:
         raise ValueError("map length does not match the source carrier")
-    for u in dst.opens:
-        pre = mask_of(x for x in src.points() if u & (1 << f[x]))
-        if not is_open(src, pre):
-            return False
-    return True
+    return all(
+        mask_of(f[y] for y in iter_bits(n)) & ~dst.nbrs[f[x]] == 0
+        for x, n in enumerate(src.nbrs)
+    )
 
 
 def is_open_map(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
-    """Whether the image of every open of ``src`` is open in ``dst``."""
+    """Whether the image of every open of ``src`` is open in ``dst``.
+    Opens are unions of minimal neighborhoods and images keep unions, so
+    checking the neighborhoods suffices."""
     if len(f) != src.size:
         raise ValueError("map length does not match the source carrier")
-    for u in src.opens:
-        img = mask_of(f[x] for x in iter_bits(u))
-        if not is_open(dst, img):
-            return False
-    return True
+    return all(is_open(dst, mask_of(f[y] for y in iter_bits(n))) for n in src.nbrs)
 
 
 def make_topology(size: int, generators: Iterable[int]) -> FinTop:
-    """Close a generating family under union and intersection.
+    """Close a generating family under union and intersection: the
+    neighborhood of ``x`` is the meet of the generators containing it.
 
     The empty set and the whole carrier are always included.  Raises
     InvalidSubset when a generator sticks out of the point range.
     """
-    if size > _ENUM_LIMIT:
-        raise ValueError("carrier too large for desk scale")
     full = (1 << size) - 1
-    family = {0, full}
+    family = [0, full]
     for g in generators:
         if g < 0 or g > full:
             raise InvalidSubset(f"generator {g:#x} not within the point range", (g,))
-        family.add(g)
-    # Fixpoint closure; the family is bounded by the powerset.
-    grew = True
-    while grew:
-        grew = False
-        snapshot = list(family)
-        for i, u in enumerate(snapshot):
-            for v in snapshot[i + 1:]:
-                for w in (u | v, u & v):
-                    if w not in family:
-                        family.add(w)
-                        grew = True
-    return FinTop(size, tuple(family))
+        family.append(g)
+    return FinTop(size, family)
 
 
+@lru_cache(maxsize=64)
 def discrete(size: int) -> FinTop:
-    if size > _ENUM_LIMIT:
-        raise ValueError("carrier too large for desk scale")
-    return FinTop(size, tuple(range(1 << size)))
+    # cached: the transforms ask for the discrete group topology per call
+    return FinTop.from_neighborhoods(1 << x for x in range(size))
 
 
 def indiscrete(size: int) -> FinTop:
-    return FinTop(size, (0, (1 << size) - 1))
+    return FinTop.from_neighborhoods([(1 << size) - 1] * size)
 
 
 def family_is_topology(size: int, members: Iterable[int]) -> str | None:
     """Check a family for the topology axioms; None when it passes,
-    otherwise a human-readable reason."""
+    otherwise a human-readable reason.
+
+    Runs in O(|F| * size): the meet of the members containing ``x`` must
+    be a member, and the family must be closed under adding such a meet
+    to a member.  Every union and intersection of members is built that
+    way, and each failing step names two members.
+    """
     fam = set(members)
     full = (1 << size) - 1
     if 0 not in fam:
@@ -373,11 +374,19 @@ def family_is_topology(size: int, members: Iterable[int]) -> str | None:
     for u in fam:
         if u < 0 or u > full:
             return f"member {u:#x} outside the carrier"
-        for v in fam:
-            if u | v not in fam:
-                return f"union of {u:#x} and {v:#x} missing"
-            if u & v not in fam:
-                return f"intersection of {u:#x} and {v:#x} missing"
+    nbrs = []
+    for x in range(size):
+        acc = full
+        for u in fam:
+            if (u >> x) & 1:
+                if acc & u not in fam:
+                    return f"intersection of {acc:#x} and {u:#x} missing"
+                acc &= u
+        nbrs.append(acc)
+    for u in fam:
+        for x in iter_bits(full & ~u):
+            if u | nbrs[x] not in fam:
+                return f"union of {u:#x} and {nbrs[x]:#x} missing"
     return None
 
 
@@ -393,33 +402,21 @@ def homeomorphisms(t: FinTop) -> list[tuple[int, ...]]:
 def all_topologies(size: int) -> list[FinTop]:
     """Every topology on ``range(size)``, one per preorder.
 
-    Enumerates reflexive transitive relations and takes their up-set
-    families; on a finite carrier this hits each topology exactly once.
+    Enumerates reflexive relations, keeps the transitive ones and builds
+    each topology from its neighborhoods; on a finite carrier this hits
+    each topology exactly once.  Raises LimitExceeded past 4 points.
     """
     if size == 0:
         return [FinTop(0, (0,))]
     if size > 4:
-        raise ValueError("exhaustive enumeration capped at 4 points")
+        raise LimitExceeded("points of an exhaustive topology enumeration", size, 4)
     pairs = [(x, y) for x in range(size) for y in range(size) if x != y]
     seen = []
     for bits in range(1 << len(pairs)):
-        rel = [[x == y for y in range(size)] for x in range(size)]
+        nbrs = [1 << x for x in range(size)]
         for i, (x, y) in enumerate(pairs):
             if (bits >> i) & 1:
-                rel[x][y] = True
-        if any(rel[x][y] and rel[y][z] and not rel[x][z]
-               for x in range(size) for y in range(size) for z in range(size)):
-            continue
-        nbrs = [mask_of(y for y in range(size) if rel[x][y]) for x in range(size)]
-        opens = [s for s in range(1 << size)
-                 if all(nbrs[x] & ~s == 0 for x in iter_bits(s))]
-        seen.append(FinTop(size, tuple(opens)))
+                nbrs[x] |= 1 << y
+        if all(nbrs[y] & ~n == 0 for n in nbrs for y in iter_bits(n)):
+            seen.append(FinTop.from_neighborhoods(nbrs))
     return seen
-
-
-def transported(t: FinTop, f: Callable[[int], int], size: int) -> FinTop:
-    """Push the topology forward along a bijection onto ``range(size)``."""
-    opens = []
-    for u in t.opens:
-        opens.append(mask_of(f(x) for x in iter_bits(u)))
-    return FinTop(size, tuple(opens))

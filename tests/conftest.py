@@ -1,14 +1,77 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from pactop import build, induced_family, validate
+from pactop import (
+    all_topologies,
+    build,
+    homeomorphisms,
+    induced,
+    induced_family,
+    make_group,
+    validate,
+)
+from pactop.errors import NotAnAction
+
+
+def klein_four():
+    """Z2 x Z2 with xor as product; elements 1 and 2 generate it."""
+    return make_group([[g ^ h for h in range(4)] for g in range(4)])
+
+
+def symmetric3():
+    """S3 as the permutations of {0, 1, 2} in lexicographic order, g*h
+    applying h first; the transposition 1 and the 3-cycle 3 generate it."""
+    perms = list(itertools.permutations(range(3)))
+    idx = {p: i for i, p in enumerate(perms)}
+    return make_group(
+        [[idx[tuple(g[h[x]] for x in range(3))] for h in perms] for g in perms]
+    )
+
+
+def induced_instances(group, gens, max_points: int) -> list:
+    """Every partial action induced from a continuous total action of
+    ``group`` on at most ``max_points`` points, over every carrier
+    subset, deduplicated; ``gens`` generate the group."""
+    seen, out = set(), []
+    for size in range(1, max_points + 1):
+        for space in all_topologies(size):
+            homeos = homeomorphisms(space)
+            for images in itertools.product(homeos, repeat=len(gens)):
+                rows = {group.identity: tuple(space.points())}
+                frontier = [group.identity]
+                while frontier:
+                    g = frontier.pop()
+                    for s, img in zip(gens, images):
+                        h = group.mul[s][g]
+                        if h not in rows:
+                            rows[h] = tuple(img[y] for y in rows[g])
+                            frontier.append(h)
+                table = [rows[g] for g in group.elements()]
+                for carrier in range(1 << size):
+                    try:
+                        pa = induced(group, space, table, carrier)
+                    except NotAnAction:  # the images break a relation
+                        break
+                    if pa not in seen:
+                        seen.add(pa)
+                        out.append(pa)
+    return out
 
 
 @pytest.fixture(scope="session")
 def family():
-    """All induced instances with |G| <= 4 on <= 3 points."""
-    return induced_family(max_group=4, max_points=3)
+    """All induced instances with a cyclic group of order <= 4 on <= 3
+    points, then those of the Klein four-group on <= 3 points and of S3
+    on <= 2 points: non-abelian products catch mistakes in the order of
+    a product that commuting elements hide."""
+    return (
+        induced_family(max_group=4, max_points=3)
+        + induced_instances(klein_four(), (1, 2), 3)
+        + induced_instances(symmetric3(), (1, 3), 2)
+    )
 
 
 @pytest.fixture(scope="session")

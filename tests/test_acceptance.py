@@ -2,9 +2,10 @@
 
 One test per shipped guarantee, each printing a single summary line;
 the timed ones assert their budget explicitly.  Everything runs on the
-generated instance family (cyclic groups up to order 4, every topology
-on up to 3 points, every induced restriction of a total action) plus
-200 deterministic mutations, and on the bundled example document.
+generated instance family (cyclic groups up to order 4 and the Klein
+four-group on every topology on up to 3 points, S3 on up to 2 points,
+every induced restriction of a total action) plus 200 deterministic
+mutations, and on the bundled example document.
 """
 
 from __future__ import annotations

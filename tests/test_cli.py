@@ -7,7 +7,8 @@ from importlib import resources
 
 import pytest
 
-from pactop.cli import parse, serialize
+from pactop import cyclic, discrete, induced
+from pactop.cli import ActionSpec, parse, serialize
 
 EXAMPLE = str(resources.files("pactop").joinpath("data/example48.json"))
 
@@ -72,6 +73,32 @@ def test_schema_error_exits_2(tmp_path):
     res = run_cli("validate", str(bad))
     assert res.returncode == 2
     assert "/maps" in res.stderr
+
+
+def test_group_table_shape_error_exits_2(tmp_path):
+    for table in ([[0, 1], [1]], [[0, 1], [1, 2]]):
+        doc = {"group": {"kind": "table", "table": table},
+               "space": {"points": ["a"], "opens": [[], ["a"]]},
+               "domains": {"0": ["a"], "1": ["a"]},
+               "maps": {"0": {"a": "a"}, "1": {"a": "a"}}}
+        bad = tmp_path / "table.json"
+        bad.write_text(json.dumps(doc))
+        res = run_cli("validate", str(bad))
+        assert res.returncode == 2, res.stderr
+        assert "/group/table/1" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_report_passes_on_rotation_of_six_points_minus_one(tmp_path):
+    # C3 rotating two blocks of three discrete points, point 4 dropped
+    rows = [tuple((x // 3) * 3 + (x % 3 + g) % 3 for x in range(6)) for g in range(3)]
+    pa = induced(cyclic(3), discrete(6), rows, 0b101111)
+    names = tuple(f"x{i}" for i in range(pa.space.size))
+    doc = tmp_path / "c3_6_minus_one.json"
+    doc.write_text(json.dumps(serialize(ActionSpec("c3", names, pa))))
+    res = run_cli("report", str(doc), "--format", "json")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["overall"] == "pass"
 
 
 def test_identity_domain_must_be_full(tmp_path):

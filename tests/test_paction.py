@@ -61,6 +61,12 @@ def test_pair_encoding_roundtrip():
 def test_validate_accepts_total_actions():
     assert validate(SWAP).ok
     assert validate(rotation3()).ok
+    # products with 2**25 and 64**6 open sets, past any enumeration
+    z25 = cyclic(25)
+    assert validate(PartialAction(z25, discrete(1), (1,) * 25, ((0,),) * 25)).ok
+    z6 = cyclic(6)
+    rows = tuple(tuple((x + g) % 6 for x in range(6)) for g in range(6))
+    assert validate(PartialAction(z6, discrete(6), (0b111111,) * 6, rows)).ok
 
 
 def test_validate_accepts_partial_identity_on_open_piece():

