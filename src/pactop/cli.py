@@ -25,11 +25,10 @@ from .globalize import (
 from .groups import FiniteGroup, cyclic, make_group
 from .paction import (
     PartialAction,
-    acting_set,
-    orbit,
     orbit_consistency_report,
     stabilizer,
     validate,
+    well_formedness,
 )
 from .reports import FAIL, Check, Report
 from .selector import (
@@ -218,18 +217,18 @@ def serialize(spec: ActionSpec) -> dict:
     }
 
 
-def _fail_report(name: str, exc: PactopError) -> Report:
-    return Report(name, (Check(str(exc), FAIL, tuple(exc.witness)),))
-
-
-def _guarded(reports: list[Report], name: str, fn) -> object | None:
-    """Run a construction stage; an AxiomViolation becomes a failing
-    report instead of a crash, and later stages are skipped."""
+def _stage(reports: list[Report], name: str, fn) -> object | None:
+    """Run a stage and append the Report it returns.  A PactopError
+    becomes a failing report named after the stage, and the result is
+    None so that the caller skips the stages that need it."""
     try:
-        return fn()
+        out = fn()
     except PactopError as exc:
-        reports.append(_fail_report(name, exc))
+        reports.append(Report(name, (Check(str(exc), FAIL, tuple(exc.witness)),)))
         return None
+    if isinstance(out, Report):
+        reports.append(out)
+    return out
 
 
 def _class_label(glob: Globalization, names: tuple[str, ...], c: int) -> str:
@@ -271,33 +270,28 @@ def _names_of(names: tuple[str, ...], mask: int) -> list[str]:
     return [names[x] for x in iter_bits(mask)]
 
 
-def _append_stage(reports: list[Report], name: str, fn) -> None:
-    rep = _guarded(reports, name, fn)
-    if rep is not None:
-        reports.append(rep)
-
-
 def _cmd_validate(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
     reports = [validate(spec.pa)]
     if reports[0].ok:
-        _append_stage(reports, "orbit-consistency",
-                      lambda: orbit_consistency_report(spec.pa))
+        _stage(reports, "orbit-consistency", lambda: orbit_consistency_report(spec.pa))
     return {}, reports
 
 
 def _cmd_orbits(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
     pa = spec.pa
+    wf = well_formedness(pa)
+    if not wf.ok:
+        return {}, [wf]
     reports: list[Report] = []
     table = {
         spec.names[x]: {
-            "orbit": _names_of(spec.names, orbit(pa, x)),
+            "orbit": _names_of(spec.names, pa.orbits[x]),
             "stabilizer": sorted(iter_bits(stabilizer(pa, x))),
-            "acting-set": sorted(iter_bits(acting_set(pa, x))),
+            "acting-set": sorted(iter_bits(pa.acting[x])),
         }
         for x in pa.space.points()
     }
-    _append_stage(reports, "orbit-consistency",
-                  lambda: orbit_consistency_report(pa))
+    _stage(reports, "orbit-consistency", lambda: orbit_consistency_report(pa))
     return {"points": table}, reports
 
 
@@ -308,7 +302,7 @@ def _globalize_stack(
     reports.append(rep)
     if not rep.ok:
         return None
-    glob = _guarded(reports, "envelope-construction", lambda: build(spec.pa))
+    glob = _stage(reports, "envelope-construction", lambda: build(spec.pa))
     if glob is None:
         return None
     reports.append(embedding_report(glob))
@@ -317,10 +311,14 @@ def _globalize_stack(
     return glob
 
 
+def _classes(glob: Globalization, names: tuple[str, ...]) -> list[str]:
+    return [_class_label(glob, names, c) for c in range(glob.num_classes)]
+
+
 def _glob_data(glob: Globalization, names: tuple[str, ...]) -> dict:
     sep = topo.separation(glob.topology)
     return {
-        "classes": [_class_label(glob, names, c) for c in range(glob.num_classes)],
+        "classes": _classes(glob, names),
         "embedding": {
             names[x]: _class_label(glob, names, glob.embedding[x])
             for x in glob.source.space.points()
@@ -372,6 +370,9 @@ def _cmd_vaught(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
     pa = spec.pa
     a = _parse_point_set(spec, args.set)
     v = _parse_group_part(spec, args.open_g)
+    wf = well_formedness(pa)
+    if not wf.ok:
+        return {}, [wf]
     reports: list[Report] = []
     transform = delta_transform if args.kind == "delta" else star_transform
     result = transform(pa, a, v)
@@ -381,11 +382,9 @@ def _cmd_vaught(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
         "group-part": sorted(iter_bits(v)),
         "result": _names_of(spec.names, result),
     }
-    _append_stage(reports, "transform-identities",
-                  lambda: transform_identities_report(pa))
+    _stage(reports, "transform-identities", lambda: transform_identities_report(pa))
     if topo.is_open(pa.space, a):
-        _append_stage(reports, "open-case-transform",
-                      lambda: open_case(pa, a, v))
+        _stage(reports, "open-case-transform", lambda: open_case(pa, a, v))
     return data, reports
 
 
@@ -393,11 +392,11 @@ def _selector_stack(
     spec: ActionSpec, glob: Globalization, reports: list[Report]
 ) -> dict:
     pa = spec.pa
-    sel = _guarded(reports, "selector-construction", lambda: normalized_selector(pa))
+    sel = _stage(reports, "selector-construction", lambda: normalized_selector(pa))
     if sel is None:
         return {}
-    brep = _guarded(reports, "transversal-topology",
-                    lambda: transversal_topology(glob, sel))
+    brep = _stage(reports, "transversal-topology",
+                  lambda: transversal_topology(glob, sel))
     if brep is None:
         return {}
     reports.append(brep.report)
@@ -416,9 +415,6 @@ def _selector_stack(
         if not ok
     ]
     return {
-        "classes": [
-            _class_label(glob, spec.names, c) for c in range(glob.num_classes)
-        ],
         "transversal": t_pairs,
         "tau-opens": [sorted(iter_bits(u)) for u in brep.tau.opens],
         "discontinuities": discontinuities,
@@ -431,6 +427,8 @@ def _cmd_selector(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
     if glob is None:
         return {}, reports
     data = _selector_stack(spec, glob, reports)
+    if data:
+        data["classes"] = _classes(glob, spec.names)
     return data, reports
 
 
@@ -439,10 +437,9 @@ def _cmd_report(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
     glob = _globalize_stack(spec, reports)
     if glob is None:
         return {}, reports
-    _append_stage(reports, "orbit-consistency",
-                  lambda: orbit_consistency_report(spec.pa))
-    _append_stage(reports, "transform-identities",
-                  lambda: transform_identities_report(spec.pa))
+    _stage(reports, "orbit-consistency", lambda: orbit_consistency_report(spec.pa))
+    _stage(reports, "transform-identities",
+           lambda: transform_identities_report(spec.pa))
     data = _glob_data(glob, spec.names)
     data.update(_selector_stack(spec, glob, reports))
     return data, reports

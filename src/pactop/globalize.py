@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 from . import topology as topo
 from .errors import AxiomViolation, NotAnAction
-from .paction import (
-    PartialAction,
-    induced,
-    lifted_action,
-    orbit,
-    orbit_equivalence,
-    pair_index,
-    pair_split,
-)
+from .paction import PartialAction, induced, pair_index, pair_split
 from .relations import EqRel, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
@@ -85,7 +77,6 @@ def build(pa: PartialAction) -> Globalization:
     group, space = pa.group, pa.space
     size = space.size
     relation = enveloping_relation(pa)
-    product = topo.product_with_discrete(space, max(group.order, 1))
 
     classes = relation.classes()
     action_rows = []
@@ -129,12 +120,12 @@ def build(pa: PartialAction) -> Globalization:
                         "translations do not compose", (g, h, c)
                     )
 
-    quotient = topo.quotient(product, relation)
+    quotient = topo.quotient(pa.product, relation)
     reps = tuple(
         pair_split(size, min(iter_bits(members))) for members in classes
     )
     return Globalization(
-        pa, product, relation, quotient, tuple(action_rows), embedding, reps
+        pa, pa.product, relation, quotient, tuple(action_rows), embedding, reps
     )
 
 
@@ -146,7 +137,6 @@ def embedding_report(glob: Globalization) -> Report:
     reproduces the original partial action."""
     pa = glob.source
     group, space = pa.group, pa.space
-    size = space.size
     rb = ReportBuilder("embedding")
 
     image = glob.embedded_classes()
@@ -167,10 +157,7 @@ def embedding_report(glob: Globalization) -> Report:
         tuple(bad_eq),
     )
 
-    graph = 0
-    for g in group.elements():
-        graph |= pa.dom[group.inv[g]] << (g * size)
-    if topo.is_open(glob.product, graph):
+    if topo.is_open(glob.product, pa.graph):
         rb.check(
             "embedded image open (definedness graph open)",
             topo.is_open(glob.topology, image),
@@ -230,8 +217,7 @@ def hat_relation_report(glob: Globalization) -> Report:
     """The gluing relation must coincide exactly with the orbit
     relation of the lifted action on the product."""
     rb = ReportBuilder("lift-orbit-relation")
-    lifted = lifted_action(glob.source)
-    lifted_orbits = orbit_equivalence(lifted)
+    lifted_orbits = glob.source.lifted.orbit_relation
     same = glob.relation == lifted_orbits
     witness: tuple = ()
     if not same:
@@ -256,15 +242,14 @@ def effros_report(pa: PartialAction) -> Report:
     rb = ReportBuilder("orbit-class-structure")
     space = pa.space
     size = space.size
-    e = orbit_equivalence(pa)
 
     square = topo.product(space, space)
     pairs = 0
     for x in space.points():
-        pairs |= orbit(pa, x) << (x * size)
+        pairs |= pa.orbits[x] << (x * size)
     rel_open = topo.is_gdelta(square, pairs)
-    orb_open = all(topo.is_gdelta(space, orbit(pa, x)) for x in space.points())
-    t0 = topo.separation(topo.quotient(space, e)).t0
+    orb_open = all(topo.is_gdelta(space, o) for o in pa.orbits)
+    t0 = topo.separation(topo.quotient(space, pa.orbit_relation)).t0
 
     rb.info("orbit relation open in the square", (rel_open,))
     rb.info("every orbit open", (orb_open,))

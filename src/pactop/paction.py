@@ -65,42 +65,86 @@ class PartialAction:
             raise KeyError(f"element {g} does not act on point {x}")
         return y
 
+    # Derived tables, each computed on first read and kept on the
+    # action.  ``acting``, ``graph`` and ``product`` read only ``dom``
+    # and the space, so ``validate`` may read them on any tables; the
+    # others call ``act`` and raise KeyError on ill-formed tables.
+
+    @functools.cached_property
+    def acting(self) -> tuple[int, ...]:
+        """Per point x, the bitmask of the g with x in dom[inv(g)]."""
+        inv = self.group.inv
+        return tuple(
+            mask_of(g for g in self.group.elements() if (self.dom[inv[g]] >> x) & 1)
+            for x in self.space.points()
+        )
+
+    @functools.cached_property
+    def orbits(self) -> tuple[int, ...]:
+        """Per point x, the bitmask of its images g.x."""
+        return tuple(
+            mask_of(self.act(g, x) for g in iter_bits(self.acting[x]))
+            for x in self.space.points()
+        )
+
+    @functools.cached_property
+    def graph(self) -> int:
+        """The definedness graph {(g, x) : x in dom[inv(g)]} as a set of
+        product points."""
+        out = 0
+        for g in self.group.elements():
+            out |= self.dom[self.group.inv[g]] << (g * self.space.size)
+        return out
+
+    @functools.cached_property
+    def product(self) -> FinTop:
+        """The group-indexed product of the space with the discrete group."""
+        return topo.product_with_discrete(self.space, self.group.order)
+
+    @functools.cached_property
+    def orbit_relation(self) -> EqRel:
+        """``orbit_equivalence(self)``."""
+        return orbit_equivalence(self)
+
+    @functools.cached_property
+    def lifted(self) -> PartialAction:
+        """``lifted_action(self)``."""
+        return lifted_action(self)
+
 
 def acting_set(pa: PartialAction, x: int) -> int:
     """Bitmask of group elements defined at ``x`` (those with x in
     dom[inv(g)])."""
-    out = 0
-    for g in pa.group.elements():
-        if pa.dom[pa.group.inv[g]] & (1 << x):
-            out |= 1 << g
-    return out
+    return pa.acting[x]
 
 
 def stabilizer(pa: PartialAction, x: int) -> int:
     out = 0
-    for g in iter_bits(acting_set(pa, x)):
+    for g in iter_bits(pa.acting[x]):
         if pa.act(g, x) == x:
             out |= 1 << g
     return out
 
 
 def orbit(pa: PartialAction, x: int) -> int:
-    return mask_of(pa.act(g, x) for g in iter_bits(acting_set(pa, x)))
+    return pa.orbits[x]
 
 
 def orbit_equivalence(pa: PartialAction) -> EqRel:
     """The reachability relation; on a valid partial action it is an
     equivalence, otherwise AxiomViolation names the broken axiom."""
-    orbits = [orbit(pa, x) for x in pa.space.points()]
     try:
         return from_relation(
-            pa.space.size, lambda x, y: bool(orbits[x] & (1 << y))
+            pa.space.size, lambda x, y: bool(pa.orbits[x] & (1 << y))
         )
     except ValueError as exc:
         raise AxiomViolation(f"orbit relation is not an equivalence: {exc}") from exc
 
 
-def _well_formed(pa: PartialAction, rb: ReportBuilder) -> bool:
+def well_formedness(pa: PartialAction) -> Report:
+    """Whether each map is defined exactly on dom[inv(g)]; the other
+    checks of ``validate`` and every table that calls ``act`` assume it."""
+    rb = ReportBuilder("well-formedness")
     ok = True
     for g in pa.group.elements():
         expected = pa.dom[pa.group.inv[g]]
@@ -113,7 +157,7 @@ def _well_formed(pa: PartialAction, rb: ReportBuilder) -> bool:
                 (g,) + bad,
             ) and ok
     rb.check("tables well-formed", ok)
-    return ok
+    return rb.build()
 
 
 def _pair_axioms(pa: PartialAction) -> Report:
@@ -245,15 +289,11 @@ def _topological(pa: PartialAction, algebra_ok: bool) -> Report:
             tuple(bad_homeo),
         )
 
-    graph = 0
-    for g in group.elements():
-        graph |= pa.dom[group.inv[g]] << (g * space.size)
-    prod = topo.product_with_discrete(space, group.order)
-    graph_open = topo.is_open(prod, graph)
-    rb.info("definedness graph open in the product", (graph_open,))
+    rb.info("definedness graph open in the product",
+            (topo.is_open(pa.product, pa.graph),))
     rb.info(
         "definedness graph is a countable intersection of opens",
-        (topo.is_gdelta(prod, graph),),
+        (topo.is_gdelta(pa.product, pa.graph),),
         "finite carrier: such intersections collapse to opens",
     )
     return rb.build()
@@ -268,11 +308,7 @@ def validate(pa: PartialAction) -> Report:
     with witnesses; nothing raises.
     """
     rb = ReportBuilder("partial-action-validation")
-    wf = ReportBuilder("well-formedness")
-    well_formed = _well_formed(pa, wf)
-    rb.section(wf.build())
-
-    if not well_formed:
+    if not rb.section(well_formedness(pa)).ok:
         rb.na("pair-axioms", "skipped: tables ill-formed")
         rb.na("bijection-axioms", "skipped: tables ill-formed")
         rb.na("formulations agree", "skipped: tables ill-formed")
@@ -395,14 +431,14 @@ def orbit_consistency_report(pa: PartialAction) -> Report:
         gi = group.inv[g]
         for x in iter_bits(pa.dom[g]):
             moved = pa.act(gi, x)
-            shifted = mask_of(group.mul[h][g] for h in iter_bits(acting_set(pa, x)))
-            if shifted != acting_set(pa, moved):
+            shifted = mask_of(group.mul[h][g] for h in iter_bits(pa.acting[x]))
+            if shifted != pa.acting[moved]:
                 bad_translate.append((g, x))
     rb.check(
         "acting set translates along each move", not bad_translate, tuple(bad_translate)
     )
 
-    e = orbit_equivalence(pa)
+    e = pa.orbit_relation
     q = topo.quotient(pa.space, e)
     cmap = [e.class_of(x) for x in pa.space.points()]
     rb.check("class map continuous", topo.is_continuous(cmap, pa.space, q))
@@ -410,7 +446,7 @@ def orbit_consistency_report(pa: PartialAction) -> Report:
 
     bad_closure = []
     for x in pa.space.points():
-        gx = acting_set(pa, x)
+        gx = pa.acting[x]
         st = stabilizer(pa, x)
         for g in iter_bits(gx):
             gi = group.inv[g]
@@ -429,9 +465,7 @@ def lifted_action(pa: PartialAction) -> PartialAction:
     """Lift to the group-indexed product: ``g`` sends (h, x) to
     (h * inv(g), g.x) on the slices where the original action is
     defined.  The lift's orbits present the enveloping space."""
-    group, space = pa.group, pa.space
-    size = space.size
-    prod = topo.product_with_discrete(space, group.order)
+    group, size = pa.group, pa.space.size
     dom = []
     for g in group.elements():
         mask = 0
@@ -448,7 +482,7 @@ def lifted_action(pa: PartialAction) -> PartialAction:
                     size, group.mul[h][gi], pa.act(g, x)
                 )
         maps.append(tuple(row))
-    return PartialAction(group, prod, tuple(dom), tuple(maps))
+    return PartialAction(group, pa.product, tuple(dom), tuple(maps))
 
 
 @functools.lru_cache(maxsize=64)

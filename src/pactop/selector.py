@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from . import topology as topo
 from .errors import AxiomViolation
 from .globalize import Globalization
-from .paction import (
-    PartialAction,
-    acting_set,
-    lifted_action,
-    orbit_equivalence,
-    pair_index,
-    pair_split,
-)
+from .paction import PartialAction, pair_index, pair_split
 from .relations import EqRel, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
@@ -89,15 +82,14 @@ def normalized_selector(pa: PartialAction) -> SelectorMap:
     group, space = pa.group, pa.space
     size = space.size
     e = group.identity
-    lifted = lifted_action(pa)
-    rel = orbit_equivalence(lifted)
+    rel = pa.lifted.orbit_relation
 
     for x in space.points():
         for g in group.elements():
             for y in space.points():
                 related = rel.same(pair_index(size, e, x), pair_index(size, g, y))
                 direct = bool(
-                    (acting_set(pa, y) >> g) & 1 and pa.act(g, y) == x
+                    (pa.acting[y] >> g) & 1 and pa.act(g, y) == x
                 )
                 if related != direct:
                     raise AxiomViolation(
@@ -109,7 +101,7 @@ def normalized_selector(pa: PartialAction) -> SelectorMap:
     image = list(base.image)
     for g in group.elements():
         for x in space.points():
-            if (acting_set(pa, x) >> g) & 1:
+            if (pa.acting[x] >> g) & 1:
                 image[pair_index(size, g, x)] = pair_index(size, e, pa.act(g, x))
     sel = SelectorMap(rel.size, tuple(image))
     if not is_selector_for(sel, rel):
@@ -126,11 +118,6 @@ class BorelReport:
     quotient_atoms: tuple[int, ...]
     tau_atoms: tuple[int, ...]
     report: Report
-
-
-def _class_order(glob: Globalization, sel: SelectorMap) -> list[int]:
-    # Transversal points sorted; entry i is the class of the i-th one.
-    return [glob.relation.class_of(p) for p in iter_bits(transversal(sel))]
 
 
 def _quotient_borel_atoms(glob: Globalization) -> tuple[int, ...]:
@@ -151,12 +138,11 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
     """Push the transversal's subspace topology through the class map
     and compare Borel structures with the quotient."""
     pa = glob.source
-    space = pa.space
-    size = space.size
     n_classes = glob.num_classes
 
     t_mask = transversal(sel)
-    classes_of_t = _class_order(glob, sel)
+    # entry i is the class of the i-th transversal point
+    classes_of_t = [glob.relation.class_of(p) for p in iter_bits(t_mask)]
     if sorted(classes_of_t) != list(range(n_classes)):
         raise AxiomViolation(
             "transversal does not meet every class exactly once",
@@ -195,24 +181,21 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
 
     image = glob.embedded_classes()
     rb.check("embedded image is Borel", topo.is_borel(tau, image), (image,))
-    graph = 0
-    for g in pa.group.elements():
-        graph |= pa.dom[pa.group.inv[g]] << (g * size)
     pullback = mask_of(
         p for p in iter_bits(t_mask)
         if (image >> glob.relation.class_of(p)) & 1
     )
     rb.check(
         "transversal part of the image equals the definedness graph part",
-        pullback == graph & t_mask,
-        (pullback, graph & t_mask),
+        pullback == pa.graph & t_mask,
+        (pullback, pa.graph & t_mask),
     )
 
     img_positions = {c: i for i, c in enumerate(iter_bits(image))}
     image_atoms = topo.borel_atoms(topo.subspace(tau, image))
     carrier_atoms = tuple(sorted(
         mask_of(img_positions[glob.embedding[x]] for x in iter_bits(atom))
-        for atom in topo.borel_atoms(space)
+        for atom in topo.borel_atoms(pa.space)
     ))
     rb.check(
         "Borel algebra of the embedded image matches the carrier's",
@@ -272,7 +255,7 @@ def bireducibility_report(glob: Globalization, sel: SelectorMap) -> Report:
     pa = glob.source
     size = pa.space.size
     rb = ReportBuilder("bireducibility")
-    carrier = orbit_equivalence(pa)
+    carrier = pa.orbit_relation
     envelope = from_relation(
         glob.num_classes,
         lambda c, d: any(glob.action[g][c] == d for g in pa.group.elements()),
@@ -324,8 +307,7 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
     group, space = pa.group, pa.space
     size = space.size
     rb = ReportBuilder("orbit-enumeration")
-    lifted = lifted_action(pa)
-    rel = orbit_equivalence(lifted)
+    rel = pa.lifted.orbit_relation
     group_top = topo.discrete(group.order)
     class_masks = rel.classes()
 
@@ -334,7 +316,7 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
     bad_homeo: list[tuple] = []
     for g in group.elements():
         for x in space.points():
-            gx = acting_set(pa, x)
+            gx = pa.acting[x]
             o_mask = class_masks[rel.class_of(pair_index(size, g, x))]
             rho = {
                 h: pair_index(size, group.mul[g][group.inv[h]], pa.act(h, x))
@@ -352,7 +334,7 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
                     bad_inv.append((g, x, p))
             if not ok_inv:
                 continue
-            sub_o = topo.subspace(lifted.space, o_mask)
+            sub_o = topo.subspace(pa.product, o_mask)
             sub_g = topo.subspace(group_top, gx)
             pos = {p: i for i, p in enumerate(iter_bits(o_mask))}
             f = [pos[rho[h]] for h in iter_bits(gx)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import topology as topo
 from .errors import AxiomViolation, InvalidOpenSet, InvalidSubset, NotOpen
-from .paction import PartialAction, acting_set, orbit, pair_action
+from .paction import PartialAction, pair_action
 from .reports import Report, ReportBuilder
 from .topology import iter_bits, mask_of
 
@@ -29,33 +29,35 @@ def _check_args(pa: PartialAction, a: int, v: int) -> None:
         )
 
 
-def delta_transform(pa: PartialAction, a: int, v: int) -> int:
-    """Points x where the set of g in V acting on x into A is
-    non-meager in the acting part of V at x."""
+def _transform(pa: PartialAction, a: int, v: int, keep) -> int:
+    # Points x where keep(group topology, hits, vx) holds: vx is the
+    # acting part of V at x, hits the g in it that carry x into A.
     _check_args(pa, a, v)
     group_top = topo.discrete(pa.group.order)
     out = 0
     for x in pa.space.points():
-        vx = v & acting_set(pa, x)
+        vx = v & pa.acting[x]
         hits = mask_of(g for g in iter_bits(vx) if (a >> pa.act(g, x)) & 1)
-        if not topo.is_meager_in(group_top, hits, vx):
+        if keep(group_top, hits, vx):
             out |= 1 << x
     return out
+
+
+def delta_transform(pa: PartialAction, a: int, v: int) -> int:
+    """Points x where the set of g in V acting on x into A is
+    non-meager in the acting part of V at x."""
+    return _transform(
+        pa, a, v, lambda top, hits, vx: not topo.is_meager_in(top, hits, vx)
+    )
 
 
 def star_transform(pa: PartialAction, a: int, v: int) -> int:
     """Points x where the set of g in V acting on x into A is comeager
     in the acting part of V at x; vacuously true when that part is
     empty."""
-    _check_args(pa, a, v)
-    group_top = topo.discrete(pa.group.order)
-    out = 0
-    for x in pa.space.points():
-        vx = v & acting_set(pa, x)
-        hits = mask_of(g for g in iter_bits(vx) if (a >> pa.act(g, x)) & 1)
-        if topo.is_meager_in(group_top, vx & ~hits, vx):
-            out |= 1 << x
-    return out
+    return _transform(
+        pa, a, v, lambda top, hits, vx: topo.is_meager_in(top, vx & ~hits, vx)
+    )
 
 
 def _partitions_upto3(points: tuple[int, ...]):
@@ -141,7 +143,7 @@ def transform_identities_report(pa: PartialAction) -> Report:
         for v in parts:
             extra = star[a, v] & ~delta[a, v]
             allowed = mask_of(
-                x for x in pa.space.points() if v & acting_set(pa, x) == 0
+                x for x in pa.space.points() if v & pa.acting[x] == 0
             )
             if extra & ~allowed:
                 bad_vac.append((a, v))
@@ -202,13 +204,13 @@ def open_case(pa: PartialAction, a: int, v: int) -> Report:
 def ideal_member(pa: PartialAction, x: int, s: int) -> bool:
     """Whether s belongs to the meager-translate ideal of the class of
     x; the verdict is computed for every class member and must agree."""
-    orb = orbit(pa, x)
+    orb = pa.orbits[x]
     if s & ~orb:
         raise InvalidSubset("set must sit inside the orbit", (s, orb))
     group_top = topo.discrete(pa.group.order)
     verdicts = []
     for y in iter_bits(orb):
-        gy = acting_set(pa, y)
+        gy = pa.acting[y]
         hits = mask_of(g for g in iter_bits(gy) if (s >> pa.act(g, y)) & 1)
         verdicts.append(topo.is_meager_in(group_top, hits, gy))
     if len(set(verdicts)) > 1:
@@ -231,7 +233,7 @@ def ideal_section_set(pa: PartialAction, pairs: int) -> int:
     out = 0
     for x in pa.space.points():
         section = mask_of(
-            y for y in iter_bits(orbit(pa, x)) if (pairs >> (x * size + y)) & 1
+            y for y in iter_bits(pa.orbits[x]) if (pairs >> (x * size + y)) & 1
         )
         if ideal_member(pa, x, section):
             out |= 1 << x

@@ -1,16 +1,24 @@
 from __future__ import annotations
 
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pactop import cyclic, discrete, induced
-from pactop.cli import ActionSpec, parse, serialize
+from pactop import all_topologies, cyclic, discrete, induced
+from pactop.cli import ActionSpec, main, parse, serialize
 
 EXAMPLE = str(resources.files("pactop").joinpath("data/example48.json"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -147,6 +155,27 @@ def test_vaught_delta_full():
     assert payload["data"]["result"] == ["x0", "v"]
 
 
+@pytest.mark.parametrize("command", [
+    ["orbits"], ["vaught"], ["vaught", "--kind", "star", "--set", "v"],
+])
+def test_ill_formed_tables_fail_without_traceback(tmp_path, command):
+    # the map of element 1 is undefined at v, a point of dom(inv(1))
+    doc = example_doc()
+    doc["maps"]["1"] = {}
+    bad = tmp_path / "ill-formed.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(*command[:1], str(bad), *command[1:], "--format", "json")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["overall"] == "fail"
+    failing = {
+        c["name"]: c["witness"]
+        for r in payload["reports"] for c in r["checks"] if c["status"] == "fail"
+    }
+    assert failing["map of element 1 defined exactly on dom(inv(g))"] == [1, 1]
+
+
 def test_orbits_output():
     res = run_cli("orbits", EXAMPLE, "--format", "json")
     assert res.returncode == 0
@@ -202,3 +231,71 @@ def test_parse_rejects_unknown_key():
     with pytest.raises(Exception) as exc:
         parse(json.dumps(doc))
     assert "/extra" in str(exc.value)
+
+
+@st.composite
+def documents(draw) -> dict:
+    """A cyclic group of order <= 3 on <= 3 points with any topology,
+    random domains (the identity's full, as the schema demands) and
+    random partial maps, half of them defined exactly on dom(inv(g)):
+    mostly not partial actions at all."""
+    order = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 3))
+    space = draw(st.sampled_from(all_topologies(size)))
+    names = [f"p{x}" for x in range(size)]
+    points = st.sampled_from(names)
+    dom = [space.full] + [draw(st.integers(0, space.full)) for _ in range(1, order)]
+
+    def name_list(mask: int) -> list[str]:
+        return [names[x] for x in range(size) if (mask >> x) & 1]
+
+    if draw(st.booleans()):
+        maps = [draw(st.dictionaries(points, points)) for _ in range(order)]
+    else:
+        maps = [
+            {x: draw(points) for x in name_list(dom[-g % order])} for g in range(order)
+        ]
+    return {
+        "group": {"kind": "cyclic", "order": order},
+        "space": {"points": names, "opens": [name_list(u) for u in space.opens]},
+        "domains": {str(g): name_list(dom[g]) for g in range(order)},
+        "maps": {str(g): maps[g] for g in range(order)},
+    }
+
+
+FUZZ_ARGS = [
+    ["validate"], ["orbits"], ["globalize"], ["selector"], ["report"],
+    ["vaught", "--set", "p0", "--kind", "star"],
+    ["vaught", "--set", "nowhere"],
+    ["vaught", "--set", "p0,"],
+    ["vaught", "--open-g", "9"],
+    ["vaught", "--open-g", ""],
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(doc=documents())
+def test_every_document_ends_in_an_exit_code(doc):
+    # main runs in this process, so an exception escaping it is what the
+    # interpreter would print as a traceback; it fails the test as such
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for args in FUZZ_ARGS:
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    code = main([args[0], path, *args[1:]])
+                except SystemExit as exc:  # argparse exits this way
+                    code = exc.code
+            assert code in (0, 1, 2), (args, code)
+            assert "Traceback" not in err.getvalue(), args
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                         capture_output=True, text=True, timeout=60, env=env)
+    assert res.returncode == 0, res.stderr

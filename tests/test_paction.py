@@ -17,6 +17,7 @@ from pactop import (
     pair_action,
     pair_index,
     pair_split,
+    product_with_discrete,
     stabilizer,
     subgroup_restriction,
     validate,
@@ -120,6 +121,18 @@ def test_validate_flags_ill_formed_tables():
 
 def test_formulations_agree_across_family(family):
     for pa in family:
+        group, size = pa.group, pa.space.size
+        for x in pa.space.points():
+            assert pa.acting[x] == sum(
+                1 << g for g in group.elements() if (pa.dom[group.inv[g]] >> x) & 1
+            )
+            assert pa.orbits[x] == sum(
+                {1 << pa.maps[g][x] for g in group.elements() if pa.maps[g][x] >= 0}
+            )
+        assert pa.graph == sum(
+            pa.dom[group.inv[g]] << (g * size) for g in group.elements()
+        )
+        assert pa.product == product_with_discrete(pa.space, group.order)
         rep = validate(pa)
         agreement = check(rep, "both axiom formulations give the same verdict")
         assert agreement.status in (PASS, NA)
