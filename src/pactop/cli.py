@@ -143,7 +143,8 @@ def parse(document: str | bytes) -> ActionSpec:
     """
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes are a ValueError too; deep nesting recurses out
         raise ParseError(f"not valid JSON: {exc}") from exc
 
     _expect(isinstance(doc, dict), "/", "expected a JSON object")
@@ -217,20 +218,6 @@ def serialize(spec: ActionSpec) -> dict:
     }
 
 
-def _stage(reports: list[Report], name: str, fn) -> object | None:
-    """Run a stage and append the Report it returns.  A PactopError
-    becomes a failing report named after the stage, and the result is
-    None so that the caller skips the stages that need it."""
-    try:
-        out = fn()
-    except PactopError as exc:
-        reports.append(Report(name, (Check(str(exc), FAIL, tuple(exc.witness)),)))
-        return None
-    if isinstance(out, Report):
-        reports.append(out)
-    return out
-
-
 def _class_label(glob: Globalization, names: tuple[str, ...], c: int) -> str:
     g, x = glob.reps[c]
     return f"({g},{names[x]})"
@@ -270,76 +257,6 @@ def _names_of(names: tuple[str, ...], mask: int) -> list[str]:
     return [names[x] for x in iter_bits(mask)]
 
 
-def _cmd_validate(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
-    reports = [validate(spec.pa)]
-    if reports[0].ok:
-        _stage(reports, "orbit-consistency", lambda: orbit_consistency_report(spec.pa))
-    return {}, reports
-
-
-def _cmd_orbits(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
-    pa = spec.pa
-    wf = well_formedness(pa)
-    if not wf.ok:
-        return {}, [wf]
-    reports: list[Report] = []
-    table = {
-        spec.names[x]: {
-            "orbit": _names_of(spec.names, pa.orbits[x]),
-            "stabilizer": sorted(iter_bits(stabilizer(pa, x))),
-            "acting-set": sorted(iter_bits(pa.acting[x])),
-        }
-        for x in pa.space.points()
-    }
-    _stage(reports, "orbit-consistency", lambda: orbit_consistency_report(pa))
-    return {"points": table}, reports
-
-
-def _globalize_stack(
-    spec: ActionSpec, reports: list[Report]
-) -> Globalization | None:
-    rep = validate(spec.pa)
-    reports.append(rep)
-    if not rep.ok:
-        return None
-    glob = _stage(reports, "envelope-construction", lambda: build(spec.pa))
-    if glob is None:
-        return None
-    reports.append(embedding_report(glob))
-    reports.append(hat_relation_report(glob))
-    reports.append(effros_report(spec.pa))
-    return glob
-
-
-def _classes(glob: Globalization, names: tuple[str, ...]) -> list[str]:
-    return [_class_label(glob, names, c) for c in range(glob.num_classes)]
-
-
-def _glob_data(glob: Globalization, names: tuple[str, ...]) -> dict:
-    sep = topo.separation(glob.topology)
-    return {
-        "classes": _classes(glob, names),
-        "embedding": {
-            names[x]: _class_label(glob, names, glob.embedding[x])
-            for x in glob.source.space.points()
-        },
-        "separation": {"t0": sep.t0, "t1": sep.t1, "t2": sep.t2},
-    }
-
-
-def _cmd_globalize(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
-    reports: list[Report] = []
-    glob = _globalize_stack(spec, reports)
-    data: dict = {}
-    if glob is not None:
-        data = _glob_data(glob, spec.names)
-        if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(dot_export(glob, spec.names))
-            data["dot"] = args.dot
-    return data, reports
-
-
 def _parse_point_set(spec: ActionSpec, text: str) -> int:
     if not text:
         return 0
@@ -366,93 +283,164 @@ def _parse_group_part(spec: ActionSpec, text: str) -> int:
     return mask
 
 
-def _cmd_vaught(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
-    pa = spec.pa
-    a = _parse_point_set(spec, args.set)
-    v = _parse_group_part(spec, args.open_g)
-    wf = well_formedness(pa)
-    if not wf.ok:
-        return {}, [wf]
-    reports: list[Report] = []
-    transform = delta_transform if args.kind == "delta" else star_transform
-    result = transform(pa, a, v)
-    data = {
-        "kind": args.kind,
-        "set": _names_of(spec.names, a),
-        "group-part": sorted(iter_bits(v)),
-        "result": _names_of(spec.names, result),
-    }
-    _stage(reports, "transform-identities", lambda: transform_identities_report(pa))
-    if topo.is_open(pa.space, a):
-        _stage(reports, "open-case-transform", lambda: open_case(pa, a, v))
-    return data, reports
+# A stage function takes the values of the run (the parsed options,
+# ``spec``, ``pa`` and what earlier stages added) and returns a Report to
+# print, a dict to merge into the output data, or None.  It looks the
+# engine functions up when it runs, so a wrapper bound over a name in
+# this module (``cli.build``, say) sees every call.
+
+def _gate(v: dict, rep: Report, quiet: bool = False) -> Report | None:
+    """Add ``valid`` when ``rep`` passes; a quiet gate prints ``rep``
+    only when it fails."""
+    if rep.ok:
+        v["valid"] = True
+        if quiet:
+            return None
+    return rep
 
 
-def _selector_stack(
-    spec: ActionSpec, glob: Globalization, reports: list[Report]
-) -> dict:
-    pa = spec.pa
-    sel = _stage(reports, "selector-construction", lambda: normalized_selector(pa))
-    if sel is None:
-        return {}
-    brep = _stage(reports, "transversal-topology",
-                  lambda: transversal_topology(glob, sel))
-    if brep is None:
-        return {}
-    reports.append(brep.report)
-    rows, cont = action_continuity_table(glob, brep)
-    reports.append(cont)
-    reports.append(bireducibility_report(glob, sel))
-    reports.append(orbit_homeomorphism_report(pa))
-    size = pa.space.size
-    t_pairs = [
-        f"({p // size},{spec.names[p % size]})" for p in iter_bits(transversal(sel))
-    ]
-    discontinuities = [
-        {"element": g, "class": _class_label(glob, spec.names, c)}
-        for g, row in enumerate(rows)
-        for c, ok in enumerate(row)
-        if not ok
-    ]
+def _points(v: dict) -> dict:
+    pa, names = v["pa"], v["spec"].names
+    return {"points": {
+        names[x]: {
+            "orbit": _names_of(names, pa.orbits[x]),
+            "stabilizer": sorted(iter_bits(stabilizer(pa, x))),
+            "acting-set": sorted(iter_bits(pa.acting[x])),
+        }
+        for x in pa.space.points()
+    }}
+
+
+def _transform(v: dict) -> dict:
+    transform = delta_transform if v["kind"] == "delta" else star_transform
+    names = v["spec"].names
     return {
-        "transversal": t_pairs,
-        "tau-opens": [sorted(iter_bits(u)) for u in brep.tau.opens],
-        "discontinuities": discontinuities,
+        "kind": v["kind"],
+        "set": _names_of(names, v["a"]),
+        "group-part": sorted(iter_bits(v["part"])),
+        "result": _names_of(names, transform(v["pa"], v["a"], v["part"])),
     }
 
 
-def _cmd_selector(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
-    reports: list[Report] = []
-    glob = _globalize_stack(spec, reports)
-    if glob is None:
-        return {}, reports
-    data = _selector_stack(spec, glob, reports)
-    if data:
-        data["classes"] = _classes(glob, spec.names)
-    return data, reports
+def _envelope(v: dict) -> dict:
+    glob, names = v["glob"], v["spec"].names
+    sep = topo.separation(glob.topology)
+    return {
+        "classes": [_class_label(glob, names, c) for c in range(glob.num_classes)],
+        "embedding": {
+            names[x]: _class_label(glob, names, glob.embedding[x])
+            for x in glob.source.space.points()
+        },
+        "separation": {"t0": sep.t0, "t1": sep.t1, "t2": sep.t2},
+    }
 
 
-def _cmd_report(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
-    reports: list[Report] = []
-    glob = _globalize_stack(spec, reports)
-    if glob is None:
-        return {}, reports
-    _stage(reports, "orbit-consistency", lambda: orbit_consistency_report(spec.pa))
-    _stage(reports, "transform-identities",
-           lambda: transform_identities_report(spec.pa))
-    data = _glob_data(glob, spec.names)
-    data.update(_selector_stack(spec, glob, reports))
-    return data, reports
+def _dot(v: dict) -> dict:
+    with open(v["dot"], "w", encoding="utf-8") as fh:
+        fh.write(dot_export(v["glob"], v["spec"].names))
+    return {"dot": v["dot"]}
 
 
+def _transversal(v: dict) -> Report:
+    v["brep"] = transversal_topology(v["glob"], v["sel"])
+    return v["brep"].report
+
+
+def _continuity(v: dict) -> Report:
+    v["rows"], cont = action_continuity_table(v["glob"], v["brep"])
+    return cont
+
+
+def _selector(v: dict) -> dict:
+    glob, names, size = v["glob"], v["spec"].names, v["pa"].space.size
+    return {
+        "classes": [_class_label(glob, names, c) for c in range(glob.num_classes)],
+        "transversal": [
+            f"({p // size},{names[p % size]})" for p in iter_bits(transversal(v["sel"]))
+        ],
+        "tau-opens": [sorted(iter_bits(u)) for u in v["brep"].tau.opens],
+        "discontinuities": [
+            {"element": g, "class": _class_label(glob, names, c)}
+            for g, row in enumerate(v["rows"])
+            for c, ok in enumerate(row)
+            if not ok
+        ],
+    }
+
+
+# (name, needs, fn) in output order, along the chain of the construction:
+# the action, its envelope, the transforms, the selector.  A stage runs
+# when its command lists it and every value it needs is there; a
+# PactopError fails it under its name.  A stage that prints a report is
+# named after that report.
+_STAGES = (
+    ("point-set", (), lambda v: v.update(a=_parse_point_set(v["spec"], v["set"]))),
+    ("group-part", (),
+     lambda v: v.update(part=_parse_group_part(v["spec"], v["open_g"]))),
+    ("well-formedness", (), lambda v: _gate(v, well_formedness(v["pa"]), quiet=True)),
+    ("partial-action-validation", (), lambda v: _gate(v, validate(v["pa"]))),
+    ("points", ("valid",), _points),
+    ("transform", ("valid", "a"), _transform),
+    ("envelope-construction", ("valid",), lambda v: v.update(glob=build(v["pa"]))),
+    ("embedding", ("glob",), lambda v: embedding_report(v["glob"])),
+    ("lift-orbit-relation", ("glob",), lambda v: hat_relation_report(v["glob"])),
+    ("orbit-class-structure", ("glob",), lambda v: effros_report(v["pa"])),
+    ("envelope", ("glob",), _envelope),
+    ("dot", ("glob", "dot"), _dot),
+    ("orbit-consistency", ("valid",), lambda v: orbit_consistency_report(v["pa"])),
+    ("transform-identities", ("valid",),
+     lambda v: transform_identities_report(v["pa"])),
+    ("open-case-transform", ("valid", "a"),
+     lambda v: open_case(v["pa"], v["a"], v["part"])
+     if topo.is_open(v["pa"].space, v["a"]) else None),
+    ("selector-construction", ("glob",),
+     lambda v: v.update(sel=normalized_selector(v["pa"]))),
+    ("transversal-topology", ("sel",), _transversal),
+    ("translation-continuity", ("brep",), _continuity),
+    ("bireducibility", ("brep",), lambda v: bireducibility_report(v["glob"], v["sel"])),
+    ("orbit-enumeration", ("brep",), lambda v: orbit_homeomorphism_report(v["pa"])),
+    ("selector", ("brep",), _selector),
+)
+
+_ENVELOPE = {"partial-action-validation", "envelope-construction", "embedding",
+             "lift-orbit-relation", "orbit-class-structure"}
+_SELECTOR = {"selector-construction", "transversal-topology", "translation-continuity",
+             "bireducibility", "orbit-enumeration", "selector"}
+
+# a command is the set of stages it runs
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "orbits": _cmd_orbits,
-    "globalize": _cmd_globalize,
-    "vaught": _cmd_vaught,
-    "selector": _cmd_selector,
-    "report": _cmd_report,
+    "validate": {"partial-action-validation", "orbit-consistency"},
+    "orbits": {"well-formedness", "points", "orbit-consistency"},
+    "globalize": _ENVELOPE | {"envelope", "dot"},
+    "vaught": {"point-set", "group-part", "well-formedness", "transform",
+               "transform-identities", "open-case-transform"},
+    "selector": _ENVELOPE | _SELECTOR,
+    "report": _ENVELOPE | _SELECTOR | {"envelope", "orbit-consistency",
+                                       "transform-identities"},
 }
+
+
+def _run(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
+    """Run the stages of ``args.command`` in table order and collect the
+    output data and the reports.  A bad option raises SchemaError; an
+    unwritable DOT path raises OSError."""
+    v = {**vars(args), "spec": spec, "pa": spec.pa}
+    data: dict = {}
+    reports: list[Report] = []
+    for name, needs, fn in _STAGES:
+        if name not in _COMMANDS[args.command] or any(v.get(n) is None for n in needs):
+            continue
+        try:
+            out = fn(v)
+        except SchemaError:
+            raise
+        except PactopError as exc:
+            out = Report(name, (Check(str(exc), FAIL, tuple(exc.witness)),))
+        if isinstance(out, Report):
+            reports.append(out)
+        elif out:
+            data.update(out)
+    return data, reports
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -516,9 +504,12 @@ def main(argv=None) -> int:
         return 2
     try:
         spec = parse(document)
-        data, reports = _COMMANDS[args.command](spec, args)
+        data, reports = _run(spec, args)
     except (ParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the DOT file is the only thing a run writes
+        print(f"error: cannot write {exc.filename}: {exc}", file=sys.stderr)
         return 2
     text, ok = _render(spec.label, args.command, data, reports, args.format)
     print(text)

@@ -249,7 +249,7 @@ def effros_report(pa: PartialAction) -> Report:
         pairs |= pa.orbits[x] << (x * size)
     rel_open = topo.is_gdelta(square, pairs)
     orb_open = all(topo.is_gdelta(space, o) for o in pa.orbits)
-    t0 = topo.separation(topo.quotient(space, pa.orbit_relation)).t0
+    t0 = topo.separation(pa.orbit_quotient).t0
 
     rb.info("orbit relation open in the square", (rel_open,))
     rb.info("every orbit open", (orb_open,))

@@ -107,6 +107,11 @@ class PartialAction:
         return orbit_equivalence(self)
 
     @functools.cached_property
+    def orbit_quotient(self) -> FinTop:
+        """The quotient of the space by ``orbit_relation``."""
+        return topo.quotient(self.space, self.orbit_relation)
+
+    @functools.cached_property
     def lifted(self) -> PartialAction:
         """``lifted_action(self)``."""
         return lifted_action(self)
@@ -438,8 +443,7 @@ def orbit_consistency_report(pa: PartialAction) -> Report:
         "acting set translates along each move", not bad_translate, tuple(bad_translate)
     )
 
-    e = pa.orbit_relation
-    q = topo.quotient(pa.space, e)
+    e, q = pa.orbit_relation, pa.orbit_quotient
     cmap = [e.class_of(x) for x in pa.space.points()]
     rb.check("class map continuous", topo.is_continuous(cmap, pa.space, q))
     rb.check("class map open", topo.is_open_map(cmap, pa.space, q))

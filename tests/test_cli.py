@@ -73,6 +73,19 @@ def test_malformed_json_exits_2(tmp_path):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("document", [
+    b"\xff\xfe{",  # not decodable as JSON text
+    b"[" * 200_000 + b"]" * 200_000,  # nested deeper than the decoder recurses
+], ids=["undecodable", "deep"])
+def test_undecodable_json_exits_2(tmp_path, document):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(document)
+    res = run_cli("validate", str(bad))
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_schema_error_exits_2(tmp_path):
     doc = example_doc()
     del doc["maps"]
@@ -203,6 +216,43 @@ def test_globalize_dot_export(tmp_path):
     assert payload["data"]["dot"] == str(out)
 
 
+def test_unwritable_dot_path_exits_2(tmp_path):
+    out = tmp_path / "missing" / "envelope.dot"
+    res = run_cli("globalize", EXAMPLE, "--dot", str(out))
+    assert res.returncode == 2
+    assert f"error: cannot write {out}:" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_CASES = {
+    "validate": ["validate"],
+    "orbits": ["orbits"],
+    "globalize": ["globalize", "--dot", "envelope.dot"],
+    "selector": ["selector"],
+    "report": ["report"],
+    "vaught": ["vaught"],
+    "vaught-star": ["vaught", "--set", "v", "--open-g", "1", "--kind", "star"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", list(GOLDEN_CASES))
+def test_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
+    # tests/golden holds each command's output on the bundled example,
+    # byte for byte; only a declared change of output format rewrites it
+    monkeypatch.chdir(tmp_path)
+    args = GOLDEN_CASES[case]
+    code = main([args[0], EXAMPLE, *args[1:], "--format", fmt])
+    assert code == 0
+    ext = "json" if fmt == "json" else "txt"
+    assert capsys.readouterr().out == (GOLDEN / f"{case}.{ext}").read_text()
+    if "--dot" in args:
+        assert (tmp_path / "envelope.dot").read_text() == (
+            GOLDEN / "globalize.dot").read_text()
+
+
 def test_selector_command():
     res = run_cli("selector", EXAMPLE, "--format", "json")
     assert res.returncode == 0
@@ -270,6 +320,7 @@ FUZZ_ARGS = [
     ["vaught", "--set", "p0,"],
     ["vaught", "--open-g", "9"],
     ["vaught", "--open-g", ""],
+    ["globalize", "--dot", "{tmp}/envelope.dot"],
 ]
 
 
@@ -286,7 +337,7 @@ def test_every_document_ends_in_an_exit_code(doc):
             err = io.StringIO()
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
                 try:
-                    code = main([args[0], path, *args[1:]])
+                    code = main([args[0], path, *(a.format(tmp=tmp) for a in args[1:])])
                 except SystemExit as exc:  # argparse exits this way
                     code = exc.code
             assert code in (0, 1, 2), (args, code)

@@ -18,6 +18,7 @@ from pactop import (
     pair_index,
     pair_split,
     product_with_discrete,
+    quotient,
     stabilizer,
     subgroup_restriction,
     validate,
@@ -133,6 +134,7 @@ def test_formulations_agree_across_family(family):
             pa.dom[group.inv[g]] << (g * size) for g in group.elements()
         )
         assert pa.product == product_with_discrete(pa.space, group.order)
+        assert pa.orbit_quotient == quotient(pa.space, orbit_equivalence(pa))
         rep = validate(pa)
         agreement = check(rep, "both axiom formulations give the same verdict")
         assert agreement.status in (PASS, NA)
