@@ -191,7 +191,7 @@ def serialize(spec: ActionSpec) -> dict:
     pa = spec.pa
     group_doc: dict
     k = pa.group.order
-    if pa.group.mul == cyclic(k).mul:
+    if all(pa.group.mul[g][h] == (g + h) % k for g in range(k) for h in range(k)):
         group_doc = {"kind": "cyclic", "order": k}
     else:
         group_doc = {"kind": "table", "table": [list(r) for r in pa.group.mul]}

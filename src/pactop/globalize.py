@@ -27,17 +27,18 @@ def enveloping_relation(pa: PartialAction) -> EqRel:
     equivalence; otherwise AxiomViolation reports the broken axiom.
     """
     group, size = pa.group, pa.space.size
-
-    def related(p: int, q: int) -> bool:
-        g, x = pair_split(size, p)
-        h, y = pair_split(size, q)
-        k = group.mul[group.inv[g]][h]
-        if not (pa.dom[k] >> x) & 1:
-            return False
-        return pa.act(group.mul[group.inv[h]][g], x) == y
-
+    rows = []
+    for g in group.elements():
+        for x in pa.space.points():
+            # h = g*k with x in dom(k), so inv(h)*g = inv(k) moves x.
+            row = 0
+            for h in group.elements():
+                k = group.mul[group.inv[g]][h]
+                if (pa.dom[k] >> x) & 1:
+                    row |= 1 << pair_index(size, h, pa.act(group.inv[k], x))
+            rows.append(row)
     try:
-        return from_relation(group.order * size, related)
+        return from_relation(group.order * size, rows)
     except ValueError as exc:
         raise AxiomViolation(f"gluing relation is not an equivalence: {exc}") from exc
 

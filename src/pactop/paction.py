@@ -139,9 +139,7 @@ def orbit_equivalence(pa: PartialAction) -> EqRel:
     """The reachability relation; on a valid partial action it is an
     equivalence, otherwise AxiomViolation names the broken axiom."""
     try:
-        return from_relation(
-            pa.space.size, lambda x, y: bool(pa.orbits[x] & (1 << y))
-        )
+        return from_relation(pa.space.size, pa.orbits)
     except ValueError as exc:
         raise AxiomViolation(f"orbit relation is not an equivalence: {exc}") from exc
 

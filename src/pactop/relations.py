@@ -1,9 +1,10 @@
-"""Equivalence relations on dense point ranges, stored as class-id tables."""
+"""Equivalence relations on dense point ranges, stored as class-id tables,
+and the bitmask iterator every other module imports through topology."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 
 def _canonical(class_id: Iterable[int]) -> tuple[int, ...]:
@@ -16,6 +17,14 @@ def _canonical(class_id: Iterable[int]) -> tuple[int, ...]:
             seen[c] = len(seen)
         out.append(seen[c])
     return tuple(out)
+
+
+def iter_bits(mask: int):
+    """Yield the set bit positions of ``mask`` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -53,33 +62,29 @@ class EqRel:
         return tuple(masks)
 
 
-def from_relation(size: int, related: Callable[[int, int], bool]) -> EqRel:
-    """Build an EqRel from a relation predicate, checking the axioms.
+def from_relation(size: int, rows: Sequence[int]) -> EqRel:
+    """Build an EqRel from per-point rows, checking the axioms.
 
-    Raises ValueError naming the witnessing pair or triple if ``related``
-    is not reflexive, symmetric and transitive on ``range(size)``.
+    ``rows[x]`` is the bitmask of the points related to ``x``, within
+    ``range(size)``.  Raises ValueError naming the lexicographically
+    first witnessing point, pair or triple if the relation is not
+    reflexive, symmetric and transitive.
     """
-    table = [[bool(related(x, y)) for y in range(size)] for x in range(size)]
     for x in range(size):
-        if not table[x][x]:
+        if not (rows[x] >> x) & 1:
             raise ValueError(f"not reflexive at {x}")
+    columns = [0] * size
     for x in range(size):
-        for y in range(size):
-            if table[x][y] != table[y][x]:
-                raise ValueError(f"not symmetric at ({x}, {y})")
+        for y in iter_bits(rows[x]):
+            columns[y] |= 1 << x
     for x in range(size):
-        for y in range(size):
-            if not table[x][y]:
-                continue
-            for z in range(size):
-                if table[y][z] and not table[x][z]:
-                    raise ValueError(f"not transitive at ({x}, {y}, {z})")
-    cid = [-1] * size
-    nxt = 0
+        diff = rows[x] ^ columns[x]
+        if diff:
+            raise ValueError(f"not symmetric at ({x}, {next(iter_bits(diff))})")
     for x in range(size):
-        if cid[x] == -1:
-            for y in range(size):
-                if table[x][y]:
-                    cid[y] = nxt
-            nxt += 1
-    return EqRel(size, tuple(cid))
+        for y in iter_bits(rows[x]):
+            extra = rows[y] & ~rows[x]
+            if extra:
+                raise ValueError(f"not transitive at ({x}, {y}, {next(iter_bits(extra))})")
+    # Related points now share their row, so the rows label the classes.
+    return EqRel(size, tuple(rows))

@@ -47,14 +47,11 @@ def is_selector_for(sel: SelectorMap, rel: EqRel) -> bool:
     exactly when they share a class."""
     if sel.size != rel.size:
         return False
-    for x in range(sel.size):
-        if not rel.same(x, sel.image[x]):
-            return False
-    for x in range(sel.size):
-        for y in range(sel.size):
-            if rel.same(x, y) != (sel.image[x] == sel.image[y]):
-                return False
-    return True
+    if not all(rel.same(x, y) for x, y in enumerate(sel.image)):
+        return False
+    # Each class maps into itself, so it has one value exactly when
+    # there are as many values as classes.
+    return len(set(sel.image)) == rel.num_classes
 
 
 def min_selector(rel: EqRel) -> SelectorMap:
@@ -258,7 +255,7 @@ def bireducibility_report(glob: Globalization, sel: SelectorMap) -> Report:
     carrier = pa.orbit_relation
     envelope = from_relation(
         glob.num_classes,
-        lambda c, d: any(glob.action[g][c] == d for g in pa.group.elements()),
+        [mask_of(row[c] for row in glob.action) for c in range(glob.num_classes)],
     )
 
     bad_fwd = [

@@ -17,19 +17,11 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InvalidSubset, LimitExceeded
-from .relations import EqRel
+from .relations import EqRel, iter_bits
 
 # Largest open-set family ``FinTop.opens`` lists; the 2**21 subsets of
 # a 21-point discrete space already pass it.
 OPEN_SET_LIMIT = 2_000_000
-
-
-def iter_bits(mask: int):
-    """Yield the set bit positions of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def mask_of(points: Iterable[int]) -> int:

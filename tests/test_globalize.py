@@ -13,6 +13,7 @@ from pactop import (
     enveloping_relation,
     example_k3,
     hat_relation_report,
+    mutant_family,
     pair_index,
 )
 from pactop.errors import AxiomViolation
@@ -40,6 +41,51 @@ def test_relation_matches_reachability_oracle(valid_family):
             {divmod(p, size) for p in iter_bits(mask)} for mask in rel.classes()
         ]
         assert sorted(got, key=min) == expected
+
+
+def _gluing_pairs(pa) -> list[list[bool]]:
+    # The pair condition of the enveloping_relation docstring, literally.
+    group, size = pa.group, pa.space.size
+    n = group.order * size
+    table = [[False] * n for _ in range(n)]
+    for p in range(n):
+        g, x = divmod(p, size)
+        for q in range(n):
+            h, y = divmod(q, size)
+            if (pa.dom[group.mul[group.inv[g]][h]] >> x) & 1:
+                table[p][q] = pa.act(group.mul[group.inv[h]][g], x) == y
+    return table
+
+
+def _is_equivalence(table) -> bool:
+    n = len(table)
+    return all(
+        table[p][p]
+        and all(table[p][q] == table[q][p] for q in range(n))
+        and all(
+            table[p][r] for q in range(n) if table[p][q] for r in range(n) if table[q][r]
+        )
+        for p in range(n)
+    )
+
+
+def test_relation_matches_pair_condition(family, valid_family):
+    for pa in valid_family:
+        rel = enveloping_relation(pa)
+        for p, row in enumerate(_gluing_pairs(pa)):
+            assert [rel.same(p, q) for q in range(len(row))] == row, (pa, p)
+    glued = 0
+    for kind, m in mutant_family(family, count=200, seed=0):
+        table = _gluing_pairs(m)
+        if not _is_equivalence(table):
+            with pytest.raises(AxiomViolation):
+                enveloping_relation(m)
+            continue
+        rel = enveloping_relation(m)
+        for p, row in enumerate(table):
+            assert [rel.same(p, q) for q in range(len(row))] == row, (kind, m, p)
+        glued += 1
+    assert 0 < glued < 200
 
 
 def test_build_swap():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pactop import EqRel, from_relation
@@ -42,7 +44,7 @@ def test_from_blocks_must_partition():
 
 
 def test_from_relation_builds_partition():
-    rel = from_relation(4, lambda x, y: x % 2 == y % 2)
+    rel = from_relation(4, (0b0101, 0b1010, 0b0101, 0b1010))
     assert rel.num_classes == 2
     assert rel.same(0, 2) and rel.same(1, 3)
     assert not rel.same(0, 1)
@@ -50,18 +52,81 @@ def test_from_relation_builds_partition():
 
 def test_from_relation_rejects_non_symmetric():
     with pytest.raises(ValueError):
-        from_relation(2, lambda x, y: x <= y)
+        from_relation(2, (0b11, 0b10))
 
 
 def test_from_relation_rejects_non_transitive():
-    related = {(0, 1), (1, 0), (1, 2), (2, 1)}
     with pytest.raises(ValueError):
-        from_relation(3, lambda x, y: x == y or (x, y) in related)
+        from_relation(3, (0b011, 0b111, 0b110))
 
 
 def test_from_relation_rejects_non_reflexive():
     with pytest.raises(ValueError):
-        from_relation(2, lambda x, y: False)
+        from_relation(2, (0, 0))
+
+
+def scan_relation(size: int, related) -> EqRel:
+    """Pair-by-pair axiom scan over an n x n table, witnesses in
+    lexicographic order: the reference ``from_relation`` must match."""
+    table = [[bool(related(x, y)) for y in range(size)] for x in range(size)]
+    for x in range(size):
+        if not table[x][x]:
+            raise ValueError(f"not reflexive at {x}")
+    for x in range(size):
+        for y in range(size):
+            if table[x][y] != table[y][x]:
+                raise ValueError(f"not symmetric at ({x}, {y})")
+    for x in range(size):
+        for y in range(size):
+            if not table[x][y]:
+                continue
+            for z in range(size):
+                if table[y][z] and not table[x][z]:
+                    raise ValueError(f"not transitive at ({x}, {y}, {z})")
+    cid = [-1] * size
+    nxt = 0
+    for x in range(size):
+        if cid[x] == -1:
+            for y in range(size):
+                if table[x][y]:
+                    cid[y] = nxt
+            nxt += 1
+    return EqRel(size, tuple(cid))
+
+
+def _outcome(build, size, arg):
+    try:
+        return build(size, arg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _row_tables():
+    # Every table on <= 3 points, then seeded perturbations of random
+    # partitions of 4-6 points, which reach longer transitivity witnesses.
+    for size in range(4):
+        for flat in range(1 << (size * size)):
+            yield tuple((flat >> (x * size)) & ((1 << size) - 1) for x in range(size))
+    rng = random.Random(5)
+    for _ in range(2000):
+        size = rng.randint(4, 6)
+        cid = [rng.randrange(size) for _ in range(size)]
+        rows = [sum(1 << y for y in range(size) if cid[y] == cid[x]) for x in range(size)]
+        for _ in range(rng.randint(0, 2)):
+            x, y = rng.randrange(size), rng.randrange(size)
+            rows[x] ^= 1 << y
+            if x != y and rng.random() < 0.75:  # keep it symmetric
+                rows[y] ^= 1 << x
+        yield tuple(rows)
+
+
+def test_from_relation_matches_pair_scan():
+    tables = list(_row_tables())
+    assert len(tables) == 1 + 2 + 16 + 512 + 2000
+    for rows in tables:
+        size = len(rows)
+        expected = _outcome(scan_relation, size, lambda x, y: (rows[x] >> y) & 1)
+        assert _outcome(from_relation, size, rows) == expected, rows
 
 
 def test_empty_relation():
