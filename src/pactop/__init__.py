@@ -18,7 +18,6 @@ from .errors import (
     NoIdentity,
     NoInverse,
     NotAnAction,
-    NotASubgroup,
     NotAssociative,
     NotOpen,
     PactopError,
@@ -33,7 +32,7 @@ from .globalize import (
     enveloping_relation,
     hat_relation_report,
 )
-from .groups import FiniteGroup, cyclic, is_subgroup, make_group
+from .groups import FiniteGroup, cyclic, make_group
 from .instances import example_k3, induced_family, mutant_family
 from .paction import (
     PartialAction,
@@ -47,7 +46,6 @@ from .paction import (
     pair_index,
     pair_split,
     stabilizer,
-    subgroup_restriction,
     validate,
 )
 from .relations import EqRel, from_relation
@@ -78,7 +76,6 @@ from .topology import (
     is_borel,
     is_closed,
     is_continuous,
-    is_gdelta,
     is_meager_in,
     is_open,
     is_open_map,

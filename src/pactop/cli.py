@@ -187,8 +187,12 @@ def parse(document: str | bytes) -> ActionSpec:
 
 
 def serialize(spec: ActionSpec) -> dict:
-    """Canonical document for an ActionSpec; parse inverts it."""
+    """Canonical document for an ActionSpec; parse inverts it.  An action
+    whose identity domain misses a point has no document: SchemaError."""
     pa = spec.pa
+    e = pa.group.identity
+    _expect(pa.dom[e] == pa.space.full, f"/domains/{e}",
+            "identity domain must list every point")
     group_doc: dict
     k = pa.group.order
     if all(pa.group.mul[g][h] == (g + h) % k for g in range(k) for h in range(k)):

@@ -39,10 +39,6 @@ class NotAnAction(PactopError):
     """A claimed total action breaks an action or continuity axiom."""
 
 
-class NotASubgroup(PactopError):
-    """Element set is not closed under the group operations."""
-
-
 class AxiomViolation(PactopError):
     """A construction needed a valid partial action and did not get one."""
 

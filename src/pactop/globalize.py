@@ -248,8 +248,8 @@ def effros_report(pa: PartialAction) -> Report:
     pairs = 0
     for x in space.points():
         pairs |= pa.orbits[x] << (x * size)
-    rel_open = topo.is_gdelta(square, pairs)
-    orb_open = all(topo.is_gdelta(space, o) for o in pa.orbits)
+    rel_open = topo.is_open(square, pairs)
+    orb_open = all(topo.is_open(space, o) for o in pa.orbits)
     t0 = topo.separation(pa.orbit_quotient).t0
 
     rb.info("orbit relation open in the square", (rel_open,))

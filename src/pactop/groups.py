@@ -16,9 +16,6 @@ class FiniteGroup:
     identity: int
     inv: tuple[int, ...]
 
-    def op(self, g: int, h: int) -> int:
-        return self.mul[g][h]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -77,19 +74,3 @@ def cyclic(k: int) -> FiniteGroup:
         raise InvalidOrder(f"order must be a positive integer, got {k!r}")
     table = [[(g + h) % k for h in range(k)] for g in range(k)]
     return make_group(table)
-
-
-def is_subgroup(group: FiniteGroup, members: int) -> bool:
-    """Whether the bitmask ``members`` is a subgroup of ``group``."""
-    if members >> group.order:
-        return False
-    if not (members >> group.identity) & 1:
-        return False
-    elems = [g for g in group.elements() if (members >> g) & 1]
-    for g in elems:
-        if not (members >> group.inv[g]) & 1:
-            return False
-        for h in elems:
-            if not (members >> group.mul[g][h]) & 1:
-                return False
-    return True

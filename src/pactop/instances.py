@@ -30,17 +30,6 @@ def _power_rows(sigma: tuple[int, ...], k: int) -> list[tuple[int, ...]] | None:
     return rows
 
 
-def total_cyclic_actions(space: FinTop, k: int) -> list[list[tuple[int, ...]]]:
-    """All continuous total actions of the cyclic group of order ``k``
-    on ``space``, as row tables indexed by group element."""
-    out = []
-    for sigma in topo.homeomorphisms(space):
-        rows = _power_rows(sigma, k)
-        if rows is not None:
-            out.append(rows)
-    return out
-
-
 def induced_family(max_group: int = 4, max_points: int = 3) -> list[PartialAction]:
     """Every partial action induced from a continuous total cyclic
     action on at most ``max_points`` points, over every carrier subset,
@@ -51,7 +40,10 @@ def induced_family(max_group: int = 4, max_points: int = 3) -> list[PartialActio
         for space in topo.all_topologies(size):
             for k in range(1, max_group + 1):
                 group = cyclic(k)
-                for rows in total_cyclic_actions(space, k):
+                for sigma in topo.homeomorphisms(space):
+                    rows = _power_rows(sigma, k)
+                    if rows is None:
+                        continue
                     for carrier in range(1 << size):
                         pa = induced(group, space, rows, carrier)
                         if pa not in seen:

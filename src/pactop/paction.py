@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import topology as topo
-from .errors import AxiomViolation, InvalidSubset, NotAnAction, NotASubgroup
-from .groups import FiniteGroup, is_subgroup
+from .errors import AxiomViolation, InvalidSubset, NotAnAction
+from .groups import FiniteGroup
 from .relations import EqRel, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
@@ -292,11 +292,11 @@ def _topological(pa: PartialAction, algebra_ok: bool) -> Report:
             tuple(bad_homeo),
         )
 
-    rb.info("definedness graph open in the product",
-            (topo.is_open(pa.product, pa.graph),))
+    graph_open = topo.is_open(pa.product, pa.graph)
+    rb.info("definedness graph open in the product", (graph_open,))
     rb.info(
         "definedness graph is a countable intersection of opens",
-        (topo.is_gdelta(pa.product, pa.graph),),
+        (graph_open,),
         "finite carrier: such intersections collapse to opens",
     )
     return rb.build()
@@ -381,45 +381,6 @@ def induced(
             row[i] = pos[u[g][points[i]]]
         maps.append(tuple(row))
     return PartialAction(group, sub, tuple(dom), tuple(maps))
-
-
-def subgroup_restriction(
-    group: FiniteGroup,
-    members: int,
-    space: FinTop,
-    action: dict[int, Sequence[int]],
-) -> PartialAction:
-    """Spread a total action of a subgroup into a partial action of the
-    whole group: full domains on subgroup members, empty elsewhere."""
-    if not is_subgroup(group, members):
-        raise NotASubgroup(f"element set {members:#x} is not a subgroup", (members,))
-    if set(action) != set(iter_bits(members)):
-        raise NotAnAction("action rows must cover exactly the subgroup members")
-    size = space.size
-    sub_elems = sorted(iter_bits(members))
-    sub_index = {g: i for i, g in enumerate(sub_elems)}
-    sub_mul = tuple(
-        tuple(sub_index[group.mul[g][h]] for h in sub_elems) for g in sub_elems
-    )
-    sub_group = FiniteGroup(
-        len(sub_elems),
-        sub_mul,
-        sub_index[group.identity],
-        tuple(sub_index[group.inv[g]] for g in sub_elems),
-    )
-    _check_total_action(
-        sub_group, space, [tuple(action[g]) for g in sub_elems]
-    )
-    dom = []
-    maps = []
-    for g in group.elements():
-        if (members >> g) & 1:
-            dom.append(space.full)
-            maps.append(tuple(action[g]))
-        else:
-            dom.append(0)
-            maps.append(tuple([-1] * size))
-    return PartialAction(group, space, tuple(dom), tuple(maps))
 
 
 def orbit_consistency_report(pa: PartialAction) -> Report:

@@ -160,12 +160,6 @@ def closure(t: FinTop, mask: int) -> int:
     return t.full & ~interior(t, t.full & ~mask)
 
 
-def is_gdelta(t: FinTop, mask: int) -> bool:
-    """Countable intersections of opens collapse to opens on a finite
-    carrier, so this is literally ``is_open``."""
-    return is_open(t, mask)
-
-
 def _sub_interior(nbrs: Sequence[int], ambient: int, mask: int) -> int:
     # Interior within the subspace on ``ambient``; minimal neighborhoods
     # there are the ambient traces of the parent ones.

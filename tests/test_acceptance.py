@@ -111,16 +111,15 @@ def test_embedding_clauses(valid_globs):
 
 def test_transform_identities_exhaustive(valid_family):
     start = time.perf_counter()
-    small = [pa for pa in valid_family if pa.group.order <= 3]
-    for pa in small:
+    for pa in valid_family:
         rep = transform_identities_report(pa)
         assert rep.ok, (pa, rep.failures())
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"{elapsed:.2f}s"
     _line(
-        f"transform identities exhaustive over every point set, group part "
-        f"and partition into three blocks on {len(small)} instances: PASS "
-        f"({elapsed:.2f}s < 60s)"
+        f"transform identities exhaustive over every point set and group "
+        f"part, splitting and decomposition through their exact reductions, "
+        f"on {len(valid_family)} instances: PASS ({elapsed:.2f}s < 60s)"
     )
 
 

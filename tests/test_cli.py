@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pactop import all_topologies, cyclic, discrete, induced
+from pactop import all_topologies, cyclic, discrete, induced, mutant_family
 from pactop.cli import ActionSpec, main, parse, serialize
+from pactop.errors import SchemaError
 
 EXAMPLE = str(resources.files("pactop").joinpath("data/example48.json"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -266,13 +267,25 @@ def test_selector_command():
     ]
 
 
-def test_parse_serialize_round_trip():
+def test_parse_serialize_round_trip(family):
     with open(EXAMPLE, "rb") as fh:
         spec = parse(fh.read())
     doc = serialize(spec)
     again = parse(json.dumps(doc))
     assert again == spec
     assert serialize(again) == doc
+    # serialize refuses exactly the actions parse would reject
+    refused = 0
+    for pa in family + [m for _, m in mutant_family(family, 200, seed=0)]:
+        spec = ActionSpec("t", tuple(f"p{x}" for x in pa.space.points()), pa)
+        e = pa.group.identity
+        if pa.dom[e] != pa.space.full:
+            with pytest.raises(SchemaError, match=f"/domains/{e}: identity domain"):
+                serialize(spec)
+            refused += 1
+        else:
+            assert parse(json.dumps(serialize(spec))) == spec, pa
+    assert refused
 
 
 def test_parse_rejects_unknown_key():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from pactop import cyclic, is_subgroup, make_group
+from pactop import cyclic, make_group
 from pactop.errors import (
     InvalidOrder,
     NoIdentity,
@@ -99,12 +99,3 @@ def test_make_group_witnesses():
         make_group(((0, 0), (1, 1)))
     except NoIdentity as exc:
         assert isinstance(exc.witness, tuple)
-
-
-def test_is_subgroup():
-    g = cyclic(4)
-    assert is_subgroup(g, 0b0001)
-    assert is_subgroup(g, 0b0101)
-    assert is_subgroup(g, 0b1111)
-    assert not is_subgroup(g, 0b0011)
-    assert not is_subgroup(g, 0b0000)

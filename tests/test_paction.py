@@ -20,10 +20,9 @@ from pactop import (
     product_with_discrete,
     quotient,
     stabilizer,
-    subgroup_restriction,
     validate,
 )
-from pactop.errors import InvalidSubset, NotAnAction, NotASubgroup
+from pactop.errors import InvalidSubset, NotAnAction
 from pactop.reports import NA, PASS
 
 Z2 = cyclic(2)
@@ -192,20 +191,13 @@ def test_induced_on_empty_carrier():
     assert validate(pa).ok
 
 
-def test_subgroup_restriction_spreads_action():
-    swap_rows = {0: (0, 1), 2: (1, 0)}
-    z4 = cyclic(4)
-    pa = subgroup_restriction(z4, 0b0101, discrete(2), swap_rows)
-    assert pa.dom == (0b11, 0, 0b11, 0)
-    assert pa.maps[2] == (1, 0)
-    assert pa.maps[1] == (-1, -1)
+def test_validate_accepts_empty_domains_outside_a_subgroup():
+    # the subgroup {0, 2} of Z4 swaps two points; 1 and 3 act nowhere
+    pa = PartialAction(
+        cyclic(4), discrete(2), (0b11, 0, 0b11, 0),
+        ((0, 1), (-1, -1), (1, 0), (-1, -1)),
+    )
     assert validate(pa).ok
-
-
-def test_subgroup_restriction_rejects_non_subgroup():
-    z4 = cyclic(4)
-    with pytest.raises(NotASubgroup):
-        subgroup_restriction(z4, 0b0011, discrete(2), {0: (0, 1), 1: (1, 0)})
 
 
 def test_lifted_action_moves_pairs():

@@ -20,7 +20,6 @@ from pactop import (
     is_borel,
     is_closed,
     is_continuous,
-    is_gdelta,
     is_meager_in,
     is_open,
     is_open_map,
@@ -108,7 +107,6 @@ def test_open_closed_interior_closure_against_oracle():
         for a in range(1 << t.size):
             assert is_open(t, a) == (a in fam)
             assert is_closed(t, a) == ((t.full & ~a) in fam)
-            assert is_gdelta(t, a) == (a in fam)
             assert interior(t, a) == oracles.interior_oracle(t.size, t.opens, a)
             assert closure(t, a) == oracles.closure_oracle(t.size, t.opens, a)
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 import oracles
+from pactop import vaught
 from pactop import (
     PartialAction,
     acting_set,
@@ -17,6 +21,8 @@ from pactop import (
     transform_identities_report,
 )
 from pactop.errors import InvalidOpenSet, InvalidSubset, NotOpen
+from pactop.reports import PASS
+from pactop.topology import iter_bits
 
 SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 K3 = example_k3()
@@ -92,6 +98,102 @@ def test_identities_report_on_representatives(valid_family):
     for pa in picks:
         rep = transform_identities_report(pa)
         assert rep.ok, rep.failures()
+
+
+UNION = "wide transform splits over unions"
+INTER = "tight transform splits over intersections"
+BASIS = "wide transform is the union of non-vacuous tight transforms over sub-parts"
+
+
+def _partitions_upto3(points):
+    """Unordered partitions of the given points into at most 3
+    nonempty blocks, as tuples of bitmasks; the empty tuple for no
+    points."""
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for sub in _partitions_upto3(rest):
+        if len(sub) < 3:
+            yield sub + (1 << first,)
+        for i in range(len(sub)):
+            yield sub[:i] + (sub[i] | (1 << first),) + sub[i + 1:]
+
+
+def scan_identities(pa) -> dict[str, bool]:
+    """Verdicts of the three checks the reductions replace, by direct
+    enumeration: every partition of A into at most 3 blocks, every pair
+    (A, B) and every sub-part of every group part.  Reads the transforms
+    through the ``vaught`` module, so a patched table reaches both."""
+    size, full = pa.space.size, pa.space.full
+    parts = range(1, 1 << pa.group.order)
+    delta = {(a, v): vaught.delta_transform(pa, a, v)
+             for a in range(1 << size) for v in parts}
+    star = {(a, v): vaught.star_transform(pa, a, v)
+            for a in range(1 << size) for v in parts}
+    union = inter = basis = True
+    for a in range(1 << size):
+        for blocks in _partitions_upto3(tuple(iter_bits(a))):
+            for v in parts:
+                joined, meet = 0, full
+                for b in blocks:
+                    joined |= delta[b, v]
+                    meet &= star[full & ~b, v]
+                union &= joined == delta[a, v]
+                inter &= not blocks or meet == star[full & ~a, v]
+        for b in range(1 << size):
+            for v in parts:
+                inter &= star[a, v] & star[b, v] == star[a & b, v]
+        for v in parts:
+            acc = 0
+            u = v
+            while u:
+                acc |= star[a, u] & delta[a, u]
+                u = (u - 1) & v
+            basis &= acc == delta[a, v]
+    return {UNION: union, INTER: inter, BASIS: basis}
+
+
+def _verdicts(rep) -> dict[str, bool]:
+    return {c.name: c.status == PASS for c in rep.checks if c.name in (UNION, INTER, BASIS)}
+
+
+def test_reductions_match_scans_on_family(valid_family):
+    for pa in valid_family:
+        assert _verdicts(transform_identities_report(pa)) == scan_identities(pa), pa
+
+
+def test_reductions_match_scans_on_broken_tables(valid_family, monkeypatch):
+    # Each table has one bit of one (A, V) entry of delta or star flipped.
+    rng = random.Random(11)
+    nonempty = [pa for pa in valid_family if pa.space.size]
+    true = {}  # unbroken entries, keyed by (id(pa), kind, a, v)
+    broken = {}  # the (kind, a, v) entry to flip, and the bit
+
+    def patched(kind, true_fn):
+        def transform(pa, a, v):
+            key = (id(pa), kind, a, v)
+            if key not in true:
+                true[key] = true_fn(pa, a, v)
+            return true[key] ^ broken.get((kind, a, v), 0)
+        return transform
+
+    monkeypatch.setattr(vaught, "delta_transform", patched("delta", delta_transform))
+    monkeypatch.setattr(vaught, "star_transform", patched("star", star_transform))
+    fails = Counter()
+    for _ in range(2000):
+        pa = rng.choice(nonempty)
+        entry = (
+            rng.choice(("delta", "star")),
+            rng.randrange(1 << pa.space.size),
+            rng.randrange(1, 1 << pa.group.order),
+        )
+        broken.clear()
+        broken[entry] = 1 << rng.randrange(pa.space.size)
+        got = _verdicts(transform_identities_report(pa))
+        assert got == scan_identities(pa), (pa, entry, broken[entry])
+        fails.update(name for name, ok in got.items() if not ok)
+    assert all(fails[name] for name in (UNION, INTER, BASIS)), fails
 
 
 def test_argument_validation():
