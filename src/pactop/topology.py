@@ -160,23 +160,6 @@ def closure(t: FinTop, mask: int) -> int:
     return t.full & ~interior(t, t.full & ~mask)
 
 
-def _sub_interior(nbrs: Sequence[int], ambient: int, mask: int) -> int:
-    # Interior within the subspace on ``ambient``; minimal neighborhoods
-    # there are the ambient traces of the parent ones.
-    return mask_of(x for x in iter_bits(mask) if nbrs[x] & ambient & ~mask == 0)
-
-
-@lru_cache(maxsize=4096)
-def _meager_cached(t: FinTop, a: int, s: int) -> bool:
-    nbrs = t.nbrs
-    for x in iter_bits(a):
-        # closure of {x} inside the subspace on s
-        cl = mask_of(y for y in iter_bits(s) if nbrs[y] & s & (1 << x))
-        if _sub_interior(nbrs, s, cl):
-            return False
-    return True
-
-
 def is_meager_in(t: FinTop, a: int, s: int) -> bool:
     """Whether ``a`` is meager in the subspace on ``s``.
 
@@ -187,7 +170,14 @@ def is_meager_in(t: FinTop, a: int, s: int) -> bool:
     _check_subset(t, s, "subspace")
     if a & ~s:
         raise InvalidSubset(f"set {a:#x} is not contained in the subspace", (a, s))
-    return _meager_cached(t, a, s)
+    nbrs = t.nbrs
+    for x in iter_bits(a):
+        # closure of {x} inside the subspace on s; x is nowhere dense
+        # when no point of it has its neighborhood's trace on s inside it
+        cl = mask_of(y for y in iter_bits(s) if nbrs[y] & s & (1 << x))
+        if any(nbrs[y] & s & ~cl == 0 for y in iter_bits(cl)):
+            return False
+    return True
 
 
 def separation(t: FinTop) -> SeparationFlags:
@@ -332,9 +322,7 @@ def make_topology(size: int, generators: Iterable[int]) -> FinTop:
     return FinTop(size, family)
 
 
-@lru_cache(maxsize=64)
 def discrete(size: int) -> FinTop:
-    # cached: the transforms ask for the discrete group topology per call
     return FinTop.from_neighborhoods(1 << x for x in range(size))
 
 

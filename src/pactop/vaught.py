@@ -3,18 +3,24 @@
 For a point set A and a nonempty piece V of the group, the wide
 transform collects points whose V-translates land in A non-meagerly,
 the tight transform those whose translates land in A comeagerly, both
-measured inside the acting part V ∩ {g : g defined at x}.  Meagerness is
-always delegated to the topology module so the finite-scale collapse
-(meager = empty on a discrete group) is never hard-coded here.
+measured inside the acting part V ∩ {g : g defined at x}.  The group is
+discrete, so meagerness there collapses to emptiness; the collapse is
+stated once, at the two rules over a hits row below, and the tests
+check both transforms against the meagerness definition.
 """
 
 from __future__ import annotations
 
 from . import topology as topo
-from .errors import AxiomViolation, InvalidOpenSet, InvalidSubset, NotOpen
+from .errors import (
+    AxiomViolation, InvalidOpenSet, InvalidSubset, LimitExceeded, NotOpen,
+)
 from .paction import PartialAction, pair_action
 from .reports import Report, ReportBuilder
 from .topology import iter_bits, mask_of
+
+# Most (point set, group part) combinations the identity suite tabulates
+TRANSFORM_LIMIT = 1 << 20
 
 
 def _check_args(pa: PartialAction, a: int, v: int) -> None:
@@ -29,35 +35,41 @@ def _check_args(pa: PartialAction, a: int, v: int) -> None:
         )
 
 
-def _transform(pa: PartialAction, a: int, v: int, keep) -> int:
-    # Points x where keep(group topology, hits, vx) holds: vx is the
-    # acting part of V at x, hits the g in it that carry x into A.
-    _check_args(pa, a, v)
-    group_top = topo.discrete(pa.group.order)
-    out = 0
-    for x in pa.space.points():
-        vx = v & pa.acting[x]
-        hits = mask_of(g for g in iter_bits(vx) if (a >> pa.act(g, x)) & 1)
-        if keep(group_top, hits, vx):
-            out |= 1 << x
-    return out
+def _hits(pa: PartialAction, a: int) -> list[int]:
+    # Per point x, the g defined at x that carry x into A.
+    row = [0] * pa.space.size
+    for x, acting in enumerate(pa.acting):
+        for g in iter_bits(acting):
+            if (a >> pa.act(g, x)) & 1:
+                row[x] |= 1 << g
+    return row
+
+
+# In the discrete group a set of elements is meager in a part exactly
+# when it is empty, every element being an open point.  So x is in the
+# wide transform when some hit lies in V, and in the tight transform
+# when every element of V defined at x is a hit.
+def _wide(row: list[int], v: int) -> int:
+    return mask_of(x for x, hits in enumerate(row) if hits & v)
+
+
+def _tight(pa: PartialAction, row: list[int], v: int) -> int:
+    return mask_of(x for x, hits in enumerate(row) if v & pa.acting[x] & ~hits == 0)
 
 
 def delta_transform(pa: PartialAction, a: int, v: int) -> int:
     """Points x where the set of g in V acting on x into A is
     non-meager in the acting part of V at x."""
-    return _transform(
-        pa, a, v, lambda top, hits, vx: not topo.is_meager_in(top, hits, vx)
-    )
+    _check_args(pa, a, v)
+    return _wide(_hits(pa, a), v)
 
 
 def star_transform(pa: PartialAction, a: int, v: int) -> int:
     """Points x where the set of g in V acting on x into A is comeager
     in the acting part of V at x; vacuously true when that part is
     empty."""
-    return _transform(
-        pa, a, v, lambda top, hits, vx: topo.is_meager_in(top, vx & ~hits, vx)
-    )
+    _check_args(pa, a, v)
+    return _tight(pa, _hits(pa, a), v)
 
 
 def transform_identities_report(pa: PartialAction) -> Report:
@@ -83,24 +95,27 @@ def transform_identities_report(pa: PartialAction) -> Report:
     that down).  For everywhere-defined actions the intersection is a
     no-op and the decomposition reduces to the plain union.
     """
-    rb = ReportBuilder("transform-identities")
     size = pa.space.size
     full = pa.space.full
     order = pa.group.order
     parts = range(1, 1 << order)
+    count = (1 << size) * ((1 << order) - 1)
+    if count > TRANSFORM_LIMIT:
+        raise LimitExceeded("transform combinations", count, TRANSFORM_LIMIT)
+    rb = ReportBuilder("transform-identities")
 
-    delta: dict[tuple[int, int], int] = {}
-    star: dict[tuple[int, int], int] = {}
+    # delta[a][v] and star[a][v]; the empty part v = 0 reads 0 in both
+    delta, star = [], []
     for a in range(1 << size):
-        for v in parts:
-            delta[a, v] = delta_transform(pa, a, v)
-            star[a, v] = star_transform(pa, a, v)
+        row = _hits(pa, a)
+        delta.append([0] + [_wide(row, v) for v in parts])
+        star.append([0] + [_tight(pa, row, v) for v in parts])
 
     bad_dual = [
         (a, v)
         for a in range(1 << size)
         for v in parts
-        if full & ~delta[a, v] != star[full & ~a, v]
+        if full & ~delta[a][v] != star[full & ~a][v]
     ]
     rb.check("complement duality", not bad_dual, tuple(bad_dual[:8]))
 
@@ -110,10 +125,10 @@ def transform_identities_report(pa: PartialAction) -> Report:
         low = a & -a  # lowest point in A; 0 for the empty set
         out = ~a & (a + 1)  # lowest point outside A
         for v in parts:
-            joined = delta[a ^ low, v] | delta[low, v] if a else 0
-            if delta[a, v] != joined:
+            joined = delta[a ^ low][v] | delta[low][v] if a else 0
+            if delta[a][v] != joined:
                 bad_union.append((a, v))
-            if a != full and star[a, v] != star[a | out, v] & star[full ^ out, v]:
+            if a != full and star[a][v] != star[a | out][v] & star[full ^ out][v]:
                 bad_inter.append((a, v))
     rb.check("wide transform splits over unions", not bad_union, tuple(bad_union[:8]))
     rb.check(
@@ -131,7 +146,7 @@ def transform_identities_report(pa: PartialAction) -> Report:
         (a, v)
         for a in range(1 << size)
         for v in parts
-        if star[a, v] & ~delta[a, v] & ~allowed[v]
+        if star[a][v] & ~delta[a][v] & ~allowed[v]
     ]
     rb.check(
         "tight exceeds wide only where the group part misses the acting set",
@@ -141,13 +156,13 @@ def transform_identities_report(pa: PartialAction) -> Report:
 
     bad_basis = []
     for a in range(1 << size):
-        acc = [0] + [star[a, u] & delta[a, u] for u in parts]
+        acc = [s & d for s, d in zip(star[a], delta[a])]
         for i in range(order):
             bit = 1 << i
             for u in parts:
                 if u & bit:
                     acc[u] |= acc[u ^ bit]
-        bad_basis.extend((a, v) for v in parts if acc[v] != delta[a, v])
+        bad_basis.extend((a, v) for v in parts if acc[v] != delta[a][v])
     rb.check(
         "wide transform is the union of non-vacuous tight transforms over sub-parts",
         not bad_basis,
@@ -155,7 +170,7 @@ def transform_identities_report(pa: PartialAction) -> Report:
     )
     rb.info(
         "combinations checked",
-        (len(delta), len(parts)),
+        (count, len(parts)),
         "point sets times group parts, both transforms",
     )
     return rb.build()
@@ -189,17 +204,13 @@ def ideal_member(pa: PartialAction, x: int, s: int) -> bool:
     orb = pa.orbits[x]
     if s & ~orb:
         raise InvalidSubset("set must sit inside the orbit", (s, orb))
-    group_top = topo.discrete(pa.group.order)
-    verdicts = []
-    for y in iter_bits(orb):
-        gy = pa.acting[y]
-        hits = mask_of(g for g in iter_bits(gy) if (s >> pa.act(g, y)) & 1)
-        verdicts.append(topo.is_meager_in(group_top, hits, gy))
-    if len(set(verdicts)) > 1:
+    # no translate of y lands in s exactly where y misses the wide transform
+    wide = _wide(_hits(pa, s), (1 << pa.group.order) - 1) & orb
+    if wide not in (0, orb):
         raise AxiomViolation(
             "ideal membership differs between class representatives", (x, s)
         )
-    return verdicts[0]
+    return wide == 0
 
 
 def ideal_section_set(pa: PartialAction, pairs: int) -> int:

@@ -22,9 +22,9 @@ EXAMPLE = str(resources.files("pactop").joinpath("data/example48.json"))
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "pactop", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
 
 
 def example_doc() -> dict:
@@ -121,6 +121,18 @@ def test_report_passes_on_rotation_of_six_points_minus_one(tmp_path):
     res = run_cli("report", str(doc), "--format", "json")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["overall"] == "pass"
+
+
+@pytest.mark.parametrize("command", [["report"], ["vaught", "--set", "p"]])
+def test_transform_limit_fails_at_once(tmp_path, command):
+    # 2 point sets times 2**25 - 1 group parts pass the transform limit
+    pa = induced(cyclic(25), discrete(1), [(0,)] * 25, 1)
+    doc = tmp_path / "c25.json"
+    doc.write_text(json.dumps(serialize(ActionSpec("c25", ("p",), pa))))
+    res = run_cli(command[0], str(doc), *command[1:], timeout=30)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert "67,108,862 transform combinations" in res.stdout
 
 
 def test_identity_domain_must_be_full(tmp_path):

@@ -13,9 +13,11 @@ from pactop import (
     borel_algebra,
     borel_atoms,
     closure,
+    cyclic,
     discrete,
     homeomorphisms,
     indiscrete,
+    induced,
     interior,
     is_borel,
     is_closed,
@@ -30,6 +32,7 @@ from pactop import (
     quotient,
     separation,
     subspace,
+    transform_identities_report,
 )
 from pactop.errors import InvalidSubset, LimitExceeded
 from pactop.topology import family_is_topology, iter_bits, mask_of
@@ -304,3 +307,9 @@ def test_size_limits_name_the_limit_and_size():
     with pytest.raises(LimitExceeded) as exc:
         all_topologies(5)
     assert exc.value.size == 5
+    for order in (25, 64):  # 2**64 - 1 group parts overflow a range's len()
+        pa = induced(cyclic(order), discrete(1), [(0,)] * order, 1)
+        with pytest.raises(LimitExceeded) as exc:
+            transform_identities_report(pa)
+        assert exc.value.limit == "transform combinations"
+        assert exc.value.size == 2 * (2 ** order - 1)

@@ -51,8 +51,10 @@ def test_vacuous_tight_transform_frozen():
     assert star_transform(K3, 0, FULL_G3) == 0
 
 
-def test_transforms_match_oracle(family3):
-    for pa in family3:
+def test_transforms_match_oracle(family):
+    # the transforms state the meagerness collapse of the discrete group;
+    # the oracle derives meagerness from the group's open sets
+    for pa in family:
         full = pa.space.full
         for a in range(full + 1):
             for v in range(1, 1 << pa.group.order):
@@ -163,23 +165,37 @@ def test_reductions_match_scans_on_family(valid_family):
         assert _verdicts(transform_identities_report(pa)) == scan_identities(pa), pa
 
 
+class _Row(list):
+    """A hits row that remembers the point set it was built for."""
+
+
 def test_reductions_match_scans_on_broken_tables(valid_family, monkeypatch):
     # Each table has one bit of one (A, V) entry of delta or star flipped.
+    # The report and the transforms read every entry through the hits row
+    # of A and the wide and tight rules, so patching those reaches both.
     rng = random.Random(11)
     nonempty = [pa for pa in valid_family if pa.space.size]
-    true = {}  # unbroken entries, keyed by (id(pa), kind, a, v)
+    true = {}  # hits rows, keyed by (id(pa), a)
     broken = {}  # the (kind, a, v) entry to flip, and the bit
+    hits, wide, tight = vaught._hits, vaught._wide, vaught._tight
 
-    def patched(kind, true_fn):
-        def transform(pa, a, v):
-            key = (id(pa), kind, a, v)
-            if key not in true:
-                true[key] = true_fn(pa, a, v)
-            return true[key] ^ broken.get((kind, a, v), 0)
-        return transform
+    def tagged_hits(pa, a):
+        key = (id(pa), a)
+        if key not in true:
+            true[key] = hits(pa, a)
+        row = _Row(true[key])
+        row.a = a
+        return row
 
-    monkeypatch.setattr(vaught, "delta_transform", patched("delta", delta_transform))
-    monkeypatch.setattr(vaught, "star_transform", patched("star", star_transform))
+    def broken_wide(row, v):
+        return wide(row, v) ^ broken.get(("delta", row.a, v), 0)
+
+    def broken_tight(pa, row, v):
+        return tight(pa, row, v) ^ broken.get(("star", row.a, v), 0)
+
+    monkeypatch.setattr(vaught, "_hits", tagged_hits)
+    monkeypatch.setattr(vaught, "_wide", broken_wide)
+    monkeypatch.setattr(vaught, "_tight", broken_tight)
     fails = Counter()
     for _ in range(2000):
         pa = rng.choice(nonempty)
