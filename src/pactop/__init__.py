@@ -76,6 +76,7 @@ from .topology import (
     is_borel,
     is_closed,
     is_continuous,
+    is_homeomorphism,
     is_meager_in,
     is_open,
     is_open_map,

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import topology as topo
-from .errors import PactopError, ParseError, SchemaError
+from .errors import LimitExceeded, PactopError, ParseError, SchemaError
 from .globalize import (
     Globalization,
     build,
@@ -82,7 +82,10 @@ def _parse_group(doc, path: str) -> FiniteGroup:
         order = doc.get("order")
         _expect(isinstance(order, int) and order >= 1, f"{path}/order",
                 "expected a positive integer")
-        return cyclic(order)
+        try:
+            return cyclic(order)
+        except LimitExceeded as exc:
+            raise SchemaError(f"{path}/order: {exc}", (f"{path}/order",)) from exc
     if kind == "table":
         _expect(set(doc) == {"kind", "table"}, path, "table group takes only table")
         table = doc.get("table")
@@ -97,6 +100,8 @@ def _parse_group(doc, path: str) -> FiniteGroup:
             )
         try:
             return make_group(tuple(tuple(row) for row in table))
+        except LimitExceeded as exc:
+            raise SchemaError(f"{path}/table: {exc}", (f"{path}/table",)) from exc
         except PactopError as exc:
             raise SchemaError(f"{path}/table: not a group table: {exc}",
                               (f"{path}/table",)) from exc
@@ -126,12 +131,23 @@ def _parse_space(doc, path: str) -> tuple[tuple[str, ...], FinTop]:
     return names, FinTop(len(names), tuple(masks))
 
 
+def _is_decimal(text: str) -> bool:
+    # canonical ASCII decimals only: str.isdigit alone accepts "²", which
+    # int() refuses, and "01", which would overwrite "1"
+    return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+
+
+def _below(text: str, order: int) -> bool:
+    # lengths first: int() refuses strings of more than 4300 digits
+    return len(text) <= len(str(order)) and int(text) < order
+
+
 def _element_key(key: str, order: int, path: str) -> int:
-    _expect(isinstance(key, str) and key.isdigit(), f"{path}/{key}",
-            "keys are decimal element indices")
-    g = int(key)
-    _expect(g < order, f"{path}/{key}", f"element index out of range 0..{order - 1}")
-    return g
+    _expect(_is_decimal(key), f"{path}/{key}",
+            "keys are canonical decimal element indices")
+    _expect(_below(key, order), f"{path}/{key}",
+            f"element index out of range 0..{order - 1}")
+    return int(key)
 
 
 def parse(document: str | bytes) -> ActionSpec:
@@ -232,11 +248,16 @@ def dot_export(glob: Globalization, names: tuple[str, ...]) -> str:
     the envelope topology (edge c -> d when c lies in the closure of
     {d}) and the translation graph (identity edges omitted)."""
     nbrs = topo.minimal_neighborhoods(glob.topology)
+    # a quoted DOT string ends at an unescaped quote
+    labels = [
+        _class_label(glob, names, c).replace("\\", "\\\\").replace('"', '\\"')
+        for c in range(glob.num_classes)
+    ]
     lines = ["digraph envelope {"]
     lines.append("  subgraph cluster_specialization {")
     lines.append('    label="specialization preorder";')
     for c in range(glob.num_classes):
-        lines.append(f'    q{c} [label="{_class_label(glob, names, c)}"];')
+        lines.append(f'    q{c} [label="{labels[c]}"];')
     for c in range(glob.num_classes):
         for d in iter_bits(nbrs[c]):
             if c != d:
@@ -245,7 +266,7 @@ def dot_export(glob: Globalization, names: tuple[str, ...]) -> str:
     lines.append("  subgraph cluster_translations {")
     lines.append('    label="translations (identity omitted)";')
     for c in range(glob.num_classes):
-        lines.append(f'    a{c} [label="{_class_label(glob, names, c)}"];')
+        lines.append(f'    a{c} [label="{labels[c]}"];')
     e = glob.source.group.identity
     for g in glob.source.group.elements():
         if g == e:
@@ -279,7 +300,7 @@ def _parse_group_part(spec: ActionSpec, text: str) -> int:
         return (1 << order) - 1
     mask = 0
     for part in text.split(","):
-        if not part.isdigit() or int(part) >= order:
+        if not (_is_decimal(part) and _below(part, order)):
             raise SchemaError(f"--open-g: bad element index {part!r}", ("--open-g",))
         mask |= 1 << int(part)
     if mask == 0:

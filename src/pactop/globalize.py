@@ -169,13 +169,10 @@ def embedding_report(glob: Globalization) -> Report:
             "hypothesis failed: definedness graph not open",
         )
 
+    q = glob.topology
     bad_homeo = [
-        g
-        for g in group.elements()
-        if not (
-            topo.is_continuous(glob.action[g], glob.topology, glob.topology)
-            and topo.is_open_map(glob.action[g], glob.topology, glob.topology)
-        )
+        g for g in group.elements()
+        if not topo.is_homeomorphism(glob.action[g], q, q.full, q, q.full)
     ]
     rb.check(
         "every translation is a homeomorphism of the quotient",
@@ -192,10 +189,7 @@ def embedding_report(glob: Globalization) -> Report:
 
     iso_ok = True
     bad: list[tuple] = []
-    if not (
-        topo.is_continuous(emb, space, ind.space)
-        and topo.is_open_map(emb, space, ind.space)
-    ):
+    if not topo.is_homeomorphism(emb, space, space.full, ind.space, ind.space.full):
         iso_ok = False
         bad.append(("space",))
     for g in group.elements():

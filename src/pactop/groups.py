@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidOrder, NoIdentity, NoInverse, NotAssociative
+from .errors import InvalidOrder, LimitExceeded, NoIdentity, NoInverse, NotAssociative
+
+# Largest group order accepted: make_group's associativity scan is
+# cubic in the order, so a short document could otherwise run for hours.
+GROUP_ORDER_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -25,11 +29,14 @@ def make_group(table: list[list[int]] | tuple[tuple[int, ...], ...]) -> FiniteGr
 
     Checks run in order: shape, identity, associativity, inverses.  Each
     failure names its witness: NoIdentity, NotAssociative with the triple
-    (g, h, k), NoInverse with the element.
+    (g, h, k), NoInverse with the element.  An order past
+    ``GROUP_ORDER_LIMIT`` raises LimitExceeded before any check.
     """
     n = len(table)
     if n == 0:
         raise InvalidOrder("group order must be at least 1")
+    if n > GROUP_ORDER_LIMIT:
+        raise LimitExceeded("group order", n, GROUP_ORDER_LIMIT)
     rows = tuple(tuple(row) for row in table)
     for g, row in enumerate(rows):
         if len(row) != n:
@@ -72,5 +79,7 @@ def cyclic(k: int) -> FiniteGroup:
     """The cyclic group of order ``k`` with addition mod k."""
     if not isinstance(k, int) or k < 1:
         raise InvalidOrder(f"order must be a positive integer, got {k!r}")
+    if k > GROUP_ORDER_LIMIT:
+        raise LimitExceeded("group order", k, GROUP_ORDER_LIMIT)
     table = [[(g + h) % k for h in range(k)] for g in range(k)]
     return make_group(table)

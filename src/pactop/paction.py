@@ -273,19 +273,11 @@ def _topological(pa: PartialAction, algebra_ok: bool) -> Report:
         rb.na("each map is a homeomorphism between its domains",
               "skipped: maps are not bijections between the domain sets")
     else:
-        bad_homeo = []
-        for g in group.elements():
-            src_mask = pa.dom[group.inv[g]]
-            sub_src = topo.subspace(space, src_mask)
-            sub_dst = topo.subspace(space, pa.dom[g])
-            src_pts = list(iter_bits(src_mask))
-            dst_pos = {p: i for i, p in enumerate(iter_bits(pa.dom[g]))}
-            f = [dst_pos[pa.maps[g][x]] for x in src_pts]
-            if not (
-                topo.is_continuous(f, sub_src, sub_dst)
-                and topo.is_open_map(f, sub_src, sub_dst)
-            ):
-                bad_homeo.append(g)
+        bad_homeo = [
+            g for g in group.elements()
+            if not topo.is_homeomorphism(
+                pa.maps[g], space, pa.dom[group.inv[g]], space, pa.dom[g])
+        ]
         rb.check(
             "each map is a homeomorphism between its domains",
             not bad_homeo,

@@ -188,10 +188,13 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
         (pullback, pa.graph & t_mask),
     )
 
-    img_positions = {c: i for i, c in enumerate(iter_bits(image))}
-    image_atoms = topo.borel_atoms(topo.subspace(tau, image))
+    # the image's subspace atoms: its classes by tau-neighborhood trace
+    by_trace: dict[int, int] = {}
+    for c in iter_bits(image):
+        by_trace[tau.nbrs[c] & image] = by_trace.get(tau.nbrs[c] & image, 0) | 1 << c
+    image_atoms = tuple(sorted(by_trace.values()))
     carrier_atoms = tuple(sorted(
-        mask_of(img_positions[glob.embedding[x]] for x in iter_bits(atom))
+        mask_of(glob.embedding[x] for x in iter_bits(atom))
         for atom in topo.borel_atoms(pa.space)
     ))
     rb.check(
@@ -331,14 +334,7 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
                     bad_inv.append((g, x, p))
             if not ok_inv:
                 continue
-            sub_o = topo.subspace(pa.product, o_mask)
-            sub_g = topo.subspace(group_top, gx)
-            pos = {p: i for i, p in enumerate(iter_bits(o_mask))}
-            f = [pos[rho[h]] for h in iter_bits(gx)]
-            if not (
-                topo.is_continuous(f, sub_g, sub_o)
-                and topo.is_open_map(f, sub_g, sub_o)
-            ):
+            if not topo.is_homeomorphism(rho, group_top, gx, pa.product, o_mask):
                 bad_homeo.append((g, x))
     rb.check("enumeration is a bijection onto the orbit", not bad_bij, tuple(bad_bij))
     rb.check("stated inverse really inverts it", not bad_inv, tuple(bad_inv[:8]))

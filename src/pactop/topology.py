@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidSubset, LimitExceeded
 from .relations import EqRel, iter_bits
@@ -306,6 +306,23 @@ def is_open_map(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
     return all(is_open(dst, mask_of(f[y] for y in iter_bits(n))) for n in src.nbrs)
 
 
+def is_homeomorphism(
+    f: Sequence[int] | Mapping[int, int], src: FinTop, s: int, dst: FinTop, d: int
+) -> bool:
+    """Whether ``f``, read on ambient labels (``f[x]`` for each x in
+    ``s``), is a homeomorphism from the subspace of ``src`` on ``s`` onto
+    the subspace of ``dst`` on ``d``.  A bijection is continuous and open
+    exactly when it carries each minimal neighborhood onto that of the
+    image point (continuity gives one inclusion; an open image holding
+    f(x) the other), and subspace neighborhoods are traces."""
+    if mask_of(f[x] for x in iter_bits(s)) != d or s.bit_count() != d.bit_count():
+        return False
+    return all(
+        mask_of(f[y] for y in iter_bits(src.nbrs[x] & s)) == dst.nbrs[f[x]] & d
+        for x in iter_bits(s)
+    )
+
+
 def make_topology(size: int, generators: Iterable[int]) -> FinTop:
     """Close a generating family under union and intersection: the
     neighborhood of ``x`` is the meet of the generators containing it.
@@ -366,11 +383,10 @@ def family_is_topology(size: int, members: Iterable[int]) -> str | None:
 
 def homeomorphisms(t: FinTop) -> list[tuple[int, ...]]:
     """All self-homeomorphisms, as point permutations."""
-    out = []
-    for perm in itertools.permutations(t.points()):
-        if is_continuous(perm, t, t) and is_open_map(perm, t, t):
-            out.append(tuple(perm))
-    return out
+    return [
+        perm for perm in itertools.permutations(t.points())
+        if is_homeomorphism(perm, t, t.full, t, t.full)
+    ]
 
 
 def all_topologies(size: int) -> list[FinTop]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -109,6 +110,48 @@ def test_group_table_shape_error_exits_2(tmp_path):
         assert res.returncode == 2, res.stderr
         assert "/group/table/1" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("section", ["domains", "maps"])
+@pytest.mark.parametrize("key", ["²", "01", "1" * 5000])
+def test_parse_rejects_noncanonical_element_keys(section, key):
+    # "²" passes str.isdigit but not int(); "01" would overwrite "1";
+    # int() refuses more than 4300 digits
+    doc = example_doc()
+    doc[section][key] = doc[section]["1"]
+    with pytest.raises(SchemaError) as exc:
+        parse(json.dumps(doc))
+    assert exc.value.witness == (f"/{section}/{key}",)
+
+
+def test_noncanonical_keys_exit_2(tmp_path):
+    doc = example_doc()
+    doc["maps"]["²"] = doc["maps"].pop("1")
+    bad = tmp_path / "superscript.json"
+    bad.write_text(json.dumps(doc))
+    for args in (["validate", str(bad)], ["vaught", EXAMPLE, "--open-g", "²"],
+                 ["vaught", EXAMPLE, "--open-g", "01"]):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert "Traceback" not in res.stderr
+    assert "/maps/²" in run_cli("validate", str(bad)).stderr
+
+
+@pytest.mark.parametrize("group, where", [
+    ({"kind": "cyclic", "order": 257}, "/group/order"),
+    ({"kind": "table", "table": [[(g + h) % 257 for h in range(257)]
+                                 for g in range(257)]}, "/group/table"),
+], ids=["cyclic", "table"])
+def test_group_order_limit_exits_2(tmp_path, group, where):
+    doc = {"group": group, "space": {"points": ["a"], "opens": [[], ["a"]]},
+           "domains": {"0": ["a"]}, "maps": {"0": {"a": "a"}}}
+    bad = tmp_path / "big-group.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("validate", str(bad), timeout=30)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert f"{where}: size limit hit: 257 group order exceed the 256 allowed" in (
+        res.stderr)
 
 
 def test_report_passes_on_rotation_of_six_points_minus_one(tmp_path):
@@ -229,6 +272,30 @@ def test_globalize_dot_export(tmp_path):
     assert payload["data"]["dot"] == str(out)
 
 
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path):
+    with open(EXAMPLE, "rb") as fh:
+        spec = parse(fh.read())
+    names = ('a"b', "c\\")
+    doc = tmp_path / "quoted.json"
+    doc.write_text(json.dumps(serialize(ActionSpec(spec.label, names, spec.pa))))
+    out = tmp_path / "envelope.dot"
+    res = run_cli("globalize", str(doc), "--dot", str(out), "--format", "json")
+    assert res.returncode == 0, res.stderr
+    classes = json.loads(res.stdout)["data"]["classes"]
+    assert classes == ['(0,a"b)', "(0,c\\)", '(1,a"b)', '(2,a"b)']
+    # each label attribute is one quoted string: no unescaped quote inside,
+    # and a backslash always escapes the next character
+    quoted = re.compile(r'label="((?:[^"\\]|\\.)*)"(?:\]|;)')
+    node_labels = []
+    for line in out.read_text().splitlines():
+        if "label=" in line:
+            match = quoted.search(line)
+            assert match and line.endswith(";") and line.count("label=") == 1, line
+            if "->" not in line and "[" in line:
+                node_labels.append(re.sub(r"\\(.)", r"\1", match.group(1)))
+    assert node_labels == classes * 2
+
+
 def test_unwritable_dot_path_exits_2(tmp_path):
     out = tmp_path / "missing" / "envelope.dot"
     res = run_cli("globalize", EXAMPLE, "--dot", str(out))
@@ -345,6 +412,7 @@ FUZZ_ARGS = [
     ["vaught", "--set", "p0,"],
     ["vaught", "--open-g", "9"],
     ["vaught", "--open-g", ""],
+    ["vaught", "--open-g", "²"],
     ["globalize", "--dot", "{tmp}/envelope.dot"],
 ]
 

@@ -5,6 +5,7 @@ import pytest
 from pactop import cyclic, make_group
 from pactop.errors import (
     InvalidOrder,
+    LimitExceeded,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -28,6 +29,16 @@ def test_cyclic_rejects_bad_order():
         cyclic(0)
     with pytest.raises(InvalidOrder):
         cyclic(-2)
+
+
+def test_group_order_limit():
+    # both kinds refuse before building or scanning a table: 257 rows of
+    # length one would otherwise fail the shape check
+    for build in (lambda: cyclic(257), lambda: make_group([[0]] * 257)):
+        with pytest.raises(LimitExceeded) as exc:
+            build()
+        assert (exc.value.limit, exc.value.size) == ("group order", 257)
+    assert "257 group order exceed the 256 allowed" in str(exc.value)
 
 
 def test_make_group_klein_four():

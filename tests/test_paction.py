@@ -23,7 +23,7 @@ from pactop import (
     validate,
 )
 from pactop.errors import InvalidSubset, NotAnAction
-from pactop.reports import NA, PASS
+from pactop.reports import FAIL, NA, PASS
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -106,6 +106,22 @@ def test_validate_rejects_non_open_domain():
     assert section(rep, "pair-axioms").ok
     assert section(rep, "bijection-axioms").ok
     assert not section(rep, "topological").ok
+
+
+def test_validate_rejects_bijection_that_is_no_homeomorphism():
+    # the open domain {0, 1} is a Sierpinski space (0 open, 1 closed) and
+    # point 2 is isolated; swapping 0 and 1 keeps every algebraic axiom
+    # but carries the open point onto the closed one
+    space = FinTop.from_neighborhoods((0b001, 0b011, 0b100))
+    pa = PartialAction(Z2, space, (0b111, 0b011), ((0, 1, 2), (1, 0, -1)))
+    rep = validate(pa)
+    assert not rep.ok
+    assert section(rep, "pair-axioms").ok
+    assert section(rep, "bijection-axioms").ok
+    topological = section(rep, "topological")
+    assert check(topological, "every domain set is open").status == PASS
+    homeo = check(topological, "each map is a homeomorphism between its domains")
+    assert (homeo.status, homeo.witness) == (FAIL, (1,))
 
 
 def test_validate_flags_ill_formed_tables():

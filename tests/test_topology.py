@@ -22,6 +22,7 @@ from pactop import (
     is_borel,
     is_closed,
     is_continuous,
+    is_homeomorphism,
     is_meager_in,
     is_open,
     is_open_map,
@@ -273,6 +274,36 @@ def test_continuity_and_openness_of_maps():
                 assert is_open_map(f, src, dst) == all(
                     mask_of(f[x] for x in iter_bits(u)) in dst_opens for u in src_opens
                 )
+
+
+def test_homeomorphism_on_ambient_labels_matches_reindexed_subspaces():
+    # every bijection between equal-size subsets of two topologies on at
+    # most 3 points, against continuity and openness on the subspaces
+    spaces = [t for size in range(4) for t in all_topologies(size)]
+    subs = {(t, s): subspace(t, s) for t in spaces for s in range(1 << t.size)}
+    checked = failed = 0
+    for src in spaces:
+        for dst in spaces:
+            for s in range(1 << src.size):
+                for d in range(1 << dst.size):
+                    if s.bit_count() != d.bit_count():
+                        continue
+                    pos = {p: i for i, p in enumerate(iter_bits(d))}
+                    for image in itertools.permutations(iter_bits(d)):
+                        f = [-1] * src.size
+                        for x, y in zip(iter_bits(s), image):
+                            f[x] = y
+                        g = [pos[y] for y in image]
+                        expected = is_continuous(g, subs[src, s], subs[dst, d]) and (
+                            is_open_map(g, subs[src, s], subs[dst, d]))
+                        assert is_homeomorphism(f, src, s, dst, d) == expected, (
+                            src, s, dst, d, image)
+                        checked += 1
+                        failed += not expected
+    assert checked > failed > 0
+    # a map that is not a bijection onto d is none, open and continuous or not
+    assert not is_homeomorphism([0, 0], indiscrete(2), 0b11, indiscrete(1), 0b1)
+    assert not is_homeomorphism([1, 0], discrete(2), 0b11, discrete(2), 0b01)
 
 
 def test_make_topology_closes_generators():
