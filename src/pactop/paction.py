@@ -117,13 +117,21 @@ class PartialAction:
         return lifted_action(self)
 
 
+def _check_point(pa: PartialAction, x: int) -> None:
+    # a negative index would silently read the last point's row
+    if not 0 <= x < pa.space.size:
+        raise InvalidSubset("point is not within the carrier", (x,))
+
+
 def acting_set(pa: PartialAction, x: int) -> int:
     """Bitmask of group elements defined at ``x`` (those with x in
     dom[inv(g)])."""
+    _check_point(pa, x)
     return pa.acting[x]
 
 
 def stabilizer(pa: PartialAction, x: int) -> int:
+    _check_point(pa, x)
     out = 0
     for g in iter_bits(pa.acting[x]):
         if pa.act(g, x) == x:
@@ -132,6 +140,7 @@ def stabilizer(pa: PartialAction, x: int) -> int:
 
 
 def orbit(pa: PartialAction, x: int) -> int:
+    _check_point(pa, x)
     return pa.orbits[x]
 
 
@@ -446,7 +455,7 @@ def pair_action(pa: PartialAction) -> PartialAction:
     first coordinate just comes along for the ride.
 
     Memoized: the ideal-section sweep calls this once per pair set and
-    rebuilding the product topology dominates everything else."""
+    reads the orbit table of the same pair action each time."""
     group, space = pa.group, pa.space
     size = space.size
     prod = topo.product(space, space)

@@ -6,7 +6,9 @@ the tight transform those whose translates land in A comeagerly, both
 measured inside the acting part V ∩ {g : g defined at x}.  The group is
 discrete, so meagerness there collapses to emptiness; the collapse is
 stated once, at the two rules over a hits row below, and the tests
-check both transforms against the meagerness definition.
+check both transforms against the meagerness definition.  Over the
+whole group the two rules reduce to orbit-table readings, stated in
+the same place; the ideal machinery reads those.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from . import topology as topo
 from .errors import (
     AxiomViolation, InvalidOpenSet, InvalidSubset, LimitExceeded, NotOpen,
 )
-from .paction import PartialAction, pair_action
+from .paction import PartialAction, orbit, pair_action
 from .reports import Report, ReportBuilder
 from .topology import iter_bits, mask_of
 
@@ -48,7 +50,10 @@ def _hits(pa: PartialAction, a: int) -> list[int]:
 # In the discrete group a set of elements is meager in a part exactly
 # when it is empty, every element being an open point.  So x is in the
 # wide transform when some hit lies in V, and in the tight transform
-# when every element of V defined at x is a hit.
+# when every element of V defined at x is a hit.  Over the whole group
+# V = G no row is needed: some element defined at x is a hit exactly
+# when the orbit of x meets A, and every one is exactly when the orbit
+# of x lies inside A.
 def _wide(row: list[int], v: int) -> int:
     return mask_of(x for x, hits in enumerate(row) if hits & v)
 
@@ -201,11 +206,11 @@ def open_case(pa: PartialAction, a: int, v: int) -> Report:
 def ideal_member(pa: PartialAction, x: int, s: int) -> bool:
     """Whether s belongs to the meager-translate ideal of the class of
     x; the verdict is computed for every class member and must agree."""
-    orb = pa.orbits[x]
+    orb = orbit(pa, x)
     if s & ~orb:
         raise InvalidSubset("set must sit inside the orbit", (s, orb))
-    # no translate of y lands in s exactly where y misses the wide transform
-    wide = _wide(_hits(pa, s), (1 << pa.group.order) - 1) & orb
+    # no translate of y lands in s exactly where the orbit of y misses s
+    wide = mask_of(y for y in iter_bits(orb) if pa.orbits[y] & s)
     if wide not in (0, orb):
         raise AxiomViolation(
             "ideal membership differs between class representatives", (x, s)
@@ -216,27 +221,26 @@ def ideal_member(pa: PartialAction, x: int, s: int) -> bool:
 def ideal_section_set(pa: PartialAction, pairs: int) -> int:
     """Points whose orbit section of the pair set is ideal-small.
 
-    Computed from the ideal definition, then cross-checked against the
-    tight transform of the complement under the pair action evaluated on
-    the diagonal; a mismatch raises since it would mean an engine bug.
+    Computed from the ideal definition on each section, the row of x in
+    the pair set cut down to the orbit of x, then cross-checked against
+    the tight transform of the complement under the pair action, read on
+    the diagonal over the whole group: (x, x) is in it exactly when its
+    pair-action orbit misses the pair set.  A mismatch raises since it
+    would mean an engine bug.
     """
     size = pa.space.size
     if pairs < 0 or pairs >= 1 << (size * size):
         raise InvalidSubset("pair set is not within the square carrier", (pairs,))
+    row = (1 << size) - 1
     out = 0
     for x in pa.space.points():
-        section = mask_of(
-            y for y in iter_bits(pa.orbits[x]) if (pairs >> (x * size + y)) & 1
-        )
-        if ideal_member(pa, x, section):
+        if ideal_member(pa, x, (pairs >> (x * size)) & row & pa.orbits[x]):
             out |= 1 << x
 
     if size:
         beta = pair_action(pa)
-        complement = beta.space.full & ~pairs
-        tight = star_transform(beta, complement, (1 << pa.group.order) - 1)
         dual = mask_of(
-            x for x in pa.space.points() if (tight >> (x * size + x)) & 1
+            x for x in pa.space.points() if beta.orbits[x * size + x] & pairs == 0
         )
         if dual != out:
             raise AxiomViolation(

@@ -168,6 +168,15 @@ def test_acting_set_stabilizer_orbit():
     assert orbit(pa, 1) == 0b10
 
 
+@pytest.mark.parametrize("lookup", [acting_set, stabilizer, orbit])
+@pytest.mark.parametrize("x", [-1, 2])
+def test_point_lookups_reject_points_outside_the_carrier(lookup, x):
+    # -1 would otherwise read the last point's row and 2 raise IndexError
+    with pytest.raises(InvalidSubset, match="point is not within the carrier") as exc:
+        lookup(SWAP, x)
+    assert exc.value.witness == (x,)
+
+
 def test_orbit_equivalence_matches_reachability():
     pa = rotation3()
     rel = orbit_equivalence(pa)

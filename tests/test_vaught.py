@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -17,12 +18,13 @@ from pactop import (
     ideal_member,
     ideal_section_set,
     open_case,
+    pair_action,
     star_transform,
     transform_identities_report,
 )
-from pactop.errors import InvalidOpenSet, InvalidSubset, NotOpen
+from pactop.errors import AxiomViolation, InvalidOpenSet, InvalidSubset, NotOpen
 from pactop.reports import PASS
-from pactop.topology import iter_bits
+from pactop.topology import iter_bits, mask_of
 
 SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 K3 = example_k3()
@@ -60,6 +62,17 @@ def test_transforms_match_oracle(family):
             for v in range(1, 1 << pa.group.order):
                 assert delta_transform(pa, a, v) == oracles.delta_oracle(pa, a, v)
                 assert star_transform(pa, a, v) == oracles.star_oracle(pa, a, v)
+
+
+def test_whole_group_transforms_read_the_orbit_table(family):
+    # over V = G the hits-row rules reduce to the orbit table
+    for pa in family:
+        gfull = (1 << pa.group.order) - 1
+        for a in range(pa.space.full + 1):
+            meets = mask_of(x for x, orb in enumerate(pa.orbits) if orb & a)
+            inside = mask_of(x for x, orb in enumerate(pa.orbits) if orb & ~a == 0)
+            assert delta_transform(pa, a, gfull) == meets, (pa, a)
+            assert star_transform(pa, a, gfull) == inside, (pa, a)
 
 
 def test_monotone_in_both_arguments():
@@ -262,3 +275,60 @@ def test_ideal_section_set_frozen():
     assert ideal_section_set(K3, 0b0001) == 0b10
     with pytest.raises(InvalidSubset):
         ideal_section_set(SWAP, 1 << 4)
+
+
+def test_ideal_member_rejects_points_outside_the_carrier():
+    for x in (-1, SWAP.space.size):
+        with pytest.raises(InvalidSubset, match="not within the carrier") as exc:
+            ideal_member(SWAP, x, 0)
+        assert exc.value.witness == (x,)
+
+
+def section_set_by_transforms(pa, pairs: int) -> int:
+    """``ideal_section_set`` through the general transforms: each section
+    collected point by point and judged by the wide transform over the
+    whole group, then checked against the diagonal of the tight
+    transform of the complement under the pair action."""
+    size = pa.space.size
+    gfull = (1 << pa.group.order) - 1
+    out = 0
+    for x in pa.space.points():
+        orb = pa.orbits[x]
+        section = mask_of(y for y in iter_bits(orb) if (pairs >> (x * size + y)) & 1)
+        if delta_transform(pa, section, gfull) & orb == 0:
+            out |= 1 << x
+    if size:
+        beta = pair_action(pa)
+        tight = star_transform(beta, beta.space.full & ~pairs, gfull)
+        dual = mask_of(x for x in pa.space.points() if (tight >> (x * size + x)) & 1)
+        assert dual == out, (pa, pairs)
+    return out
+
+
+def test_section_set_matches_the_transforms(valid_family):
+    three = []
+    for pa in valid_family:
+        if pa.space.size == 3:
+            three.append(pa)
+            continue
+        for pairs in range(1 << (pa.space.size ** 2)):
+            assert ideal_section_set(pa, pairs) == section_set_by_transforms(pa, pairs)
+    rng = random.Random(7)
+    for _ in range(2000):
+        pa = rng.choice(three)
+        pairs = rng.randrange(1 << 9)
+        assert ideal_section_set(pa, pairs) == section_set_by_transforms(pa, pairs), (
+            pa, pairs
+        )
+
+
+def test_section_cross_check_fires(monkeypatch):
+    # the pair {(0, 0)} meets the orbit of 0 only; dropping (0, 0) from
+    # the pair-action orbit of (0, 0) makes the diagonal read 0 as small
+    beta = pair_action(SWAP)
+    flipped = dataclasses.replace(beta)
+    vars(flipped)["orbits"] = (beta.orbits[0] ^ 1,) + beta.orbits[1:]
+    monkeypatch.setattr(vaught, "pair_action", lambda pa: flipped)
+    with pytest.raises(AxiomViolation, match="diagonal tight transform") as exc:
+        ideal_section_set(SWAP, 0b0001)
+    assert exc.value.witness == (0b0001, 0b10, 0b11)
