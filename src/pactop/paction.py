@@ -88,6 +88,15 @@ class PartialAction:
         )
 
     @functools.cached_property
+    def preimages(self) -> tuple[tuple[int, ...], ...]:
+        """Per element g and point y, the bitmask of the x with g.x = y."""
+        rows = [[0] * self.space.size for _ in self.group.elements()]
+        for x, acting in enumerate(self.acting):
+            for g in iter_bits(acting):
+                rows[g][self.act(g, x)] |= 1 << x
+        return tuple(map(tuple, rows))
+
+    @functools.cached_property
     def graph(self) -> int:
         """The definedness graph {(g, x) : x in dom[inv(g)]} as a set of
         product points."""

@@ -4,14 +4,21 @@ For a point set A and a nonempty piece V of the group, the wide
 transform collects points whose V-translates land in A non-meagerly,
 the tight transform those whose translates land in A comeagerly, both
 measured inside the acting part V ∩ {g : g defined at x}.  The group is
-discrete, so meagerness there collapses to emptiness; the collapse is
-stated once, at the two rules over a hits row below, and the tests
-check both transforms against the meagerness definition.  Over the
-whole group the two rules reduce to orbit-table readings, stated in
-the same place; the ideal machinery reads those.
+discrete, so meagerness there collapses to emptiness, and both
+transforms are read from the action's per-element preimage rows (the
+points each g carries onto each point), computed once per action: the
+wide transform is a union of preimages over V, the tight one an
+intersection.  The collapse is stated once, above the two transforms,
+and the tests check both against the meagerness definition.  The
+identity suite builds every table entry from these rows by one
+recurrence step and compares whole rows.  Over the whole group the
+transforms reduce to orbit-table readings, stated in the same place;
+the ideal machinery reads those.
 """
 
 from __future__ import annotations
+
+from operator import and_, or_
 
 from . import topology as topo
 from .errors import (
@@ -23,6 +30,14 @@ from .topology import iter_bits, mask_of
 
 # Most (point set, group part) combinations the identity suite tabulates
 TRANSFORM_LIMIT = 1 << 20
+
+_IDENTITIES = (
+    "complement duality",
+    "wide transform splits over unions",
+    "tight transform splits over intersections",
+    "tight exceeds wide only where the group part misses the acting set",
+    "wide transform is the union of non-vacuous tight transforms over sub-parts",
+)
 
 
 def _check_args(pa: PartialAction, a: int, v: int) -> None:
@@ -37,36 +52,38 @@ def _check_args(pa: PartialAction, a: int, v: int) -> None:
         )
 
 
-def _hits(pa: PartialAction, a: int) -> list[int]:
-    # Per point x, the g defined at x that carry x into A.
-    row = [0] * pa.space.size
-    for x, acting in enumerate(pa.acting):
-        for g in iter_bits(acting):
-            if (a >> pa.act(g, x)) & 1:
-                row[x] |= 1 << g
-    return row
+def _preimage(pa: PartialAction, g: int, a: int) -> int:
+    # The points g carries into A.
+    row = pa.preimages[g]
+    out = 0
+    for y in iter_bits(a):
+        out |= row[y]
+    return out
+
+
+def _undefined(pa: PartialAction, g: int) -> int:
+    # The points g does not act on: those outside dom[inv(g)].
+    return pa.space.full & ~pa.dom[pa.group.inv[g]]
 
 
 # In the discrete group a set of elements is meager in a part exactly
 # when it is empty, every element being an open point.  So x is in the
-# wide transform when some hit lies in V, and in the tight transform
-# when every element of V defined at x is a hit.  Over the whole group
-# V = G no row is needed: some element defined at x is a hit exactly
-# when the orbit of x meets A, and every one is exactly when the orbit
-# of x lies inside A.
-def _wide(row: list[int], v: int) -> int:
-    return mask_of(x for x, hits in enumerate(row) if hits & v)
-
-
-def _tight(pa: PartialAction, row: list[int], v: int) -> int:
-    return mask_of(x for x, hits in enumerate(row) if v & pa.acting[x] & ~hits == 0)
-
-
+# wide transform of A over V when some g in V carries x into A, and in
+# the tight transform when every g in V defined at x does: the wide
+# transform is the union, over g in V, of g's preimage of A, and the
+# tight transform the intersection, over g in V, of that preimage
+# together with the points g is undefined at.  Over the whole group
+# V = G no preimage is needed: some element defined at x carries it
+# into A exactly when the orbit of x meets A, and every one does
+# exactly when the orbit of x lies inside A.
 def delta_transform(pa: PartialAction, a: int, v: int) -> int:
     """Points x where the set of g in V acting on x into A is
     non-meager in the acting part of V at x."""
     _check_args(pa, a, v)
-    return _wide(_hits(pa, a), v)
+    out = 0
+    for g in iter_bits(v):
+        out |= _preimage(pa, g, a)
+    return out
 
 
 def star_transform(pa: PartialAction, a: int, v: int) -> int:
@@ -74,7 +91,57 @@ def star_transform(pa: PartialAction, a: int, v: int) -> int:
     in the acting part of V at x; vacuously true when that part is
     empty."""
     _check_args(pa, a, v)
-    return _tight(pa, _hits(pa, a), v)
+    out = pa.space.full
+    for g in iter_bits(v):
+        out &= _preimage(pa, g, a) | _undefined(pa, g)
+    return out
+
+
+def _tables(pa: PartialAction) -> tuple[list[list[int]], list[list[int]]]:
+    """delta[A][V] and star[A][V] for every point set A and group part V,
+    one operation per entry.  Each element's preimage of every A comes
+    from that of A minus its top point; each entry from the entry of V
+    minus its top element g, joined with g's preimage of A (delta) or
+    met with that preimage plus the points g is undefined at (star).
+    Index 0, the empty part, holds the seeds: no point in delta, every
+    point in star."""
+    full = pa.space.full
+    pre = []  # pre[g][A]
+    for row in pa.preimages:
+        col = [0]
+        for p in row:
+            col += [s | p for s in col]
+        pre.append(col)
+    undef = [_undefined(pa, g) for g in pa.group.elements()]
+    delta, star = [], []
+    for a in range(1 << pa.space.size):
+        d, s = [0], [full]
+        for col, u in zip(pre, undef):
+            p = col[a]
+            d += [w | p for w in d]
+            p |= u
+            s += [w & p for w in s]
+        delta.append(d)
+        star.append(s)
+    return delta, star
+
+
+def _subset_or(acc: list[int]) -> None:
+    """In place, acc[V] becomes the union of acc[U] over U inside V: the
+    subset-sum (zeta) transform, one bit at a time.  The entries with the
+    bit b set form b strided slices, or len(acc)/(2b) contiguous runs;
+    whichever is fewer, so at most about sqrt(len(acc)) slices a bit."""
+    n = len(acc)
+    b = 1
+    while b < n:
+        step = 2 * b
+        if b * step <= n:
+            for j in range(b, step):
+                acc[j::step] = map(or_, acc[j::step], acc[j - b::step])
+        else:
+            for lo in range(b, n, step):
+                acc[lo:lo + b] = map(or_, acc[lo:lo + b], acc[lo - b:lo])
+        b = step
 
 
 def transform_identities_report(pa: PartialAction) -> Report:
@@ -84,13 +151,16 @@ def transform_identities_report(pa: PartialAction) -> Report:
     tight transform, and the decomposition of the wide transform over
     sub-parts.
 
-    The splitting and decomposition checks are exact reductions that
-    still read every table entry: delta splits over every partition iff
-    delta(empty) = empty and delta(A) = delta(A - x) | delta({x}) for the
-    lowest x in A; star splits over every intersection iff star(A) =
-    star(A + x) & star(X - x) for the lowest x outside each A != X; the
-    union over sub-parts is a subset-sum (zeta) transform, |G| * 2^|G|
-    steps per A.
+    The tables come from the per-element preimage rows of the action,
+    one operation per entry (``_tables``).  Each check then compares
+    whole rows, one point set at a time, and lists witnesses only for a
+    row that differs.  The splitting and decomposition checks are exact
+    reductions that still read every table entry: delta splits over
+    every partition iff delta(empty) = empty and delta(A) = delta(A - x)
+    | delta({x}) for the lowest x in A; star splits over every
+    intersection iff star(A) = star(A + x) & star(X - x) for the lowest
+    x outside each A != X; the union over sub-parts is a subset-sum
+    (zeta) transform, run as slice operations one bit at a time.
 
     The decomposition must discard vacuous tight members: a point whose
     acting set misses a sub-part entirely sits in the tight transform
@@ -103,79 +173,44 @@ def transform_identities_report(pa: PartialAction) -> Report:
     size = pa.space.size
     full = pa.space.full
     order = pa.group.order
-    parts = range(1, 1 << order)
     count = (1 << size) * ((1 << order) - 1)
     if count > TRANSFORM_LIMIT:
         raise LimitExceeded("transform combinations", count, TRANSFORM_LIMIT)
     rb = ReportBuilder("transform-identities")
+    delta, star = _tables(pa)
+    # Per part V, the points whose acting set misses V.
+    allowed = [full]
+    for g in pa.group.elements():
+        u = _undefined(pa, g)
+        allowed += [w & u for w in allowed]
+    empty = [0] * (1 << order)
 
-    # delta[a][v] and star[a][v]; the empty part v = 0 reads 0 in both
-    delta, star = [], []
-    for a in range(1 << size):
-        row = _hits(pa, a)
-        delta.append([0] + [_wide(row, v) for v in parts])
-        star.append([0] + [_tight(pa, row, v) for v in parts])
+    found = [[] for _ in _IDENTITIES]  # witnesses per check
+    dual, union, inter, vacuous, basis = found
 
-    bad_dual = [
-        (a, v)
-        for a in range(1 << size)
-        for v in parts
-        if full & ~delta[a][v] != star[full & ~a][v]
-    ]
-    rb.check("complement duality", not bad_dual, tuple(bad_dual[:8]))
+    def compare(bad, a, got, want):
+        # whole rows; a row that differs lists its (A, V) witnesses
+        if got != want and len(bad) < 8:
+            bad.extend((a, v) for v in range(1, len(got)) if got[v] != want[v])
 
-    bad_union = []
-    bad_inter = []
     for a in range(1 << size):
         low = a & -a  # lowest point in A; 0 for the empty set
         out = ~a & (a + 1)  # lowest point outside A
-        for v in parts:
-            joined = delta[a ^ low][v] | delta[low][v] if a else 0
-            if delta[a][v] != joined:
-                bad_union.append((a, v))
-            if a != full and star[a][v] != star[a | out][v] & star[full ^ out][v]:
-                bad_inter.append((a, v))
-    rb.check("wide transform splits over unions", not bad_union, tuple(bad_union[:8]))
-    rb.check(
-        "tight transform splits over intersections",
-        not bad_inter,
-        tuple(bad_inter[:8]),
-    )
-
-    # Per part v, the points whose acting set misses v.
-    allowed = {
-        v: mask_of(x for x in pa.space.points() if v & pa.acting[x] == 0)
-        for v in parts
-    }
-    bad_vac = [
-        (a, v)
-        for a in range(1 << size)
-        for v in parts
-        if star[a][v] & ~delta[a][v] & ~allowed[v]
-    ]
-    rb.check(
-        "tight exceeds wide only where the group part misses the acting set",
-        not bad_vac,
-        tuple(bad_vac[:8]),
-    )
-
-    bad_basis = []
-    for a in range(1 << size):
-        acc = [s & d for s, d in zip(star[a], delta[a])]
-        for i in range(order):
-            bit = 1 << i
-            for u in parts:
-                if u & bit:
-                    acc[u] |= acc[u ^ bit]
-        bad_basis.extend((a, v) for v in parts if acc[v] != delta[a][v])
-    rb.check(
-        "wide transform is the union of non-vacuous tight transforms over sub-parts",
-        not bad_basis,
-        tuple(bad_basis[:8]),
-    )
+        # entries stay inside the carrier, so full ^ d is the complement of d
+        compare(dual, a, list(map(full.__xor__, delta[a])), star[full ^ a])
+        compare(union, a, delta[a],
+                list(map(or_, delta[a ^ low], delta[low])) if a else empty)
+        if a != full:
+            compare(inter, a, star[a], list(map(and_, star[a | out], star[full ^ out])))
+        compare(vacuous, a, list(map(and_, star[a], map(or_, delta[a], allowed))), star[a])
+        acc = list(map(and_, star[a], delta[a]))
+        _subset_or(acc)
+        compare(basis, a, acc, delta[a])
+    for name, bad in zip(_IDENTITIES, found):
+        rb.check(name, not bad, tuple(bad[:8]))
     rb.info(
         "combinations checked",
-        (count, len(parts)),
+        (count, (1 << order) - 1),
         "point sets times group parts, both transforms",
     )
     return rb.build()

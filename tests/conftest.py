@@ -75,6 +75,20 @@ def family():
 
 
 @pytest.fixture(scope="session")
+def s3_family():
+    """All induced instances of S3 on <= 3 points: 6-element groups, so
+    the identity suite's 64-entry part rows take both slice branches of
+    its subset-sum kernel.  Kept out of ``family``: the meagerness
+    oracle is too slow on it."""
+    return induced_instances(symmetric3(), (1, 3), 3)
+
+
+@pytest.fixture(scope="session")
+def valid_s3_family(s3_family):
+    return [pa for pa in s3_family if validate(pa).ok]
+
+
+@pytest.fixture(scope="session")
 def family3():
     """The |G| <= 3 slice used by the exhaustive transform sweeps."""
     return induced_family(max_group=3, max_points=3)

@@ -109,9 +109,10 @@ def test_embedding_clauses(valid_globs):
     )
 
 
-def test_transform_identities_exhaustive(valid_family):
+def test_transform_identities_exhaustive(valid_family, valid_s3_family):
+    instances = valid_family + valid_s3_family
     start = time.perf_counter()
-    for pa in valid_family:
+    for pa in instances:
         rep = transform_identities_report(pa)
         assert rep.ok, (pa, rep.failures())
     elapsed = time.perf_counter() - start
@@ -119,7 +120,8 @@ def test_transform_identities_exhaustive(valid_family):
     _line(
         f"transform identities exhaustive over every point set and group "
         f"part, splitting and decomposition through their exact reductions, "
-        f"on {len(valid_family)} instances: PASS ({elapsed:.2f}s < 60s)"
+        f"on {len(instances)} instances, S3 on 3 points included: PASS "
+        f"({elapsed:.2f}s < 60s)"
     )
 
 

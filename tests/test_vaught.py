@@ -23,7 +23,7 @@ from pactop import (
     transform_identities_report,
 )
 from pactop.errors import AxiomViolation, InvalidOpenSet, InvalidSubset, NotOpen
-from pactop.reports import PASS
+from pactop.reports import FAIL, INFO, PASS
 from pactop.topology import iter_bits, mask_of
 
 SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
@@ -65,7 +65,7 @@ def test_transforms_match_oracle(family):
 
 
 def test_whole_group_transforms_read_the_orbit_table(family):
-    # over V = G the hits-row rules reduce to the orbit table
+    # over V = G the preimage rules reduce to the orbit table
     for pa in family:
         gfull = (1 << pa.group.order) - 1
         for a in range(pa.space.full + 1):
@@ -118,6 +118,7 @@ def test_identities_report_on_representatives(valid_family):
 UNION = "wide transform splits over unions"
 INTER = "tight transform splits over intersections"
 BASIS = "wide transform is the union of non-vacuous tight transforms over sub-parts"
+VACUOUS = "tight exceeds wide only where the group part misses the acting set"
 
 
 def _partitions_upto3(points):
@@ -138,77 +139,114 @@ def _partitions_upto3(points):
 def scan_identities(pa) -> dict[str, bool]:
     """Verdicts of the three checks the reductions replace, by direct
     enumeration: every partition of A into at most 3 blocks, every pair
-    (A, B) and every sub-part of every group part.  Reads the transforms
-    through the ``vaught`` module, so a patched table reaches both."""
+    (A, B) and every sub-part of every group part.  Reads the report's
+    tables through ``vaught._tables``, so a patched table reaches both."""
     size, full = pa.space.size, pa.space.full
     parts = range(1, 1 << pa.group.order)
-    delta = {(a, v): vaught.delta_transform(pa, a, v)
-             for a in range(1 << size) for v in parts}
-    star = {(a, v): vaught.star_transform(pa, a, v)
-            for a in range(1 << size) for v in parts}
+    delta, star = vaught._tables(pa)
     union = inter = basis = True
     for a in range(1 << size):
         for blocks in _partitions_upto3(tuple(iter_bits(a))):
             for v in parts:
                 joined, meet = 0, full
                 for b in blocks:
-                    joined |= delta[b, v]
-                    meet &= star[full & ~b, v]
-                union &= joined == delta[a, v]
-                inter &= not blocks or meet == star[full & ~a, v]
+                    joined |= delta[b][v]
+                    meet &= star[full & ~b][v]
+                union &= joined == delta[a][v]
+                inter &= not blocks or meet == star[full & ~a][v]
         for b in range(1 << size):
             for v in parts:
-                inter &= star[a, v] & star[b, v] == star[a & b, v]
+                inter &= star[a][v] & star[b][v] == star[a & b][v]
         for v in parts:
             acc = 0
             u = v
             while u:
-                acc |= star[a, u] & delta[a, u]
+                acc |= star[a][u] & delta[a][u]
                 u = (u - 1) & v
-            basis &= acc == delta[a, v]
+            basis &= acc == delta[a][v]
     return {UNION: union, INTER: inter, BASIS: basis}
+
+
+def reference_checks(pa, delta, star) -> list[tuple[str, str, tuple]]:
+    """The five checks of ``transform_identities_report`` as entry-by-entry
+    loops over the tables: (name, status, witness) each, the witnesses
+    the first 8 failing (A, V) in order."""
+    size, full, order = pa.space.size, pa.space.full, pa.group.order
+    parts = range(1, 1 << order)
+    out = []
+
+    def check(name, bad):
+        out.append((name, PASS if not bad else FAIL, tuple(bad[:8])))
+
+    check("complement duality", [
+        (a, v) for a in range(1 << size) for v in parts
+        if full & ~delta[a][v] != star[full & ~a][v]
+    ])
+    bad_union, bad_inter = [], []
+    for a in range(1 << size):
+        low = a & -a
+        out_a = ~a & (a + 1)
+        for v in parts:
+            joined = delta[a ^ low][v] | delta[low][v] if a else 0
+            if delta[a][v] != joined:
+                bad_union.append((a, v))
+            if a != full and star[a][v] != star[a | out_a][v] & star[full ^ out_a][v]:
+                bad_inter.append((a, v))
+    check(UNION, bad_union)
+    check(INTER, bad_inter)
+    allowed = {
+        v: mask_of(x for x in pa.space.points() if v & pa.acting[x] == 0) for v in parts
+    }
+    check(VACUOUS, [
+        (a, v) for a in range(1 << size) for v in parts
+        if star[a][v] & ~delta[a][v] & ~allowed[v]
+    ])
+    bad_basis = []
+    for a in range(1 << size):
+        acc = [s & d for s, d in zip(star[a], delta[a])]
+        for i in range(order):
+            bit = 1 << i
+            for u in parts:
+                if u & bit:
+                    acc[u] |= acc[u ^ bit]
+        bad_basis.extend((a, v) for v in parts if acc[v] != delta[a][v])
+    check(BASIS, bad_basis)
+    return out
 
 
 def _verdicts(rep) -> dict[str, bool]:
     return {c.name: c.status == PASS for c in rep.checks if c.name in (UNION, INTER, BASIS)}
 
 
-def test_reductions_match_scans_on_family(valid_family):
-    for pa in valid_family:
+def _checks(rep) -> list[tuple[str, str, tuple]]:
+    return [(c.name, c.status, c.witness) for c in rep.checks if c.status != INFO]
+
+
+def test_reductions_match_scans_on_family(valid_family, valid_s3_family):
+    for pa in valid_family + valid_s3_family:
         assert _verdicts(transform_identities_report(pa)) == scan_identities(pa), pa
-
-
-class _Row(list):
-    """A hits row that remembers the point set it was built for."""
 
 
 def test_reductions_match_scans_on_broken_tables(valid_family, monkeypatch):
     # Each table has one bit of one (A, V) entry of delta or star flipped.
-    # The report and the transforms read every entry through the hits row
-    # of A and the wide and tight rules, so patching those reaches both.
+    # The report and the scans read every entry through ``_tables``, so
+    # patching it reaches both.
     rng = random.Random(11)
     nonempty = [pa for pa in valid_family if pa.space.size]
-    true = {}  # hits rows, keyed by (id(pa), a)
+    true = {}  # the true tables, keyed by instance
     broken = {}  # the (kind, a, v) entry to flip, and the bit
-    hits, wide, tight = vaught._hits, vaught._wide, vaught._tight
+    tables = vaught._tables
 
-    def tagged_hits(pa, a):
-        key = (id(pa), a)
-        if key not in true:
-            true[key] = hits(pa, a)
-        row = _Row(true[key])
-        row.a = a
-        return row
+    def broken_tables(pa):
+        if pa not in true:
+            true[pa] = tables(pa)
+        out = {"delta": list(true[pa][0]), "star": list(true[pa][1])}
+        for (kind, a, v), bit in broken.items():
+            out[kind][a] = list(out[kind][a])
+            out[kind][a][v] ^= bit
+        return out["delta"], out["star"]
 
-    def broken_wide(row, v):
-        return wide(row, v) ^ broken.get(("delta", row.a, v), 0)
-
-    def broken_tight(pa, row, v):
-        return tight(pa, row, v) ^ broken.get(("star", row.a, v), 0)
-
-    monkeypatch.setattr(vaught, "_hits", tagged_hits)
-    monkeypatch.setattr(vaught, "_wide", broken_wide)
-    monkeypatch.setattr(vaught, "_tight", broken_tight)
+    monkeypatch.setattr(vaught, "_tables", broken_tables)
     fails = Counter()
     for _ in range(2000):
         pa = rng.choice(nonempty)
@@ -219,10 +257,61 @@ def test_reductions_match_scans_on_broken_tables(valid_family, monkeypatch):
         )
         broken.clear()
         broken[entry] = 1 << rng.randrange(pa.space.size)
-        got = _verdicts(transform_identities_report(pa))
+        rep = transform_identities_report(pa)
+        got = _verdicts(rep)
         assert got == scan_identities(pa), (pa, entry, broken[entry])
+        assert _checks(rep) == reference_checks(pa, *broken_tables(pa)), (
+            pa, entry, broken[entry]
+        )
         fails.update(name for name, ok in got.items() if not ok)
     assert all(fails[name] for name in (UNION, INTER, BASIS)), fails
+
+
+def hits_row(pa, a: int) -> list[int]:
+    """Per point x, the g defined at x that carry x into A."""
+    row = [0] * pa.space.size
+    for x, acting in enumerate(pa.acting):
+        for g in iter_bits(acting):
+            if (a >> pa.act(g, x)) & 1:
+                row[x] |= 1 << g
+    return row
+
+
+def wide_by_hits(row: list[int], v: int) -> int:
+    return mask_of(x for x, hits in enumerate(row) if hits & v)
+
+
+def tight_by_hits(pa, row: list[int], v: int) -> int:
+    return mask_of(x for x, hits in enumerate(row) if v & pa.acting[x] & ~hits == 0)
+
+
+def test_tables_match_the_hits_rows(family, s3_family):
+    # the report's tables against the per-point definition: x is wide
+    # when some hit lies in V, tight when every g in V defined at x hits
+    for pa in family + s3_family:
+        delta, star = vaught._tables(pa)
+        for a in range(1 << pa.space.size):
+            row = hits_row(pa, a)
+            assert (delta[a][0], star[a][0]) == (0, pa.space.full)
+            for v in range(1, 1 << pa.group.order):
+                assert delta[a][v] == wide_by_hits(row, v), (pa, a, v)
+                assert star[a][v] == tight_by_hits(pa, row, v), (pa, a, v)
+
+
+def test_identities_report_at_the_limit():
+    # C16 rotating 4 discrete points: 16 * (2**16 - 1) = 1,048,560
+    # combinations, the largest table TRANSFORM_LIMIT admits
+    rot = PartialAction(
+        cyclic(16),
+        discrete(4),
+        (0b1111,) * 16,
+        tuple(tuple((x + g) % 4 for x in range(4)) for g in range(16)),
+    )
+    rep = transform_identities_report(rot)
+    assert rep.ok, rep.failures()
+    info = rep.checks[-1]
+    assert info.witness == (1_048_560, 2 ** 16 - 1)
+    assert info.witness[0] <= vaught.TRANSFORM_LIMIT
 
 
 def test_argument_validation():
