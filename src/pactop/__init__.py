@@ -68,13 +68,9 @@ from .topology import (
     all_topologies,
     borel_algebra,
     borel_atoms,
-    closure,
     discrete,
     homeomorphisms,
-    indiscrete,
-    interior,
     is_borel,
-    is_closed,
     is_continuous,
     is_homeomorphism,
     is_meager_in,

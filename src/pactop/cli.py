@@ -247,7 +247,7 @@ def dot_export(glob: Globalization, names: tuple[str, ...]) -> str:
     """DOT digraph with two clusters: the specialization preorder of
     the envelope topology (edge c -> d when c lies in the closure of
     {d}) and the translation graph (identity edges omitted)."""
-    nbrs = topo.minimal_neighborhoods(glob.topology)
+    nbrs = glob.topology.nbrs
     # a quoted DOT string ends at an unescaped quote
     labels = [
         _class_label(glob, names, c).replace("\\", "\\\\").replace('"', '\\"')

@@ -1,8 +1,8 @@
 """Instance families for exhaustive sweeps and mutation testing.
 
 The sweep family collects every partial action induced by restricting a
-continuous total action of a small cyclic group to an arbitrary subset
-of a small carrier, deduplicated, across all topologies on the carrier.
+continuous total action of a small group to an arbitrary subset of a
+small carrier, deduplicated, across all topologies on the carrier.
 Mutants are built from valid instances by edits that provably break an
 axiom by construction, so rejection tests never consult the validator
 to decide what counts as invalid.
@@ -10,46 +10,70 @@ to decide what counts as invalid.
 
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Sequence
 
 from . import topology as topo
-from .groups import cyclic
+from .errors import NotAnAction
+from .groups import FiniteGroup, cyclic
 from .paction import PartialAction, induced
 from .topology import FinTop
 
 
-def _power_rows(sigma: tuple[int, ...], k: int) -> list[tuple[int, ...]] | None:
-    # Rows of the cyclic action generated by sigma, or None when the
-    # order of sigma does not divide k.
-    size = len(sigma)
-    rows = [tuple(range(size))]
-    for _ in range(k - 1):
-        rows.append(tuple(sigma[x] for x in rows[-1]))
-    if tuple(sigma[x] for x in rows[-1]) != rows[0]:
-        return None
-    return rows
+def _generated_rows(
+    group: FiniteGroup, gens: Sequence[int], images: Sequence[tuple[int, ...]],
+    size: int,
+) -> list[tuple[int, ...]]:
+    # Rows of the action in which each generator acts as its image,
+    # found by walking out from the identity; ``induced`` rejects them
+    # when the images break a relation of the group.
+    rows = {group.identity: tuple(range(size))}
+    frontier = [group.identity]
+    while frontier:
+        g = frontier.pop()
+        for s, img in zip(gens, images):
+            h = group.mul[s][g]
+            if h not in rows:
+                rows[h] = tuple(img[y] for y in rows[g])
+                frontier.append(h)
+    return [rows[g] for g in group.elements()]
 
 
-def induced_family(max_group: int = 4, max_points: int = 3) -> list[PartialAction]:
-    """Every partial action induced from a continuous total cyclic
-    action on at most ``max_points`` points, over every carrier subset,
-    deduplicated."""
+def induced_instances(
+    groups: Sequence[tuple[FiniteGroup, Sequence[int]]], max_points: int
+) -> list[PartialAction]:
+    """Every partial action induced from a continuous total action of
+    one of ``groups`` on at most ``max_points`` points, over every
+    carrier subset, deduplicated.  Each group comes with elements that
+    generate it, and each choice of homeomorphisms for them to act as
+    is tried."""
     seen: set[PartialAction] = set()
     out: list[PartialAction] = []
     for size in range(1, max_points + 1):
         for space in topo.all_topologies(size):
-            for k in range(1, max_group + 1):
-                group = cyclic(k)
-                for sigma in topo.homeomorphisms(space):
-                    rows = _power_rows(sigma, k)
-                    if rows is None:
-                        continue
+            homeos = topo.homeomorphisms(space)
+            for group, gens in groups:
+                for images in itertools.product(homeos, repeat=len(gens)):
+                    rows = _generated_rows(group, gens, images, size)
                     for carrier in range(1 << size):
-                        pa = induced(group, space, rows, carrier)
+                        try:
+                            pa = induced(group, space, rows, carrier)
+                        except NotAnAction:  # the images break a relation
+                            break
                         if pa not in seen:
                             seen.add(pa)
                             out.append(pa)
     return out
+
+
+def induced_family(max_group: int = 4, max_points: int = 3) -> list[PartialAction]:
+    """``induced_instances`` on the cyclic groups of order at most
+    ``max_group``, each generated by 1 (the trivial one by nothing)."""
+    return induced_instances(
+        [(cyclic(k), (1,) if k > 1 else ()) for k in range(1, max_group + 1)],
+        max_points,
+    )
 
 
 def _remap_mutant(pa: PartialAction, rng: random.Random) -> PartialAction | None:

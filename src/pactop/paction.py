@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import topology as topo
 from .errors import AxiomViolation, InvalidSubset, NotAnAction
@@ -434,28 +434,35 @@ def orbit_consistency_report(pa: PartialAction) -> Report:
     return rb.build()
 
 
+def _slice_action(
+    pa: PartialAction, space: FinTop, copies: int, move: Callable[[int, int], int]
+) -> PartialAction:
+    """Act on ``space``, which holds ``copies`` copies of the carrier
+    (point x of copy j at ``j * size + x``): ``g`` acts on each copy as
+    on the carrier and sends copy j to copy ``move(g, j)``."""
+    group, size = pa.group, pa.space.size
+    dom, maps = [], []
+    for g in group.elements():
+        mask = 0
+        for j in range(copies):
+            mask |= pa.dom[g] << (j * size)
+        dom.append(mask)
+        moves = [(x, pa.act(g, x)) for x in iter_bits(pa.dom[group.inv[g]])]
+        row = [-1] * (copies * size)
+        for j in range(copies):
+            src, dst = j * size, move(g, j) * size
+            for x, y in moves:
+                row[src + x] = dst + y
+        maps.append(tuple(row))
+    return PartialAction(group, space, tuple(dom), tuple(maps))
+
+
 def lifted_action(pa: PartialAction) -> PartialAction:
     """Lift to the group-indexed product: ``g`` sends (h, x) to
     (h * inv(g), g.x) on the slices where the original action is
     defined.  The lift's orbits present the enveloping space."""
-    group, size = pa.group, pa.space.size
-    dom = []
-    for g in group.elements():
-        mask = 0
-        for h in group.elements():
-            mask |= pa.dom[g] << (h * size)
-        dom.append(mask)
-    maps = []
-    for g in group.elements():
-        gi = group.inv[g]
-        row = [-1] * (group.order * size)
-        for h in group.elements():
-            for x in iter_bits(pa.dom[gi]):
-                row[pair_index(size, h, x)] = pair_index(
-                    size, group.mul[h][gi], pa.act(g, x)
-                )
-        maps.append(tuple(row))
-    return PartialAction(group, pa.product, tuple(dom), tuple(maps))
+    mul, inv = pa.group.mul, pa.group.inv
+    return _slice_action(pa, pa.product, pa.group.order, lambda g, h: mul[h][inv[g]])
 
 
 @functools.lru_cache(maxsize=64)
@@ -465,21 +472,5 @@ def pair_action(pa: PartialAction) -> PartialAction:
 
     Memoized: the ideal-section sweep calls this once per pair set and
     reads the orbit table of the same pair action each time."""
-    group, space = pa.group, pa.space
-    size = space.size
-    prod = topo.product(space, space)
-    dom = []
-    for g in group.elements():
-        mask = 0
-        for x in space.points():
-            mask |= pa.dom[g] << (x * size)
-        dom.append(mask)
-    maps = []
-    for g in group.elements():
-        gi = group.inv[g]
-        row = [-1] * (size * size)
-        for x in space.points():
-            for y in iter_bits(pa.dom[gi]):
-                row[x * size + y] = x * size + pa.act(g, y)
-        maps.append(tuple(row))
-    return PartialAction(group, prod, tuple(dom), tuple(maps))
+    prod = topo.product(pa.space, pa.space)
+    return _slice_action(pa, prod, pa.space.size, lambda g, x: x)

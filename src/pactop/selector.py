@@ -226,7 +226,7 @@ def action_continuity_table(
     """Where each translation is continuous for the transversal
     topology; failures are facts about the instance, not errors."""
     tau = brep.tau
-    nbrs = topo.minimal_neighborhoods(tau)
+    nbrs = tau.nbrs
     rows = []
     rb = ReportBuilder("translation-continuity")
     for g in glob.source.group.elements():

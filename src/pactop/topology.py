@@ -142,24 +142,6 @@ def is_open(t: FinTop, mask: int) -> bool:
     return all(nbrs[x] & ~mask == 0 for x in iter_bits(mask))
 
 
-def is_closed(t: FinTop, mask: int) -> bool:
-    _check_subset(t, mask, "set")
-    return is_open(t, t.full & ~mask)
-
-
-def interior(t: FinTop, mask: int) -> int:
-    """Largest open subset: points whose minimal neighborhood fits."""
-    _check_subset(t, mask, "set")
-    nbrs = t.nbrs
-    return mask_of(x for x in iter_bits(mask) if nbrs[x] & ~mask == 0)
-
-
-def closure(t: FinTop, mask: int) -> int:
-    """Smallest closed superset, via the complement of an interior."""
-    _check_subset(t, mask, "set")
-    return t.full & ~interior(t, t.full & ~mask)
-
-
 def is_meager_in(t: FinTop, a: int, s: int) -> bool:
     """Whether ``a`` is meager in the subspace on ``s``.
 
@@ -341,10 +323,6 @@ def make_topology(size: int, generators: Iterable[int]) -> FinTop:
 
 def discrete(size: int) -> FinTop:
     return FinTop.from_neighborhoods(1 << x for x in range(size))
-
-
-def indiscrete(size: int) -> FinTop:
-    return FinTop.from_neighborhoods([(1 << size) - 1] * size)
 
 
 def family_is_topology(size: int, members: Iterable[int]) -> str | None:

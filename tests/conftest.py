@@ -4,16 +4,8 @@ import itertools
 
 import pytest
 
-from pactop import (
-    all_topologies,
-    build,
-    homeomorphisms,
-    induced,
-    induced_family,
-    make_group,
-    validate,
-)
-from pactop.errors import NotAnAction
+from pactop import build, induced_family, make_group, validate
+from pactop.instances import induced_instances
 
 
 def klein_four():
@@ -31,36 +23,6 @@ def symmetric3():
     )
 
 
-def induced_instances(group, gens, max_points: int) -> list:
-    """Every partial action induced from a continuous total action of
-    ``group`` on at most ``max_points`` points, over every carrier
-    subset, deduplicated; ``gens`` generate the group."""
-    seen, out = set(), []
-    for size in range(1, max_points + 1):
-        for space in all_topologies(size):
-            homeos = homeomorphisms(space)
-            for images in itertools.product(homeos, repeat=len(gens)):
-                rows = {group.identity: tuple(space.points())}
-                frontier = [group.identity]
-                while frontier:
-                    g = frontier.pop()
-                    for s, img in zip(gens, images):
-                        h = group.mul[s][g]
-                        if h not in rows:
-                            rows[h] = tuple(img[y] for y in rows[g])
-                            frontier.append(h)
-                table = [rows[g] for g in group.elements()]
-                for carrier in range(1 << size):
-                    try:
-                        pa = induced(group, space, table, carrier)
-                    except NotAnAction:  # the images break a relation
-                        break
-                    if pa not in seen:
-                        seen.add(pa)
-                        out.append(pa)
-    return out
-
-
 @pytest.fixture(scope="session")
 def family():
     """All induced instances with a cyclic group of order <= 4 on <= 3
@@ -69,8 +31,8 @@ def family():
     a product that commuting elements hide."""
     return (
         induced_family(max_group=4, max_points=3)
-        + induced_instances(klein_four(), (1, 2), 3)
-        + induced_instances(symmetric3(), (1, 3), 2)
+        + induced_instances([(klein_four(), (1, 2))], 3)
+        + induced_instances([(symmetric3(), (1, 3))], 2)
     )
 
 
@@ -80,7 +42,7 @@ def s3_family():
     the identity suite's 64-entry part rows take both slice branches of
     its subset-sum kernel.  Kept out of ``family``: the meagerness
     oracle is too slow on it."""
-    return induced_instances(symmetric3(), (1, 3), 3)
+    return induced_instances([(symmetric3(), (1, 3))], 3)
 
 
 @pytest.fixture(scope="session")

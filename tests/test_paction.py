@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from pactop import (
@@ -10,6 +12,7 @@ from pactop import (
     discrete,
     example_k3,
     induced,
+    induced_family,
     lifted_action,
     orbit,
     orbit_consistency_report,
@@ -17,6 +20,7 @@ from pactop import (
     pair_action,
     pair_index,
     pair_split,
+    product,
     product_with_discrete,
     quotient,
     stabilizer,
@@ -24,6 +28,7 @@ from pactop import (
 )
 from pactop.errors import InvalidSubset, NotAnAction
 from pactop.reports import FAIL, NA, PASS
+from pactop.topology import iter_bits, mask_of
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -251,6 +256,50 @@ def test_pair_action_acts_through_second_coordinate():
     p = 0 * size + 0
     assert beta.maps[1][p] == 0 * size + 1
     assert validate(beta).ok
+
+
+def test_lifted_and_pair_actions_match_their_definitions(family, s3_family):
+    # g.(h, x) = (h * inv(g), g.x) on the lift and g.(w, x) = (w, g.x) on
+    # pairs, each defined exactly where g acts on x; the Klein four and
+    # S3 instances pin the order of the product h * inv(g)
+    for pa in family + s3_family:
+        group, size = pa.group, pa.space.size
+        lifted, beta = lifted_action(pa), pair_action(pa)
+        assert lifted.space == product_with_discrete(pa.space, group.order)
+        assert beta.space == product(pa.space, pa.space)
+        for g in group.elements():
+            lift_row = [-1] * (group.order * size)
+            pair_row = [-1] * (size * size)
+            for x in iter_bits(pa.dom[group.inv[g]]):
+                for h in group.elements():
+                    lift_row[pair_index(size, h, x)] = pair_index(
+                        size, group.mul[h][group.inv[g]], pa.act(g, x))
+                for w in pa.space.points():
+                    pair_row[w * size + x] = w * size + pa.act(g, x)
+            assert lifted.maps[g] == tuple(lift_row)
+            assert beta.maps[g] == tuple(pair_row)
+            # dom[g], where the map lands, in every copy of the carrier
+            lands = tuple(iter_bits(pa.dom[g]))
+            assert lifted.dom[g] == mask_of(
+                pair_index(size, h, y) for h in group.elements() for y in lands)
+            assert beta.dom[g] == mask_of(
+                w * size + y for w in pa.space.points() for y in lands)
+
+
+def _tables_digest(instances):
+    h = hashlib.sha256()
+    for pa in instances:
+        h.update(repr((pa.group.mul, pa.space.nbrs, pa.dom, pa.maps)).encode())
+    return len(instances), h.hexdigest()[:16]
+
+
+def test_sweep_families_keep_their_members_and_order(family, s3_family, family3):
+    # seeded mutant draws pick members by position, so the order is
+    # pinned along with the members
+    assert _tables_digest(induced_family(4, 3)) == (213, "37ec11acfe407901")
+    assert _tables_digest(family3) == (146, "e83d45e946fb9560")
+    assert _tables_digest(family) == (353, "ca61538b8b92b9f0")
+    assert _tables_digest(s3_family) == (94, "616c502ba707ce61")
 
 
 def test_orbit_consistency_on_valid_family(valid_family):
