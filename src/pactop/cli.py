@@ -74,13 +74,18 @@ def _mask_from_names(values, names_idx: dict[str, int], path: str) -> int:
     return mask
 
 
+def _is_int(value) -> bool:
+    # JSON true and false decode to bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_group(doc, path: str) -> FiniteGroup:
     _expect(isinstance(doc, dict), path, "expected an object")
     kind = doc.get("kind")
     if kind == "cyclic":
         _expect(set(doc) == {"kind", "order"}, path, "cyclic group takes only order")
         order = doc.get("order")
-        _expect(isinstance(order, int) and order >= 1, f"{path}/order",
+        _expect(_is_int(order) and order >= 1, f"{path}/order",
                 "expected a positive integer")
         try:
             return cyclic(order)
@@ -95,7 +100,7 @@ def _parse_group(doc, path: str) -> FiniteGroup:
         for i, row in enumerate(table):
             _expect(
                 isinstance(row, list) and len(row) == n
-                and all(isinstance(v, int) and 0 <= v < n for v in row),
+                and all(_is_int(v) and 0 <= v < n for v in row),
                 f"{path}/table/{i}", f"expected a list of {n} integers in 0..{n - 1}",
             )
         try:

@@ -97,6 +97,23 @@ class PartialAction:
         return tuple(map(tuple, rows))
 
     @functools.cached_property
+    def diagonal(self) -> tuple[int, ...]:
+        """Per point x, the orbit of (x, x) under ``pair_action(self)``."""
+        size = self.space.size
+        orbits = pair_action(self).orbits
+        return tuple(orbits[x * size + x] for x in self.space.points())
+
+    @functools.cached_property
+    def settled(self) -> tuple[bool, ...]:
+        """Per point x, whether the orbit of each point y in the orbit
+        of x covers the orbit of x.  Each such y then meets every nonempty
+        subset of that orbit, so at x a set is in the meager-translate
+        ideal exactly when it is empty, and the verdict cannot differ
+        between class members (always so on a valid action)."""
+        orbits = self.orbits
+        return tuple(all(orbits[y] & o == o for y in iter_bits(o)) for o in orbits)
+
+    @functools.cached_property
     def graph(self) -> int:
         """The definedness graph {(g, x) : x in dom[inv(g)]} as a set of
         product points."""
@@ -470,7 +487,7 @@ def pair_action(pa: PartialAction) -> PartialAction:
     """Act on ordered pairs through the second coordinate only; the
     first coordinate just comes along for the ride.
 
-    Memoized: the ideal-section sweep calls this once per pair set and
-    reads the orbit table of the same pair action each time."""
+    Memoized; ``PartialAction.diagonal`` reads its orbit table once per
+    action."""
     prod = topo.product(pa.space, pa.space)
     return _slice_action(pa, prod, pa.space.size, lambda g, x: x)

@@ -12,8 +12,10 @@ intersection.  The collapse is stated once, above the two transforms,
 and the tests check both against the meagerness definition.  The
 identity suite builds every table entry from these rows by one
 recurrence step and compares whole rows.  Over the whole group the
-transforms reduce to orbit-table readings, stated in the same place;
-the ideal machinery reads those.
+transforms reduce to orbit-table readings, stated in the same place.
+The ideal sweep reads the action's ``orbits``, ``diagonal`` and
+``settled`` tables, each computed once per action, and calls
+``ideal_member`` only at unsettled points.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import topology as topo
 from .errors import (
     AxiomViolation, InvalidOpenSet, InvalidSubset, LimitExceeded, NotOpen,
 )
-from .paction import PartialAction, orbit, pair_action
+from .paction import PartialAction, orbit
 from .reports import Report, ReportBuilder
 from .topology import iter_bits, mask_of
 
@@ -257,29 +259,30 @@ def ideal_section_set(pa: PartialAction, pairs: int) -> int:
     """Points whose orbit section of the pair set is ideal-small.
 
     Computed from the ideal definition on each section, the row of x in
-    the pair set cut down to the orbit of x, then cross-checked against
-    the tight transform of the complement under the pair action, read on
-    the diagonal over the whole group: (x, x) is in it exactly when its
-    pair-action orbit misses the pair set.  A mismatch raises since it
-    would mean an engine bug.
+    the pair set cut down to the orbit of x; at a settled point (see
+    ``PartialAction.settled``) the definition reduces to "the section is
+    empty", elsewhere ``ideal_member`` judges it.  The result is then
+    cross-checked against the tight transform of the complement under
+    the pair action, read on the diagonal over the whole group: (x, x)
+    is in it exactly when its pair-action orbit, ``diagonal[x]``, misses
+    the pair set.  A mismatch raises since it would mean an engine bug.
     """
     size = pa.space.size
     if pairs < 0 or pairs >= 1 << (size * size):
         raise InvalidSubset("pair set is not within the square carrier", (pairs,))
-    row = (1 << size) - 1
-    out = 0
-    for x in pa.space.points():
-        if ideal_member(pa, x, (pairs >> (x * size)) & row & pa.orbits[x]):
+    # orbits is read first: on ill-formed tables it raises the KeyError
+    # that ideal_member's own read would
+    orbits, settled, diagonal = pa.orbits, pa.settled, pa.diagonal
+    out = dual = 0
+    for x in range(size):
+        s = (pairs >> (x * size)) & orbits[x]
+        if (not s) if settled[x] else ideal_member(pa, x, s):
             out |= 1 << x
-
-    if size:
-        beta = pair_action(pa)
-        dual = mask_of(
-            x for x in pa.space.points() if beta.orbits[x * size + x] & pairs == 0
+        if not diagonal[x] & pairs:
+            dual |= 1 << x
+    if dual != out:
+        raise AxiomViolation(
+            "ideal sections disagree with the diagonal tight transform",
+            (pairs, out, dual),
         )
-        if dual != out:
-            raise AxiomViolation(
-                "ideal sections disagree with the diagonal tight transform",
-                (pairs, out, dual),
-            )
     return out

@@ -112,6 +112,22 @@ def test_group_table_shape_error_exits_2(tmp_path):
         assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("group, where", [
+    ({"kind": "cyclic", "order": True}, "/group/order"),
+    ({"kind": "table", "table": [[False]]}, "/group/table/0"),
+], ids=["order", "table"])
+def test_boolean_group_entries_exit_2(tmp_path, group, where):
+    # JSON booleans decode to bool, which Python counts as an int
+    doc = {"group": group, "space": {"points": ["a"], "opens": [[], ["a"]]},
+           "domains": {"0": ["a"]}, "maps": {"0": {"a": "a"}}}
+    bad = tmp_path / "bool-group.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("validate", str(bad))
+    assert res.returncode == 2, res.stdout
+    assert "Traceback" not in res.stderr
+    assert f"{where}: expected" in res.stderr
+
+
 @pytest.mark.parametrize("section", ["domains", "maps"])
 @pytest.mark.parametrize("key", ["²", "01", "1" * 5000])
 def test_parse_rejects_noncanonical_element_keys(section, key):

@@ -16,11 +16,14 @@ from pactop import (
     discrete,
     example_k3,
     ideal_member,
+    induced_family,
     ideal_section_set,
+    mutant_family,
     open_case,
     pair_action,
     star_transform,
     transform_identities_report,
+    validate,
 )
 from pactop.errors import AxiomViolation, InvalidOpenSet, InvalidSubset, NotOpen
 from pactop.reports import FAIL, INFO, PASS
@@ -411,13 +414,72 @@ def test_section_set_matches_the_transforms(valid_family):
         )
 
 
-def test_section_cross_check_fires(monkeypatch):
+def test_section_cross_check_fires():
     # the pair {(0, 0)} meets the orbit of 0 only; dropping (0, 0) from
-    # the pair-action orbit of (0, 0) makes the diagonal read 0 as small
-    beta = pair_action(SWAP)
-    flipped = dataclasses.replace(beta)
-    vars(flipped)["orbits"] = (beta.orbits[0] ^ 1,) + beta.orbits[1:]
-    monkeypatch.setattr(vaught, "pair_action", lambda pa: flipped)
+    # the pair-action orbit of (0, 0) makes the diagonal read 0 as small.
+    # A fresh copy, since the shared SWAP may already hold its tables.
+    swap = dataclasses.replace(SWAP)
+    vars(swap)["diagonal"] = (SWAP.diagonal[0] ^ 1,) + SWAP.diagonal[1:]
     with pytest.raises(AxiomViolation, match="diagonal tight transform") as exc:
-        ideal_section_set(SWAP, 0b0001)
+        ideal_section_set(swap, 0b0001)
     assert exc.value.witness == (0b0001, 0b10, 0b11)
+
+
+def test_diagonal_and_settled_tables(valid_family, s3_family):
+    for pa in valid_family + s3_family:
+        size = pa.space.size
+        assert all(pa.settled), pa
+        assert pa.diagonal == tuple(
+            pair_action(pa).orbits[x * size + x] for x in pa.space.points()
+        ), pa
+
+
+def section_set_by_members(pa, pairs: int) -> int:
+    """``ideal_section_set`` as it read before the settled and diagonal
+    tables: ``ideal_member`` at every point, and the pair action looked
+    up on every call."""
+    size = pa.space.size
+    if pairs < 0 or pairs >= 1 << (size * size):
+        raise InvalidSubset("pair set is not within the square carrier", (pairs,))
+    row = (1 << size) - 1
+    out = 0
+    for x in pa.space.points():
+        if ideal_member(pa, x, (pairs >> (x * size)) & row & pa.orbits[x]):
+            out |= 1 << x
+    if size:
+        beta = pair_action(pa)
+        dual = mask_of(
+            x for x in pa.space.points() if beta.orbits[x * size + x] & pairs == 0
+        )
+        if dual != out:
+            raise AxiomViolation(
+                "ideal sections disagree with the diagonal tight transform",
+                (pairs, out, dual),
+            )
+    return out
+
+
+def _outcome(fn, pa, pairs):
+    try:
+        return fn(pa, pairs)
+    except Exception as exc:
+        return type(exc), getattr(exc, "witness", exc.args)
+
+
+def test_section_set_matches_members_on_mutants():
+    # on invalid actions the orbits need not partition the carrier, so
+    # some points are unsettled and ideal_member judges them; both forms
+    # must agree there on every pair set, raised witnesses included
+    cyclic_valid = [pa for pa in induced_family(4, 3) if validate(pa).ok]
+    unsettled = Counter()
+    for _, pa in mutant_family(cyclic_valid, count=400, seed=1):
+        settled = all(pa.settled)
+        unsettled["mutants"] += not settled
+        for pairs in range(1 << pa.space.size ** 2):
+            want = _outcome(section_set_by_members, pa, pairs)
+            assert _outcome(ideal_section_set, pa, pairs) == want, (pa, pairs)
+            if not settled:
+                unsettled[want[0].__name__ if isinstance(want, tuple) else "returned"] += 1
+    # the fallback is reached, and on both of its outcomes
+    assert unsettled["mutants"] == 119
+    assert unsettled["AxiomViolation"] and unsettled["returned"], unsettled
