@@ -42,7 +42,7 @@ def make_group(table: list[list[int]] | tuple[tuple[int, ...], ...]) -> FiniteGr
         if len(row) != n:
             raise ValueError(f"row {g} has length {len(row)}, expected {n}")
         for h, v in enumerate(row):
-            if not (isinstance(v, int) and 0 <= v < n):
+            if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < n):
                 raise ValueError(f"entry ({g}, {h}) = {v!r} out of range")
 
     identity = -1
@@ -77,7 +77,7 @@ def make_group(table: list[list[int]] | tuple[tuple[int, ...], ...]) -> FiniteGr
 
 def cyclic(k: int) -> FiniteGroup:
     """The cyclic group of order ``k`` with addition mod k."""
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InvalidOrder(f"order must be a positive integer, got {k!r}")
     if k > GROUP_ORDER_LIMIT:
         raise LimitExceeded("group order", k, GROUP_ORDER_LIMIT)

@@ -158,7 +158,10 @@ def mutant_family(
     instances: list[PartialAction], count: int = 200, seed: int = 0
 ) -> list[tuple[str, PartialAction]]:
     """Draw ``count`` invalid instances by mutating members of
-    ``instances``; each is labeled with the mutation kind."""
+    ``instances``; each is labeled with the mutation kind.  Every
+    mutator needs a point, so at least one instance must have one."""
+    if not any(pa.space.size for pa in instances):
+        raise ValueError("mutant_family needs an instance with at least one point")
     rng = random.Random(seed)
     out: list[tuple[str, PartialAction]] = []
     while len(out) < count:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import pytest
 
 import oracles
+from conftest import klein_four, symmetric3
 from pactop import (
     PartialAction,
     build,
@@ -13,12 +17,16 @@ from pactop import (
     enveloping_relation,
     example_k3,
     hat_relation_report,
+    induced,
+    induced_family,
+    instances,
     mutant_family,
     pair_index,
+    validate,
 )
 from pactop.errors import AxiomViolation
-from pactop.reports import INFO, NA, PASS
-from pactop.topology import iter_bits
+from pactop.reports import FAIL, INFO, NA, PASS
+from pactop.topology import is_homeomorphism, iter_bits, mask_of
 
 SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 
@@ -191,3 +199,133 @@ def test_embedding_injective_and_identity_slice(valid_globs):
             assert c not in seen
             seen.add(c)
             assert glob.relation.class_of(pair_index(size, e, x)) == c
+
+
+RESTRICTION = "restriction to the image reproduces the original action"
+
+
+def restriction_by_induced(glob):
+    """The restriction check as it was first written: rebuild the partial
+    action the translations induce on the image with ``induced`` and
+    compare it with the source through the embedding.  ``induced`` must
+    not raise here: ``build`` only returns tables that form an action."""
+    pa = glob.source
+    group, space = pa.group, pa.space
+    image = glob.embedded_classes()
+    ind = induced(group, glob.topology, glob.action, image)
+    positions = {c: i for i, c in enumerate(iter_bits(image))}
+    emb = [positions[glob.embedding[x]] for x in space.points()]
+    bad: list[tuple] = []
+    if not is_homeomorphism(emb, space, space.full, ind.space, ind.space.full):
+        bad.append(("space",))
+    for g in group.elements():
+        if mask_of(emb[x] for x in iter_bits(pa.dom[g])) != ind.dom[g]:
+            bad.append(("dom", g))
+        for x in iter_bits(pa.dom[group.inv[g]]):
+            if ind.maps[g][emb[x]] != emb[pa.act(g, x)]:
+                bad.append(("map", g, x))
+    return (FAIL if bad else PASS), tuple(bad)
+
+
+def _restriction_check(glob):
+    [check] = [c for c in embedding_report(glob).checks if c.name == RESTRICTION]
+    return check.status, check.witness
+
+
+def _built(instances):
+    globs = []
+    for pa in instances:
+        try:
+            globs.append(build(pa))
+        except AxiomViolation:
+            pass
+    return globs
+
+
+def test_restriction_check_matches_induced_reference(family, s3_family):
+    sources = {
+        "family": _built(family),
+        "s3": _built(s3_family),
+        "mutants": _built(m for _, m in mutant_family(family, 400, seed=1)),
+    }
+    assert {k: len(v) for k, v in sources.items()} == {
+        "family": 353, "s3": 94, "mutants": 11,
+    }
+    for globs in sources.values():
+        for glob in globs:
+            assert _restriction_check(glob) == restriction_by_induced(glob), glob
+
+    # Every other injective embedding of the carrier into the classes of
+    # each family envelope: the failing side of the check.
+    kinds = {"space": 0, "dom": 0, "map": 0}
+    count = failed = 0
+    for glob in sources["family"]:
+        for e in itertools.permutations(range(glob.num_classes), glob.source.space.size):
+            if e == glob.embedding:
+                continue
+            moved = dataclasses.replace(glob, embedding=e)
+            status, witness = restriction_by_induced(moved)
+            assert _restriction_check(moved) == (status, witness), (glob, e)
+            count += 1
+            failed += status == FAIL
+            for w in witness:
+                kinds[w[0]] += 1
+    assert (count, failed) == (1534, 1216)
+    assert kinds == {"space": 992, "dom": 312, "map": 2652}
+
+
+def test_envelope_is_the_saturation_of_the_total_action(monkeypatch):
+    # Uniqueness of the enveloping action (Abadie 2003): when a partial
+    # action is the restriction of a total action on Y to X, the class
+    # of (g, x) corresponds to g.x in the saturation G.X, equivariantly;
+    # the quotient topology is the subspace topology of G.X when X is
+    # open in Y, and finer than it otherwise.  Every sweep instance is
+    # such a restriction, so record Y and its table at each ``induced``
+    # call the sweep generators make.
+    records = []
+
+    def recording(group, space, rows, carrier):
+        pa = induced(group, space, rows, carrier)
+        records.append((space, rows, carrier, pa))
+        return pa
+
+    monkeypatch.setattr(instances, "induced", recording)
+    induced_family(4, 3)
+    instances.induced_instances([(klein_four(), (1, 2))], 3)
+    instances.induced_instances([(symmetric3(), (1, 3))], 3)
+
+    valid = open_carriers = finer_only = 0
+    for space, rows, carrier, pa in records:
+        if not validate(pa).ok:
+            continue
+        valid += 1
+        glob = build(pa)
+        points = list(iter_bits(carrier))
+        image = {}
+        for g in pa.group.elements():
+            for i, p in enumerate(points):
+                c = glob.class_of(g, i)
+                assert image.setdefault(c, rows[g][p]) == rows[g][p], (pa, g, i)
+        saturation = {rows[g][p] for g in pa.group.elements() for p in points}
+        assert len(image) == glob.num_classes == len(saturation), pa
+        assert set(image.values()) == saturation, pa
+        for g in pa.group.elements():
+            for c in range(glob.num_classes):
+                assert image[glob.action[g][c]] == rows[g][image[c]], (pa, g, c)
+
+        sat_mask = sum(1 << y for y in saturation)
+        quotient_nbrs = [
+            sum(1 << image[d] for d in iter_bits(glob.topology.nbrs[c]))
+            for c in range(glob.num_classes)
+        ]
+        subspace_nbrs = [
+            space.nbrs[image[c]] & sat_mask for c in range(glob.num_classes)
+        ]
+        if all(space.nbrs[p] & ~carrier == 0 for p in points):
+            open_carriers += 1
+            assert quotient_nbrs == subspace_nbrs, pa
+        else:
+            # finer: every class has a smaller minimal neighbourhood
+            assert all(q & ~s == 0 for q, s in zip(quotient_nbrs, subspace_nbrs)), pa
+            finer_only += quotient_nbrs != subspace_nbrs
+    assert (len(records), valid, open_carriers, finer_only) == (2684, 2552, 1520, 252)

@@ -31,6 +31,17 @@ def test_cyclic_rejects_bad_order():
         cyclic(-2)
 
 
+def test_booleans_are_not_group_integers():
+    # JSON true and false are ints to Python; a table holding them would
+    # serialize as booleans that the document parser refuses
+    for k in (True, False):
+        with pytest.raises(InvalidOrder):
+            cyclic(k)
+    for table in ([[0, True], [True, False]], [[False]]):
+        with pytest.raises(ValueError, match="out of range"):
+            make_group(table)
+
+
 def test_group_order_limit():
     # both kinds refuse before building or scanning a table: 257 rows of
     # length one would otherwise fail the shape check

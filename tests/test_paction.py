@@ -14,6 +14,7 @@ from pactop import (
     induced,
     induced_family,
     lifted_action,
+    mutant_family,
     orbit,
     orbit_consistency_report,
     orbit_equivalence,
@@ -300,6 +301,18 @@ def test_sweep_families_keep_their_members_and_order(family, s3_family, family3)
     assert _tables_digest(family3) == (146, "e83d45e946fb9560")
     assert _tables_digest(family) == (353, "ca61538b8b92b9f0")
     assert _tables_digest(s3_family) == (94, "616c502ba707ce61")
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [[], [PartialAction(cyclic(2), FinTop(0, (0,)), (0, 0), ((), ()))]],
+    ids=["no-instance", "no-point"],
+)
+def test_mutant_family_needs_a_point(instances):
+    # every mutator needs a point: the empty list used to fail inside
+    # random.choice and the pointless instance to draw forever
+    with pytest.raises(ValueError, match="at least one point"):
+        mutant_family(instances, 5)
 
 
 def test_orbit_consistency_on_valid_family(valid_family):
