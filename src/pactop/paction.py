@@ -56,9 +56,6 @@ class PartialAction:
                 if y < -1 or y >= size:
                     raise ValueError(f"maps[{g}][{x}] = {y} out of range")
 
-    def defined(self, g: int, x: int) -> bool:
-        return self.maps[g][x] >= 0
-
     def act(self, g: int, x: int) -> int:
         y = self.maps[g][x]
         if y < 0:
@@ -199,33 +196,33 @@ def well_formedness(pa: PartialAction) -> Report:
 
 
 def _pair_axioms(pa: PartialAction) -> Report:
+    # On well-formed tables maps[g][x] == y >= 0 says exactly that g is
+    # defined at x and moves it to y.
     rb = ReportBuilder("pair-axioms")
-    group, size = pa.group, pa.space.size
-    e = group.identity
+    group, size, maps = pa.group, pa.space.size, pa.maps
+    mul, inv = group.mul, group.inv
 
-    bad = [x for x in range(size) if not (pa.defined(e, x) and pa.act(e, x) == x)]
+    ident = maps[group.identity]
+    bad = [x for x in range(size) if ident[x] != x]
     rb.check("identity acts everywhere as the identity", not bad, tuple(bad))
 
     bad_undo = []
     for g in group.elements():
-        gi = group.inv[g]
-        for x in range(size):
-            if pa.defined(g, x):
-                y = pa.act(g, x)
-                if not (pa.defined(gi, y) and pa.act(gi, y) == x):
-                    bad_undo.append((g, x))
+        back = maps[inv[g]]
+        for x, y in enumerate(maps[g]):
+            if y >= 0 and back[y] != x:
+                bad_undo.append((g, x))
     rb.check("inverse undoes every defined move", not bad_undo, tuple(bad_undo))
 
     bad_comp = []
     for g in group.elements():
+        row_g, mul_g = maps[g], mul[g]
         for h in group.elements():
-            gh = group.mul[g][h]
-            for x in range(size):
-                if pa.defined(h, x) and pa.defined(g, pa.act(h, x)):
-                    if not (
-                        pa.defined(gh, x)
-                        and pa.act(g, pa.act(h, x)) == pa.act(gh, x)
-                    ):
+            row_gh = maps[mul_g[h]]
+            for x, y in enumerate(maps[h]):
+                if y >= 0:
+                    z = row_g[y]
+                    if z >= 0 and row_gh[x] != z:
                         bad_comp.append((g, h, x))
     rb.check(
         "composed moves extend to the product element", not bad_comp, tuple(bad_comp)
@@ -235,16 +232,16 @@ def _pair_axioms(pa: PartialAction) -> Report:
 
 def _bijection_axioms(pa: PartialAction) -> Report:
     rb = ReportBuilder("bijection-axioms")
-    group, size = pa.group, pa.space.size
-    e = group.identity
+    group, size, maps, dom = pa.group, pa.space.size, pa.maps, pa.dom
+    mul, inv, e = group.mul, group.inv, group.identity
 
     bad_bij = []
     for g in group.elements():
-        src = pa.dom[group.inv[g]]
+        row, range_g = maps[g], dom[g]
         seen: dict[int, int] = {}
         image = 0
-        for x in iter_bits(src):
-            y = pa.maps[g][x]
+        for x in iter_bits(dom[inv[g]]):
+            y = row[x]
             if y < 0:
                 bad_bij.append((g, x))
                 continue
@@ -252,27 +249,26 @@ def _bijection_axioms(pa: PartialAction) -> Report:
                 bad_bij.append((g, seen[y], x))
             seen[y] = x
             image |= 1 << y
-        if image != pa.dom[g]:
-            bad_bij.append((g,) + tuple(iter_bits(image ^ pa.dom[g])))
+        if image != range_g:
+            bad_bij.append((g,) + iter_bits(image ^ range_g))
     rb.check("each map is a bijection onto its range set", not bad_bij, tuple(bad_bij))
 
-    id_ok = pa.dom[e] == pa.space.full and all(
-        pa.maps[e][x] == x for x in range(size)
-    )
+    ident = maps[e]
+    id_ok = dom[e] == pa.space.full and all(ident[x] == x for x in range(size))
     rb.check("identity element has full domain and identity map", id_ok)
 
     bad_ranges = []
     for g in group.elements():
+        row, src_g, range_g, mul_g = maps[g], dom[inv[g]], dom[g], mul[g]
         for h in group.elements():
-            src = pa.dom[group.inv[g]] & pa.dom[h]
             img = 0
-            for x in iter_bits(src):
-                y = pa.maps[g][x]
+            for x in iter_bits(src_g & dom[h]):
+                y = row[x]
                 if y < 0:
                     img = -1
                     break
                 img |= 1 << y
-            if img != pa.dom[g] & pa.dom[group.mul[g][h]]:
+            if img != range_g & dom[mul_g[h]]:
                 bad_ranges.append((g, h))
     rb.check(
         "maps carry domain intersections onto range intersections",
@@ -282,12 +278,13 @@ def _bijection_axioms(pa: PartialAction) -> Report:
 
     bad_comp = []
     for g in group.elements():
+        row_g, mul_g = maps[g], mul[g]
         for h in group.elements():
-            gh = group.mul[g][h]
-            region = pa.dom[group.inv[h]] & pa.dom[group.inv[gh]]
-            for x in iter_bits(region):
-                y = pa.maps[h][x]
-                if y < 0 or pa.maps[g][y] < 0 or pa.maps[g][y] != pa.maps[gh][x]:
+            gh = mul_g[h]
+            row_h, row_gh = maps[h], maps[gh]
+            for x in iter_bits(dom[inv[h]] & dom[inv[gh]]):
+                y = row_h[x]
+                if y < 0 or row_g[y] < 0 or row_g[y] != row_gh[x]:
                     bad_comp.append((g, h, x))
     rb.check(
         "composition agrees with the product element on its region",

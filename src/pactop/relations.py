@@ -1,8 +1,11 @@
 """Equivalence relations on dense point ranges, stored as class-id tables,
-and the bitmask iterator every other module imports through topology."""
+and ``iter_bits``, the bit-position reader every other module imports
+through topology.  Masks below 2^12 read their positions from a table
+built once at import; wider masks are scanned one bit at a time."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,12 +22,34 @@ def _canonical(class_id: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def iter_bits(mask: int):
-    """Yield the set bit positions of ``mask`` in increasing order."""
+def _bit_table(width: int) -> list[tuple[int, ...]]:
+    # Entry m holds the set bit positions of m: each doubling step
+    # appends bit b to every entry built so far.
+    table: list[tuple[int, ...]] = [()]
+    for b in range(width):
+        table += [t + (b,) for t in table]
+    return table
+
+
+# 2^12 entries take about 0.4 MB and under 2 ms to build; 2^16 would take
+# 7.4 MB, a large share of a small run's memory.
+_BITS = _bit_table(12)
+_TABLE_SIZE = len(_BITS)
+
+
+def iter_bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask`` in increasing order, as a tuple.
+    Raises ValueError on a negative mask, which has infinitely many."""
+    if 0 <= mask < _TABLE_SIZE:
+        return _BITS[mask]
+    if mask < 0:
+        raise ValueError(f"negative mask {mask} has no finite set of bits")
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -44,7 +69,7 @@ class EqRel:
             raise ValueError("class_id length must equal size")
         object.__setattr__(self, "class_id", _canonical(self.class_id))
 
-    @property
+    @functools.cached_property
     def num_classes(self) -> int:
         return len(set(self.class_id))
 
@@ -66,10 +91,15 @@ def from_relation(size: int, rows: Sequence[int]) -> EqRel:
     """Build an EqRel from per-point rows, checking the axioms.
 
     ``rows[x]`` is the bitmask of the points related to ``x``, within
-    ``range(size)``.  Raises ValueError naming the lexicographically
-    first witnessing point, pair or triple if the relation is not
-    reflexive, symmetric and transitive.
+    ``range(size)``.  Raises ValueError naming the first point whose row
+    leaves that range, then the lexicographically first witnessing
+    point, pair or triple if the relation is not reflexive, symmetric
+    and transitive.
     """
+    full = (1 << size) - 1
+    for x in range(size):
+        if not 0 <= rows[x] <= full:
+            raise ValueError(f"row of {x} is not within range({size})")
     for x in range(size):
         if not (rows[x] >> x) & 1:
             raise ValueError(f"not reflexive at {x}")
@@ -80,11 +110,13 @@ def from_relation(size: int, rows: Sequence[int]) -> EqRel:
     for x in range(size):
         diff = rows[x] ^ columns[x]
         if diff:
-            raise ValueError(f"not symmetric at ({x}, {next(iter_bits(diff))})")
+            y = (diff & -diff).bit_length() - 1
+            raise ValueError(f"not symmetric at ({x}, {y})")
     for x in range(size):
         for y in iter_bits(rows[x]):
             extra = rows[y] & ~rows[x]
             if extra:
-                raise ValueError(f"not transitive at ({x}, {y}, {next(iter_bits(extra))})")
+                z = (extra & -extra).bit_length() - 1
+                raise ValueError(f"not transitive at ({x}, {y}, {z})")
     # Related points now share their row, so the rows label the classes.
     return EqRel(size, tuple(rows))

@@ -297,6 +297,8 @@ def is_homeomorphism(
     exactly when it carries each minimal neighborhood onto that of the
     image point (continuity gives one inclusion; an open image holding
     f(x) the other), and subspace neighborhoods are traces."""
+    _check_subset(src, s, "source set")
+    _check_subset(dst, d, "target set")
     if mask_of(f[x] for x in iter_bits(s)) != d or s.bit_count() != d.bit_count():
         return False
     return all(

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
+from pactop import paction
 from pactop import (
     FinTop,
     PartialAction,
@@ -28,7 +30,7 @@ from pactop import (
     validate,
 )
 from pactop.errors import InvalidSubset, NotAnAction
-from pactop.reports import FAIL, NA, PASS
+from pactop.reports import FAIL, NA, PASS, Report, ReportBuilder
 from pactop.topology import iter_bits, mask_of
 
 Z2 = cyclic(2)
@@ -162,6 +164,158 @@ def test_formulations_agree_across_family(family):
         if agreement.status == PASS:
             pair_ok, bij_ok = agreement.witness
             assert pair_ok == bij_ok
+
+
+def _defined(pa: PartialAction, g: int, x: int) -> bool:
+    return pa.maps[g][x] >= 0
+
+
+def pair_axioms_by_accessors(pa: PartialAction) -> Report:
+    """The pair-style axioms entry by entry through the definedness test
+    and ``act``: the reference for ``paction._pair_axioms``, which reads
+    the map rows directly."""
+    rb = ReportBuilder("pair-axioms")
+    group, size = pa.group, pa.space.size
+    e = group.identity
+
+    bad = [x for x in range(size) if not (_defined(pa, e, x) and pa.act(e, x) == x)]
+    rb.check("identity acts everywhere as the identity", not bad, tuple(bad))
+
+    bad_undo = []
+    for g in group.elements():
+        gi = group.inv[g]
+        for x in range(size):
+            if _defined(pa, g, x):
+                y = pa.act(g, x)
+                if not (_defined(pa, gi, y) and pa.act(gi, y) == x):
+                    bad_undo.append((g, x))
+    rb.check("inverse undoes every defined move", not bad_undo, tuple(bad_undo))
+
+    bad_comp = []
+    for g in group.elements():
+        for h in group.elements():
+            gh = group.mul[g][h]
+            for x in range(size):
+                if _defined(pa, h, x) and _defined(pa, g, pa.act(h, x)):
+                    if not (
+                        _defined(pa, gh, x)
+                        and pa.act(g, pa.act(h, x)) == pa.act(gh, x)
+                    ):
+                        bad_comp.append((g, h, x))
+    rb.check(
+        "composed moves extend to the product element", not bad_comp, tuple(bad_comp)
+    )
+    return rb.build()
+
+
+def bijection_axioms_by_accessors(pa: PartialAction) -> Report:
+    """The bijection-style axioms reading every table through ``pa`` in
+    the loop: the reference for ``paction._bijection_axioms``."""
+    rb = ReportBuilder("bijection-axioms")
+    group, size = pa.group, pa.space.size
+    e = group.identity
+
+    bad_bij = []
+    for g in group.elements():
+        src = pa.dom[group.inv[g]]
+        seen: dict[int, int] = {}
+        image = 0
+        for x in iter_bits(src):
+            y = pa.maps[g][x]
+            if y < 0:
+                bad_bij.append((g, x))
+                continue
+            if y in seen:
+                bad_bij.append((g, seen[y], x))
+            seen[y] = x
+            image |= 1 << y
+        if image != pa.dom[g]:
+            bad_bij.append((g,) + tuple(iter_bits(image ^ pa.dom[g])))
+    rb.check("each map is a bijection onto its range set", not bad_bij, tuple(bad_bij))
+
+    id_ok = pa.dom[e] == pa.space.full and all(
+        pa.maps[e][x] == x for x in range(size)
+    )
+    rb.check("identity element has full domain and identity map", id_ok)
+
+    bad_ranges = []
+    for g in group.elements():
+        for h in group.elements():
+            src = pa.dom[group.inv[g]] & pa.dom[h]
+            img = 0
+            for x in iter_bits(src):
+                y = pa.maps[g][x]
+                if y < 0:
+                    img = -1
+                    break
+                img |= 1 << y
+            if img != pa.dom[g] & pa.dom[group.mul[g][h]]:
+                bad_ranges.append((g, h))
+    rb.check(
+        "maps carry domain intersections onto range intersections",
+        not bad_ranges,
+        tuple(bad_ranges),
+    )
+
+    bad_comp = []
+    for g in group.elements():
+        for h in group.elements():
+            gh = group.mul[g][h]
+            region = pa.dom[group.inv[h]] & pa.dom[group.inv[gh]]
+            for x in iter_bits(region):
+                y = pa.maps[h][x]
+                if y < 0 or pa.maps[g][y] < 0 or pa.maps[g][y] != pa.maps[gh][x]:
+                    bad_comp.append((g, h, x))
+    rb.check(
+        "composition agrees with the product element on its region",
+        not bad_comp,
+        tuple(bad_comp),
+    )
+    return rb.build()
+
+
+def _entry_edits(instances, per_instance: int, seed: int):
+    # one map entry of one instance set to a seeded value in [-1, size):
+    # ill-formed when definedness changes, well-formed (and mostly
+    # failing) when one image is redirected
+    rng = random.Random(seed)
+    for pa in instances:
+        size = pa.space.size
+        if not size:
+            continue
+        for _ in range(per_instance):
+            g, x = rng.randrange(pa.group.order), rng.randrange(size)
+            maps = [list(row) for row in pa.maps]
+            maps[g][x] = rng.randrange(-1, size)
+            yield PartialAction(pa.group, pa.space, pa.dom, tuple(map(tuple, maps)))
+
+
+def test_axioms_match_the_accessor_reference(
+    family, s3_family, valid_family, monkeypatch
+):
+    tables = (
+        family
+        + s3_family
+        + [pa for seed in range(8) for _, pa in mutant_family(valid_family, seed=seed)]
+        + list(_entry_edits(family + s3_family, 5, seed=14))
+    )
+    engine = [validate(pa).to_dict() for pa in tables]
+    monkeypatch.setattr(paction, "_pair_axioms", pair_axioms_by_accessors)
+    monkeypatch.setattr(paction, "_bijection_axioms", bijection_axioms_by_accessors)
+    for pa, report in zip(tables, engine):
+        assert validate(pa).to_dict() == report, pa
+
+    def status(report, name):
+        found = [s["status"] for s in report["sections"] if s["name"] == name]
+        return found[0] if found else NA
+
+    # 638 tables are ill-formed; the axiom sections judge the rest and
+    # reject 2,522 of them
+    counts = [
+        sum(status(r, name) == FAIL for r in engine)
+        for name in ("well-formedness", "pair-axioms", "bijection-axioms")
+    ]
+    assert (len(tables), counts) == (4247, [638, 2522, 2522])
 
 
 def test_acting_set_stabilizer_orbit():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pactop import EqRel, from_relation
+from pactop.relations import iter_bits
 
 
 def from_blocks(size: int, blocks) -> EqRel:
@@ -27,6 +28,15 @@ def test_class_ids_canonical():
     assert a == b
     assert a.num_classes == 2
     assert a.classes() == (0b0101, 0b1010)
+
+
+def test_num_classes_is_kept_apart_from_equality():
+    # the cached class count lives outside the fields, so reading it on
+    # one of two equal relations changes neither equality nor hashing
+    a, b = EqRel(4, (0, 1, 0, 2)), EqRel(4, (7, 5, 7, 6))
+    assert a.num_classes == 3
+    assert a == b and hash(a) == hash(b)
+    assert b.num_classes == 3
 
 
 def test_same_and_class_mask():
@@ -63,6 +73,51 @@ def test_from_relation_rejects_non_transitive():
 def test_from_relation_rejects_non_reflexive():
     with pytest.raises(ValueError):
         from_relation(2, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "rows, point",
+    [((0b111, 0b11), 0), ((-1, 0b11), 0), ((0b11, 0b100), 1), ((0, 0b111), 1)],
+)
+def test_from_relation_rejects_rows_outside_the_points(rows, point):
+    # rows with a bit past the last point used to fail with a bare
+    # IndexError; the range is checked before reflexivity, so (0, 0b111)
+    # names point 1 rather than the reflexivity failure at point 0
+    with pytest.raises(ValueError, match=rf"^row of {point} is not within range\(2\)$"):
+        from_relation(2, rows)
+
+
+def bits_by_scan(mask: int):
+    """Lowest-bit scan, one position at a time: the reference for
+    ``iter_bits``, which reads narrow masks from a table."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_iter_bits_matches_the_scan():
+    # every mask on both sides of the table edge at 2^12, then seeded
+    # masks up to 8,064 bits wide, some made sparse by and-ing draws
+    for mask in range(1 << 14):
+        assert iter_bits(mask) == tuple(bits_by_scan(mask)), mask
+    rng = random.Random(14)
+    for _ in range(400):
+        width = rng.randint(1, 8064)
+        mask = rng.getrandbits(width)
+        for _ in range(rng.randrange(8)):
+            mask &= rng.getrandbits(width)
+        bits = iter_bits(mask)
+        assert type(bits) is tuple
+        assert bits == tuple(bits_by_scan(mask)), mask
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 12), -(1 << 100)])
+def test_iter_bits_rejects_negative_masks(mask):
+    # a negative mask has infinitely many set bits; the old generator
+    # yielded forever on it
+    with pytest.raises(ValueError, match="negative mask"):
+        iter_bits(mask)
 
 
 def scan_relation(size: int, related) -> EqRel:

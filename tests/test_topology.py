@@ -120,6 +120,12 @@ def test_subset_arguments_validated():
         is_meager_in(SIERPINSKI, 0b01, 0b100)
     with pytest.raises(InvalidSubset):
         is_meager_in(SIERPINSKI, 0b11, 0b01)
+    # a negative source set used to fail with a bare IndexError, and a
+    # negative target set to read as a plain "not a homeomorphism"
+    ident = (0, 1, 2)
+    for s, d in ((-1, 0b111), (0b111, -1), (0b1000, 0b111), (0b111, 0b1000)):
+        with pytest.raises(InvalidSubset):
+            is_homeomorphism(ident, discrete(3), s, discrete(3), d)
 
 
 def test_meager_against_oracle():
