@@ -221,17 +221,16 @@ def serialize(spec: ActionSpec) -> dict:
     else:
         group_doc = {"kind": "table", "table": [list(r) for r in pa.group.mul]}
 
-    def name_list(mask: int) -> list[str]:
-        return [spec.names[x] for x in iter_bits(mask)]
-
     return {
         "label": spec.label,
         "group": group_doc,
         "space": {
             "points": list(spec.names),
-            "opens": [name_list(u) for u in pa.space.opens],
+            "opens": [_names_of(spec.names, u) for u in pa.space.opens],
         },
-        "domains": {str(g): name_list(pa.dom[g]) for g in pa.group.elements()},
+        "domains": {
+            str(g): _names_of(spec.names, pa.dom[g]) for g in pa.group.elements()
+        },
         "maps": {
             str(g): {
                 spec.names[x]: spec.names[pa.maps[g][x]]

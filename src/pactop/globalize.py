@@ -9,11 +9,12 @@ slice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import topology as topo
 from .errors import AxiomViolation
-from .paction import PartialAction, pair_index, pair_split
+from .paction import PartialAction, check_total_action, pair_index, pair_split
 from .relations import EqRel, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
@@ -72,59 +73,46 @@ class Globalization:
 
 
 def build(pa: PartialAction) -> Globalization:
-    """Construct the enveloping space, verifying on the way that the
-    translation action is well defined on classes form by form and that
-    the identity-slice embedding is injective."""
+    """Construct the enveloping space on the gluing relation's class ids.
+
+    Translation by g sends class c to the class of (g*h, x) for the
+    least member (h, x) of c, checked at every member of c.  The
+    identity-slice embedding must be injective, and ``check_total_action``
+    must accept the translations on the quotient.
+    """
     group, space = pa.group, pa.space
     size = space.size
     relation = enveloping_relation(pa)
+    class_id, least = relation.class_id, relation.least
 
-    classes = relation.classes()
     action_rows = []
     for g in group.elements():
-        row = []
-        for c, members in enumerate(classes):
-            targets = set()
-            for p in iter_bits(members):
-                h, x = pair_split(size, p)
-                targets.add(relation.class_of(pair_index(size, group.mul[g][h], x)))
-            if len(targets) > 1:
-                raise AxiomViolation(
-                    f"translation by {g} is not well defined on class {c}",
-                    (g, c) + tuple(sorted(targets)),
-                )
-            row.append(targets.pop())
-        action_rows.append(tuple(row))
-
-    embedding = tuple(
-        relation.class_of(pair_index(size, group.identity, x))
-        for x in space.points()
-    )
-    if len(set(embedding)) != size:
-        dup = [
-            (x, y)
-            for x in range(size)
-            for y in range(x + 1, size)
-            if embedding[x] == embedding[y]
-        ]
-        raise AxiomViolation("identity-slice embedding is not injective", tuple(dup))
+        # moved[p] is the class of (g*h, x) for p = (h, x)
+        moved: list[int] = []
+        for gh in group.mul[g]:
+            moved += class_id[pair_index(size, gh, 0):pair_index(size, gh + 1, 0)]
+        row = tuple(moved[p] for p in least)
+        bad = [c for c, m in zip(class_id, moved) if m != row[c]]
+        if bad:
+            c = min(bad)
+            targets = sorted({m for d, m in zip(class_id, moved) if d == c})
+            raise AxiomViolation(
+                f"translation by {g} is not well defined on class {c}", (g, c, *targets)
+            )
+        action_rows.append(row)
 
     e = group.identity
-    if action_rows and action_rows[e] != tuple(range(len(classes))):
-        raise AxiomViolation("identity translation is not the identity")
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mul[g][h]
-            for c in range(len(classes)):
-                if action_rows[g][action_rows[h][c]] != action_rows[gh][c]:
-                    raise AxiomViolation(
-                        "translations do not compose", (g, h, c)
-                    )
+    embedding = class_id[pair_index(size, e, 0):pair_index(size, e + 1, 0)]
+    if len(set(embedding)) != size:
+        dup = tuple(
+            (x, y) for x, y in itertools.combinations(range(size), 2)
+            if embedding[x] == embedding[y]
+        )
+        raise AxiomViolation("identity-slice embedding is not injective", dup)
 
     quotient = topo.quotient(pa.product, relation)
-    reps = tuple(
-        pair_split(size, min(iter_bits(members))) for members in classes
-    )
+    check_total_action(group, quotient, action_rows)
+    reps = tuple(pair_split(size, p) for p in least)
     return Globalization(
         pa, pa.product, relation, quotient, tuple(action_rows), embedding, reps
     )

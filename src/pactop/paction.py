@@ -354,9 +354,11 @@ def validate(pa: PartialAction) -> Report:
     return rb.build()
 
 
-def _check_total_action(
+def check_total_action(
     group: FiniteGroup, space: FinTop, u: Sequence[Sequence[int]]
 ) -> None:
+    """Raise NotAnAction unless the rows ``u`` form a continuous action:
+    permutations, the identity row fixing every point, composition."""
     n, size = group.order, space.size
     if len(u) != n:
         raise NotAnAction("action table needs one row per group element")
@@ -387,7 +389,7 @@ def induced(
     The result lives on the subspace over ``carrier`` (densely
     reindexed); element ``g`` maps onto carrier ∩ u_g(carrier).
     """
-    _check_total_action(group, space, u)
+    check_total_action(group, space, u)
     if carrier < 0 or carrier > space.full:
         raise InvalidSubset("carrier is not within the point range", (carrier,))
 

@@ -58,7 +58,8 @@ class EqRel:
 
     ``class_id[x]`` is the class of point ``x``; ids are normalized to
     first-appearance order, so two EqRel values are equal exactly when
-    they induce the same partition.
+    they induce the same partition; ``least[c]``, cached outside the
+    fields, is where id ``c`` first appears.
     """
 
     size: int
@@ -70,8 +71,16 @@ class EqRel:
         object.__setattr__(self, "class_id", _canonical(self.class_id))
 
     @functools.cached_property
+    def least(self) -> tuple[int, ...]:
+        least: list[int] = []
+        for x, c in enumerate(self.class_id):
+            if c == len(least):
+                least.append(x)
+        return tuple(least)
+
+    @functools.cached_property
     def num_classes(self) -> int:
-        return len(set(self.class_id))
+        return len(self.least)
 
     def same(self, x: int, y: int) -> bool:
         return self.class_id[x] == self.class_id[y]
@@ -91,11 +100,13 @@ def from_relation(size: int, rows: Sequence[int]) -> EqRel:
     """Build an EqRel from per-point rows, checking the axioms.
 
     ``rows[x]`` is the bitmask of the points related to ``x``, within
-    ``range(size)``.  Raises ValueError naming the first point whose row
-    leaves that range, then the lexicographically first witnessing
-    point, pair or triple if the relation is not reflexive, symmetric
-    and transitive.
+    ``range(size)``.  Raises ValueError naming both counts unless there
+    are ``size`` rows, then the first point whose row leaves that range,
+    then the lexicographically first witnessing point, pair or triple if
+    the relation is not reflexive, symmetric and transitive.
     """
+    if len(rows) != size:
+        raise ValueError(f"{len(rows)} rows given for {size} points")
     full = (1 << size) - 1
     for x in range(size):
         if not 0 <= rows[x] <= full:

@@ -55,9 +55,8 @@ def is_selector_for(sel: SelectorMap, rel: EqRel) -> bool:
 
 
 def min_selector(rel: EqRel) -> SelectorMap:
-    """Send every point to the least member of its class."""
-    least = [min(iter_bits(mask)) for mask in rel.classes()]
-    return SelectorMap(rel.size, tuple(least[rel.class_of(x)] for x in range(rel.size)))
+    """Send every point to the least member of its class, ``rel.least``."""
+    return SelectorMap(rel.size, tuple(rel.least[c] for c in rel.class_id))
 
 
 def transversal(sel: SelectorMap) -> int:
@@ -274,16 +273,15 @@ def bireducibility_report(glob: Globalization, sel: SelectorMap) -> Report:
         tuple(bad_fwd[:8]),
     )
 
-    values = [set() for _ in range(glob.num_classes)]
-    for p in range(glob.relation.size):
-        _, x = pair_split(size, sel.image[p])
-        values[glob.relation.class_of(p)].add(x)
-    multi = [c for c, vals in enumerate(values) if len(vals) != 1]
+    coordinate = [pair_split(size, q)[1] for q in sel.image]
+    back = [coordinate[p] for p in glob.relation.least]
+    multi = sorted({
+        c for c, x in zip(glob.relation.class_id, coordinate) if x != back[c]
+    })
     if multi:
         raise AxiomViolation(
             "selector second coordinate is not constant on classes", tuple(multi)
         )
-    back = [vals.pop() for vals in values]
 
     bad_bwd = [
         (c, d)

@@ -2,12 +2,18 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
 import oracles
+import pactop.globalize as globalize
+import pactop.topology as topology
 from conftest import klein_four, symmetric3
 from pactop import (
+    EqRel,
+    FinTop,
+    Globalization,
     PartialAction,
     build,
     cyclic,
@@ -22,9 +28,10 @@ from pactop import (
     instances,
     mutant_family,
     pair_index,
+    pair_split,
     validate,
 )
-from pactop.errors import AxiomViolation
+from pactop.errors import AxiomViolation, NotAnAction, PactopError
 from pactop.reports import FAIL, INFO, NA, PASS
 from pactop.topology import is_homeomorphism, iter_bits, mask_of
 
@@ -119,6 +126,143 @@ def test_build_rejects_invalid_instance():
     )
     with pytest.raises(AxiomViolation):
         build(broken)
+
+
+def build_by_class_masks(pa):
+    """``build`` as it was first written, kept as the reference: each
+    class read as a product-wide member mask, its translation targets
+    gathered in a set, and the action laws checked in place."""
+    group, space = pa.group, pa.space
+    size = space.size
+    relation = globalize.enveloping_relation(pa)
+
+    classes = relation.classes()
+    action_rows = []
+    for g in group.elements():
+        row = []
+        for c, members in enumerate(classes):
+            targets = set()
+            for p in iter_bits(members):
+                h, x = pair_split(size, p)
+                targets.add(relation.class_of(pair_index(size, group.mul[g][h], x)))
+            if len(targets) > 1:
+                raise AxiomViolation(
+                    f"translation by {g} is not well defined on class {c}",
+                    (g, c) + tuple(sorted(targets)),
+                )
+            row.append(targets.pop())
+        action_rows.append(tuple(row))
+
+    embedding = tuple(
+        relation.class_of(pair_index(size, group.identity, x))
+        for x in space.points()
+    )
+    if len(set(embedding)) != size:
+        dup = [
+            (x, y)
+            for x in range(size)
+            for y in range(x + 1, size)
+            if embedding[x] == embedding[y]
+        ]
+        raise AxiomViolation("identity-slice embedding is not injective", tuple(dup))
+
+    e = group.identity
+    if action_rows and action_rows[e] != tuple(range(len(classes))):
+        raise AxiomViolation("identity translation is not the identity")
+    for g in group.elements():
+        for h in group.elements():
+            gh = group.mul[g][h]
+            for c in range(len(classes)):
+                if action_rows[g][action_rows[h][c]] != action_rows[gh][c]:
+                    raise AxiomViolation("translations do not compose", (g, h, c))
+
+    quotient = topology.quotient(pa.product, relation)
+    reps = tuple(pair_split(size, min(iter_bits(members))) for members in classes)
+    return Globalization(
+        pa, pa.product, relation, quotient, tuple(action_rows), embedding, reps
+    )
+
+
+def _outcome(construct, pa):
+    try:
+        return construct(pa)
+    except PactopError as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def test_build_matches_the_class_mask_reference(family, s3_family):
+    mutants = [m for _, m in mutant_family(family, 400, seed=1)]
+    returned = 0
+    for pa in [*family, *s3_family, *mutants]:
+        expected = _outcome(build_by_class_masks, pa)
+        assert _outcome(build, pa) == expected, pa
+        returned += isinstance(expected, Globalization)
+    assert returned == 353 + 94 + 11
+
+
+def _merge_two(rel, rng):
+    a, b = rng.sample(range(rel.num_classes), 2)
+    return tuple(a if c == b else c for c in rel.class_id)
+
+
+def _split_two(rel, rng):
+    # one seeded member of each of two seeded classes moves to a class
+    # of its own; one translation can then break two classes
+    cid = list(rel.class_id)
+    members = [[p for p, d in enumerate(cid) if d == c] for c in range(rel.num_classes)]
+    for k, c in enumerate(rng.sample(range(rel.num_classes), 2)):
+        if len(members[c]) > 1:
+            cid[rng.choice(members[c])] = -1 - k
+    return tuple(cid)
+
+
+@pytest.mark.parametrize(
+    "change, paths",
+    [
+        (_merge_two, {"translation": 36, "injective": 154, "built": 5}),
+        (_split_two, {"translation": 112, "injective": 0, "built": 83}),
+    ],
+)
+def test_build_matches_the_reference_on_changed_classes(monkeypatch, change, paths):
+    # Each valid gluing relation with seeded classes merged or split:
+    # a relation that translations may not respect, or one that glues
+    # the identity slice, so both raising paths of ``build`` are
+    # compared with the reference.
+    glue = globalize.enveloping_relation
+    rng = random.Random(0)
+    seen = {"translation": 0, "injective": 0, "built": 0}
+    for pa in induced_family(4, 3):
+        if not validate(pa).ok:
+            continue
+        rel = glue(pa)
+        if rel.num_classes < 2:
+            continue
+        changed = EqRel(rel.size, change(rel, rng))
+        monkeypatch.setattr(globalize, "enveloping_relation", lambda _: changed)
+        expected = _outcome(build_by_class_masks, pa)
+        assert _outcome(build, pa) == expected, (pa, changed)
+        if isinstance(expected, Globalization):
+            seen["built"] += 1
+        else:
+            seen["injective" if "injective" in expected[1] else "translation"] += 1
+    assert seen == paths
+
+
+def test_build_checks_the_translations_on_the_quotient(monkeypatch):
+    # The action laws and continuity are read from the total-action
+    # check on the quotient; a quotient on which the swap is not
+    # continuous must be refused.
+    sierpinski = FinTop(2, (0, 0b10, 0b11))
+    monkeypatch.setattr(topology, "quotient", lambda t, e: sierpinski)
+    with pytest.raises(NotAnAction, match=r"^row of element 1 is not continuous$") as info:
+        build(SWAP)
+    assert info.value.witness == (1,)
+
+
+def test_least_members_match_class_masks(valid_family, valid_s3_family):
+    for pa in [*valid_family, *valid_s3_family]:
+        for rel in (pa.orbit_relation, enveloping_relation(pa), pa.lifted.orbit_relation):
+            assert rel.least == tuple(min(iter_bits(m)) for m in rel.classes()), pa
 
 
 def test_quotient_topology_against_oracle(valid_globs):

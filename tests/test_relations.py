@@ -31,12 +31,29 @@ def test_class_ids_canonical():
 
 
 def test_num_classes_is_kept_apart_from_equality():
-    # the cached class count lives outside the fields, so reading it on
-    # one of two equal relations changes neither equality nor hashing
+    # the cached class count and least members live outside the fields,
+    # so reading them on one of two equal relations changes neither
+    # equality nor hashing
     a, b = EqRel(4, (0, 1, 0, 2)), EqRel(4, (7, 5, 7, 6))
     assert a.num_classes == 3
+    assert a.least == (0, 1, 3)
     assert a == b and hash(a) == hash(b)
     assert b.num_classes == 3
+    assert b.least == (0, 1, 3)
+    assert "least" in vars(a) and "least" not in vars(EqRel(4, (0, 1, 0, 2)))
+
+
+def least_by_class_masks(rel: EqRel) -> tuple[int, ...]:
+    return tuple(min(iter_bits(mask)) for mask in rel.classes())
+
+
+def test_least_matches_class_masks_on_random_relations():
+    rng = random.Random(3)
+    for _ in range(500):
+        size = rng.randint(0, 16)
+        rel = EqRel(size, tuple(rng.randrange(size) for _ in range(size)))
+        assert rel.least == least_by_class_masks(rel), rel
+        assert rel.num_classes == len(rel.least)
 
 
 def test_same_and_class_mask():
@@ -85,6 +102,15 @@ def test_from_relation_rejects_rows_outside_the_points(rows, point):
     # names point 1 rather than the reflexivity failure at point 0
     with pytest.raises(ValueError, match=rf"^row of {point} is not within range\(2\)$"):
         from_relation(2, rows)
+
+
+@pytest.mark.parametrize("size, rows", [(3, [1, 2]), (2, [1, 2, 4])])
+def test_from_relation_rejects_a_wrong_row_count(size, rows):
+    # a short table used to fail with a bare IndexError, a long one only
+    # after every axiom check passed, in EqRel
+    message = rf"^{len(rows)} rows given for {size} points$"
+    with pytest.raises(ValueError, match=message):
+        from_relation(size, rows)
 
 
 def bits_by_scan(mask: int):

@@ -18,9 +18,11 @@ from pactop import (
     normalized_selector,
     orbit_equivalence,
     orbit_homeomorphism_report,
+    pair_split,
     transversal,
     transversal_topology,
 )
+from pactop.errors import AxiomViolation
 
 SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 K3 = example_k3()
@@ -115,6 +117,41 @@ def test_bireducibility_across_family(valid_globs):
     for pa, glob in valid_globs:
         rep = bireducibility_report(glob, normalized_selector(pa))
         assert rep.ok, (pa, rep.failures())
+
+
+def coordinate_spread_by_class_sets(glob, sel):
+    """The selector-coordinate check as first written, kept as the
+    reference: each class's second coordinates gathered in a set, and
+    the classes whose set has more than one value."""
+    size = glob.source.space.size
+    values = [set() for _ in range(glob.num_classes)]
+    for p in range(glob.relation.size):
+        _, x = pair_split(size, sel.image[p])
+        values[glob.relation.class_of(p)].add(x)
+    return tuple(c for c, vals in enumerate(values) if len(vals) != 1)
+
+
+def test_bireducibility_coordinate_witness_matches_class_sets(
+    valid_globs, valid_s3_family
+):
+    # The identity selector keeps every pair's own coordinate, so it
+    # varies inside every class that glues two points of the carrier.
+    globs = [*valid_globs, *((pa, build(pa)) for pa in valid_s3_family)]
+    raised = 0
+    for pa, glob in globs:
+        assert coordinate_spread_by_class_sets(glob, normalized_selector(pa)) == ()
+        n = glob.relation.size
+        identity = SelectorMap(n, tuple(range(n)))
+        spread = coordinate_spread_by_class_sets(glob, identity)
+        if not spread:
+            bireducibility_report(glob, identity)
+            continue
+        message = "^selector second coordinate is not constant on classes$"
+        with pytest.raises(AxiomViolation, match=message) as info:
+            bireducibility_report(glob, identity)
+        assert info.value.witness == spread, pa
+        raised += 1
+    assert (len(globs), raised) == (415, 164)
 
 
 def test_orbit_enumeration_across_family(valid_family):
