@@ -436,16 +436,40 @@ _ENVELOPE = {"partial-action-validation", "envelope-construction", "embedding",
 _SELECTOR = {"selector-construction", "transversal-topology", "translation-continuity",
              "bireducibility", "orbit-enumeration", "selector"}
 
-# a command is the set of stages it runs
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its line in ``pactop --help``, the stages it runs,
+    and its options beyond ``spec`` and ``--format``, each a flag with
+    the keywords of ``add_argument``."""
+
+    help: str
+    stages: set[str]
+    options: tuple[tuple[str, dict], ...] = ()
+
+
+# the commands in the order ``pactop --help`` lists them
 _COMMANDS = {
-    "validate": {"partial-action-validation", "orbit-consistency"},
-    "orbits": {"well-formedness", "points", "orbit-consistency"},
-    "globalize": _ENVELOPE | {"envelope", "dot"},
-    "vaught": {"point-set", "group-part", "well-formedness", "transform",
-               "transform-identities", "open-case-transform"},
-    "selector": _ENVELOPE | _SELECTOR,
-    "report": _ENVELOPE | _SELECTOR | {"envelope", "orbit-consistency",
-                                       "transform-identities"},
+    "validate": _Command("axioms in both formulations",
+                         {"partial-action-validation", "orbit-consistency"}),
+    "orbits": _Command("orbits, stabilizers, acting sets",
+                       {"well-formedness", "points", "orbit-consistency"}),
+    "globalize": _Command(
+        "enveloping space and its checks", _ENVELOPE | {"envelope", "dot"},
+        (("--dot", {"metavar": "PATH", "help": "write the DOT graph here"}),),
+    ),
+    "vaught": _Command(
+        "category transforms",
+        {"point-set", "group-part", "well-formedness", "transform",
+         "transform-identities", "open-case-transform"},
+        (("--set", {"default": "", "help": "comma-separated point names"}),
+         ("--open-g", {"default": "all", "dest": "open_g",
+                       "help": "comma-separated element indices, or 'all'"}),
+         ("--kind", {"choices": ("delta", "star"), "default": "delta"})),
+    ),
+    "selector": _Command("transversal topology and reductions", _ENVELOPE | _SELECTOR),
+    "report": _Command("everything", _ENVELOPE | _SELECTOR | {
+        "envelope", "orbit-consistency", "transform-identities"}),
 }
 
 
@@ -456,8 +480,9 @@ def _run(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
     v = {**vars(args), "spec": spec, "pa": spec.pa}
     data: dict = {}
     reports: list[Report] = []
+    stages = _COMMANDS[args.command].stages
     for name, needs, fn in _STAGES:
-        if name not in _COMMANDS[args.command] or any(v.get(n) is None for n in needs):
+        if name not in stages or any(v.get(n) is None for n in needs):
             continue
         try:
             out = fn(v)
@@ -472,31 +497,26 @@ def _run(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
     return data, reports
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command when it is
+    None.  Both print the same texts for the arguments they accept: the
+    top-level usage, which the unrecognized-arguments error shows, names
+    every command either way."""
     parser = argparse.ArgumentParser(
         prog="pactop",
         description="validate and analyze partial actions of finite groups "
         "on finite topological spaces",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    # with every command registered, argparse writes the same {...} list
+    # itself, and names the argument "command" in its errors
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        p = sub.add_parser(name, help=_COMMANDS[name].help)
         p.add_argument("spec", help="JSON action document")
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    common(sub.add_parser("validate", help="axioms in both formulations"))
-    common(sub.add_parser("orbits", help="orbits, stabilizers, acting sets"))
-    p = sub.add_parser("globalize", help="enveloping space and its checks")
-    common(p)
-    p.add_argument("--dot", metavar="PATH", help="write the DOT graph here")
-    p = sub.add_parser("vaught", help="category transforms")
-    common(p)
-    p.add_argument("--set", default="", help="comma-separated point names")
-    p.add_argument("--open-g", default="all", dest="open_g",
-                   help="comma-separated element indices, or 'all'")
-    p.add_argument("--kind", choices=("delta", "star"), default="delta")
-    common(sub.add_parser("selector", help="transversal topology and reductions"))
-    common(sub.add_parser("report", help="everything"))
+        for flag, options in _COMMANDS[name].options:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -524,7 +544,11 @@ def _render(label: str, command: str, data: dict,
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command needs only its own parser; anything else (help, no
+    # arguments, an unknown command) gets the parser of every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         with open(args.spec, "rb") as fh:
             document = fh.read()

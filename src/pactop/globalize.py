@@ -159,7 +159,7 @@ def embedding_report(glob: Globalization) -> Report:
         tuple(bad_eq),
     )
 
-    if topo.is_open(glob.product, pa.graph):
+    if pa.graph_open:
         rb.check(
             "embedded image open (definedness graph open)",
             topo.is_open(glob.topology, image),

@@ -63,9 +63,10 @@ class PartialAction:
         return y
 
     # Derived tables, each computed on first read and kept on the
-    # action.  ``acting``, ``graph`` and ``product`` read only ``dom``
-    # and the space, so ``validate`` may read them on any tables; the
-    # others call ``act`` and raise KeyError on ill-formed tables.
+    # action.  ``acting``, ``graph``, ``product`` and ``graph_open`` read
+    # only ``dom`` and the space, so ``validate`` may read them on any
+    # tables; the others call ``act`` and raise KeyError on ill-formed
+    # tables.
 
     @functools.cached_property
     def acting(self) -> tuple[int, ...]:
@@ -123,6 +124,11 @@ class PartialAction:
     def product(self) -> FinTop:
         """The group-indexed product of the space with the discrete group."""
         return topo.product_with_discrete(self.space, self.group.order)
+
+    @functools.cached_property
+    def graph_open(self) -> bool:
+        """Whether ``graph`` is open in ``product``."""
+        return topo.is_open(self.product, self.graph)
 
     @functools.cached_property
     def orbit_relation(self) -> EqRel:
@@ -316,11 +322,10 @@ def _topological(pa: PartialAction, algebra_ok: bool) -> Report:
             tuple(bad_homeo),
         )
 
-    graph_open = topo.is_open(pa.product, pa.graph)
-    rb.info("definedness graph open in the product", (graph_open,))
+    rb.info("definedness graph open in the product", (pa.graph_open,))
     rb.info(
         "definedness graph is a countable intersection of opens",
-        (graph_open,),
+        (pa.graph_open,),
         "finite carrier: such intersections collapse to opens",
     )
     return rb.build()

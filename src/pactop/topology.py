@@ -80,6 +80,14 @@ class FinTop:
         LimitExceeded past ``OPEN_SET_LIMIT`` sets."""
         return _up_sets(self.nbrs)
 
+    @cached_property
+    def atoms(self) -> tuple[int, ...]:
+        """Atoms of the algebra the opens generate, in increasing order;
+        computed once.  Two points share an atom exactly when every open
+        contains both or neither, i.e. when their minimal neighborhoods
+        coincide."""
+        return tuple(sorted(_points_by_nbr(self.nbrs).values()))
+
     @property
     def full(self) -> int:
         return (1 << self.size) - 1
@@ -242,17 +250,13 @@ def quotient(t: FinTop, e: EqRel) -> FinTop:
 
 
 def borel_atoms(t: FinTop) -> tuple[int, ...]:
-    """Atoms of the algebra generated by the opens.
-
-    Two points sit in the same atom exactly when every open contains
-    both or neither, i.e. when their minimal neighborhoods coincide.
-    """
-    return tuple(sorted(_points_by_nbr(t.nbrs).values()))
+    """Atoms of the algebra generated by the opens: ``t.atoms``."""
+    return t.atoms
 
 
 def is_borel(t: FinTop, mask: int) -> bool:
     _check_subset(t, mask, "set")
-    return all(atom & mask in (0, atom) for atom in borel_atoms(t))
+    return all(atom & mask in (0, atom) for atom in t.atoms)
 
 
 def borel_algebra(t: FinTop) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pactop import all_topologies, cyclic, discrete, induced, mutant_family
+from pactop import all_topologies, cli, cyclic, discrete, induced, mutant_family
 from pactop.cli import ActionSpec, main, parse, serialize
 from pactop.errors import SchemaError
 
@@ -347,6 +348,95 @@ def test_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
     if "--dot" in args:
         assert (tmp_path / "envelope.dot").read_text() == (
             GOLDEN / "globalize.dot").read_text()
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The parser of all six commands, written out one by one: what
+    ``main`` built for every call before it built only the named
+    command's parser."""
+    parser = argparse.ArgumentParser(
+        prog="pactop",
+        description="validate and analyze partial actions of finite groups "
+        "on finite topological spaces",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("spec", help="JSON action document")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+
+    common(sub.add_parser("validate", help="axioms in both formulations"))
+    common(sub.add_parser("orbits", help="orbits, stabilizers, acting sets"))
+    p = sub.add_parser("globalize", help="enveloping space and its checks")
+    common(p)
+    p.add_argument("--dot", metavar="PATH", help="write the DOT graph here")
+    p = sub.add_parser("vaught", help="category transforms")
+    common(p)
+    p.add_argument("--set", default="", help="comma-separated point names")
+    p.add_argument("--open-g", default="all", dest="open_g",
+                   help="comma-separated element indices, or 'all'")
+    p.add_argument("--kind", choices=("delta", "star"), default="delta")
+    common(sub.add_parser("selector", help="transversal topology and reductions"))
+    common(sub.add_parser("report", help="everything"))
+    return parser
+
+
+def run_main(argv) -> tuple[str, str, object]:
+    """stdout, stderr and the exit code of ``main(argv)``, or the code of
+    the SystemExit argparse raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+COMMANDS = ["validate", "orbits", "globalize", "vaught", "selector", "report"]
+PARITY_ARGS = [
+    ["--help"], ["-h", "report"],
+    *([c, "--help"] for c in COMMANDS),
+    [], ["nosuch", EXAMPLE],
+    ["report"], ["report", EXAMPLE, "--format", "xml"],
+    ["vaught", EXAMPLE, "--kind", "gamma"],
+    # unrecognized arguments are reported with the top-level usage
+    ["report", EXAMPLE, "--bogus"], ["report", EXAMPLE, "--dot", "envelope.dot"],
+    *([args[0], EXAMPLE, *args[1:]] for args in GOLDEN_CASES.values()),
+]
+
+
+@pytest.mark.parametrize("via_sys_argv", [False, True])
+@pytest.mark.parametrize("columns", ["80", "30"])
+@pytest.mark.parametrize(
+    "argv", PARITY_ARGS,
+    ids=[" ".join(a).replace(EXAMPLE, "example") or "none" for a in PARITY_ARGS])
+def test_texts_and_exit_codes_match_the_six_subparser_parser(
+        argv, columns, via_sys_argv, tmp_path, monkeypatch):
+    # COLUMNS sets argparse's wrapping width; the DOT file goes to tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", columns)
+    if via_sys_argv:  # how the console script calls main
+        monkeypatch.setattr(sys, "argv", ["pactop", *argv])
+        argv = None
+    got = run_main(argv)
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: reference_parser())
+    assert got == run_main(argv)
+
+
+def test_a_known_command_builds_only_its_own_parser(monkeypatch, capsys):
+    built = []
+    real = cli._build_parser
+    monkeypatch.setattr(
+        cli, "_build_parser", lambda command=None: built.append(command) or real(command))
+    monkeypatch.setattr(sys, "argv", ["pactop", "validate", EXAMPLE])
+    for argv in (["vaught", EXAMPLE], ["--help"], ["nosuch", EXAMPLE], None):
+        run_main(argv)
+    assert built == ["vaught", None, None, "validate"]
+    with pytest.raises(SystemExit) as exc:  # the lone parser knows no other command
+        real("vaught").parse_args(["report", EXAMPLE])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_selector_command():
