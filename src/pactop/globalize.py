@@ -24,20 +24,26 @@ def enveloping_relation(pa: PartialAction) -> EqRel:
     """Gluing relation on the group-indexed product.
 
     (g, x) ~ (h, y) when x lies in the domain of inv(g)*h and the
-    element inv(h)*g moves x to y.  On a valid partial action this is an
-    equivalence; otherwise AxiomViolation reports the broken axiom.
+    element inv(h)*g moves x to y.  So the row of (g, x) lists
+    (g*k, inv(k).x) for each k with x in dom(k).  On a valid partial
+    action this is an equivalence; otherwise AxiomViolation reports the
+    broken axiom.
     """
     group, size = pa.group, pa.space.size
-    rows = []
-    for g in group.elements():
-        for x in pa.space.points():
-            # h = g*k with x in dom(k), so inv(h)*g = inv(k) moves x.
-            row = 0
-            for h in group.elements():
-                k = group.mul[group.inv[g]][h]
-                if (pa.dom[k] >> x) & 1:
-                    row |= 1 << pair_index(size, h, pa.act(group.inv[k], x))
-            rows.append(row)
+    inv = group.inv
+    # moves[x] holds (k, inv(k).x) for each k with x in dom(k), listed by
+    # increasing h = 0*k: a missing image raises KeyError at the first
+    # (x, h) of the pair condition at g = 0.
+    first = group.mul[inv[0]]
+    moves = [
+        [(k, pa.act(inv[k], x)) for k in first if (pa.dom[k] >> x) & 1]
+        for x in pa.space.points()
+    ]
+    rows = [
+        [mul_g[k] * size + y for k, y in xmoves]
+        for mul_g in group.mul
+        for xmoves in moves
+    ]
     try:
         return from_relation(group.order * size, rows)
     except ValueError as exc:
@@ -190,7 +196,10 @@ def embedding_report(glob: Globalization) -> Report:
 
 def hat_relation_report(glob: Globalization) -> Report:
     """The gluing relation must coincide exactly with the orbit
-    relation of the lifted action on the product."""
+    relation of the lifted action on the product.  The two are built by
+    different formulas: the gluing rows from the domains and moves of
+    the source, the lifted orbit rows from the columns of the lifted
+    action's maps."""
     rb = ReportBuilder("lift-orbit-relation")
     lifted_orbits = glob.source.lifted.orbit_relation
     same = glob.relation == lifted_orbits

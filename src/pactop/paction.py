@@ -175,11 +175,28 @@ def orbit(pa: PartialAction, x: int) -> int:
 
 def orbit_equivalence(pa: PartialAction) -> EqRel:
     """The reachability relation; on a valid partial action it is an
-    equivalence, otherwise AxiomViolation names the broken axiom."""
+    equivalence, otherwise AxiomViolation names the broken axiom.
+
+    The row of x is column x of ``maps``: its defined entries are the
+    images g.x.  That reading needs each map defined exactly on
+    dom[inv(g)]; otherwise the rows are read from ``orbits``, which
+    raises KeyError where a domain point has no image.
+    """
+    inv = pa.group.inv
+    if all(_defined(row) == pa.dom[inv[g]] for g, row in enumerate(pa.maps)):
+        rows = [[y for y in column if y >= 0] for column in zip(*pa.maps)]
+    else:
+        rows = [iter_bits(o) for o in pa.orbits]
     try:
-        return from_relation(pa.space.size, pa.orbits)
+        return from_relation(pa.space.size, rows)
     except ValueError as exc:
         raise AxiomViolation(f"orbit relation is not an equivalence: {exc}") from exc
+
+
+def _defined(row: Sequence[int]) -> int:
+    # The mask of the points where ``row`` is defined, parsed as one
+    # binary literal: linear in the row length, however wide.
+    return int("0" + "".join(["0" if y < 0 else "1" for y in reversed(row)]), 2)
 
 
 def well_formedness(pa: PartialAction) -> Report:
@@ -189,7 +206,7 @@ def well_formedness(pa: PartialAction) -> Report:
     ok = True
     for g in pa.group.elements():
         expected = pa.dom[pa.group.inv[g]]
-        actual = mask_of(x for x in pa.space.points() if pa.maps[g][x] >= 0)
+        actual = _defined(pa.maps[g])
         if actual != expected:
             bad = tuple(iter_bits(actual ^ expected))
             ok = rb.check(

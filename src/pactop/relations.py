@@ -96,21 +96,51 @@ class EqRel:
         return tuple(masks)
 
 
-def from_relation(size: int, rows: Sequence[int]) -> EqRel:
-    """Build an EqRel from per-point rows, checking the axioms.
+def from_relation(size: int, rows: Sequence[Sequence[int]]) -> EqRel:
+    """Build an EqRel from per-point label rows, checking the axioms.
 
-    ``rows[x]`` is the bitmask of the points related to ``x``, within
-    ``range(size)``.  Raises ValueError naming both counts unless there
-    are ``size`` rows, then the first point whose row leaves that range,
-    then the lexicographically first witnessing point, pair or triple if
-    the relation is not reflexive, symmetric and transitive.
+    ``rows[p]`` lists the points related to ``p``, within ``range(size)``,
+    in any order and possibly more than once.  Each point not yet
+    labelled gives the members of its row a fresh label; they must all
+    be unlabelled.  The rows are then exactly the classes, so the
+    relation is an equivalence, when every point is labelled and its row
+    holds exactly the points that carry its label.
+
+    Raises ValueError naming both counts unless there are ``size`` rows,
+    then the first point whose row leaves that range, then the
+    lexicographically first witnessing point, pair or triple if the
+    relation is not reflexive, symmetric and transitive.  The witness is
+    read from member masks, built only when the label check fails.
     """
     if len(rows) != size:
         raise ValueError(f"{len(rows)} rows given for {size} points")
-    full = (1 << size) - 1
-    for x in range(size):
-        if not 0 <= rows[x] <= full:
+    label = [-1] * size
+    classes: list[set[int]] = []  # the points carrying each label
+    for p, row in enumerate(rows):
+        if label[p] < 0:
+            members = set(row)
+            if not members or min(members) < 0 or max(members) >= size:
+                return _scan(size, rows)
+            c = len(classes)
+            for q in members:
+                if label[q] >= 0:
+                    return _scan(size, rows)
+                label[q] = c
+            classes.append(members)
+    for p, row in enumerate(rows):
+        c = label[p]
+        if c < 0 or set(row) != classes[c]:
+            return _scan(size, rows)
+    return EqRel(size, tuple(label))
+
+
+def _scan(size: int, label_rows: Sequence[Sequence[int]]) -> EqRel:
+    # Check the range, then scan the axioms on member masks, in the
+    # witness order ``from_relation`` documents.
+    for x, row in enumerate(label_rows):
+        if row and not (0 <= min(row) and max(row) < size):
             raise ValueError(f"row of {x} is not within range({size})")
+    rows = [sum(1 << q for q in set(row)) for row in label_rows]
     for x in range(size):
         if not (rows[x] >> x) & 1:
             raise ValueError(f"not reflexive at {x}")

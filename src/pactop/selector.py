@@ -70,35 +70,40 @@ def normalized_selector(pa: PartialAction) -> SelectorMap:
     """Selector for the lifted orbit relation, normalized onto the
     identity slice wherever the group element is defined.
 
-    Verifies the identity-slice description of the lifted orbits first:
+    Verifies the identity-slice description of the lifted orbits:
     (identity, x) is related to (g, y) exactly when g is defined at y
-    and moves it to x.  Falls back to the least-member selector on
-    classes that never meet the identity slice.
+    and moves it to x.  So the identity-slice members of the class of
+    (g, y) must be [g.y] where g acts at y and none elsewhere; the
+    lexicographically first failing (x, g, y) is the witness.  Falls
+    back to the least-member selector on classes that never meet the
+    identity slice.
     """
     group, space = pa.group, pa.space
     size = space.size
     e = group.identity
     rel = pa.lifted.orbit_relation
+    class_id = rel.class_id
 
+    # on_slice[c] lists the x with (identity, x) in class c
+    on_slice: dict[int, list[int]] = {}
     for x in space.points():
-        for g in group.elements():
-            for y in space.points():
-                related = rel.same(pair_index(size, e, x), pair_index(size, g, y))
-                direct = bool(
-                    (pa.acting[y] >> g) & 1 and pa.act(g, y) == x
-                )
-                if related != direct:
-                    raise AxiomViolation(
-                        "identity-slice description of lifted orbits failed",
-                        (x, g, y),
-                    )
-
-    base = min_selector(rel)
-    image = list(base.image)
+        on_slice.setdefault(class_id[pair_index(size, e, x)], []).append(x)
+    image = list(min_selector(rel).image)
+    bad = []
     for g in group.elements():
-        for x in space.points():
-            if (pa.acting[x] >> g) & 1:
-                image[pair_index(size, g, x)] = pair_index(size, e, pa.act(g, x))
+        for y in space.points():
+            p = pair_index(size, g, y)
+            direct = []
+            if (pa.acting[y] >> g) & 1:
+                direct = [pa.act(g, y)]
+                image[p] = pair_index(size, e, direct[0])
+            related = on_slice.get(class_id[p], [])
+            if related != direct:
+                bad += [(x, g, y) for x in set(related) ^ set(direct)]
+    if bad:
+        raise AxiomViolation(
+            "identity-slice description of lifted orbits failed", min(bad)
+        )
     sel = SelectorMap(rel.size, tuple(image))
     if not is_selector_for(sel, rel):
         raise AxiomViolation("normalized map is not a selector for the lifted orbits")
@@ -255,10 +260,8 @@ def bireducibility_report(glob: Globalization, sel: SelectorMap) -> Report:
     size = pa.space.size
     rb = ReportBuilder("bireducibility")
     carrier = pa.orbit_relation
-    envelope = from_relation(
-        glob.num_classes,
-        [mask_of(row[c] for row in glob.action) for c in range(glob.num_classes)],
-    )
+    # the row of class c lists its translates: column c of the action
+    envelope = from_relation(glob.num_classes, list(zip(*glob.action)))
 
     bad_fwd = [
         (x, y)
@@ -301,38 +304,48 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
     """Each lifted orbit is enumerated by the acting set of its base
     point: h goes to (g * inv(h), h.x), with inverse (j, y) going to
     inv(j) * g, and the enumeration is a homeomorphism onto the orbit's
-    subspace (both sides are discrete at finite scale)."""
+    subspace (both sides are discrete at finite scale).
+
+    The source is a subspace of the discrete group, so a bijection is a
+    homeomorphism exactly when the orbit's subspace of the product is
+    discrete: decided once per class, on class labels."""
     group, space = pa.group, pa.space
     size = space.size
     rb = ReportBuilder("orbit-enumeration")
     rel = pa.lifted.orbit_relation
-    group_top = topo.discrete(group.order)
-    class_masks = rel.classes()
+    class_id = rel.class_id
+    members: list[list[int]] = [[] for _ in range(rel.num_classes)]
+    for p, c in enumerate(class_id):
+        members[c].append(p)
+    nbrs = pa.product.nbrs
+    discrete_orbit = [
+        all(q == p or class_id[q] != c for p in ps for q in iter_bits(nbrs[p]))
+        for c, ps in enumerate(members)
+    ]
+
+    # moves[x] pairs each h acting at x with (inv(h), h.x)
+    inv, mul = group.inv, group.mul
+    moves = []
+    for x in space.points():
+        hs = iter_bits(pa.acting[x])
+        moves.append((hs, [(inv[h], pa.act(h, x)) for h in hs]))
+    back = [mul[inv[j]] for j in group.elements()]  # back[j][g] = inv(j) * g
 
     bad_bij: list[tuple] = []
     bad_inv: list[tuple] = []
     bad_homeo: list[tuple] = []
     for g in group.elements():
-        for x in space.points():
-            gx = pa.acting[x]
-            o_mask = class_masks[rel.class_of(pair_index(size, g, x))]
-            rho = {
-                h: pair_index(size, group.mul[g][group.inv[h]], pa.act(h, x))
-                for h in iter_bits(gx)
-            }
-            if mask_of(rho.values()) != o_mask or len(set(rho.values())) != len(rho):
+        mul_g = mul[g]
+        for x, (hs, xmoves) in enumerate(moves):
+            c = class_id[pair_index(size, g, x)]
+            image = [mul_g[ih] * size + y for ih, y in xmoves]
+            if sorted(image) != members[c]:
                 bad_bij.append((g, x))
                 continue
-            ok_inv = True
-            for p in iter_bits(o_mask):
-                j, _ = pair_split(size, p)
-                h = group.mul[group.inv[j]][g]
-                if not (gx >> h) & 1 or rho[h] != p:
-                    ok_inv = False
-                    bad_inv.append((g, x, p))
-            if not ok_inv:
-                continue
-            if not topo.is_homeomorphism(rho, group_top, gx, pa.product, o_mask):
+            rho = dict(zip(hs, image))  # h -> (g * inv(h), h.x)
+            missed = [p for p in members[c] if rho.get(back[p // size][g]) != p]
+            bad_inv += [(g, x, p) for p in missed]
+            if not missed and not discrete_orbit[c]:
                 bad_homeo.append((g, x))
     rb.check("enumeration is a bijection onto the orbit", not bad_bij, tuple(bad_bij))
     rb.check("stated inverse really inverts it", not bad_inv, tuple(bad_inv[:8]))

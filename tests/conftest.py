@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from pactop import build, induced_family, make_group, validate
+from pactop import build, induced_family, make_group, mutant_family, validate
 from pactop.instances import induced_instances
+from references import one_entry_edits
 
 
 def klein_four():
@@ -65,3 +66,13 @@ def valid_family(family):
 def valid_globs(valid_family):
     """Globalizations of every valid instance, built once."""
     return [(pa, build(pa)) for pa in valid_family]
+
+
+@pytest.fixture(scope="session")
+def changed_family(family, s3_family):
+    """Invalid and ill-formed neighbours of the two sweeps: 100 mutants
+    for each seed 0-7, then 800 seeded one-entry edits."""
+    instances = family + s3_family
+    return [
+        m for seed in range(8) for _, m in mutant_family(instances, 100, seed=seed)
+    ] + one_entry_edits(instances, 800, seed=0)

@@ -1,0 +1,251 @@
+"""Mask-row forms of the engine's relation builders and orbit checks,
+kept as the references their label-row forms are compared against; the
+inputs the comparisons run on (one-entry edits, lifted classes merged or
+split); and the saturation check every envelope built from a total
+action must pass.
+
+Each reference reads one product-wide bitmask row per point and scans
+the axioms on masks, as the engine first did.  Slow is fine: these run
+on desk-scale instances only.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pactop.topology as topo
+from pactop import PartialAction, pair_index, pair_split
+from pactop.errors import AxiomViolation
+from pactop.relations import EqRel
+from pactop.reports import ReportBuilder
+from pactop.selector import SelectorMap, is_selector_for, min_selector
+from pactop.topology import iter_bits, mask_of
+
+
+def from_masks(size: int, rows) -> EqRel:
+    """``from_relation`` on bitmask rows: ``rows[x]`` is the mask of the
+    points related to x.  Same checks, order and messages."""
+    if len(rows) != size:
+        raise ValueError(f"{len(rows)} rows given for {size} points")
+    full = (1 << size) - 1
+    for x in range(size):
+        if not 0 <= rows[x] <= full:
+            raise ValueError(f"row of {x} is not within range({size})")
+    for x in range(size):
+        if not (rows[x] >> x) & 1:
+            raise ValueError(f"not reflexive at {x}")
+    columns = [0] * size
+    for x in range(size):
+        for y in iter_bits(rows[x]):
+            columns[y] |= 1 << x
+    for x in range(size):
+        diff = rows[x] ^ columns[x]
+        if diff:
+            y = (diff & -diff).bit_length() - 1
+            raise ValueError(f"not symmetric at ({x}, {y})")
+    for x in range(size):
+        for y in iter_bits(rows[x]):
+            extra = rows[y] & ~rows[x]
+            if extra:
+                z = (extra & -extra).bit_length() - 1
+                raise ValueError(f"not transitive at ({x}, {y}, {z})")
+    return EqRel(size, tuple(rows))
+
+
+def enveloping_relation(pa: PartialAction) -> EqRel:
+    """The gluing relation, one product-wide mask row per (g, x)."""
+    group, size = pa.group, pa.space.size
+    rows = []
+    for g in group.elements():
+        for x in pa.space.points():
+            # h = g*k with x in dom(k), so inv(h)*g = inv(k) moves x.
+            row = 0
+            for h in group.elements():
+                k = group.mul[group.inv[g]][h]
+                if (pa.dom[k] >> x) & 1:
+                    row |= 1 << pair_index(size, h, pa.act(group.inv[k], x))
+            rows.append(row)
+    try:
+        return from_masks(group.order * size, rows)
+    except ValueError as exc:
+        raise AxiomViolation(f"gluing relation is not an equivalence: {exc}") from exc
+
+
+def orbit_equivalence(pa: PartialAction) -> EqRel:
+    """The orbit relation on the ``orbits`` mask rows."""
+    try:
+        return from_masks(pa.space.size, pa.orbits)
+    except ValueError as exc:
+        raise AxiomViolation(f"orbit relation is not an equivalence: {exc}") from exc
+
+
+def normalized_selector(pa: PartialAction, rel: EqRel) -> SelectorMap:
+    """The normalized selector, checking the identity-slice description
+    of the lifted orbit relation ``rel`` at every (x, g, y)."""
+    group, space = pa.group, pa.space
+    size = space.size
+    e = group.identity
+
+    for x in space.points():
+        for g in group.elements():
+            for y in space.points():
+                related = rel.same(pair_index(size, e, x), pair_index(size, g, y))
+                direct = bool(
+                    (pa.acting[y] >> g) & 1 and pa.act(g, y) == x
+                )
+                if related != direct:
+                    raise AxiomViolation(
+                        "identity-slice description of lifted orbits failed",
+                        (x, g, y),
+                    )
+
+    base = min_selector(rel)
+    image = list(base.image)
+    for g in group.elements():
+        for x in space.points():
+            if (pa.acting[x] >> g) & 1:
+                image[pair_index(size, g, x)] = pair_index(size, e, pa.act(g, x))
+    sel = SelectorMap(rel.size, tuple(image))
+    if not is_selector_for(sel, rel):
+        raise AxiomViolation("normalized map is not a selector for the lifted orbits")
+    return sel
+
+
+def orbit_homeomorphism_report(pa: PartialAction, rel: EqRel):
+    """The orbit-enumeration report on class masks of the lifted orbit
+    relation ``rel``, with the homeomorphism clause read from
+    ``is_homeomorphism`` at every (g, x)."""
+    group, space = pa.group, pa.space
+    size = space.size
+    rb = ReportBuilder("orbit-enumeration")
+    group_top = topo.discrete(group.order)
+    class_masks = rel.classes()
+
+    bad_bij: list[tuple] = []
+    bad_inv: list[tuple] = []
+    bad_homeo: list[tuple] = []
+    for g in group.elements():
+        for x in space.points():
+            gx = pa.acting[x]
+            o_mask = class_masks[rel.class_of(pair_index(size, g, x))]
+            rho = {
+                h: pair_index(size, group.mul[g][group.inv[h]], pa.act(h, x))
+                for h in iter_bits(gx)
+            }
+            if mask_of(rho.values()) != o_mask or len(set(rho.values())) != len(rho):
+                bad_bij.append((g, x))
+                continue
+            ok_inv = True
+            for p in iter_bits(o_mask):
+                j, _ = pair_split(size, p)
+                h = group.mul[group.inv[j]][g]
+                if not (gx >> h) & 1 or rho[h] != p:
+                    ok_inv = False
+                    bad_inv.append((g, x, p))
+            if not ok_inv:
+                continue
+            if not topo.is_homeomorphism(rho, group_top, gx, pa.product, o_mask):
+                bad_homeo.append((g, x))
+    rb.check("enumeration is a bijection onto the orbit", not bad_bij, tuple(bad_bij))
+    rb.check("stated inverse really inverts it", not bad_inv, tuple(bad_inv[:8]))
+    rb.check(
+        "enumeration is a homeomorphism for the subspace topologies",
+        not bad_homeo,
+        tuple(bad_homeo),
+    )
+    return rb.build()
+
+
+def on_lifted_relation(reference):
+    """``reference(pa, rel)`` as a check of ``pa`` alone: ``rel`` is the
+    lifted orbit relation the mask ``orbit_equivalence`` builds, so an
+    ill-formed lift fails at the step where the engine's check fails."""
+    return lambda pa: reference(pa, orbit_equivalence(pa.lifted))
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type, message and witness of
+    what it raised."""
+    try:
+        return fn(*args)
+    except (AxiomViolation, KeyError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def one_entry_edits(instances, count: int, seed: int) -> list[PartialAction]:
+    """``count`` seeded copies of members of ``instances`` (each with a
+    point) with one entry changed: a map entry set to another point or
+    to undefined, or one bit of a domain flipped.  Many are ill-formed:
+    a map then misses or overshoots its domain."""
+    rng = random.Random(seed)
+    pool = [pa for pa in instances if pa.space.size]
+    out = []
+    while len(out) < count:
+        pa = rng.choice(pool)
+        size, g = pa.space.size, rng.randrange(pa.group.order)
+        dom, maps = list(pa.dom), [list(row) for row in pa.maps]
+        if rng.random() < 0.7:
+            x = rng.randrange(size)
+            maps[g][x] = rng.choice([y for y in range(-1, size) if y != maps[g][x]])
+        else:
+            dom[g] ^= 1 << rng.randrange(size)
+        out.append(
+            PartialAction(pa.group, pa.space, tuple(dom), tuple(map(tuple, maps)))
+        )
+    return out
+
+
+def merge_two(rel: EqRel, rng: random.Random) -> tuple[int, ...]:
+    """Class ids with two seeded classes merged."""
+    a, b = rng.sample(range(rel.num_classes), 2)
+    return tuple(a if c == b else c for c in rel.class_id)
+
+
+def split_two(rel: EqRel, rng: random.Random) -> tuple[int, ...]:
+    """Class ids with one seeded member of each of two seeded classes
+    moved to a class of its own; one translation can then break two
+    classes."""
+    cid = list(rel.class_id)
+    members = [[p for p, d in enumerate(cid) if d == c] for c in range(rel.num_classes)]
+    for k, c in enumerate(rng.sample(range(rel.num_classes), 2)):
+        if len(members[c]) > 1:
+            cid[rng.choice(members[c])] = -1 - k
+    return tuple(cid)
+
+
+def check_saturation(space, rows, carrier: int, glob) -> tuple[bool, bool]:
+    """Assert that ``glob``, the envelope of the restriction to
+    ``carrier`` of the total action ``rows`` on the space Y, is the
+    saturation G.X.
+
+    By uniqueness of the enveloping action (Abadie 2003) the class of
+    (g, x) corresponds to g.x in G.X, equivariantly; the quotient
+    topology is the subspace topology of G.X when X is open in Y, and
+    finer than it otherwise.  Returns whether X is open in Y, and
+    whether the quotient topology is strictly finer."""
+    pa = glob.source
+    points = list(iter_bits(carrier))
+    image = {}
+    for g in pa.group.elements():
+        for i, p in enumerate(points):
+            c = glob.class_of(g, i)
+            assert image.setdefault(c, rows[g][p]) == rows[g][p], (pa, g, i)
+    saturation = {rows[g][p] for g in pa.group.elements() for p in points}
+    assert len(image) == glob.num_classes == len(saturation), pa
+    assert set(image.values()) == saturation, pa
+    for g in pa.group.elements():
+        for c in range(glob.num_classes):
+            assert image[glob.action[g][c]] == rows[g][image[c]], (pa, g, c)
+
+    sat_mask = sum(1 << y for y in saturation)
+    quotient_nbrs = [
+        sum(1 << image[d] for d in iter_bits(glob.topology.nbrs[c]))
+        for c in range(glob.num_classes)
+    ]
+    subspace_nbrs = [space.nbrs[image[c]] & sat_mask for c in range(glob.num_classes)]
+    if all(space.nbrs[p] & ~carrier == 0 for p in points):
+        assert quotient_nbrs == subspace_nbrs, pa
+        return True, False
+    # finer: every class has a smaller minimal neighbourhood
+    assert all(q & ~s == 0 for q, s in zip(quotient_nbrs, subspace_nbrs)), pa
+    return False, quotient_nbrs != subspace_nbrs

@@ -9,6 +9,7 @@ import pytest
 import oracles
 import pactop.globalize as globalize
 import pactop.topology as topology
+import references
 from conftest import klein_four, symmetric3
 from pactop import (
     EqRel,
@@ -200,27 +201,11 @@ def test_build_matches_the_class_mask_reference(family, s3_family):
     assert returned == 353 + 94 + 11
 
 
-def _merge_two(rel, rng):
-    a, b = rng.sample(range(rel.num_classes), 2)
-    return tuple(a if c == b else c for c in rel.class_id)
-
-
-def _split_two(rel, rng):
-    # one seeded member of each of two seeded classes moves to a class
-    # of its own; one translation can then break two classes
-    cid = list(rel.class_id)
-    members = [[p for p, d in enumerate(cid) if d == c] for c in range(rel.num_classes)]
-    for k, c in enumerate(rng.sample(range(rel.num_classes), 2)):
-        if len(members[c]) > 1:
-            cid[rng.choice(members[c])] = -1 - k
-    return tuple(cid)
-
-
 @pytest.mark.parametrize(
     "change, paths",
     [
-        (_merge_two, {"translation": 36, "injective": 154, "built": 5}),
-        (_split_two, {"translation": 112, "injective": 0, "built": 83}),
+        (references.merge_two, {"translation": 36, "injective": 154, "built": 5}),
+        (references.split_two, {"translation": 112, "injective": 0, "built": 83}),
     ],
 )
 def test_build_matches_the_reference_on_changed_classes(monkeypatch, change, paths):
@@ -443,33 +428,49 @@ def test_envelope_is_the_saturation_of_the_total_action(monkeypatch):
         if not validate(pa).ok:
             continue
         valid += 1
-        glob = build(pa)
-        points = list(iter_bits(carrier))
-        image = {}
-        for g in pa.group.elements():
-            for i, p in enumerate(points):
-                c = glob.class_of(g, i)
-                assert image.setdefault(c, rows[g][p]) == rows[g][p], (pa, g, i)
-        saturation = {rows[g][p] for g in pa.group.elements() for p in points}
-        assert len(image) == glob.num_classes == len(saturation), pa
-        assert set(image.values()) == saturation, pa
-        for g in pa.group.elements():
-            for c in range(glob.num_classes):
-                assert image[glob.action[g][c]] == rows[g][image[c]], (pa, g, c)
-
-        sat_mask = sum(1 << y for y in saturation)
-        quotient_nbrs = [
-            sum(1 << image[d] for d in iter_bits(glob.topology.nbrs[c]))
-            for c in range(glob.num_classes)
-        ]
-        subspace_nbrs = [
-            space.nbrs[image[c]] & sat_mask for c in range(glob.num_classes)
-        ]
-        if all(space.nbrs[p] & ~carrier == 0 for p in points):
-            open_carriers += 1
-            assert quotient_nbrs == subspace_nbrs, pa
-        else:
-            # finer: every class has a smaller minimal neighbourhood
-            assert all(q & ~s == 0 for q, s in zip(quotient_nbrs, subspace_nbrs)), pa
-            finer_only += quotient_nbrs != subspace_nbrs
+        is_open, finer = references.check_saturation(space, rows, carrier, build(pa))
+        open_carriers += is_open
+        finer_only += finer
     assert (len(records), valid, open_carriers, finer_only) == (2684, 2552, 1520, 252)
+
+
+def test_enveloping_relation_matches_the_mask_reference(
+    family, s3_family, changed_family
+):
+    # the same EqRel, or the same exception type, message and witness:
+    # KeyError on a domain point with no image, AxiomViolation on a
+    # table whose gluing rows are not an equivalence
+    kinds = {"glued": 0, KeyError: 0, AxiomViolation: 0}
+    for pa in [*family, *s3_family, *changed_family]:
+        expected = references.outcome(references.enveloping_relation, pa)
+        assert references.outcome(enveloping_relation, pa) == expected, pa
+        kinds["glued" if isinstance(expected, EqRel) else expected[0]] += 1
+    assert kinds == {"glued": 513, KeyError: 231, AxiomViolation: 1303}
+
+
+@pytest.mark.parametrize(
+    "change, failed",
+    [(references.merge_two, 401), (references.split_two, 363)],
+)
+def test_hat_relation_matches_the_reference_on_changed_lifted_classes(
+    valid_family, valid_s3_family, change, failed
+):
+    # The lifted orbit relation with seeded classes merged or split: the
+    # gluing relation built from pair labels must differ from it at the
+    # same first pair as the mask reference's.
+    rng = random.Random(0)
+    seen = 0
+    for pa in [*valid_family, *valid_s3_family]:
+        pa = dataclasses.replace(pa)  # a copy with nothing cached
+        lifted = pa.lifted.orbit_relation
+        if lifted.num_classes < 2:
+            continue
+        vars(pa.lifted)["orbit_relation"] = EqRel(lifted.size, change(lifted, rng))
+        glob = build(pa)
+        reference = dataclasses.replace(
+            glob, relation=references.enveloping_relation(pa)
+        )
+        report = hat_relation_report(glob)
+        assert report == hat_relation_report(reference), pa
+        seen += not report.ok
+    assert seen == failed

@@ -1,0 +1,231 @@
+"""A seeded mid-size sweep with larger non-abelian groups, and the scale
+gate at 8,128 product points.
+
+D4, Q8, A4 and S4 each act on a disjoint union of coset spaces G/H (H
+trivial gives the regular action, H a point stabilizer the natural
+one).  A topology made from seeded subsets closed under the action is
+invariant under it, so the action is continuous by construction.
+Restricting it to a seeded carrier gives the partial action.  Every
+valid one must be the saturation G.X, and each label-row relation and
+orbit check must match its mask reference.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+import random
+
+import pytest
+
+import references
+from pactop import (
+    PartialAction,
+    build,
+    cyclic,
+    discrete,
+    enveloping_relation,
+    hat_relation_report,
+    induced,
+    is_selector_for,
+    make_group,
+    make_topology,
+    normalized_selector,
+    orbit_equivalence,
+    orbit_homeomorphism_report,
+    validate,
+)
+
+
+def _compose(p, q):
+    # permutations as tuples, q applied first
+    return tuple(p[i] for i in q)
+
+
+def _quaternion(a, b):
+    # Hamilton's product of integer quaternions (w, x, y, z)
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def _closure(gens, product):
+    # the group the generators generate, in sorted order
+    out = set(gens)
+    frontier = list(gens)
+    while frontier:
+        a = frontier.pop()
+        for s in gens:
+            b = product(s, a)
+            if b not in out:
+                out.add(b)
+                frontier.append(b)
+    return sorted(out)
+
+
+def _even(p):
+    return sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2)) % 2 == 0
+
+
+def _groups():
+    """(name, elements, product, subgroup generators) per group; each
+    subgroup H gives the coset space G/H.  Q8 lists its units with the
+    identity fifth, so code that takes element 0 for the identity shows."""
+    r, s = (1, 2, 3, 0), (0, 3, 2, 1)
+    s4 = list(itertools.permutations(range(4)))
+    one, i, j, k = [tuple(int(n == m) for m in range(4)) for n in range(4)]
+    minus = tuple(-c for c in one)
+    q8 = [i, j, k, minus, one, _quaternion(minus, i), _quaternion(minus, j),
+          _quaternion(minus, k)]
+    return [
+        ("D4", _closure([r, s], _compose), _compose,
+         [[(0, 1, 2, 3)], [s], [_compose(r, r)], [r]]),
+        ("Q8", q8, _quaternion, [[one], [minus], [i], [j]]),
+        ("A4", [p for p in s4 if _even(p)], _compose,
+         [[(0, 1, 2, 3)], [(0, 2, 3, 1)], [(1, 0, 3, 2), (2, 3, 0, 1)], [(1, 0, 3, 2)]]),
+        ("S4", s4, _compose,
+         [[(0, 1, 2, 3)], [(0, 2, 1, 3), (0, 1, 3, 2)], [(1, 2, 0, 3), (0, 2, 3, 1)],
+          [(1, 0, 3, 2), (2, 3, 0, 1)]]),
+    ]
+
+
+def _coset_rows(group, subgroup):
+    # rows of the action of ``group`` on the left cosets of ``subgroup``
+    cosets = []
+    for a in group.elements():
+        coset = frozenset(group.mul[a][h] for h in subgroup)
+        if coset not in cosets:
+            cosets.append(coset)
+    where = {a: n for n, coset in enumerate(cosets) for a in coset}
+    return [[where[group.mul[g][min(c)]] for c in cosets] for g in group.elements()]
+
+
+def midsize_instances(count: int = 24, seed: int = 17):
+    """``count`` seeded restrictions, the four groups in turn: (space,
+    rows, carrier, partial action) each, on 8 to 28 points."""
+    rng = random.Random(seed)
+    made = []
+    for _, elements, product, subgroups in _groups():
+        index = {a: n for n, a in enumerate(elements)}
+        group = make_group([[index[product(a, b)] for b in elements] for a in elements])
+        spaces = [
+            _coset_rows(group, [index[h] for h in _closure(gens, product)])
+            for gens in subgroups
+        ]
+        made.append((group, spaces))
+    out = []
+    while len(out) < count:
+        group, spaces = made[len(out) % len(made)]
+        chosen = [rows for rows in spaces if rng.random() < 0.5]
+        size = sum(len(rows[0]) for rows in chosen)
+        if not 8 <= size <= 28:
+            continue
+        rows, base = [[] for _ in group.elements()], 0
+        for part in chosen:
+            for g in group.elements():
+                rows[g] += [base + y for y in part[g]]
+            base += len(part[0])
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            subset = [y for y in range(size) if rng.random() < 0.3]
+            gens += [sum(1 << rows[g][y] for y in subset) for g in group.elements()]
+        space = make_topology(size, gens)
+        carrier = sum(1 << y for y in range(size) if rng.random() < 0.7)
+        if not carrier:
+            continue
+        out.append((space, rows, carrier, induced(group, space, rows, carrier)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def midsize():
+    return midsize_instances()
+
+
+def test_midsize_sweep_shape(midsize):
+    sizes = [space.size for space, _, _, _ in midsize]
+    orders = sorted({pa.group.order for _, _, _, pa in midsize})
+    assert (len(midsize), min(sizes), max(sizes), orders) == (24, 8, 28, [8, 12, 24])
+    assert sum(validate(pa).ok for _, _, _, pa in midsize) == 14
+
+
+def test_midsize_envelopes_are_the_saturation(midsize):
+    kinds = [0, 0]
+    for space, rows, carrier, pa in midsize:
+        if validate(pa).ok:
+            is_open, _ = references.check_saturation(space, rows, carrier, build(pa))
+            kinds[is_open] += 1
+    assert kinds == [2, 12]
+
+
+COMPARED = [
+    (enveloping_relation, references.enveloping_relation),
+    (orbit_equivalence, references.orbit_equivalence),
+    (lambda pa: orbit_equivalence(pa.lifted),
+     lambda pa: references.orbit_equivalence(pa.lifted)),
+    (normalized_selector, references.on_lifted_relation(references.normalized_selector)),
+    (orbit_homeomorphism_report,
+     references.on_lifted_relation(references.orbit_homeomorphism_report)),
+]
+
+
+def test_midsize_checks_match_the_mask_references(midsize):
+    # every instance is algebraically a partial action, so nothing raises
+    raised = 0
+    for _, _, _, pa in midsize:
+        for check, reference in COMPARED:
+            expected = references.outcome(reference, pa)
+            got = references.outcome(check, dataclasses.replace(pa))
+            assert got == expected, (check, pa)
+            raised += isinstance(expected, tuple)
+    assert raised == 0
+
+
+def _blanked(pa):
+    # every element but the identity loses its image of point 0 and
+    # keeps its domain: several elements then fail at one point
+    e = pa.group.identity
+    maps = tuple(
+        row if g == e else (-1,) + row[1:] for g, row in enumerate(pa.maps)
+    )
+    return PartialAction(pa.group, pa.space, pa.dom, maps)
+
+
+def test_validate_never_raises_on_midsize_edits(midsize):
+    # Four seeded one-entry edits of each instance, many ill-formed, and
+    # the instance with point 0 blanked.  The two relation builders must
+    # still match their references: on Q8, whose identity is not element
+    # 0, the blanked tables pin the order in which an ill-formed table is
+    # read.
+    rejected, raised = 0, {}
+    for n, (_, _, _, pa) in enumerate(midsize):
+        for edit in [*references.one_entry_edits([pa], 4, seed=n), _blanked(pa)]:
+            rejected += not validate(edit).ok
+            for check, reference in COMPARED[:2]:
+                expected = references.outcome(reference, edit)
+                assert references.outcome(check, edit) == expected, (check, edit)
+                if isinstance(expected, tuple):
+                    raised[expected[0].__name__] = raised.get(expected[0].__name__, 0) + 1
+    assert rejected == 120
+    assert raised == {"AxiomViolation": 118, "KeyError": 72}
+
+
+def test_c64_on_128_points_minus_one():
+    # Scale gate: C64 rotating the first 64 of 128 discrete points,
+    # restricted to every point but point 0 (|G|*|X| = 8,128).
+    space = discrete(128)
+    rows = [[(x // 64) * 64 + (x % 64 + g) % 64 for x in range(128)] for g in range(64)]
+    carrier = space.full & ~1
+    pa = induced(cyclic(64), space, rows, carrier)
+    assert validate(pa).ok
+    glob = build(pa)
+    assert hat_relation_report(glob).ok
+    assert is_selector_for(normalized_selector(pa), glob.relation)
+    assert orbit_homeomorphism_report(pa).ok
+    assert references.check_saturation(space, rows, carrier, glob) == (True, False)
+    assert glob.num_classes == 128

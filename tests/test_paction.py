@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
+import references
 from pactop import paction
 from pactop import (
+    EqRel,
     FinTop,
     PartialAction,
     acting_set,
@@ -29,7 +32,7 @@ from pactop import (
     stabilizer,
     validate,
 )
-from pactop.errors import InvalidSubset, NotAnAction
+from pactop.errors import AxiomViolation, InvalidSubset, NotAnAction
 from pactop.reports import FAIL, NA, PASS, Report, ReportBuilder
 from pactop.topology import iter_bits, mask_of
 
@@ -344,6 +347,30 @@ def test_orbit_equivalence_matches_reachability():
     rel2 = orbit_equivalence(example_k3())
     assert rel2.num_classes == 2
     assert not rel2.same(0, 1)
+
+
+def test_orbit_equivalence_matches_the_mask_reference(
+    family, s3_family, changed_family
+):
+    # On each instance and on its lift, where the lift can be built: the
+    # same EqRel, or the same exception type, message and witness.  A
+    # table whose maps miss or overshoot their domains reads its rows
+    # from ``orbits``, as the reference does.
+    kinds = {"rel": 0, KeyError: 0, AxiomViolation: 0}
+    ill_formed = 0
+    for pa in [*family, *s3_family, *changed_family]:
+        ill_formed += not paction.well_formedness(pa).ok
+        actions = [pa]
+        lifted = references.outcome(lifted_action, pa)
+        if isinstance(lifted, PartialAction):
+            actions.append(lifted)
+        for action in actions:
+            expected = references.outcome(references.orbit_equivalence, action)
+            got = references.outcome(orbit_equivalence, dataclasses.replace(action))
+            assert got == expected, action
+            kinds["rel" if isinstance(expected, EqRel) else expected[0]] += 1
+    assert ill_formed == 482
+    assert kinds == {"rel": 1726, KeyError: 231, AxiomViolation: 1906}
 
 
 def test_induced_restriction_tables():

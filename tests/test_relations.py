@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import pactop.relations as relations
 from pactop import EqRel, from_relation
 from pactop.relations import iter_bits
+from references import from_masks
 
 
 def from_blocks(size: int, blocks) -> EqRel:
@@ -71,7 +73,7 @@ def test_from_blocks_must_partition():
 
 
 def test_from_relation_builds_partition():
-    rel = from_relation(4, (0b0101, 0b1010, 0b0101, 0b1010))
+    rel = from_relation(4, ((0, 2), (1, 3), (2, 0), (3, 1, 1)))
     assert rel.num_classes == 2
     assert rel.same(0, 2) and rel.same(1, 3)
     assert not rel.same(0, 1)
@@ -79,32 +81,38 @@ def test_from_relation_builds_partition():
 
 def test_from_relation_rejects_non_symmetric():
     with pytest.raises(ValueError):
-        from_relation(2, (0b11, 0b10))
+        from_relation(2, ((0, 1), (1,)))
 
 
 def test_from_relation_rejects_non_transitive():
     with pytest.raises(ValueError):
-        from_relation(3, (0b011, 0b111, 0b110))
+        from_relation(3, ((0, 1), (0, 1, 2), (1, 2)))
 
 
 def test_from_relation_rejects_non_reflexive():
     with pytest.raises(ValueError):
-        from_relation(2, (0, 0))
+        from_relation(2, ((), ()))
 
 
 @pytest.mark.parametrize(
     "rows, point",
-    [((0b111, 0b11), 0), ((-1, 0b11), 0), ((0b11, 0b100), 1), ((0, 0b111), 1)],
+    [
+        (((0, 1, 2), (0, 1)), 0),
+        (((-1,), (0, 1)), 0),
+        (((0, 1), (2,)), 1),
+        (((), (0, 1, 2)), 1),
+    ],
 )
 def test_from_relation_rejects_rows_outside_the_points(rows, point):
-    # rows with a bit past the last point used to fail with a bare
-    # IndexError; the range is checked before reflexivity, so (0, 0b111)
-    # names point 1 rather than the reflexivity failure at point 0
+    # a member past the last point would index past the labels, and a
+    # negative one would read them from the end; the range is checked
+    # before reflexivity, so ((), (0, 1, 2)) names point 1 rather than
+    # the reflexivity failure at point 0
     with pytest.raises(ValueError, match=rf"^row of {point} is not within range\(2\)$"):
         from_relation(2, rows)
 
 
-@pytest.mark.parametrize("size, rows", [(3, [1, 2]), (2, [1, 2, 4])])
+@pytest.mark.parametrize("size, rows", [(3, [(0,), (1,)]), (2, [(0,), (1,), (2,)])])
 def test_from_relation_rejects_a_wrong_row_count(size, rows):
     # a short table used to fail with a bare IndexError, a long one only
     # after every axiom check passed, in EqRel
@@ -202,12 +210,44 @@ def _row_tables():
 
 
 def test_from_relation_matches_pair_scan():
+    # The mask reference, then the label builder on each table's members
+    # in increasing order, and on the members in decreasing order with
+    # the least one listed twice: the same EqRel or the same error text.
     tables = list(_row_tables())
     assert len(tables) == 1 + 2 + 16 + 512 + 2000
+    refused = 0
     for rows in tables:
         size = len(rows)
         expected = _outcome(scan_relation, size, lambda x, y: (rows[x] >> y) & 1)
-        assert _outcome(from_relation, size, rows) == expected, rows
+        assert _outcome(from_masks, size, rows) == expected, rows
+        labels = [iter_bits(mask) for mask in rows]
+        assert _outcome(from_relation, size, labels) == expected, rows
+        repeated = [row[::-1] + row[:1] for row in labels]
+        assert _outcome(from_relation, size, repeated) == expected, rows
+        refused += isinstance(expected, str)
+    assert refused == 1613
+
+
+def test_valid_sweeps_never_reach_the_mask_scan(
+    monkeypatch, valid_family, valid_s3_family
+):
+    # The label check accepts every equivalence, so on valid instances
+    # the gluing, orbit, lifted-orbit and envelope-orbit relations never
+    # fall back to the mask scan.
+    from pactop import (
+        bireducibility_report, build, enveloping_relation, lifted_action,
+        normalized_selector, orbit_equivalence,
+    )
+
+    def refuse(size, rows):
+        raise AssertionError(f"mask scan reached on {size} points")
+
+    monkeypatch.setattr(relations, "_scan", refuse)
+    for pa in [*valid_family, *valid_s3_family]:
+        enveloping_relation(pa)
+        orbit_equivalence(pa)
+        orbit_equivalence(lifted_action(pa))
+        bireducibility_report(build(pa), normalized_selector(pa))
 
 
 def test_empty_relation():

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
+import references
 from pactop import (
     EqRel,
+    FinTop,
     PartialAction,
     SelectorMap,
     action_continuity_table,
@@ -16,13 +21,13 @@ from pactop import (
     lifted_action,
     min_selector,
     normalized_selector,
-    orbit_equivalence,
     orbit_homeomorphism_report,
     pair_split,
     transversal,
     transversal_topology,
 )
 from pactop.errors import AxiomViolation
+from pactop.reports import FAIL, PASS
 
 SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 K3 = example_k3()
@@ -61,7 +66,7 @@ def test_normalized_selector_frozen():
 def test_normalized_selector_across_family(valid_family):
     for pa in valid_family[::5]:
         sel = normalized_selector(pa)
-        rel = orbit_equivalence(lifted_action(pa))
+        rel = references.orbit_equivalence(lifted_action(pa))
         assert is_selector_for(sel, rel)
 
 
@@ -165,3 +170,85 @@ def test_orbit_enumeration_frozen_rotation():
         cyclic(3), discrete(3), (0b111,) * 3, ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     )
     assert orbit_homeomorphism_report(rot).ok
+
+
+NS, OH = "normalized_selector", "orbit_homeomorphism_report"
+PASSES = (PASS, PASS, PASS)
+_CHECKS = [
+    (normalized_selector, references.normalized_selector),
+    (orbit_homeomorphism_report, references.orbit_homeomorphism_report),
+]
+
+
+def _kind(check, outcome):
+    # what a check returned: the exception it raised, the statuses of
+    # its report's checks, or "selector"
+    if isinstance(outcome, tuple):
+        return check.__name__, outcome[0].__name__
+    if isinstance(outcome, SelectorMap):
+        return check.__name__, "selector"
+    return check.__name__, tuple(c.status for c in outcome.checks)
+
+
+def test_orbit_checks_match_the_mask_references(family, s3_family, changed_family):
+    # the same selector or report, or the same exception type, message
+    # and witness, on every sweep instance and its invalid neighbours
+    seen: dict = {}
+    for pa in [*family, *s3_family, *changed_family]:
+        for check, reference in _CHECKS:
+            expected = references.outcome(references.on_lifted_relation(reference), pa)
+            got = references.outcome(check, dataclasses.replace(pa))
+            assert got == expected, (check, pa)
+            kind = _kind(check, expected)
+            seen[kind] = seen.get(kind, 0) + 1
+    assert seen == {
+        (NS, "AxiomViolation"): 1303, (NS, "KeyError"): 231, (NS, "selector"): 513,
+        (OH, "AxiomViolation"): 1303, (OH, "KeyError"): 231, (OH, PASSES): 513,
+    }
+
+
+def _coarse_product(pa):
+    # the product with the indiscrete group: each neighbourhood meets
+    # every slice, so no orbit of two or more points is discrete in it
+    order, size = pa.group.order, pa.space.size
+    spread = [sum(n << (j * size) for j in range(order)) for n in pa.space.nbrs]
+    return FinTop.from_neighborhoods(spread * order)
+
+
+@pytest.mark.parametrize(
+    "change, kinds",
+    [
+        ("merge", {(NS, "AxiomViolation"): 401, (OH, (FAIL, PASS, PASS)): 401}),
+        ("split", {
+            (NS, "AxiomViolation"): 361, (NS, "selector"): 40,
+            (OH, (FAIL, PASS, PASS)): 363, (OH, PASSES): 38,
+        }),
+        ("coarse product", {
+            (NS, "selector"): 415, (OH, (PASS, PASS, FAIL)): 367, (OH, PASSES): 48,
+        }),
+    ],
+)
+def test_orbit_checks_match_the_references_on_changed_lifted_classes(
+    valid_family, valid_s3_family, change, kinds
+):
+    # Seeded merges and splits of the lifted classes reach the failure
+    # witnesses of both checks; a product in which the orbits are not
+    # discrete reaches the homeomorphism clause.
+    rng = random.Random(0)
+    seen: dict = {}
+    for pa in [*valid_family, *valid_s3_family]:
+        pa = dataclasses.replace(pa)  # a copy with nothing cached
+        if change == "coarse product":
+            vars(pa)["product"] = _coarse_product(pa)
+        rel = pa.lifted.orbit_relation
+        if change in ("merge", "split"):
+            if rel.num_classes < 2:
+                continue
+            redraw = references.merge_two if change == "merge" else references.split_two
+            rel = vars(pa.lifted)["orbit_relation"] = EqRel(rel.size, redraw(rel, rng))
+        for check, reference in _CHECKS:
+            expected = references.outcome(reference, pa, rel)
+            assert references.outcome(check, pa) == expected, (check, pa)
+            kind = _kind(check, expected)
+            seen[kind] = seen.get(kind, 0) + 1
+    assert seen == kinds
