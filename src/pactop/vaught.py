@@ -10,17 +10,15 @@ points each g carries onto each point), computed once per action: the
 wide transform is a union of preimages over V, the tight one an
 intersection.  The collapse is stated once, above the two transforms,
 and the tests check both against the meagerness definition.  The
-identity suite builds every table entry from these rows by one
-recurrence step and compares whole rows.  Over the whole group the
-transforms reduce to orbit-table readings, stated in the same place.
+identity suite stores each table as bit planes, one integer per point
+set, and checks each identity by a few integer operations per set.
+Over the whole group the transforms reduce to orbit-table readings.
 The ideal sweep reads the action's ``orbits``, ``diagonal`` and
 ``settled`` tables, each computed once per action, and calls
 ``ideal_member`` only at unsettled points.
 """
 
 from __future__ import annotations
-
-from operator import and_, or_
 
 from . import topology as topo
 from .errors import (
@@ -99,15 +97,37 @@ def star_transform(pa: PartialAction, a: int, v: int) -> int:
     return out
 
 
-def _tables(pa: PartialAction) -> tuple[list[list[int]], list[list[int]]]:
-    """delta[A][V] and star[A][V] for every point set A and group part V,
-    one operation per entry.  Each element's preimage of every A comes
-    from that of A minus its top point; each entry from the entry of V
-    minus its top element g, joined with g's preimage of A (delta) or
-    met with that preimage plus the points g is undefined at (star).
-    Index 0, the empty part, holds the seeds: no point in delta, every
-    point in star."""
-    full = pa.space.full
+def _layout(size: int, order: int) -> tuple[list[int], list[int]]:
+    """Masks over the cells x * 2^|G| + V of a bit-plane table, plane x
+    holding one cell per group part V: every cell of the points of each
+    point set, and per element g the cells whose part lacks g."""
+    width = 1 << order
+    plane = (1 << width) - 1
+    cells = [0]
+    for x in range(size):
+        cells += [c | plane << (x * width) for c in cells]
+    rows = cells[-1] // plane  # the cell V = 0 of every plane
+    lacks = []
+    for g in range(order):
+        run = 1 << g  # parts come in runs of 2^g lacking g, then holding it
+        pattern, period = (1 << run) - 1, 2 * run
+        while period < width:
+            pattern |= pattern << period
+            period *= 2
+        lacks.append(pattern * rows)
+    return cells, lacks
+
+
+def _planes(pa: PartialAction, cells: list[int], lacks: list[int]):
+    """delta[A] and star[A] for every point set A as bit planes: cell
+    (x, V) is set when x is in the wide (delta) or tight (star)
+    transform of A over V.  Each element's preimage of every A comes
+    from that of A minus its top point.  Per A, delta is the union over
+    g of the cells holding g among those of g's preimage of A; star the
+    intersection over g of the cells lacking g together with those of
+    that preimage plus the points g is undefined at.  The empty part
+    V = 0 holds the seeds: no point in delta, every point in star."""
+    ones = cells[-1]
     pre = []  # pre[g][A]
     for row in pa.preimages:
         col = [0]
@@ -115,35 +135,17 @@ def _tables(pa: PartialAction) -> tuple[list[list[int]], list[list[int]]]:
             col += [s | p for s in col]
         pre.append(col)
     undef = [_undefined(pa, g) for g in pa.group.elements()]
+    steps = [(ones ^ n, n, col, u) for n, col, u in zip(lacks, pre, undef)]
     delta, star = [], []
     for a in range(1 << pa.space.size):
-        d, s = [0], [full]
-        for col, u in zip(pre, undef):
+        d, s = 0, ones
+        for hold, lack, col, u in steps:
             p = col[a]
-            d += [w | p for w in d]
-            p |= u
-            s += [w & p for w in s]
+            d |= hold & cells[p]
+            s &= lack | cells[p | u]
         delta.append(d)
         star.append(s)
     return delta, star
-
-
-def _subset_or(acc: list[int]) -> None:
-    """In place, acc[V] becomes the union of acc[U] over U inside V: the
-    subset-sum (zeta) transform, one bit at a time.  The entries with the
-    bit b set form b strided slices, or len(acc)/(2b) contiguous runs;
-    whichever is fewer, so at most about sqrt(len(acc)) slices a bit."""
-    n = len(acc)
-    b = 1
-    while b < n:
-        step = 2 * b
-        if b * step <= n:
-            for j in range(b, step):
-                acc[j::step] = map(or_, acc[j::step], acc[j - b::step])
-        else:
-            for lo in range(b, n, step):
-                acc[lo:lo + b] = map(or_, acc[lo:lo + b], acc[lo - b:lo])
-        b = step
 
 
 def transform_identities_report(pa: PartialAction) -> Report:
@@ -153,68 +155,66 @@ def transform_identities_report(pa: PartialAction) -> Report:
     tight transform, and the decomposition of the wide transform over
     sub-parts.
 
-    The tables come from the per-element preimage rows of the action,
-    one operation per entry (``_tables``).  Each check then compares
-    whole rows, one point set at a time, and lists witnesses only for a
-    row that differs.  The splitting and decomposition checks are exact
-    reductions that still read every table entry: delta splits over
-    every partition iff delta(empty) = empty and delta(A) = delta(A - x)
-    | delta({x}) for the lowest x in A; star splits over every
+    The tables are bit planes (``_planes``), one integer per point set,
+    and each check compares whole integers, one point set at a time; a
+    pair that differs lists as witnesses the parts set in any plane of
+    the difference.  The splitting and decomposition checks are exact
+    reductions that still read every cell: delta splits over every
+    partition iff delta(empty) = empty and delta(A) = delta(A - x) |
+    delta({x}) for the lowest x in A; star splits over every
     intersection iff star(A) = star(A + x) & star(X - x) for the lowest
     x outside each A != X; the union over sub-parts is a subset-sum
-    (zeta) transform, run as slice operations one bit at a time.
+    (zeta) transform, one shift of the cells lacking g per element g.
 
     The decomposition must discard vacuous tight members: a point whose
-    acting set misses a sub-part entirely sits in the tight transform
-    by the empty-subspace convention without witnessing anything, so
-    each tight term is intersected with the matching wide term, which
-    removes exactly those points (the separate containment check pins
-    that down).  For everywhere-defined actions the intersection is a
-    no-op and the decomposition reduces to the plain union.
+    acting set misses a sub-part sits in the tight transform by the
+    empty-subspace convention without witnessing anything, so each tight
+    term is met with the matching wide term, removing exactly those
+    points (the containment check pins that down); for everywhere-defined
+    actions the decomposition is the plain union.
     """
-    size = pa.space.size
-    full = pa.space.full
-    order = pa.group.order
+    size, full, order = pa.space.size, pa.space.full, pa.group.order
     count = (1 << size) * ((1 << order) - 1)
     if count > TRANSFORM_LIMIT:
         raise LimitExceeded("transform combinations", count, TRANSFORM_LIMIT)
     rb = ReportBuilder("transform-identities")
-    delta, star = _tables(pa)
-    # Per part V, the points whose acting set misses V.
-    allowed = [full]
-    for g in pa.group.elements():
-        u = _undefined(pa, g)
-        allowed += [w & u for w in allowed]
-    empty = [0] * (1 << order)
+    cells, lacks = _layout(size, order)
+    delta, star = _planes(pa, cells, lacks)
+    ones, width = cells[-1], 1 << order
+    plane = (1 << width) - 1
+    # The cells (x, V) where the acting set of x misses V.
+    allowed = ones
+    for g, lack in enumerate(lacks):
+        allowed &= lack | cells[_undefined(pa, g)]
 
     found = [[] for _ in _IDENTITIES]  # witnesses per check
     dual, union, inter, vacuous, basis = found
 
     def compare(bad, a, got, want):
-        # whole rows; a row that differs lists its (A, V) witnesses
+        # whole tables; one that differs lists (A, V) for each V it sets
         if got != want and len(bad) < 8:
-            bad.extend((a, v) for v in range(1, len(got)) if got[v] != want[v])
+            diff, parts = got ^ want, 0
+            while diff:  # fold the planes
+                parts |= diff & plane
+                diff >>= width
+            bad.extend((a, v) for v in iter_bits(parts))
 
     for a in range(1 << size):
         low = a & -a  # lowest point in A; 0 for the empty set
         out = ~a & (a + 1)  # lowest point outside A
-        # entries stay inside the carrier, so full ^ d is the complement of d
-        compare(dual, a, list(map(full.__xor__, delta[a])), star[full ^ a])
-        compare(union, a, delta[a],
-                list(map(or_, delta[a ^ low], delta[low])) if a else empty)
+        compare(dual, a, ones ^ delta[a], star[full ^ a])
+        compare(union, a, delta[a], delta[a ^ low] | delta[low] if a else 0)
         if a != full:
-            compare(inter, a, star[a], list(map(and_, star[a | out], star[full ^ out])))
-        compare(vacuous, a, list(map(and_, star[a], map(or_, delta[a], allowed))), star[a])
-        acc = list(map(and_, star[a], delta[a]))
-        _subset_or(acc)
+            compare(inter, a, star[a], star[a | out] & star[full ^ out])
+        compare(vacuous, a, star[a] & (delta[a] | allowed), star[a])
+        acc = star[a] & delta[a]
+        for g, lack in enumerate(lacks):
+            acc |= (acc & lack) << (1 << g)  # V + 2^g takes in V, V lacking g
         compare(basis, a, acc, delta[a])
     for name, bad in zip(_IDENTITIES, found):
         rb.check(name, not bad, tuple(bad[:8]))
-    rb.info(
-        "combinations checked",
-        (count, (1 << order) - 1),
-        "point sets times group parts, both transforms",
-    )
+    detail = "point sets times group parts, both transforms"
+    rb.info("combinations checked", (count, (1 << order) - 1), detail)
     return rb.build()
 
 

@@ -40,9 +40,9 @@ def family():
 @pytest.fixture(scope="session")
 def s3_family():
     """All induced instances of S3 on <= 3 points: 6-element groups, so
-    the identity suite's 64-entry part rows take both slice branches of
-    its subset-sum kernel.  Kept out of ``family``: the meagerness
-    oracle is too slow on it."""
+    the identity suite's planes hold 64 group parts, and the row
+    reference's subset-sum takes both of its slice branches.  Kept out
+    of ``family``: the meagerness oracle is too slow on it."""
     return induced_instances([(symmetric3(), (1, 3))], 3)
 
 

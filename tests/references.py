@@ -1,21 +1,25 @@
 """Mask-row forms of the engine's relation builders and orbit checks,
 kept as the references their label-row forms are compared against; the
-inputs the comparisons run on (one-entry edits, lifted classes merged or
-split); and the saturation check every envelope built from a total
-action must pass.
+row form of the transform-identity suite, the reference for its bit
+planes; the inputs the comparisons run on (one-entry edits, lifted
+classes merged or split); and the saturation check every envelope built
+from a total action must pass.
 
-Each reference reads one product-wide bitmask row per point and scans
-the axioms on masks, as the engine first did.  Slow is fine: these run
-on desk-scale instances only.
+Each relation reference reads one product-wide bitmask row per point
+and scans the axioms on masks, as the engine first did; the transform
+reference keeps one point mask per (point set, group part).  Slow is
+fine: these run on desk-scale instances only.
 """
 
 from __future__ import annotations
 
 import random
+from operator import and_, or_
 
 import pactop.topology as topo
 from pactop import PartialAction, pair_index, pair_split
-from pactop.errors import AxiomViolation
+from pactop import vaught
+from pactop.errors import AxiomViolation, LimitExceeded
 from pactop.relations import EqRel
 from pactop.reports import ReportBuilder
 from pactop.selector import SelectorMap, is_selector_for, min_selector
@@ -152,6 +156,115 @@ def orbit_homeomorphism_report(pa: PartialAction, rel: EqRel):
         "enumeration is a homeomorphism for the subspace topologies",
         not bad_homeo,
         tuple(bad_homeo),
+    )
+    return rb.build()
+
+
+def transform_tables(pa: PartialAction) -> tuple[list[list[int]], list[list[int]]]:
+    """delta[A][V] and star[A][V] for every point set A and group part V,
+    one point mask per entry.  Each element's preimage of every A comes
+    from that of A minus its top point; each entry from the entry of V
+    minus its top element g, joined with g's preimage of A (delta) or
+    met with that preimage plus the points g is undefined at (star).
+    Index 0, the empty part, holds the seeds: no point in delta, every
+    point in star."""
+    full = pa.space.full
+    pre = []  # pre[g][A]
+    for row in pa.preimages:
+        col = [0]
+        for p in row:
+            col += [s | p for s in col]
+        pre.append(col)
+    undef = [vaught._undefined(pa, g) for g in pa.group.elements()]
+    delta, star = [], []
+    for a in range(1 << pa.space.size):
+        d, s = [0], [full]
+        for col, u in zip(pre, undef):
+            p = col[a]
+            d += [w | p for w in d]
+            p |= u
+            s += [w & p for w in s]
+        delta.append(d)
+        star.append(s)
+    return delta, star
+
+
+def planes_to_rows(pa: PartialAction, tables: list[int]) -> list[list[int]]:
+    """Bit-plane transform tables as rows: ``rows[A][V]`` is the mask of
+    the points x whose cell x * 2^|G| + V is set in ``tables[A]``."""
+    width = 1 << pa.group.order
+    plane = (1 << width) - 1
+    out = []
+    for t in tables:
+        row = [0] * width
+        for x in pa.space.points():
+            for v in iter_bits((t >> (x * width)) & plane):
+                row[v] |= 1 << x
+        out.append(row)
+    return out
+
+
+def _subset_or(acc: list[int]) -> None:
+    """In place, acc[V] becomes the union of acc[U] over U inside V: the
+    subset-sum (zeta) transform, one bit at a time, as strided or
+    contiguous slice operations, whichever are fewer."""
+    n = len(acc)
+    b = 1
+    while b < n:
+        step = 2 * b
+        if b * step <= n:
+            for j in range(b, step):
+                acc[j::step] = map(or_, acc[j::step], acc[j - b::step])
+        else:
+            for lo in range(b, n, step):
+                acc[lo:lo + b] = map(or_, acc[lo:lo + b], acc[lo - b:lo])
+        b = step
+
+
+def transform_identities_report(pa: PartialAction):
+    """The identity suite on ``transform_tables``, comparing whole rows
+    of point masks one point set at a time and listing witnesses only
+    for a row that differs.  Same checks, order, witnesses and limit."""
+    size, full, order = pa.space.size, pa.space.full, pa.group.order
+    count = (1 << size) * ((1 << order) - 1)
+    if count > vaught.TRANSFORM_LIMIT:
+        raise LimitExceeded("transform combinations", count, vaught.TRANSFORM_LIMIT)
+    rb = ReportBuilder("transform-identities")
+    delta, star = transform_tables(pa)
+    # Per part V, the points whose acting set misses V.
+    allowed = [full]
+    for g in pa.group.elements():
+        u = vaught._undefined(pa, g)
+        allowed += [w & u for w in allowed]
+    empty = [0] * (1 << order)
+
+    found = [[] for _ in vaught._IDENTITIES]  # witnesses per check
+    dual, union, inter, vacuous, basis = found
+
+    def compare(bad, a, got, want):
+        # whole rows; a row that differs lists its (A, V) witnesses
+        if got != want and len(bad) < 8:
+            bad.extend((a, v) for v in range(1, len(got)) if got[v] != want[v])
+
+    for a in range(1 << size):
+        low = a & -a  # lowest point in A; 0 for the empty set
+        out = ~a & (a + 1)  # lowest point outside A
+        # entries stay inside the carrier, so full ^ d is the complement of d
+        compare(dual, a, list(map(full.__xor__, delta[a])), star[full ^ a])
+        compare(union, a, delta[a],
+                list(map(or_, delta[a ^ low], delta[low])) if a else empty)
+        if a != full:
+            compare(inter, a, star[a], list(map(and_, star[a | out], star[full ^ out])))
+        compare(vacuous, a, list(map(and_, star[a], map(or_, delta[a], allowed))), star[a])
+        acc = list(map(and_, star[a], delta[a]))
+        _subset_or(acc)
+        compare(basis, a, acc, delta[a])
+    for name, bad in zip(vaught._IDENTITIES, found):
+        rb.check(name, not bad, tuple(bad[:8]))
+    rb.info(
+        "combinations checked",
+        (count, (1 << order) - 1),
+        "point sets times group parts, both transforms",
     )
     return rb.build()
 

@@ -33,8 +33,10 @@ from pactop import (
     normalized_selector,
     orbit_equivalence,
     orbit_homeomorphism_report,
+    transform_identities_report,
     validate,
 )
+from pactop.vaught import TRANSFORM_LIMIT
 
 
 def _compose(p, q):
@@ -184,6 +186,26 @@ def test_midsize_checks_match_the_mask_references(midsize):
             assert got == expected, (check, pa)
             raised += isinstance(expected, tuple)
     assert raised == 0
+
+
+def test_midsize_identity_suite_matches_the_row_reference(midsize):
+    # The valid instances the transform limit admits: D4, Q8 (identity
+    # listed fifth) and A4 on 3 to 12 points.  Every check's status and
+    # witness, and the info line, must equal the row form's.
+    names = ["D4", "Q8", "A4", "S4"]
+    within = [
+        (names[n % 4], pa) for n, (_, _, _, pa) in enumerate(midsize)
+        if validate(pa).ok
+        and (1 << pa.space.size) * ((1 << pa.group.order) - 1) <= TRANSFORM_LIMIT
+    ]
+    assert [(name, pa.space.size) for name, pa in within] == [
+        ("D4", 9), ("A4", 8), ("D4", 4), ("Q8", 12), ("D4", 7), ("Q8", 10),
+        ("D4", 11), ("Q8", 3),
+    ]
+    for _, pa in within:
+        expected = references.transform_identities_report(pa)
+        assert transform_identities_report(pa) == expected, pa
+        assert expected.ok, pa
 
 
 def _blanked(pa):

@@ -9,6 +9,7 @@ import references
 from pactop import (
     EqRel,
     FinTop,
+    FiniteGroup,
     PartialAction,
     SelectorMap,
     action_continuity_table,
@@ -213,6 +214,29 @@ def _coarse_product(pa):
     order, size = pa.group.order, pa.space.size
     spread = [sum(n << (j * size) for j in range(order)) for n in pa.space.nbrs]
     return FinTop.from_neighborhoods(spread * order)
+
+
+def test_orbit_enumeration_frozen_failures():
+    # The two clauses no group table reaches, each on C3 fixing one
+    # point.  A stated inverse table that makes every element its own
+    # inverse: for g != e, inv(j) * g misses the h sending g to (j, 0).
+    # The product with the indiscrete group: the orbit of three product
+    # points is not discrete in it.
+    fixed = ((0,),) * 3
+    wrong_inverse = FiniteGroup(3, cyclic(3).mul, 0, (0, 1, 2))
+    rep = orbit_homeomorphism_report(
+        PartialAction(wrong_inverse, discrete(1), (1, 1, 1), fixed)
+    )
+    missed = ((1, 0, 0), (1, 0, 1), (1, 0, 2), (2, 0, 0), (2, 0, 1), (2, 0, 2))
+    assert [(c.status, c.witness) for c in rep.checks] == [
+        (PASS, ()), (FAIL, missed), (PASS, ()),
+    ]
+    coarse = PartialAction(cyclic(3), discrete(1), (1, 1, 1), fixed)
+    vars(coarse)["product"] = _coarse_product(coarse)
+    rep = orbit_homeomorphism_report(coarse)
+    assert [(c.status, c.witness) for c in rep.checks] == [
+        (PASS, ()), (PASS, ()), (FAIL, ((0, 0), (1, 0), (2, 0))),
+    ]
 
 
 @pytest.mark.parametrize(

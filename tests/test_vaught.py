@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import oracles
+import references
 from pactop import vaught
 from pactop import (
     PartialAction,
@@ -139,14 +140,24 @@ def _partitions_upto3(points):
             yield sub[:i] + (sub[i] | (1 << first),) + sub[i + 1:]
 
 
+def plane_tables(pa) -> tuple[list[int], list[int]]:
+    """The report's bit-plane tables, built through ``vaught._planes``."""
+    return vaught._planes(pa, *vaught._layout(pa.space.size, pa.group.order))
+
+
+def plane_rows(pa) -> tuple[list[list[int]], list[list[int]]]:
+    """The report's tables as rows of point masks, ``rows[A][V]``."""
+    return tuple(references.planes_to_rows(pa, t) for t in plane_tables(pa))
+
+
 def scan_identities(pa) -> dict[str, bool]:
     """Verdicts of the three checks the reductions replace, by direct
     enumeration: every partition of A into at most 3 blocks, every pair
     (A, B) and every sub-part of every group part.  Reads the report's
-    tables through ``vaught._tables``, so a patched table reaches both."""
+    tables through ``vaught._planes``, so a patched table reaches both."""
     size, full = pa.space.size, pa.space.full
     parts = range(1, 1 << pa.group.order)
-    delta, star = vaught._tables(pa)
+    delta, star = plane_rows(pa)
     union = inter = basis = True
     for a in range(1 << size):
         for blocks in _partitions_upto3(tuple(iter_bits(a))):
@@ -230,44 +241,53 @@ def test_reductions_match_scans_on_family(valid_family, valid_s3_family):
         assert _verdicts(transform_identities_report(pa)) == scan_identities(pa), pa
 
 
-def test_reductions_match_scans_on_broken_tables(valid_family, monkeypatch):
-    # Each table has one bit of one (A, V) entry of delta or star flipped.
-    # The report and the scans read every entry through ``_tables``, so
-    # patching it reaches both.
+def test_reductions_match_scans_on_broken_tables(
+    valid_family, valid_s3_family, monkeypatch
+):
+    # Each table has one cell (A, V, x) of delta or star flipped: 2,000
+    # draws from the family, then 300 from S3 on 3 points, whose parts
+    # fill 64-cell planes.  The report and the scans read every table
+    # through ``_planes``, so patching it reaches both.
     rng = random.Random(11)
-    nonempty = [pa for pa in valid_family if pa.space.size]
     true = {}  # the true tables, keyed by instance
-    broken = {}  # the (kind, a, v) entry to flip, and the bit
-    tables = vaught._tables
+    broken = {}  # the cell to flip, keyed by the table
+    planes = vaught._planes
 
-    def broken_tables(pa):
+    def broken_planes(pa, cells, lacks):
         if pa not in true:
-            true[pa] = tables(pa)
+            true[pa] = planes(pa, cells, lacks)
         out = {"delta": list(true[pa][0]), "star": list(true[pa][1])}
-        for (kind, a, v), bit in broken.items():
-            out[kind][a] = list(out[kind][a])
-            out[kind][a][v] ^= bit
+        for (kind, a), cell in broken.items():
+            out[kind][a] ^= cell
         return out["delta"], out["star"]
 
-    monkeypatch.setattr(vaught, "_tables", broken_tables)
-    fails = Counter()
-    for _ in range(2000):
-        pa = rng.choice(nonempty)
-        entry = (
-            rng.choice(("delta", "star")),
-            rng.randrange(1 << pa.space.size),
-            rng.randrange(1, 1 << pa.group.order),
-        )
-        broken.clear()
-        broken[entry] = 1 << rng.randrange(pa.space.size)
-        rep = transform_identities_report(pa)
-        got = _verdicts(rep)
-        assert got == scan_identities(pa), (pa, entry, broken[entry])
-        assert _checks(rep) == reference_checks(pa, *broken_tables(pa)), (
-            pa, entry, broken[entry]
-        )
-        fails.update(name for name, ok in got.items() if not ok)
-    assert all(fails[name] for name in (UNION, INTER, BASIS)), fails
+    monkeypatch.setattr(vaught, "_planes", broken_planes)
+    for count, instances in [(2000, valid_family), (300, valid_s3_family)]:
+        nonempty = [pa for pa in instances if pa.space.size]
+        fails = Counter()
+        for _ in range(count):
+            pa = rng.choice(nonempty)
+            kind = rng.choice(("delta", "star"))
+            a = rng.randrange(1 << pa.space.size)
+            v = rng.randrange(1, 1 << pa.group.order)
+            x = rng.randrange(pa.space.size)
+            broken.clear()
+            broken[kind, a] = 1 << (x * (1 << pa.group.order) + v)
+            rep = transform_identities_report(pa)
+            got = _verdicts(rep)
+            assert got == scan_identities(pa), (pa, kind, a, v, x)
+            assert _checks(rep) == reference_checks(pa, *plane_rows(pa)), (
+                pa, kind, a, v, x
+            )
+            fails.update(name for name, ok in got.items() if not ok)
+        assert all(fails[name] for name in (UNION, INTER, BASIS)), fails
+
+
+def test_identities_report_matches_the_row_reference(family, s3_family):
+    # every check's status and witness, the info line, or what is raised
+    for pa in family + s3_family:
+        expected = references.outcome(references.transform_identities_report, pa)
+        assert references.outcome(transform_identities_report, pa) == expected, pa
 
 
 def hits_row(pa, a: int) -> list[int]:
@@ -289,16 +309,23 @@ def tight_by_hits(pa, row: list[int], v: int) -> int:
 
 
 def test_tables_match_the_hits_rows(family, s3_family):
-    # the report's tables against the per-point definition: x is wide
-    # when some hit lies in V, tight when every g in V defined at x hits
+    # the report's tables against the per-point definition, cell by
+    # cell: x is wide when some hit lies in V, tight when every g in V
+    # defined at x hits; the empty part holds no wide and every tight x
     for pa in family + s3_family:
-        delta, star = vaught._tables(pa)
+        delta, star = plane_tables(pa)
+        width = 1 << pa.group.order
         for a in range(1 << pa.space.size):
             row = hits_row(pa, a)
-            assert (delta[a][0], star[a][0]) == (0, pa.space.full)
-            for v in range(1, 1 << pa.group.order):
-                assert delta[a][v] == wide_by_hits(row, v), (pa, a, v)
-                assert star[a][v] == tight_by_hits(pa, row, v), (pa, a, v)
+            for x in pa.space.points():
+                for v in range(width):
+                    cell = x * width + v
+                    wide = (wide_by_hits(row, v) >> x) & 1 if v else 0
+                    tight = (tight_by_hits(pa, row, v) >> x) & 1 if v else 1
+                    assert (delta[a] >> cell) & 1 == wide, (pa, a, v, x)
+                    assert (star[a] >> cell) & 1 == tight, (pa, a, v, x)
+            assert delta[a] >> (pa.space.size * width) == 0, (pa, a)
+            assert star[a] >> (pa.space.size * width) == 0, (pa, a)
 
 
 def test_identities_report_at_the_limit():
