@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
 from . import topology as topo
 from .errors import LimitExceeded, PactopError, ParseError, SchemaError
@@ -57,13 +58,30 @@ class ActionSpec:
     pa: PartialAction
 
 
+def _fail(path: str, what: str) -> NoReturn:
+    raise SchemaError(f"{path}: {what}", (path,))
+
+
 def _expect(cond: bool, path: str, what: str) -> None:
     if not cond:
-        raise SchemaError(f"{path}: {what}", (path,))
+        _fail(path, what)
 
 
 def _mask_from_names(values, names_idx: dict[str, int], path: str) -> int:
     _expect(isinstance(values, list), path, "expected a list of point names")
+    # Plain lookups first: a name that is unknown or not a string raises
+    # KeyError (TypeError when unhashable), and a repeat leaves fewer bits
+    # than names.  The checks below, which build each entry's path and
+    # message, run only when some entry fails, and name the first.
+    mask = 0
+    try:
+        for name in values:
+            mask |= 1 << names_idx[name]
+    except (KeyError, TypeError):
+        pass
+    else:
+        if bin(mask).count("1") == len(values):
+            return mask
     mask = 0
     for i, name in enumerate(values):
         _expect(isinstance(name, str), f"{path}/{i}", "expected a point name")
@@ -120,8 +138,8 @@ def _parse_space(doc, path: str) -> tuple[tuple[str, ...], FinTop]:
     points = doc["points"]
     _expect(isinstance(points, list), f"{path}/points", "expected a list of names")
     for i, name in enumerate(points):
-        _expect(isinstance(name, str) and name, f"{path}/points/{i}",
-                "expected a nonempty string")
+        if not (isinstance(name, str) and name):
+            _fail(f"{path}/points/{i}", "expected a nonempty string")
     _expect(len(set(points)) == len(points), f"{path}/points", "duplicate names")
     names = tuple(points)
     names_idx = {name: i for i, name in enumerate(names)}
@@ -197,10 +215,10 @@ def parse(document: str | bytes) -> ActionSpec:
         g = _element_key(key, group.order, "/maps")
         _expect(isinstance(value, dict), f"/maps/{key}", "expected an object")
         for src, dst in value.items():
-            _expect(src in names_idx, f"/maps/{key}/{src}",
-                    f"unknown point {src!r}")
-            _expect(isinstance(dst, str) and dst in names_idx,
-                    f"/maps/{key}/{src}", f"unknown point {dst!r}")
+            if not (src in names_idx and isinstance(dst, str) and dst in names_idx):
+                _expect(src in names_idx, f"/maps/{key}/{src}",
+                        f"unknown point {src!r}")
+                _fail(f"/maps/{key}/{src}", f"unknown point {dst!r}")
             maps[g][names_idx[src]] = names_idx[dst]
 
     pa = PartialAction(group, space, tuple(dom), tuple(tuple(r) for r in maps))

@@ -13,9 +13,11 @@ and the tests check both against the meagerness definition.  The
 identity suite stores each table as bit planes, one integer per point
 set, and checks each identity by a few integer operations per set.
 Over the whole group the transforms reduce to orbit-table readings.
-The ideal sweep reads the action's ``orbits``, ``diagonal`` and
-``settled`` tables, each computed once per action, and calls
-``ideal_member`` only at unsettled points.
+The ideal sweep makes one loop over the action's packed ``sections``
+rows, built once per action from its ``orbits``, ``diagonal`` and
+``settled`` tables; the diagonal is read at the diagonal points of the
+pair action only, and ``ideal_member`` is called at unsettled points
+only.
 """
 
 from __future__ import annotations
@@ -258,28 +260,27 @@ def ideal_member(pa: PartialAction, x: int, s: int) -> bool:
 def ideal_section_set(pa: PartialAction, pairs: int) -> int:
     """Points whose orbit section of the pair set is ideal-small.
 
-    Computed from the ideal definition on each section, the row of x in
-    the pair set cut down to the orbit of x; at a settled point (see
-    ``PartialAction.settled``) the definition reduces to "the section is
-    empty", elsewhere ``ideal_member`` judges it.  The result is then
-    cross-checked against the tight transform of the complement under
-    the pair action, read on the diagonal over the whole group: (x, x)
-    is in it exactly when its pair-action orbit, ``diagonal[x]``, misses
-    the pair set.  A mismatch raises since it would mean an engine bug.
+    One loop over the action's packed rows (``PartialAction.sections``,
+    built once per action).  The section of x is the pair set cut
+    down to the orbit of x as row x of the square; at a settled point
+    (see ``PartialAction.settled``) the ideal definition reduces to "the
+    section is empty", elsewhere ``ideal_member`` judges it.  The result
+    is then cross-checked against the tight transform of the complement
+    under the pair action, read on the diagonal over the whole group:
+    (x, x) is in it exactly when its pair-action orbit, ``diagonal[x]``,
+    misses the pair set.  A mismatch raises since it would mean an
+    engine bug.
     """
     size = pa.space.size
     if pairs < 0 or pairs >= 1 << (size * size):
         raise InvalidSubset("pair set is not within the square carrier", (pairs,))
-    # orbits is read first: on ill-formed tables it raises the KeyError
-    # that ideal_member's own read would
-    orbits, settled, diagonal = pa.orbits, pa.settled, pa.diagonal
     out = dual = 0
-    for x in range(size):
-        s = (pairs >> (x * size)) & orbits[x]
-        if (not s) if settled[x] else ideal_member(pa, x, s):
-            out |= 1 << x
-        if not diagonal[x] & pairs:
-            dual |= 1 << x
+    for x, bit, row, diagonal, settled in pa.sections:
+        s = pairs & row
+        if (not s) if settled else ideal_member(pa, x, s >> (x * size)):
+            out |= bit
+        if not diagonal & pairs:
+            dual |= bit
     if dual != out:
         raise AxiomViolation(
             "ideal sections disagree with the diagonal tight transform",

@@ -473,6 +473,67 @@ def test_parse_serialize_round_trip(family):
     assert refused
 
 
+SIX = [f"p{i}" for i in range(6)]
+
+
+def six_point_doc() -> dict:
+    # C2 swapping p0 with p1, p2 with p3 and p4 with p5 on an indiscrete
+    # space: long enough lists that a bad entry can sit at index 4
+    swap = {a: b for i in range(0, 6, 2) for a, b in ((SIX[i], SIX[i + 1]),
+                                                       (SIX[i + 1], SIX[i]))}
+    return {
+        "group": {"kind": "cyclic", "order": 2},
+        "space": {"points": list(SIX), "opens": [[], list(SIX)]},
+        "domains": {"0": list(SIX), "1": list(SIX)},
+        "maps": {"0": {p: p for p in SIX}, "1": swap},
+    }
+
+
+def _late_open(doc, bad):
+    doc["space"]["opens"].append(SIX[:4] + [bad])
+
+
+def _late_domain_entry(doc, bad):
+    doc["domains"]["1"] = SIX[:4] + [bad]
+
+
+def _set_point(doc, bad):
+    doc["space"]["points"][4] = bad
+
+
+def _add_source(doc, bad):
+    doc["maps"]["1"][bad] = "p0"
+
+
+def _set_target(doc, bad):
+    doc["maps"]["1"]["p5"] = bad
+
+
+@pytest.mark.parametrize("edit, bad, message", [
+    (_late_open, 7, "/space/opens/2/4: expected a point name"),
+    (_late_open, ["p1"], "/space/opens/2/4: expected a point name"),
+    (_late_open, "q", "/space/opens/2/4: unknown point 'q'"),
+    (_late_open, "p1", "/space/opens/2/4: duplicate point 'p1'"),
+    (_late_domain_entry, None, "/domains/1/4: expected a point name"),
+    (_late_domain_entry, "q", "/domains/1/4: unknown point 'q'"),
+    (_late_domain_entry, "p3", "/domains/1/4: duplicate point 'p3'"),
+    (_add_source, "q", "/maps/1/q: unknown point 'q'"),
+    (_set_target, "q", "/maps/1/p5: unknown point 'q'"),
+    (_set_target, 5, "/maps/1/p5: unknown point 5"),
+    (_set_target, {"p0": 1}, "/maps/1/p5: unknown point {'p0': 1}"),
+    (_set_point, "", "/space/points/4: expected a nonempty string"),
+    (_set_point, 4, "/space/points/4: expected a nonempty string"),
+])
+def test_point_name_errors(edit, bad, message):
+    doc = six_point_doc()
+    parse(json.dumps(doc))
+    edit(doc, bad)
+    with pytest.raises(SchemaError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == message
+    assert exc.value.witness == (message.split(": ")[0],)
+
+
 def test_parse_rejects_unknown_key():
     doc = example_doc()
     doc["extra"] = 1

@@ -19,6 +19,7 @@ import random
 import pytest
 
 import references
+from pactop import cli
 from pactop import (
     PartialAction,
     build,
@@ -235,6 +236,42 @@ def test_validate_never_raises_on_midsize_edits(midsize):
                     raised[expected[0].__name__] = raised.get(expected[0].__name__, 0) + 1
     assert rejected == 120
     assert raised == {"AxiomViolation": 118, "KeyError": 72}
+
+
+def test_report_on_midsize_edits(midsize):
+    # The report stages, in process: some instances have no document
+    # (serialize hits the open-set limit), and S4 on 19 points has one of
+    # 33 MB.  Each instance, its four one-entry edits and its blanked
+    # copy: nothing raises, exactly the valid instances within the
+    # transform limit pass, and every failing report names a witness or
+    # the size limit it hit.
+    args = cli._build_parser("report").parse_args(["report", "doc.json"])
+    passed, limits = [], {}
+    for n, (_, _, _, pa) in enumerate(midsize):
+        for k, edit in enumerate(
+            [pa, *references.one_entry_edits([pa], 4, seed=n), _blanked(pa)]
+        ):
+            spec = cli.ActionSpec("", tuple(f"p{x}" for x in edit.space.points()), edit)
+            data, reports = cli._run(spec, args)
+            _, ok = cli._render(spec.label, "report", data, reports, "json")
+            if ok:
+                passed.append((n, k))
+                continue
+            named = False
+            for rep in reports:
+                for _, check in rep.failures():
+                    if check.name.startswith("size limit hit"):
+                        limits[rep.name] = limits.get(rep.name, 0) + 1
+                        named = True
+                    named = named or bool(check.witness)
+            assert named, edit
+    assert passed == [
+        (n, 0) for n, (_, _, _, pa) in enumerate(midsize)
+        if validate(pa).ok
+        and (1 << pa.space.size) * ((1 << pa.group.order) - 1) <= TRANSFORM_LIMIT
+    ]
+    assert len(passed) == 8
+    assert limits == {"transform-identities": 6, "transversal-topology": 5}
 
 
 def test_c64_on_128_points_minus_one():

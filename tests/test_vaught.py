@@ -29,6 +29,7 @@ from pactop import (
 from pactop.errors import AxiomViolation, InvalidOpenSet, InvalidSubset, NotOpen
 from pactop.reports import FAIL, INFO, PASS
 from pactop.topology import iter_bits, mask_of
+from test_midsize import midsize_instances
 
 SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 K3 = example_k3()
@@ -439,6 +440,40 @@ def test_section_set_matches_the_transforms(valid_family):
         assert ideal_section_set(pa, pairs) == section_set_by_transforms(pa, pairs), (
             pa, pairs
         )
+
+
+def test_section_set_matches_the_transforms_on_s3(s3_family):
+    # non-abelian: every pair set of every S3 instance on <= 3 points
+    for pa in s3_family:
+        for pairs in range(1 << pa.space.size ** 2):
+            assert ideal_section_set(pa, pairs) == section_set_by_transforms(pa, pairs), (
+                pa, pairs
+            )
+
+
+def test_section_set_matches_the_transforms_on_midsize():
+    # D4, Q8 (its identity listed fifth), A4 and S4: 20 seeded pair sets
+    # per valid instance, each filling a seeded half of the rows at
+    # density 1/4, so that both verdicts show at many points
+    rng = random.Random(19)
+    verdicts = Counter()
+    for _, _, _, pa in midsize_instances():
+        if not validate(pa).ok:
+            continue
+        size = pa.space.size
+        for _ in range(20):
+            pairs = 0
+            for x in pa.space.points():
+                if rng.random() < 0.5:
+                    bits = rng.getrandbits(size) & rng.getrandbits(size)
+                    pairs |= bits << (x * size)
+            small = ideal_section_set(pa, pairs)
+            assert small == section_set_by_transforms(pa, pairs), (pa, pairs)
+            verdicts["small"] += bin(small).count("1")
+            verdicts["large"] += size - bin(small).count("1")
+        verdicts["instances"] += 1
+    assert verdicts["instances"] == 14
+    assert verdicts["small"] and verdicts["large"], verdicts
 
 
 def test_section_cross_check_fires():
