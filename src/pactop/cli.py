@@ -149,9 +149,10 @@ def _parse_space(doc, path: str) -> tuple[tuple[str, ...], FinTop]:
         _mask_from_names(u, names_idx, f"{path}/opens/{i}")
         for i, u in enumerate(opens_doc)
     ]
-    reason = topo.family_is_topology(len(names), masks)
-    _expect(reason is None, f"{path}/opens", f"not a topology: {reason}")
-    return names, FinTop(len(names), tuple(masks))
+    try:
+        return names, topo.topology_with_opens(len(names), masks)
+    except ValueError as exc:
+        _fail(f"{path}/opens", f"not a topology: {exc}")
 
 
 def _is_decimal(text: str) -> bool:

@@ -6,7 +6,8 @@ of each point (any family closed under union and intersection is the
 up-set family of its specialization preorder; Alexandrov 1937), so a
 ``FinTop`` stores only those neighborhoods and every construction below
 builds them directly.  The open-set family is derived on demand, for
-output and for the tests' brute-force oracles.
+output and for the tests' brute-force oracles.  A family read as a
+topology is checked against the topology it generates, by counting.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from .relations import EqRel, iter_bits
 # Largest open-set family ``FinTop.opens`` lists; the 2**21 subsets of
 # a 21-point discrete space already pass it.
 OPEN_SET_LIMIT = 2_000_000
+
+
+def _full(size: int) -> int:
+    if size < 0:
+        raise ValueError("size must be nonnegative")
+    return (1 << size) - 1
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -47,15 +54,15 @@ class FinTop:
     nbrs: tuple[int, ...]
 
     def __init__(self, size: int, opens: Iterable[int]):
-        if size < 0:
-            raise ValueError("size must be nonnegative")
-        full = (1 << size) - 1
+        full = _full(size)
         family = set(opens)
+        if 0 not in family:
+            raise ValueError("missing the empty set")
+        if full not in family:
+            raise ValueError("missing the full carrier")
         for u in family:
             if u < 0 or u > full:
-                raise ValueError(f"open set {u:#x} outside the carrier")
-        if 0 not in family or full not in family:
-            raise ValueError("opens must contain the empty set and the carrier")
+                raise ValueError(f"member {u:#x} outside the carrier")
         nbrs = [full] * size
         for u in family:
             for x in iter_bits(u):
@@ -78,7 +85,11 @@ class FinTop:
     def opens(self) -> tuple[int, ...]:
         """Every open set, in increasing order; computed once.  Raises
         LimitExceeded past ``OPEN_SET_LIMIT`` sets."""
-        return _up_sets(self.nbrs)
+        family = _up_sets(self.nbrs, OPEN_SET_LIMIT)
+        if len(family) > OPEN_SET_LIMIT:
+            raise LimitExceeded("open sets", len(family), OPEN_SET_LIMIT)
+        family.sort()
+        return tuple(family)
 
     @cached_property
     def atoms(self) -> tuple[int, ...]:
@@ -104,21 +115,20 @@ def _points_by_nbr(nbrs: Sequence[int]) -> dict[int, int]:
     return out
 
 
-def _up_sets(nbrs: Sequence[int]) -> tuple[int, ...]:
+def _up_sets(nbrs: Sequence[int], limit: int) -> list[int]:
     # Points sharing a neighborhood are added together, smallest
     # neighborhoods first.  The rest of a neighborhood is then already
     # placed, and the open sets so far that contain it are exactly those
-    # that stay open with the new points added.
+    # that stay open with the new points added.  Stops past ``limit``.
     together = _points_by_nbr(nbrs)
     family = [0]
     for n in sorted(together, key=int.bit_count):
         new = together[n]
         rest = n & ~new
         family += [u | new for u in family if u & rest == rest]
-        if len(family) > OPEN_SET_LIMIT:
-            raise LimitExceeded("open sets", len(family), OPEN_SET_LIMIT)
-    family.sort()
-    return tuple(family)
+        if len(family) > limit:
+            break
+    return family
 
 
 @dataclass(frozen=True)
@@ -318,7 +328,7 @@ def make_topology(size: int, generators: Iterable[int]) -> FinTop:
     The empty set and the whole carrier are always included.  Raises
     InvalidSubset when a generator sticks out of the point range.
     """
-    full = (1 << size) - 1
+    full = _full(size)
     family = [0, full]
     for g in generators:
         if g < 0 or g > full:
@@ -331,38 +341,26 @@ def discrete(size: int) -> FinTop:
     return FinTop.from_neighborhoods(1 << x for x in range(size))
 
 
-def family_is_topology(size: int, members: Iterable[int]) -> str | None:
-    """Check a family for the topology axioms; None when it passes,
-    otherwise a human-readable reason.
+def topology_with_opens(size: int, members: Iterable[int]) -> FinTop:
+    """The topology whose open sets are exactly ``members``; else a
+    ValueError naming FinTop's failed check or a missing union.
 
-    Runs in O(|F| * size): the meet of the members containing ``x`` must
-    be a member, and the family must be closed under adding such a meet
-    to a member.  Every union and intersection of members is built that
-    way, and each failing step names two members.
+    Each member contains the meet N(x) of the members holding x for each
+    of its points x, so it is open in the topology the family generates;
+    the family is that topology exactly when it has as many members as
+    the topology has opens (the count stops past that).  If not, some
+    member u misses ``u | N(x)`` for an x outside it, since adding
+    neighborhoods to the empty set builds every open.
     """
     fam = set(members)
-    full = (1 << size) - 1
-    if 0 not in fam:
-        return "missing the empty set"
-    if full not in fam:
-        return "missing the full carrier"
-    for u in fam:
-        if u < 0 or u > full:
-            return f"member {u:#x} outside the carrier"
-    nbrs = []
-    for x in range(size):
-        acc = full
-        for u in fam:
-            if (u >> x) & 1:
-                if acc & u not in fam:
-                    return f"intersection of {acc:#x} and {u:#x} missing"
-                acc &= u
-        nbrs.append(acc)
-    for u in fam:
-        for x in iter_bits(full & ~u):
-            if u | nbrs[x] not in fam:
-                return f"union of {u:#x} and {nbrs[x]:#x} missing"
-    return None
+    t = FinTop(size, fam)
+    if len(_up_sets(t.nbrs, len(fam))) == len(fam):
+        return t
+    u, n = next(
+        (u, t.nbrs[x]) for u in fam for x in iter_bits(t.full & ~u)
+        if u | t.nbrs[x] not in fam
+    )
+    raise ValueError(f"union of {u:#x} and {n:#x} missing")
 
 
 def homeomorphisms(t: FinTop) -> list[tuple[int, ...]]:
@@ -380,8 +378,8 @@ def all_topologies(size: int) -> list[FinTop]:
     each topology from its neighborhoods; on a finite carrier this hits
     each topology exactly once.  Raises LimitExceeded past 4 points.
     """
-    if size == 0:
-        return [FinTop(0, (0,))]
+    if size <= 0:  # FinTop refuses a negative size
+        return [FinTop(size, (0,))]
     if size > 4:
         raise LimitExceeded("points of an exhaustive topology enumeration", size, 4)
     pairs = [(x, y) for x in range(size) for y in range(size) if x != y]

@@ -58,6 +58,15 @@ def meager_in_oracle(size: int, opens, a: int, s: int) -> bool:
     return a & ~union == 0
 
 
+def is_topology_oracle(size: int, family) -> bool:
+    # the axioms literally: the empty set and the carrier are members,
+    # and so is the union and the intersection of any two members
+    fam = set(family)
+    return {0, (1 << size) - 1} <= fam and all(
+        u | v in fam and u & v in fam for u in fam for v in fam
+    )
+
+
 def borel_oracle(size: int, opens) -> set[int]:
     full = (1 << size) - 1
     fam = set(opens)

@@ -534,6 +534,42 @@ def test_point_name_errors(edit, bad, message):
     assert exc.value.witness == (message.split(": ")[0],)
 
 
+ABC = ["a", "b", "c"]
+
+
+def _three_point_doc(opens) -> dict:
+    # the trivial group on the points a, b, c with the given open sets
+    return {
+        "group": {"kind": "cyclic", "order": 1},
+        "space": {"points": list(ABC), "opens": opens},
+        "domains": {"0": list(ABC)},
+        "maps": {"0": {p: p for p in ABC}},
+    }
+
+
+@pytest.mark.parametrize("opens, reason", [
+    ([["a", "b", "c"]], "missing the empty set"),
+    ([[]], "missing the full carrier"),
+    ([[], ["a"], ["b"], ABC], "union of 0x1 and 0x2 missing"),
+    # closed under union, not under intersection: {a,b} and {b,c} meet in
+    # {b}, the neighbourhood of b, so its union with the empty set is
+    # missing
+    ([[], ["a", "b"], ["b", "c"], ABC], "union of 0x0 and 0x2 missing"),
+])
+def test_space_opens_errors(opens, reason, tmp_path):
+    doc = _three_point_doc(opens)
+    message = f"/space/opens: not a topology: {reason}"
+    with pytest.raises(SchemaError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == message
+    assert exc.value.witness == ("/space/opens",)
+    bad = tmp_path / "opens.json"
+    bad.write_text(json.dumps(doc))
+    out, err, code = run_main(["validate", str(bad)])
+    assert (out, code) == ("", 2)
+    assert message in err
+
+
 def test_parse_rejects_unknown_key():
     doc = example_doc()
     doc["extra"] = 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -155,6 +156,16 @@ def test_midsize_sweep_shape(midsize):
     orders = sorted({pa.group.order for _, _, _, pa in midsize})
     assert (len(midsize), min(sizes), max(sizes), orders) == (24, 8, 28, [8, 12, 24])
     assert sum(validate(pa).ok for _, _, _, pa in midsize) == 14
+
+
+def test_round_trip_past_the_bit_table(midsize):
+    # A4 on 17 points twice, with 19,440 and 2,300 opens: masks wider
+    # than the 12-bit table of iter_bits, read and written in full
+    for n, opens in ((6, 19440), (14, 2300)):
+        pa = midsize[n][3]
+        assert (pa.space.size, len(pa.space.opens)) == (17, opens)
+        spec = cli.ActionSpec("t", tuple(f"p{x}" for x in pa.space.points()), pa)
+        assert cli.parse(json.dumps(cli.serialize(spec))) == spec
 
 
 def test_midsize_envelopes_are_the_saturation(midsize):

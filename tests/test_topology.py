@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import re
 
 import pytest
 
@@ -32,7 +34,7 @@ from pactop import (
     transform_identities_report,
 )
 from pactop.errors import InvalidSubset, LimitExceeded
-from pactop.topology import family_is_topology, iter_bits, mask_of
+from pactop.topology import iter_bits, mask_of, topology_with_opens
 
 SIERPINSKI = FinTop(2, (0, 0b10, 0b11))
 
@@ -87,7 +89,7 @@ def test_counts_of_labeled_topologies():
 
 def test_all_topologies_members_are_topologies():
     for t in small_spaces():
-        assert family_is_topology(t.size, t.opens) is None
+        assert topology_with_opens(t.size, t.opens) == t
 
 
 def test_minimal_neighborhoods_match_definition():
@@ -325,10 +327,58 @@ def test_homeomorphisms_against_oracle():
         )
 
 
-def test_family_is_topology_reasons():
-    assert family_is_topology(2, [0, 0b01, 0b10, 0b11]) is None
-    assert "missing the empty set" in family_is_topology(2, [0b11])
-    assert "union" in family_is_topology(3, [0, 0b001, 0b010, 0b111])
+def oracle_families():
+    """All 70 families on at most 3 points that hold the empty set and
+    the carrier, then 2,000 seeded ones on 4 points."""
+    rng = random.Random(20)
+    for size in range(4):
+        full = (1 << size) - 1
+        middle = range(1, full)
+        for pick in range(1 << len(middle)):
+            yield size, {0, full} | {u for i, u in enumerate(middle) if pick >> i & 1}
+    for _ in range(2000):
+        yield 4, {0, 0b1111} | {u for u in range(1, 0b1111) if rng.random() < 0.5}
+
+
+def test_topology_with_opens_against_oracle():
+    counts = [0, 0]
+    for size, fam in oracle_families():
+        verdict = oracles.is_topology_oracle(size, fam)
+        try:
+            t = topology_with_opens(size, fam)
+        except ValueError as exc:
+            # a member and a set whose union is no member
+            u, n = (int(w, 16) for w in re.fullmatch(
+                r"union of (0x[0-9a-f]+) and (0x[0-9a-f]+) missing", str(exc)).groups())
+            assert u in fam and u | n not in fam, (size, fam, exc)
+            assert not verdict, (size, fam)
+        else:
+            assert verdict and t == FinTop(size, fam), (size, fam)
+        counts[verdict] += 1
+    assert counts == [1987, 83]  # 29 topologies on 3 points, 48 sampled on 4
+
+
+def test_topology_with_opens_reasons():
+    assert topology_with_opens(2, [0, 0b01, 0b10, 0b11]) == discrete(2)
+    with pytest.raises(ValueError, match="^missing the empty set$"):
+        topology_with_opens(2, [0b11])
+    with pytest.raises(ValueError, match="^missing the full carrier$"):
+        topology_with_opens(2, [0, 0b01])
+    with pytest.raises(ValueError, match="^member 0x4 outside the carrier$"):
+        topology_with_opens(2, [0, 0b100, 0b11])
+    with pytest.raises(ValueError, match="^union of 0x1 and 0x2 missing$"):
+        topology_with_opens(3, [0, 0b001, 0b010, 0b111])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FinTop(-1, [0]),
+    lambda: all_topologies(-1),
+    lambda: make_topology(-1, []),
+    lambda: topology_with_opens(-1, [0]),
+], ids=["FinTop", "all_topologies", "make_topology", "topology_with_opens"])
+def test_negative_sizes_are_refused(call):
+    with pytest.raises(ValueError, match="^size must be nonnegative$"):
+        call()
 
 
 def test_size_limits_name_the_limit_and_size():
