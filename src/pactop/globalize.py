@@ -219,27 +219,28 @@ def hat_relation_report(glob: Globalization) -> Report:
 
 def effros_report(pa: PartialAction) -> Report:
     """The three class-structure conditions at finite scale: orbit
-    relation a countable intersection of opens in the square, every
+    relation R a countable intersection of opens in the square, every
     orbit one in the space, and the orbit quotient T0.  Their three-way
     equivalence is asserted only on discrete carriers; elsewhere the
-    flags are stated without interpretation."""
+    flags are stated without interpretation.  The square is not built:
+    R is open in it when N(x)×N(y) ⊆ R at each (x, y) in R, that is,
+    when N(y) lies in the orbit of each z in N(x), the definition itself."""
     rb = ReportBuilder("orbit-class-structure")
-    space = pa.space
-    size = space.size
-
-    square = topo.product(space, space)
-    pairs = 0
-    for x in space.points():
-        pairs |= pa.orbits[x] << (x * size)
-    rel_open = topo.is_open(square, pairs)
-    orb_open = all(topo.is_open(space, o) for o in pa.orbits)
+    space, orbits = pa.space, pa.orbits
+    rel_open = all(
+        space.nbrs[y] & ~orbits[z] == 0
+        for x in space.points()
+        for y in iter_bits(orbits[x])
+        for z in iter_bits(space.nbrs[x])
+    )
+    orb_open = all(topo.is_open(space, o) for o in orbits)
     t0 = topo.separation(pa.orbit_quotient).t0
 
     rb.info("orbit relation open in the square", (rel_open,))
     rb.info("every orbit open", (orb_open,))
     rb.info("orbit quotient T0", (t0,))
 
-    if space == topo.discrete(size):
+    if space == topo.discrete(space.size):
         rb.check(
             "three conditions agree on a discrete carrier",
             rel_open == orb_open == t0,

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidSubset, LimitExceeded
@@ -181,18 +182,16 @@ def is_meager_in(t: FinTop, a: int, s: int) -> bool:
 
 
 def separation(t: FinTop) -> SeparationFlags:
-    """T0/T1/T2 flags, each decided from minimal neighborhoods."""
+    """T0/T1/T2 flags, each read in one pass over the minimal
+    neighborhoods: T0 when they are pairwise distinct, T1 when each is
+    its point alone, T2 when they are pairwise disjoint, that is, when
+    their sizes sum to the size of their union."""
     nbrs = t.nbrs
-    t0 = t1 = t2 = True
-    for x in t.points():
-        for y in range(x + 1, t.size):
-            if nbrs[x] == nbrs[y]:
-                t0 = False
-            if nbrs[x] & (1 << y) or nbrs[y] & (1 << x):
-                t1 = False
-            if nbrs[x] & nbrs[y]:
-                t2 = False
-    return SeparationFlags(t0, t1, t2)
+    return SeparationFlags(
+        len(set(nbrs)) == t.size,
+        all(n == 1 << x for x, n in enumerate(nbrs)),
+        sum(n.bit_count() for n in nbrs) == reduce(or_, nbrs, 0).bit_count(),
+    )
 
 
 def subspace(t: FinTop, s: int) -> FinTop:
@@ -338,6 +337,7 @@ def make_topology(size: int, generators: Iterable[int]) -> FinTop:
 
 
 def discrete(size: int) -> FinTop:
+    _full(size)  # refuses a negative size
     return FinTop.from_neighborhoods(1 << x for x in range(size))
 
 

@@ -1,24 +1,28 @@
 """Mask-row forms of the engine's relation builders and orbit checks,
 kept as the references their label-row forms are compared against; the
 row form of the transform-identity suite, the reference for its bit
-planes; the inputs the comparisons run on (one-entry edits, lifted
-classes merged or split); and the saturation check every envelope built
-from a total action must pass.
+planes; the square and pair-scan forms of the pair-shaped checks
+(orbit relation open in the square, separation, bireducibility); the
+inputs the comparisons run on (one-entry edits, lifted classes merged
+or split); and the saturation check every envelope built from a total
+action must pass.
 
 Each relation reference reads one product-wide bitmask row per point
 and scans the axioms on masks, as the engine first did; the transform
-reference keeps one point mask per (point set, group part).  Slow is
+reference keeps one point mask per (point set, group part); the
+pair-shaped references build the square or compare every pair.  Slow is
 fine: these run on desk-scale instances only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from operator import and_, or_
 
 import pactop.topology as topo
 from pactop import PartialAction, pair_index, pair_split
-from pactop import vaught
+from pactop import globalize, selector, vaught
 from pactop.errors import AxiomViolation, LimitExceeded
 from pactop.relations import EqRel
 from pactop.reports import ReportBuilder
@@ -158,6 +162,144 @@ def orbit_homeomorphism_report(pa: PartialAction, rel: EqRel):
         tuple(bad_homeo),
     )
     return rb.build()
+
+
+def effros_report(pa: PartialAction):
+    """The orbit-class-structure report with its first flag read on the
+    square: the orbit rows placed as row x of ``topo.product(space,
+    space)`` and tested for openness there."""
+    rb = ReportBuilder("orbit-class-structure")
+    space = pa.space
+    size = space.size
+
+    square = topo.product(space, space)
+    pairs = 0
+    for x in space.points():
+        pairs |= pa.orbits[x] << (x * size)
+    rel_open = topo.is_open(square, pairs)
+    orb_open = all(topo.is_open(space, o) for o in pa.orbits)
+    t0 = separation(pa.orbit_quotient).t0
+
+    rb.info("orbit relation open in the square", (rel_open,))
+    rb.info("every orbit open", (orb_open,))
+    rb.info("orbit quotient T0", (t0,))
+    if space == topo.discrete(size):
+        rb.check(
+            "three conditions agree on a discrete carrier",
+            rel_open == orb_open == t0,
+            (rel_open, orb_open, t0),
+        )
+    else:
+        rb.na(
+            "three conditions agree on a discrete carrier",
+            "carrier not discrete; flags stated without interpretation",
+        )
+    return rb.build()
+
+
+def separation(t) -> topo.SeparationFlags:
+    """T0/T1/T2 by their pairwise definitions on minimal neighborhoods:
+    no two equal, no one holding another point, no two meeting."""
+    nbrs = t.nbrs
+    t0 = t1 = t2 = True
+    for x in t.points():
+        for y in range(x + 1, t.size):
+            if nbrs[x] == nbrs[y]:
+                t0 = False
+            if nbrs[x] & (1 << y) or nbrs[y] & (1 << x):
+                t1 = False
+            if nbrs[x] & nbrs[y]:
+                t2 = False
+    return topo.SeparationFlags(t0, t1, t2)
+
+
+def envelope_classes(glob) -> EqRel:
+    """The envelope's class relation on mask rows: class c is related to
+    every translate of it."""
+    columns = zip(*glob.action)
+    return from_masks(glob.num_classes, [mask_of(col) for col in columns])
+
+
+def coordinate_spread(glob, sel: SelectorMap) -> tuple[int, ...]:
+    """The classes on which the selector's second coordinate takes more
+    than one value: each class's coordinates gathered in a set."""
+    size = glob.source.space.size
+    values = [set() for _ in range(glob.num_classes)]
+    for p in range(glob.relation.size):
+        _, x = pair_split(size, sel.image[p])
+        values[glob.relation.class_of(p)].add(x)
+    return tuple(c for c, vals in enumerate(values) if len(vals) != 1)
+
+
+def bireducibility_report(glob, sel: SelectorMap, envelope: EqRel | None = None):
+    """The bireducibility report scanning every pair of points, then of
+    classes, for the first 8 witnesses in each direction, against the
+    envelope class relation ``envelope`` (``envelope_classes(glob)`` when
+    omitted)."""
+    pa = glob.source
+    size = pa.space.size
+    rb = ReportBuilder("bireducibility")
+    carrier = pa.orbit_relation
+    if envelope is None:
+        envelope = envelope_classes(glob)
+    emb = glob.embedding
+
+    bad_fwd = [
+        (x, y) for x in pa.space.points() for y in pa.space.points()
+        if carrier.same(x, y) != envelope.same(emb[x], emb[y])
+    ]
+    rb.check(
+        "embedding reduces carrier orbits to envelope classes",
+        not bad_fwd,
+        tuple(bad_fwd[:8]),
+    )
+    multi = coordinate_spread(glob, sel)
+    if multi:
+        raise AxiomViolation(
+            "selector second coordinate is not constant on classes", multi
+        )
+    back = [pair_split(size, sel.image[p])[1] for p in glob.relation.least]
+    bad_bwd = [
+        (c, d) for c in range(glob.num_classes) for d in range(glob.num_classes)
+        if envelope.same(c, d) != carrier.same(back[c], back[d])
+    ]
+    rb.check(
+        "selector coordinate reduces envelope classes to carrier orbits",
+        not bad_bwd,
+        tuple(bad_bwd[:8]),
+    )
+    return rb.build()
+
+
+def changed_bireducibility(pa, changed: str, change, rng, monkeypatch):
+    """The engine's bireducibility report and the pair scan's on a fresh
+    copy of the valid action ``pa``, with the ``changed`` relation, the
+    "carrier" orbit relation or the "envelope" class relation, replaced
+    by the class ids ``change(rel, rng)`` gives; None when that relation
+    has one class.  The engine reads the new envelope relation through
+    ``monkeypatch``."""
+    pa = dataclasses.replace(pa)  # a copy with nothing cached
+    glob, sel = globalize.build(pa), selector.normalized_selector(pa)
+    envelope = envelope_classes(glob)
+    rel = pa.orbit_relation if changed == "carrier" else envelope
+    if rel.num_classes < 2:
+        return None
+    rel = EqRel(rel.size, change(rel, rng))
+    if changed == "carrier":
+        vars(pa)["orbit_relation"] = rel
+    else:
+        envelope = rel
+        monkeypatch.setattr(selector, "from_relation", lambda *_: rel)
+    got = selector.bireducibility_report(glob, sel)
+    return got, bireducibility_report(glob, sel, envelope)
+
+
+def count_witnesses(report, seen: dict) -> None:
+    """Count each check of ``report`` in ``seen`` by its status and
+    whether it shows the full 8 witnesses."""
+    for check in report.checks:
+        kind = (check.status, len(check.witness) == 8)
+        seen[kind] = seen.get(kind, 0) + 1
 
 
 def transform_tables(pa: PartialAction) -> tuple[list[list[int]], list[list[int]]]:

@@ -16,6 +16,7 @@ from pactop import (
     FinTop,
     Globalization,
     PartialAction,
+    SeparationFlags,
     build,
     cyclic,
     discrete,
@@ -30,6 +31,7 @@ from pactop import (
     mutant_family,
     pair_index,
     pair_split,
+    separation,
     validate,
 )
 from pactop.errors import AxiomViolation, NotAnAction, PactopError
@@ -309,6 +311,52 @@ def test_effros_flags_agree_on_discrete(valid_family):
             assert all(
                 c.status in (INFO, NA) for c in rep.checks
             ), [c.name for c in rep.checks]
+
+
+def test_effros_report_matches_the_square_reference(family, s3_family, changed_family):
+    # Read on neighborhood pairs, "orbit relation open in the square"
+    # must give the square's report, or raise as it does, on valid,
+    # invalid and ill-formed tables alike.  Where the orbits form a
+    # partition the flag equals "every orbit open"; where they do not,
+    # the orbit quotient raises, so a fresh copy with that quotient set
+    # to the carrier shows the flag on its own.
+    kinds: dict = {}
+    for pa in [*family, *s3_family, *changed_family]:
+        expected = references.outcome(references.effros_report, pa)
+        assert references.outcome(effros_report, pa) == expected, pa
+        if isinstance(expected, tuple) and expected[0] is AxiomViolation:
+            pa = dataclasses.replace(pa)
+            vars(pa)["orbit_quotient"] = pa.space
+            expected = references.effros_report(pa)
+            assert effros_report(pa) == expected, pa
+            flags = tuple(c.witness[0] for c in expected.checks[:2])
+            kind = ("no partition", flags[0] == flags[1])
+        elif isinstance(expected, tuple):
+            kind = expected[0].__name__
+        else:  # the square flag and the discrete-carrier verdict
+            kind = (expected.checks[0].witness[0], expected.checks[-1].status)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds == {
+        (True, PASS): 220, (True, NA): 126, (False, NA): 867,
+        ("no partition", True): 554, ("no partition", False): 49, "KeyError": 231,
+    }
+
+
+def test_quotient_separation_matches_the_pairwise_reference(
+    valid_globs, valid_s3_family
+):
+    # the envelope and orbit quotients of every valid sweep instance
+    seen: dict = {}
+    for pa, glob in [*valid_globs, *((pa, build(pa)) for pa in valid_s3_family)]:
+        for t in (glob.topology, pa.orbit_quotient):
+            flags = separation(t)
+            assert flags == references.separation(t), (pa, t)
+            seen[flags] = seen.get(flags, 0) + 1
+    assert seen == {
+        SeparationFlags(True, True, True): 215,
+        SeparationFlags(True, False, False): 376,
+        SeparationFlags(False, False, False): 239,
+    }
 
 
 def test_lifted_orbit_count_matches_classes(valid_globs):

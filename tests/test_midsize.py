@@ -1,5 +1,5 @@
 """A seeded mid-size sweep with larger non-abelian groups, and the scale
-gate at 8,128 product points.
+gates at 8,128 and 16,376 product points.
 
 D4, Q8, A4 and S4 each act on a disjoint union of coset spaces G/H (H
 trivial gives the regular action, H a point stabilizer the natural
@@ -23,9 +23,12 @@ import references
 from pactop import cli
 from pactop import (
     PartialAction,
+    SeparationFlags,
+    bireducibility_report,
     build,
     cyclic,
     discrete,
+    effros_report,
     enveloping_relation,
     hat_relation_report,
     induced,
@@ -35,9 +38,11 @@ from pactop import (
     normalized_selector,
     orbit_equivalence,
     orbit_homeomorphism_report,
+    separation,
     transform_identities_report,
     validate,
 )
+from pactop.reports import FAIL, PASS
 from pactop.vaught import TRANSFORM_LIMIT
 
 
@@ -249,6 +254,58 @@ def test_validate_never_raises_on_midsize_edits(midsize):
     assert raised == {"AxiomViolation": 118, "KeyError": 72}
 
 
+def test_midsize_pair_checks_match_the_references(midsize):
+    # The square flag on each instance, its four one-entry edits and
+    # its blanked copy; separation on the envelope and orbit quotients
+    # and bireducibility on the valid instances.
+    kinds: dict = {}
+    for n, (_, _, _, pa) in enumerate(midsize):
+        for edit in [pa, *references.one_entry_edits([pa], 4, seed=n), _blanked(pa)]:
+            expected = references.outcome(references.effros_report, edit)
+            assert references.outcome(effros_report, edit) == expected, edit
+            if isinstance(expected, tuple):
+                kind = expected[0].__name__
+            else:  # the square flag
+                kind = expected.checks[0].witness[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+        if not validate(pa).ok:
+            continue
+        glob, sel = build(pa), normalized_selector(pa)
+        for t in (glob.topology, pa.orbit_quotient):
+            assert separation(t) == references.separation(t), pa
+        expected = references.bireducibility_report(glob, sel)
+        assert bireducibility_report(glob, sel) == expected and expected.ok, pa
+    assert kinds == {True: 26, False: 29, "AxiomViolation": 53, "KeyError": 36}
+
+
+@pytest.mark.parametrize(
+    "changed, change, kinds",
+    [
+        ("carrier", references.merge_two, {(FAIL, True): 21, (FAIL, False): 1}),
+        ("envelope", references.merge_two, {(FAIL, True): 21, (FAIL, False): 1}),
+        ("carrier", references.split_two, {(FAIL, True): 19, (FAIL, False): 3}),
+        ("envelope", references.split_two,
+         {(FAIL, True): 16, (FAIL, False): 5, (PASS, False): 1}),
+    ],
+)
+def test_midsize_bireducibility_witnesses_on_changed_relations(
+    monkeypatch, midsize, changed, change, kinds
+):
+    # larger classes than the small sweeps have, so failures show the
+    # full 8 witnesses
+    rng = random.Random(0)
+    seen: dict = {}
+    for _, _, _, pa in midsize:
+        if not validate(pa).ok:
+            continue
+        reports = references.changed_bireducibility(pa, changed, change, rng, monkeypatch)
+        if reports:
+            got, expected = reports
+            assert got == expected, pa
+            references.count_witnesses(expected, seen)
+    assert seen == kinds
+
+
 def test_report_on_midsize_edits(midsize):
     # The report stages, in process: some instances have no document
     # (serialize hits the open-set limit), and S4 on 19 points has one of
@@ -285,13 +342,19 @@ def test_report_on_midsize_edits(midsize):
     assert limits == {"transform-identities": 6, "transversal-topology": 5}
 
 
-def test_c64_on_128_points_minus_one():
-    # Scale gate: C64 rotating the first 64 of 128 discrete points,
-    # restricted to every point but point 0 (|G|*|X| = 8,128).
-    space = discrete(128)
-    rows = [[(x // 64) * 64 + (x % 64 + g) % 64 for x in range(128)] for g in range(64)]
+def _rotation(k: int, n: int):
+    """C_k rotating each block of k consecutive points out of n discrete
+    points, restricted to every point but point 0: (space, rows,
+    carrier, partial action)."""
+    space = discrete(n)
+    rows = [[(x // k) * k + (x % k + g) % k for x in range(n)] for g in range(k)]
     carrier = space.full & ~1
-    pa = induced(cyclic(64), space, rows, carrier)
+    return space, rows, carrier, induced(cyclic(k), space, rows, carrier)
+
+
+def test_c64_on_128_points_minus_one():
+    # Scale gate: C64 on 128 points minus one (|G|*|X| = 8,128).
+    space, rows, carrier, pa = _rotation(64, 128)
     assert validate(pa).ok
     glob = build(pa)
     assert hat_relation_report(glob).ok
@@ -299,3 +362,28 @@ def test_c64_on_128_points_minus_one():
     assert orbit_homeomorphism_report(pa).ok
     assert references.check_saturation(space, rows, carrier, glob) == (True, False)
     assert glob.num_classes == 128
+
+
+def test_c8_on_2048_points_minus_one():
+    # Scale gate: C8 on 2,048 points minus one (|G|*|X| = 16,376).  No
+    # table here may grow with the square of the points: every report
+    # stage passes but the two behind a size limit.  Bireducibility,
+    # which the report skips after the transversal limit, and the
+    # envelope's separation flags are read directly.
+    _, _, _, pa = _rotation(8, 2048)
+    spec = cli.ActionSpec("", tuple(f"p{x}" for x in pa.space.points()), pa)
+    args = cli._build_parser("report").parse_args(["report", "doc.json"])
+    _, reports = cli._run(spec, args)
+    failed = {
+        rep.name: [check.name.split(":")[0] for _, check in rep.failures()]
+        for rep in reports if not rep.ok
+    }
+    assert failed == {
+        "transform-identities": ["size limit hit"],
+        "transversal-topology": ["size limit hit"],
+    }
+    assert effros_report(pa).ok
+    glob = build(pa)
+    assert separation(glob.topology) == SeparationFlags(True, True, True)
+    assert bireducibility_report(glob, normalized_selector(pa)).ok
+    assert glob.num_classes == 2048

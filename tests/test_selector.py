@@ -23,7 +23,6 @@ from pactop import (
     min_selector,
     normalized_selector,
     orbit_homeomorphism_report,
-    pair_split,
     transversal,
     transversal_topology,
 )
@@ -119,22 +118,14 @@ def test_continuity_table_total_discrete():
     assert all(all(row) for row in rows)
 
 
-def test_bireducibility_across_family(valid_globs):
-    for pa, glob in valid_globs:
-        rep = bireducibility_report(glob, normalized_selector(pa))
+def test_bireducibility_across_family(valid_globs, valid_s3_family):
+    # each direction accepted by one partition comparison: the pair
+    # scan's report
+    for pa, glob in [*valid_globs, *((pa, build(pa)) for pa in valid_s3_family)]:
+        sel = normalized_selector(pa)
+        rep = bireducibility_report(glob, sel)
         assert rep.ok, (pa, rep.failures())
-
-
-def coordinate_spread_by_class_sets(glob, sel):
-    """The selector-coordinate check as first written, kept as the
-    reference: each class's second coordinates gathered in a set, and
-    the classes whose set has more than one value."""
-    size = glob.source.space.size
-    values = [set() for _ in range(glob.num_classes)]
-    for p in range(glob.relation.size):
-        _, x = pair_split(size, sel.image[p])
-        values[glob.relation.class_of(p)].add(x)
-    return tuple(c for c, vals in enumerate(values) if len(vals) != 1)
+        assert rep == references.bireducibility_report(glob, sel), pa
 
 
 def test_bireducibility_coordinate_witness_matches_class_sets(
@@ -145,10 +136,10 @@ def test_bireducibility_coordinate_witness_matches_class_sets(
     globs = [*valid_globs, *((pa, build(pa)) for pa in valid_s3_family)]
     raised = 0
     for pa, glob in globs:
-        assert coordinate_spread_by_class_sets(glob, normalized_selector(pa)) == ()
+        assert references.coordinate_spread(glob, normalized_selector(pa)) == ()
         n = glob.relation.size
         identity = SelectorMap(n, tuple(range(n)))
-        spread = coordinate_spread_by_class_sets(glob, identity)
+        spread = references.coordinate_spread(glob, identity)
         if not spread:
             bireducibility_report(glob, identity)
             continue
@@ -237,6 +228,31 @@ def test_orbit_enumeration_frozen_failures():
     assert [(c.status, c.witness) for c in rep.checks] == [
         (PASS, ()), (PASS, ()), (FAIL, ((0, 0), (1, 0), (2, 0))),
     ]
+
+
+@pytest.mark.parametrize(
+    "changed, change, kinds",
+    [
+        ("carrier", references.merge_two, {(FAIL, False): 704}),
+        ("envelope", references.merge_two, {(FAIL, False): 704}),
+        ("carrier", references.split_two, {(FAIL, False): 252, (PASS, False): 452}),
+        ("envelope", references.split_two, {(FAIL, False): 276, (PASS, False): 428}),
+    ],
+)
+def test_bireducibility_witnesses_match_the_pair_scan_on_changed_relations(
+    monkeypatch, valid_family, valid_s3_family, changed, change, kinds
+):
+    # Seeded merges and splits of either relation reach the failure
+    # paths of both directions.
+    rng = random.Random(0)
+    seen: dict = {}
+    for pa in [*valid_family, *valid_s3_family]:
+        reports = references.changed_bireducibility(pa, changed, change, rng, monkeypatch)
+        if reports:
+            got, expected = reports
+            assert got == expected, pa
+            references.count_witnesses(expected, seen)
+    assert seen == kinds
 
 
 @pytest.mark.parametrize(

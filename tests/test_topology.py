@@ -7,6 +7,7 @@ import re
 import pytest
 
 import oracles
+import references
 from pactop import (
     EqRel,
     FinTop,
@@ -161,6 +162,22 @@ def test_separation_flags():
     assert separation(indiscrete(2)) == SeparationFlags(False, False, False)
     assert separation(SIERPINSKI) == SeparationFlags(True, False, False)
     assert separation(indiscrete(1)) == SeparationFlags(True, True, True)
+
+
+def test_separation_matches_the_pairwise_reference():
+    # every topology on at most 4 points: 390, reaching each flag
+    # combination a finite space has
+    seen: dict = {}
+    for size in range(5):
+        for t in all_topologies(size):
+            flags = separation(t)
+            assert flags == references.separation(t), t
+            seen[flags] = seen.get(flags, 0) + 1
+    assert seen == {
+        SeparationFlags(True, True, True): 5,
+        SeparationFlags(True, False, False): 238,
+        SeparationFlags(False, False, False): 147,
+    }
 
 
 def test_separation_t2_implies_t1_implies_t0():
@@ -375,7 +392,8 @@ def test_topology_with_opens_reasons():
     lambda: all_topologies(-1),
     lambda: make_topology(-1, []),
     lambda: topology_with_opens(-1, [0]),
-], ids=["FinTop", "all_topologies", "make_topology", "topology_with_opens"])
+    lambda: discrete(-1),
+], ids=["FinTop", "all_topologies", "make_topology", "topology_with_opens", "discrete"])
 def test_negative_sizes_are_refused(call):
     with pytest.raises(ValueError, match="^size must be nonnegative$"):
         call()
