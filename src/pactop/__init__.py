@@ -43,8 +43,6 @@ from .paction import (
     orbit_consistency_report,
     orbit_equivalence,
     pair_action,
-    pair_index,
-    pair_split,
     stabilizer,
     validate,
 )
@@ -67,7 +65,6 @@ from .topology import (
     SeparationFlags,
     all_topologies,
     borel_algebra,
-    borel_atoms,
     discrete,
     homeomorphisms,
     is_borel,

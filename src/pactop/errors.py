@@ -67,13 +67,17 @@ class LimitExceeded(PactopError):
 
     ``limit`` names what is counted and ``size`` is the count that hit
     the limit; for a family built up step by step (open sets) it is the
-    count reached when the limit tripped, so a lower bound.
+    count reached when the limit tripped, so a lower bound.  The message
+    and witness give a count of 2^64 or more as "at least 2^k", its
+    power of two, rather than in hundreds of digits.
     """
 
     def __init__(self, limit: str, size: int, bound: int):
+        exact = size < 1 << 64
+        shown = f"{size:,}" if exact else f"at least 2^{size.bit_length() - 1}"
         super().__init__(
-            f"size limit hit: {size:,} {limit} exceed the {bound:,} allowed",
-            (limit, size),
+            f"size limit hit: {shown} {limit} exceed the {bound:,} allowed",
+            (limit, size if exact else shown),
         )
         self.limit = limit
         self.size = size

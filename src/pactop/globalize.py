@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from . import topology as topo
 from .errors import AxiomViolation
-from .paction import PartialAction, check_total_action, pair_index, pair_split
-from .relations import EqRel, from_relation
+from .paction import PartialAction, check_total_action
+from .relations import EqRel, disagreements, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
 
@@ -54,6 +54,7 @@ def enveloping_relation(pa: PartialAction) -> EqRel:
 class Globalization:
     """Enveloping space with its quotient topology and total action.
 
+    ``relation.class_id[g * |X| + x]`` is the class of (g, x);
     ``action[g]`` permutes class indices, ``embedding`` sends carrier
     points to classes of the identity slice, ``reps`` holds the
     lexicographically least (g, x) pair of each class.
@@ -70,9 +71,6 @@ class Globalization:
     @property
     def num_classes(self) -> int:
         return self.relation.num_classes
-
-    def class_of(self, g: int, x: int) -> int:
-        return self.relation.class_of(pair_index(self.source.space.size, g, x))
 
     def embedded_classes(self) -> int:
         return mask_of(self.embedding)
@@ -96,7 +94,7 @@ def build(pa: PartialAction) -> Globalization:
         # moved[p] is the class of (g*h, x) for p = (h, x)
         moved: list[int] = []
         for gh in group.mul[g]:
-            moved += class_id[pair_index(size, gh, 0):pair_index(size, gh + 1, 0)]
+            moved += class_id[gh * size:(gh + 1) * size]
         row = tuple(moved[p] for p in least)
         bad = [c for c, m in zip(class_id, moved) if m != row[c]]
         if bad:
@@ -108,7 +106,7 @@ def build(pa: PartialAction) -> Globalization:
         action_rows.append(row)
 
     e = group.identity
-    embedding = class_id[pair_index(size, e, 0):pair_index(size, e + 1, 0)]
+    embedding = class_id[e * size:(e + 1) * size]
     if len(set(embedding)) != size:
         dup = tuple(
             (x, y) for x, y in itertools.combinations(range(size), 2)
@@ -118,7 +116,7 @@ def build(pa: PartialAction) -> Globalization:
 
     quotient = topo.quotient(pa.product, relation)
     check_total_action(group, quotient, action_rows)
-    reps = tuple(pair_split(size, p) for p in least)
+    reps = tuple(divmod(p, size) for p in least)
     return Globalization(
         pa, pa.product, relation, quotient, tuple(action_rows), embedding, reps
     )
@@ -205,13 +203,7 @@ def hat_relation_report(glob: Globalization) -> Report:
     same = glob.relation == lifted_orbits
     witness: tuple = ()
     if not same:
-        n = glob.relation.size
-        witness = next(
-            (p, q)
-            for p in range(n)
-            for q in range(n)
-            if glob.relation.same(p, q) != lifted_orbits.same(p, q)
-        )
+        witness = next(disagreements(glob.relation.class_id, lifted_orbits.class_id))
     rb.check("gluing relation equals lifted orbit relation", same, witness)
     rb.info("class count", (glob.num_classes,))
     return rb.build()

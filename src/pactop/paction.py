@@ -22,15 +22,6 @@ from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
 
 
-def pair_index(size: int, g: int, x: int) -> int:
-    """Encode the product point (g, x) with the group coordinate major."""
-    return g * size + x
-
-
-def pair_split(size: int, p: int) -> tuple[int, int]:
-    return divmod(p, size)
-
-
 @dataclass(frozen=True)
 class PartialAction:
     """Tables for a candidate partial action; validity is checked by
@@ -471,8 +462,7 @@ def orbit_consistency_report(pa: PartialAction) -> Report:
         "acting set translates along each move", not bad_translate, tuple(bad_translate)
     )
 
-    e, q = pa.orbit_relation, pa.orbit_quotient
-    cmap = [e.class_of(x) for x in pa.space.points()]
+    cmap, q = pa.orbit_relation.class_id, pa.orbit_quotient
     rb.check("class map continuous", topo.is_continuous(cmap, pa.space, q))
     rb.check("class map open", topo.is_open_map(cmap, pa.space, q))
 

@@ -1,5 +1,6 @@
-"""Equivalence relations on dense point ranges, stored as class-id tables,
-and ``iter_bits``, the bit-position reader every other module imports
+"""Equivalence relations on dense point ranges, stored as class-id tables;
+``disagreements``, the pair scan between two labellings; and
+``iter_bits``, the bit-position reader every other module imports
 through topology.  Masks below 2^12 read their positions from a table
 built once at import; wider masks are scanned one bit at a time."""
 
@@ -7,7 +8,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def _canonical(class_id: Iterable[int]) -> tuple[int, ...]:
@@ -82,18 +83,22 @@ class EqRel:
     def num_classes(self) -> int:
         return len(self.least)
 
-    def same(self, x: int, y: int) -> bool:
-        return self.class_id[x] == self.class_id[y]
-
-    def class_of(self, x: int) -> int:
-        return self.class_id[x]
-
     def classes(self) -> tuple[int, ...]:
         """Bitmask of members per class, indexed by class id."""
         masks = [0] * self.num_classes
         for x, c in enumerate(self.class_id):
             masks[c] |= 1 << x
         return tuple(masks)
+
+
+def disagreements(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (x, y) of points on which the labellings ``a`` and ``b``
+    disagree, one giving x and y the same label and the other not, in
+    lexicographic order; lazily, so a caller reads only what it needs."""
+    points = range(len(a))
+    return (
+        (x, y) for x in points for y in points if (a[x] == a[y]) != (b[x] == b[y])
+    )
 
 
 def from_relation(size: int, rows: Sequence[Sequence[int]]) -> EqRel:

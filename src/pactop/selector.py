@@ -10,14 +10,14 @@ refines the quotient topology while generating the same Borel algebra.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import islice
 
 from . import topology as topo
 from .errors import AxiomViolation
 from .globalize import Globalization
-from .paction import PartialAction, pair_index, pair_split
-from .relations import EqRel, from_relation
+from .paction import PartialAction
+from .relations import EqRel, disagreements, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
 
@@ -39,16 +39,14 @@ class SelectorMap:
             if self.image[self.image[x]] != self.image[x]:
                 raise ValueError(f"not idempotent at {x}")
 
-    def fixed_points(self) -> int:
-        return mask_of(x for x in range(self.size) if self.image[x] == x)
-
 
 def is_selector_for(sel: SelectorMap, rel: EqRel) -> bool:
     """Selector laws: values stay in class, and two points share a value
     exactly when they share a class."""
     if sel.size != rel.size:
         return False
-    if not all(rel.same(x, y) for x, y in enumerate(sel.image)):
+    cid = rel.class_id
+    if not all(cid[x] == cid[y] for x, y in enumerate(sel.image)):
         return False
     # Each class maps into itself, so it has one value exactly when
     # there are as many values as classes.
@@ -61,10 +59,8 @@ def min_selector(rel: EqRel) -> SelectorMap:
 
 
 def transversal(sel: SelectorMap) -> int:
-    """Fixed-point set; idempotency makes it one point per fiber."""
-    fixed = sel.fixed_points()
-    assert fixed == mask_of(set(sel.image))
-    return fixed
+    """Fixed-point set: by idempotency, the image, one point per fiber."""
+    return mask_of(sel.image)
 
 
 def normalized_selector(pa: PartialAction) -> SelectorMap:
@@ -88,16 +84,16 @@ def normalized_selector(pa: PartialAction) -> SelectorMap:
     # on_slice[c] lists the x with (identity, x) in class c
     on_slice: dict[int, list[int]] = {}
     for x in space.points():
-        on_slice.setdefault(class_id[pair_index(size, e, x)], []).append(x)
+        on_slice.setdefault(class_id[e * size + x], []).append(x)
     image = list(min_selector(rel).image)
     bad = []
     for g in group.elements():
         for y in space.points():
-            p = pair_index(size, g, y)
+            p = g * size + y
             direct = []
             if (pa.acting[y] >> g) & 1:
                 direct = [pa.act(g, y)]
-                image[p] = pair_index(size, e, direct[0])
+                image[p] = e * size + direct[0]
             related = on_slice.get(class_id[p], [])
             if related != direct:
                 bad += [(x, g, y) for x in set(related) ^ set(direct)]
@@ -122,13 +118,14 @@ class BorelReport:
     report: Report
 
 
-def _quotient_borel_atoms(glob: Globalization) -> tuple[int, ...]:
+def _quotient_atoms(glob: Globalization) -> tuple[int, ...]:
     # A class set is Borel in the quotient when its preimage is a union
     # of product atoms.  So the classes meeting one product atom share
     # an atom, and an atom is a class set joined by such overlaps.
     atoms: list[int] = []
-    for product_atom in topo.borel_atoms(glob.product):
-        met = mask_of(glob.relation.class_of(p) for p in iter_bits(product_atom))
+    cid = glob.relation.class_id
+    for product_atom in glob.product.atoms:
+        met = mask_of(cid[p] for p in iter_bits(product_atom))
         for a in [a for a in atoms if a & met]:
             atoms.remove(a)
             met |= a
@@ -136,15 +133,24 @@ def _quotient_borel_atoms(glob: Globalization) -> tuple[int, ...]:
     return tuple(sorted(atoms))
 
 
+def _check_size(glob: Globalization, sel: SelectorMap) -> None:
+    # another size would raise IndexError, or be read in part
+    if sel.size != glob.relation.size:
+        raise ValueError(
+            f"selector has {sel.size} points, the product {glob.relation.size}"
+        )
+
+
 def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
     """Push the transversal's subspace topology through the class map
     and compare Borel structures with the quotient."""
-    pa = glob.source
+    _check_size(glob, sel)
+    pa, cid = glob.source, glob.relation.class_id
     n_classes = glob.num_classes
 
     t_mask = transversal(sel)
     # entry i is the class of the i-th transversal point
-    classes_of_t = [glob.relation.class_of(p) for p in iter_bits(t_mask)]
+    classes_of_t = [cid[p] for p in iter_bits(t_mask)]
     if sorted(classes_of_t) != list(range(n_classes)):
         raise AxiomViolation(
             "transversal does not meet every class exactly once",
@@ -153,8 +159,8 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
 
     tau_nbrs = [0] * n_classes
     for p in iter_bits(t_mask):
-        tau_nbrs[glob.relation.class_of(p)] = mask_of(
-            glob.relation.class_of(q) for q in iter_bits(glob.product.nbrs[p] & t_mask)
+        tau_nbrs[cid[p]] = mask_of(
+            cid[q] for q in iter_bits(glob.product.nbrs[p] & t_mask)
         )
     tau = FinTop.from_neighborhoods(tau_nbrs)
 
@@ -173,8 +179,8 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
         "strictness of the extension is not asserted",
     )
 
-    quotient_atoms = _quotient_borel_atoms(glob)
-    tau_atoms = topo.borel_atoms(tau)
+    quotient_atoms = _quotient_atoms(glob)
+    tau_atoms = tau.atoms
     rb.check(
         "quotient Borel structure equals the transversal Borel algebra",
         quotient_atoms == tau_atoms,
@@ -183,10 +189,7 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
 
     image = glob.embedded_classes()
     rb.check("embedded image is Borel", topo.is_borel(tau, image), (image,))
-    pullback = mask_of(
-        p for p in iter_bits(t_mask)
-        if (image >> glob.relation.class_of(p)) & 1
-    )
+    pullback = mask_of(p for p in iter_bits(t_mask) if (image >> cid[p]) & 1)
     rb.check(
         "transversal part of the image equals the definedness graph part",
         pullback == pa.graph & t_mask,
@@ -200,7 +203,7 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
     image_atoms = tuple(sorted(by_trace.values()))
     carrier_atoms = tuple(sorted(
         mask_of(glob.embedding[x] for x in iter_bits(atom))
-        for atom in topo.borel_atoms(pa.space)
+        for atom in pa.space.atoms
     ))
     rb.check(
         "Borel algebra of the embedded image matches the carrier's",
@@ -260,12 +263,7 @@ def _reduction_failures(rel: EqRel, target: EqRel, f) -> tuple[tuple[int, int], 
     pulled = [target.class_id[y] for y in f]
     if EqRel(rel.size, pulled) == rel:
         return ()
-    cid, points = rel.class_id, range(rel.size)
-    bad = (
-        (a, b) for a in points for b in points
-        if (cid[a] == cid[b]) != (pulled[a] == pulled[b])
-    )
-    return tuple(itertools.islice(bad, 8))
+    return tuple(islice(disagreements(rel.class_id, pulled), 8))
 
 
 def bireducibility_report(glob: Globalization, sel: SelectorMap) -> Report:
@@ -273,6 +271,7 @@ def bireducibility_report(glob: Globalization, sel: SelectorMap) -> Report:
     envelope reduce to each other: the embedding one way, the selector's
     second coordinate the other way.  Each direction is one partition
     comparison; only a failure scans pairs, for its first 8 witnesses."""
+    _check_size(glob, sel)
     pa = glob.source
     size = pa.space.size
     rb = ReportBuilder("bireducibility")
@@ -283,7 +282,7 @@ def bireducibility_report(glob: Globalization, sel: SelectorMap) -> Report:
     bad = _reduction_failures(carrier, envelope, glob.embedding)
     rb.check("embedding reduces carrier orbits to envelope classes", not bad, bad)
 
-    coordinate = [pair_split(size, q)[1] for q in sel.image]
+    coordinate = [q % size for q in sel.image]
     back = [coordinate[p] for p in glob.relation.least]
     multi = sorted({
         c for c, x in zip(glob.relation.class_id, coordinate) if x != back[c]
@@ -337,7 +336,7 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
     for g in group.elements():
         mul_g = mul[g]
         for x, (hs, xmoves) in enumerate(moves):
-            c = class_id[pair_index(size, g, x)]
+            c = class_id[g * size + x]
             image = [mul_g[ih] * size + y for ih, y in xmoves]
             if sorted(image) != members[c]:
                 bad_bij.append((g, x))

@@ -258,11 +258,6 @@ def quotient(t: FinTop, e: EqRel) -> FinTop:
     return FinTop.from_neighborhoods(nbrs)
 
 
-def borel_atoms(t: FinTop) -> tuple[int, ...]:
-    """Atoms of the algebra generated by the opens: ``t.atoms``."""
-    return t.atoms
-
-
 def is_borel(t: FinTop, mask: int) -> bool:
     _check_subset(t, mask, "set")
     return all(atom & mask in (0, atom) for atom in t.atoms)
@@ -271,7 +266,7 @@ def is_borel(t: FinTop, mask: int) -> bool:
 def borel_algebra(t: FinTop) -> tuple[int, ...]:
     """All members of the algebra generated by the opens (finite Borel),
     in increasing order; raises LimitExceeded past 16 atoms."""
-    atoms = borel_atoms(t)
+    atoms = t.atoms
     if len(atoms) > 16:
         raise LimitExceeded("Borel atoms", len(atoms), 16)
     members = [0]

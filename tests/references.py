@@ -3,8 +3,10 @@ kept as the references their label-row forms are compared against; the
 row form of the transform-identity suite, the reference for its bit
 planes; the square and pair-scan forms of the pair-shaped checks
 (orbit relation open in the square, separation, bireducibility); the
-inputs the comparisons run on (one-entry edits, lifted classes merged
-or split); and the saturation check every envelope built from a total
+two pair scans the shared ``relations.disagreements`` replaced (the
+lift-orbit relation's first pair, the reductions' first 8); the inputs
+the comparisons run on (one-entry edits, lifted classes merged or
+split); and the saturation check every envelope built from a total
 action must pass.
 
 Each relation reference reads one product-wide bitmask row per point
@@ -17,11 +19,12 @@ fine: these run on desk-scale instances only.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from operator import and_, or_
 
 import pactop.topology as topo
-from pactop import PartialAction, pair_index, pair_split
+from pactop import PartialAction
 from pactop import globalize, selector, vaught
 from pactop.errors import AxiomViolation, LimitExceeded
 from pactop.relations import EqRel
@@ -71,7 +74,7 @@ def enveloping_relation(pa: PartialAction) -> EqRel:
             for h in group.elements():
                 k = group.mul[group.inv[g]][h]
                 if (pa.dom[k] >> x) & 1:
-                    row |= 1 << pair_index(size, h, pa.act(group.inv[k], x))
+                    row |= 1 << (h * size + pa.act(group.inv[k], x))
             rows.append(row)
     try:
         return from_masks(group.order * size, rows)
@@ -97,7 +100,7 @@ def normalized_selector(pa: PartialAction, rel: EqRel) -> SelectorMap:
     for x in space.points():
         for g in group.elements():
             for y in space.points():
-                related = rel.same(pair_index(size, e, x), pair_index(size, g, y))
+                related = rel.class_id[e * size + x] == rel.class_id[g * size + y]
                 direct = bool(
                     (pa.acting[y] >> g) & 1 and pa.act(g, y) == x
                 )
@@ -112,7 +115,7 @@ def normalized_selector(pa: PartialAction, rel: EqRel) -> SelectorMap:
     for g in group.elements():
         for x in space.points():
             if (pa.acting[x] >> g) & 1:
-                image[pair_index(size, g, x)] = pair_index(size, e, pa.act(g, x))
+                image[g * size + x] = e * size + pa.act(g, x)
     sel = SelectorMap(rel.size, tuple(image))
     if not is_selector_for(sel, rel):
         raise AxiomViolation("normalized map is not a selector for the lifted orbits")
@@ -135,9 +138,9 @@ def orbit_homeomorphism_report(pa: PartialAction, rel: EqRel):
     for g in group.elements():
         for x in space.points():
             gx = pa.acting[x]
-            o_mask = class_masks[rel.class_of(pair_index(size, g, x))]
+            o_mask = class_masks[rel.class_id[g * size + x]]
             rho = {
-                h: pair_index(size, group.mul[g][group.inv[h]], pa.act(h, x))
+                h: group.mul[g][group.inv[h]] * size + pa.act(h, x)
                 for h in iter_bits(gx)
             }
             if mask_of(rho.values()) != o_mask or len(set(rho.values())) != len(rho):
@@ -145,7 +148,7 @@ def orbit_homeomorphism_report(pa: PartialAction, rel: EqRel):
                 continue
             ok_inv = True
             for p in iter_bits(o_mask):
-                j, _ = pair_split(size, p)
+                j = p // size
                 h = group.mul[group.inv[j]][g]
                 if not (gx >> h) & 1 or rho[h] != p:
                     ok_inv = False
@@ -226,8 +229,7 @@ def coordinate_spread(glob, sel: SelectorMap) -> tuple[int, ...]:
     size = glob.source.space.size
     values = [set() for _ in range(glob.num_classes)]
     for p in range(glob.relation.size):
-        _, x = pair_split(size, sel.image[p])
-        values[glob.relation.class_of(p)].add(x)
+        values[glob.relation.class_id[p]].add(sel.image[p] % size)
     return tuple(c for c, vals in enumerate(values) if len(vals) != 1)
 
 
@@ -246,7 +248,8 @@ def bireducibility_report(glob, sel: SelectorMap, envelope: EqRel | None = None)
 
     bad_fwd = [
         (x, y) for x in pa.space.points() for y in pa.space.points()
-        if carrier.same(x, y) != envelope.same(emb[x], emb[y])
+        if (carrier.class_id[x] == carrier.class_id[y])
+        != (envelope.class_id[emb[x]] == envelope.class_id[emb[y]])
     ]
     rb.check(
         "embedding reduces carrier orbits to envelope classes",
@@ -258,10 +261,11 @@ def bireducibility_report(glob, sel: SelectorMap, envelope: EqRel | None = None)
         raise AxiomViolation(
             "selector second coordinate is not constant on classes", multi
         )
-    back = [pair_split(size, sel.image[p])[1] for p in glob.relation.least]
+    back = [sel.image[p] % size for p in glob.relation.least]
     bad_bwd = [
         (c, d) for c in range(glob.num_classes) for d in range(glob.num_classes)
-        if envelope.same(c, d) != carrier.same(back[c], back[d])
+        if (envelope.class_id[c] == envelope.class_id[d])
+        != (carrier.class_id[back[c]] == carrier.class_id[back[d]])
     ]
     rb.check(
         "selector coordinate reduces envelope classes to carrier orbits",
@@ -269,6 +273,36 @@ def bireducibility_report(glob, sel: SelectorMap, envelope: EqRel | None = None)
         tuple(bad_bwd[:8]),
     )
     return rb.build()
+
+
+def first_disagreement(rel: EqRel, other: EqRel) -> tuple[int, int] | None:
+    """The first pair (p, q), in order, related by exactly one of two
+    relations on the same points, scanned as the lift-orbit-relation
+    check first did; None when the relations are equal."""
+    n = rel.size
+    return next(
+        (
+            (p, q) for p in range(n) for q in range(n)
+            if (rel.class_id[p] == rel.class_id[q])
+            != (other.class_id[p] == other.class_id[q])
+        ),
+        None,
+    )
+
+
+def reduction_failures(rel: EqRel, target: EqRel, f) -> tuple[tuple[int, int], ...]:
+    """The first 8 pairs (a, b), in order, at which ``rel`` and
+    ``target`` pulled back along ``f`` disagree, scanned as the
+    bireducibility check first did; () when f is a reduction."""
+    pulled = [target.class_id[y] for y in f]
+    if EqRel(rel.size, pulled) == rel:
+        return ()
+    cid, points = rel.class_id, range(rel.size)
+    bad = (
+        (a, b) for a in points for b in points
+        if (cid[a] == cid[b]) != (pulled[a] == pulled[b])
+    )
+    return tuple(itertools.islice(bad, 8))
 
 
 def changed_bireducibility(pa, changed: str, change, rng, monkeypatch):
@@ -483,7 +517,7 @@ def check_saturation(space, rows, carrier: int, glob) -> tuple[bool, bool]:
     image = {}
     for g in pa.group.elements():
         for i, p in enumerate(points):
-            c = glob.class_of(g, i)
+            c = glob.relation.class_id[g * pa.space.size + i]
             assert image.setdefault(c, rows[g][p]) == rows[g][p], (pa, g, i)
     saturation = {rows[g][p] for g in pa.group.elements() for p in points}
     assert len(image) == glob.num_classes == len(saturation), pa

@@ -216,7 +216,7 @@ def test_bundled_example_phenomena():
     # unlike the infinite counterpart the envelope here is not T1
     assert sep.t1 is False
 
-    basepoint_classes = [glob.class_of(g, 0) for g in range(3)]
+    basepoint_classes = [glob.relation.class_id[g * pa.space.size] for g in range(3)]
     assert sorted(basepoint_classes) == [0, 2, 3]
     nbrs = minimal_neighborhoods(glob.topology)
     for c in basepoint_classes:
@@ -230,7 +230,7 @@ def test_bundled_example_phenomena():
     brep = transversal_topology(glob, sel)
     rows, _ = action_continuity_table(glob, brep)
     assert rows[1] == (False, True, True, True)
-    assert glob.class_of(0, 0) == 0
+    assert glob.relation.class_id[0] == 0
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"{elapsed:.2f}s"

@@ -29,8 +29,6 @@ from pactop import (
     induced_family,
     instances,
     mutant_family,
-    pair_index,
-    pair_split,
     separation,
     validate,
 )
@@ -45,9 +43,7 @@ def test_swap_relation_classes():
     rel = enveloping_relation(SWAP)
     # group-major pairs: (0,0)=0, (0,1)=1, (1,0)=2, (1,1)=3
     assert rel.num_classes == 2
-    assert rel.same(0, 3)
-    assert rel.same(1, 2)
-    assert not rel.same(0, 1)
+    assert rel.class_id == (0, 1, 1, 0)
 
 
 def test_relation_matches_reachability_oracle(valid_family):
@@ -91,7 +87,8 @@ def test_relation_matches_pair_condition(family, valid_family):
     for pa in valid_family:
         rel = enveloping_relation(pa)
         for p, row in enumerate(_gluing_pairs(pa)):
-            assert [rel.same(p, q) for q in range(len(row))] == row, (pa, p)
+            cid = rel.class_id
+            assert [cid[p] == cid[q] for q in range(len(row))] == row, (pa, p)
     glued = 0
     for kind, m in mutant_family(family, count=200, seed=0):
         table = _gluing_pairs(m)
@@ -101,7 +98,8 @@ def test_relation_matches_pair_condition(family, valid_family):
             continue
         rel = enveloping_relation(m)
         for p, row in enumerate(table):
-            assert [rel.same(p, q) for q in range(len(row))] == row, (kind, m, p)
+            cid = rel.class_id
+            assert [cid[p] == cid[q] for q in range(len(row))] == row, (kind, m, p)
         glued += 1
     assert 0 < glued < 200
 
@@ -119,8 +117,7 @@ def test_build_swap():
 def test_build_example_k3_class_table():
     glob = build(example_k3())
     assert glob.num_classes == 4
-    table = [glob.class_of(g, x) for g in range(3) for x in range(2)]
-    assert table == [0, 1, 2, 1, 3, 1]
+    assert glob.relation.class_id == (0, 1, 2, 1, 3, 1)
 
 
 def test_build_rejects_invalid_instance():
@@ -146,8 +143,8 @@ def build_by_class_masks(pa):
         for c, members in enumerate(classes):
             targets = set()
             for p in iter_bits(members):
-                h, x = pair_split(size, p)
-                targets.add(relation.class_of(pair_index(size, group.mul[g][h], x)))
+                h, x = divmod(p, size)
+                targets.add(relation.class_id[group.mul[g][h] * size + x])
             if len(targets) > 1:
                 raise AxiomViolation(
                     f"translation by {g} is not well defined on class {c}",
@@ -157,8 +154,7 @@ def build_by_class_masks(pa):
         action_rows.append(tuple(row))
 
     embedding = tuple(
-        relation.class_of(pair_index(size, group.identity, x))
-        for x in space.points()
+        relation.class_id[group.identity * size + x] for x in space.points()
     )
     if len(set(embedding)) != size:
         dup = [
@@ -180,7 +176,7 @@ def build_by_class_masks(pa):
                     raise AxiomViolation("translations do not compose", (g, h, c))
 
     quotient = topology.quotient(pa.product, relation)
-    reps = tuple(pair_split(size, min(iter_bits(members))) for members in classes)
+    reps = tuple(divmod(min(iter_bits(members)), size) for members in classes)
     return Globalization(
         pa, pa.product, relation, quotient, tuple(action_rows), embedding, reps
     )
@@ -254,11 +250,8 @@ def test_least_members_match_class_masks(valid_family, valid_s3_family):
 
 def test_quotient_topology_against_oracle(valid_globs):
     for pa, glob in valid_globs:
-        class_of = [
-            glob.relation.class_of(p) for p in range(glob.relation.size)
-        ]
         expected = oracles.quotient_opens_oracle(
-            glob.product.size, glob.product.opens, class_of
+            glob.product.size, glob.product.opens, glob.relation.class_id
         )
         assert set(glob.topology.opens) == expected
 
@@ -375,7 +368,7 @@ def test_embedding_injective_and_identity_slice(valid_globs):
             c = glob.embedding[x]
             assert c not in seen
             seen.add(c)
-            assert glob.relation.class_of(pair_index(size, e, x)) == c
+            assert glob.relation.class_id[e * size + x] == c
 
 
 RESTRICTION = "restriction to the image reproduces the original action"

@@ -1,4 +1,5 @@
-"""Engine modules import only names they use (``__init__`` re-exports)."""
+"""Engine modules import only names they use (``__init__`` re-exports),
+and no engine file holds an ``assert``."""
 
 from __future__ import annotations
 
@@ -9,9 +10,8 @@ import pytest
 
 import pactop
 
-MODULES = sorted(
-    p for p in Path(pactop.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+ENGINE = sorted(Path(pactop.__file__).parent.glob("*.py"))
+MODULES = [p for p in ENGINE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +37,20 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_engine_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def asserts(source: str) -> list[int]:
+    """Lines of the ``assert`` statements in ``source``."""
+    tree = ast.parse(source)
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+def test_asserts_are_found():
+    assert asserts("x = 1\nassert x\ndef f():\n    assert x, 'msg'\n") == [2, 4]
+
+
+@pytest.mark.parametrize("path", ENGINE, ids=lambda p: p.name)
+def test_engine_module_has_no_assert(path):
+    # an AssertionError is no PactopError, so the command line would
+    # print its traceback, and python -O drops the check altogether
+    assert asserts(path.read_text()) == []

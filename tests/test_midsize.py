@@ -42,6 +42,7 @@ from pactop import (
     transform_identities_report,
     validate,
 )
+from pactop.errors import LimitExceeded
 from pactop.reports import FAIL, PASS
 from pactop.vaught import TRANSFORM_LIMIT
 
@@ -387,3 +388,32 @@ def test_c8_on_2048_points_minus_one():
     assert separation(glob.topology) == SeparationFlags(True, True, True)
     assert bireducibility_report(glob, normalized_selector(pa)).ok
     assert glob.num_classes == 2048
+
+
+def test_transform_limit_on_c8_on_2048_points_minus_one_prints_a_short_count():
+    # 2^2047 point sets times 2^8 - 1 group parts: the error keeps the
+    # exact count, while the check name and witness the report prints
+    # give its power of two, not 619 digits
+    _, _, _, pa = _rotation(8, 2048)
+    spec = cli.ActionSpec("", tuple(f"p{x}" for x in pa.space.points()), pa)
+    args = cli._build_parser("report").parse_args(["report", "doc.json"])
+    _, reports = cli._run(spec, args)
+    (check,) = next(r for r in reports if r.name == "transform-identities").checks
+    assert check.name == (
+        "size limit hit: at least 2^2054 transform combinations"
+        " exceed the 1,048,576 allowed"
+    )
+    assert check.witness == ("transform combinations", "at least 2^2054")
+    assert len(check.name) < 120 and len(json.dumps(check.witness)) < 120
+    with pytest.raises(LimitExceeded) as exc:
+        transform_identities_report(pa)
+    assert exc.value.size == (1 << 2047) * 255
+    # the exact count is printed up to 2^64 - 1
+    err = LimitExceeded("open sets", (1 << 64) - 1, 1)
+    assert str(err).startswith("size limit hit: 18,446,744,073,709,551,615 open sets")
+    assert err.witness == ("open sets", (1 << 64) - 1)
+    err = LimitExceeded("open sets", 1 << 64, 1)
+    assert str(err).startswith("size limit hit: at least 2^64 open sets")
+    assert err.witness == ("open sets", "at least 2^64")
+    # a count past 4,300 digits, which str() refuses with ValueError
+    assert "at least 2^15000 open" in str(LimitExceeded("open sets", 1 << 15000, 1))

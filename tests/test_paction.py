@@ -24,8 +24,6 @@ from pactop import (
     orbit_consistency_report,
     orbit_equivalence,
     pair_action,
-    pair_index,
-    pair_split,
     product,
     product_with_discrete,
     quotient,
@@ -64,10 +62,16 @@ def check(report, name):
 
 
 def test_pair_encoding_roundtrip():
+    # the product point (g, x) is g * size + x, the group coordinate
+    # major: it splits back by divmod, and its neighbourhood is that of
+    # x in copy g
     for size in (1, 2, 3):
+        space = FinTop(size, (0, 1, (1 << size) - 1))
+        prod = product_with_discrete(space, 4)
         for g in range(4):
             for x in range(size):
-                assert pair_split(size, pair_index(size, g, x)) == (g, x)
+                assert divmod(g * size + x, size) == (g, x)
+                assert prod.nbrs[g * size + x] == space.nbrs[x] << (g * size)
 
 
 def test_validate_accepts_total_actions():
@@ -346,7 +350,7 @@ def test_orbit_equivalence_matches_reachability():
     assert rel.num_classes == 1
     rel2 = orbit_equivalence(example_k3())
     assert rel2.num_classes == 2
-    assert not rel2.same(0, 1)
+    assert rel2.class_id[0] != rel2.class_id[1]
 
 
 def test_orbit_equivalence_matches_the_mask_reference(
@@ -417,9 +421,9 @@ def test_lifted_action_moves_pairs():
     # group-major pair encoding
     lifted = lifted_action(SWAP)
     size = SWAP.space.size
-    p = pair_index(size, 0, 0)
+    p = 0 * size + 0
     q = lifted.maps[1][p]
-    assert pair_split(size, q) == (1, 1)
+    assert divmod(q, size) == (1, 1)
     assert validate(lifted).ok
 
 
@@ -454,8 +458,8 @@ def test_lifted_and_pair_actions_match_their_definitions(family, s3_family):
             pair_row = [-1] * (size * size)
             for x in iter_bits(pa.dom[group.inv[g]]):
                 for h in group.elements():
-                    lift_row[pair_index(size, h, x)] = pair_index(
-                        size, group.mul[h][group.inv[g]], pa.act(g, x))
+                    lift_row[h * size + x] = (
+                        group.mul[h][group.inv[g]] * size + pa.act(g, x))
                 for w in pa.space.points():
                     pair_row[w * size + x] = w * size + pa.act(g, x)
             assert lifted.maps[g] == tuple(lift_row)
@@ -463,7 +467,7 @@ def test_lifted_and_pair_actions_match_their_definitions(family, s3_family):
             # dom[g], where the map lands, in every copy of the carrier
             lands = tuple(iter_bits(pa.dom[g]))
             assert lifted.dom[g] == mask_of(
-                pair_index(size, h, y) for h in group.elements() for y in lands)
+                h * size + y for h in group.elements() for y in lands)
             assert beta.dom[g] == mask_of(
                 w * size + y for w in pa.space.points() for y in lands)
 
@@ -507,7 +511,7 @@ def test_acting_set_size_constant_on_orbits(valid_family):
         rel = orbit_equivalence(pa)
         for x in pa.space.points():
             for y in pa.space.points():
-                if rel.same(x, y):
+                if rel.class_id[x] == rel.class_id[y]:
                     assert bin(acting_set(pa, x)).count("1") == bin(
                         acting_set(pa, y)
                     ).count("1")

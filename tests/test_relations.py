@@ -5,7 +5,9 @@ import random
 import pytest
 
 import pactop.relations as relations
-from pactop import EqRel, from_relation
+import pactop.selector as selector
+import references
+from pactop import EqRel, build, from_relation, normalized_selector
 from pactop.relations import iter_bits
 from references import from_masks
 
@@ -60,9 +62,74 @@ def test_least_matches_class_masks_on_random_relations():
 
 def test_same_and_class_mask():
     rel = from_blocks(5, [[0, 3], [1], [2, 4]])
-    assert rel.same(0, 3)
-    assert not rel.same(0, 1)
-    assert rel.classes()[rel.class_of(2)] == 0b10100
+    assert rel.class_id[0] == rel.class_id[3]
+    assert rel.class_id[0] != rel.class_id[1]
+    assert rel.classes()[rel.class_id[2]] == 0b10100
+
+
+def test_disagreements_match_the_scans_they_replace_on_random_labels():
+    # Seeded label pairs on up to 7 points from 3 labels, so that equal
+    # and different partitions both show, and seeded maps into a
+    # relation on up to 5 points for the reductions' first 8 failures.
+    rng = random.Random(0)
+    equal = failed = 0
+    for _ in range(2000):
+        n, m = rng.randint(0, 7), rng.randint(1, 5)
+        a = EqRel(n, tuple(rng.randrange(3) for _ in range(n)))
+        b = EqRel(n, tuple(rng.randrange(3) for _ in range(n)))
+        first = next(relations.disagreements(a.class_id, b.class_id), None)
+        assert first == references.first_disagreement(a, b), (a, b)
+        equal += first is None
+        target = EqRel(m, tuple(rng.randrange(3) for _ in range(m)))
+        f = [rng.randrange(m) for _ in range(n)]
+        bad = selector._reduction_failures(a, target, f)
+        assert bad == references.reduction_failures(a, target, f), (a, target, f)
+        failed += bool(bad)
+    assert (equal, failed) == (727, 1305)
+
+
+@pytest.mark.parametrize(
+    "change, kinds",
+    [
+        (references.merge_two, {"differ": 1105, "fail": 1408}),
+        (references.split_two, {"differ": 640, "fail": 528}),
+    ],
+)
+def test_disagreements_match_the_scans_they_replace_on_changed_relations(
+    valid_family, valid_s3_family, change, kinds
+):
+    # The lifted classes, carrier orbits and envelope classes of every
+    # valid instance, each with two seeded classes merged or split as the
+    # lift-orbit-relation and bireducibility failure tests change them:
+    # the first pair on which each differs from its change, and the
+    # first 8 failures of both reductions with either side changed.
+    rng = random.Random(0)
+    seen = {"differ": 0, "fail": 0}
+    for pa in [*valid_family, *valid_s3_family]:
+        glob, sel = build(pa), normalized_selector(pa)
+        carrier, envelope = pa.orbit_relation, references.envelope_classes(glob)
+        back = [sel.image[p] % pa.space.size for p in glob.relation.least]
+        new = []
+        for rel in (pa.lifted.orbit_relation, carrier, envelope):
+            other = rel
+            if rel.num_classes > 1:
+                other = EqRel(rel.size, change(rel, rng))
+                scan = relations.disagreements(rel.class_id, other.class_id)
+                first = next(scan, None)
+                assert first == references.first_disagreement(rel, other), pa
+                seen["differ"] += first is not None
+            new.append(other)
+        _, new_carrier, new_envelope = new
+        for args in [
+            (new_carrier, envelope, glob.embedding),
+            (carrier, new_envelope, glob.embedding),
+            (envelope, new_carrier, back),
+            (new_envelope, carrier, back),
+        ]:
+            bad = selector._reduction_failures(*args)
+            assert bad == references.reduction_failures(*args), pa
+            seen["fail"] += bool(bad)
+    assert seen == kinds
 
 
 def test_from_blocks_must_partition():
@@ -75,8 +142,7 @@ def test_from_blocks_must_partition():
 def test_from_relation_builds_partition():
     rel = from_relation(4, ((0, 2), (1, 3), (2, 0), (3, 1, 1)))
     assert rel.num_classes == 2
-    assert rel.same(0, 2) and rel.same(1, 3)
-    assert not rel.same(0, 1)
+    assert rel.class_id == (0, 1, 0, 1)
 
 
 def test_from_relation_rejects_non_symmetric():

@@ -41,7 +41,7 @@ def test_selector_map_validation():
     with pytest.raises(ValueError):
         SelectorMap(2, (1, 0))
     sel = SelectorMap(3, (0, 0, 2))
-    assert sel.fixed_points() == 0b101
+    assert transversal(sel) == 0b101
 
 
 def test_min_selector_laws():
@@ -90,6 +90,16 @@ def test_transversal_topology_across_family(valid_globs):
     for pa, glob in valid_globs:
         brep = transversal_topology(glob, normalized_selector(pa))
         assert brep.report.ok, (pa, brep.report.failures())
+
+
+@pytest.mark.parametrize("size", [2, 9])
+@pytest.mark.parametrize("check", [transversal_topology, bireducibility_report])
+def test_selector_of_the_wrong_size_is_refused(check, size):
+    # the product of example_k3 has 6 points: a selector on fewer or
+    # more is refused before either check reads it
+    sel = SelectorMap(size, tuple(range(size)))
+    with pytest.raises(ValueError, match=f"selector has {size} points, the product 6"):
+        check(build(K3), sel)
 
 
 def test_continuity_table_frozen():

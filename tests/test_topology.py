@@ -14,7 +14,6 @@ from pactop import (
     SeparationFlags,
     all_topologies,
     borel_algebra,
-    borel_atoms,
     cyclic,
     discrete,
     homeomorphisms,
@@ -229,9 +228,8 @@ def test_quotient_against_oracle():
             continue
         rel = EqRel(t.size, tuple(x % 2 for x in t.points()))
         q = quotient(t, rel)
-        class_of = [rel.class_of(x) for x in t.points()]
         assert set(q.opens) == oracles.quotient_opens_oracle(
-            t.size, t.opens, class_of
+            t.size, t.opens, rel.class_id
         )
 
 
@@ -253,7 +251,7 @@ def test_borel_against_brute_closure():
 
 def test_borel_atoms_partition_blocks():
     for t in small_spaces():
-        atoms = borel_atoms(t)
+        atoms = t.atoms
         assert sum(atoms) == t.full
         joined = 0
         for a in atoms:
