@@ -15,7 +15,8 @@ glob = build(pa)
 names = ("x0", "v")
 
 print(f"classes: {glob.num_classes}")
-for c, (g, x) in enumerate(glob.reps):
+for c, p in enumerate(glob.relation.least):
+    g, x = divmod(p, pa.space.size)
     print(f"  class {c}: least pair ({g},{names[x]})")
 
 print(f"embedding of the carrier: "

@@ -30,8 +30,8 @@ print(f"transversal pairs: {pairs}")
 brep = transversal_topology(glob, sel)
 print(f"quotient opens:    {glob.topology.opens}")
 print(f"transversal opens: {brep.tau.opens}")
-print(f"same Borel sets:   {brep.quotient_atoms == brep.tau_atoms} "
-      f"({2 ** len(brep.tau_atoms)} of them)")
+print(f"same Borel sets:   {brep.quotient_atoms == brep.tau.atoms} "
+      f"({2 ** len(brep.tau.atoms)} of them)")
 
 rows, _ = action_continuity_table(glob, brep)
 for g, row in enumerate(rows):

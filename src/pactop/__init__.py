@@ -9,6 +9,8 @@ selector, transversal topology and bireducibility facts, each as a
 structured report.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AxiomViolation,
     InvalidOpenSet,
@@ -90,6 +92,10 @@ from .vaught import (
     transform_identities_report,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the functions and classes above, not the submodules their imports bind
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

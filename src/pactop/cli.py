@@ -57,6 +57,16 @@ class ActionSpec:
     names: tuple[str, ...]
     pa: PartialAction
 
+    def __post_init__(self):
+        _check_names(self.names, self.pa.space.size)
+
+
+def _check_names(names: tuple[str, ...], size: int) -> None:
+    # another length would raise IndexError, or write a document of
+    # another carrier that parse refuses
+    if len(names) != size:
+        raise ValueError(f"{len(names)} point names for a carrier of {size} points")
+
 
 def _fail(path: str, what: str) -> NoReturn:
     raise SchemaError(f"{path}: {what}", (path,))
@@ -262,14 +272,16 @@ def serialize(spec: ActionSpec) -> dict:
 
 
 def _class_label(glob: Globalization, names: tuple[str, ...], c: int) -> str:
-    g, x = glob.reps[c]
+    g, x = divmod(glob.relation.least[c], glob.source.space.size)
     return f"({g},{names[x]})"
 
 
 def dot_export(glob: Globalization, names: tuple[str, ...]) -> str:
     """DOT digraph with two clusters: the specialization preorder of
     the envelope topology (edge c -> d when c lies in the closure of
-    {d}) and the translation graph (identity edges omitted)."""
+    {d}) and the translation graph (identity edges omitted).  ``names``
+    holds one name per carrier point."""
+    _check_names(names, glob.source.space.size)
     nbrs = glob.topology.nbrs
     # a quoted DOT string ends at an unescaped quote
     labels = [

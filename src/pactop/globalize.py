@@ -54,10 +54,10 @@ def enveloping_relation(pa: PartialAction) -> EqRel:
 class Globalization:
     """Enveloping space with its quotient topology and total action.
 
-    ``relation.class_id[g * |X| + x]`` is the class of (g, x);
+    ``relation.class_id[g * |X| + x]`` is the class of (g, x), and
+    ``relation.least[c]`` the least such g * |X| + x in class c;
     ``action[g]`` permutes class indices, ``embedding`` sends carrier
-    points to classes of the identity slice, ``reps`` holds the
-    lexicographically least (g, x) pair of each class.
+    points to classes of the identity slice.
     """
 
     source: PartialAction
@@ -66,7 +66,6 @@ class Globalization:
     topology: FinTop
     action: tuple[tuple[int, ...], ...]
     embedding: tuple[int, ...]
-    reps: tuple[tuple[int, int], ...]
 
     @property
     def num_classes(self) -> int:
@@ -116,9 +115,8 @@ def build(pa: PartialAction) -> Globalization:
 
     quotient = topo.quotient(pa.product, relation)
     check_total_action(group, quotient, action_rows)
-    reps = tuple(divmod(p, size) for p in least)
     return Globalization(
-        pa, pa.product, relation, quotient, tuple(action_rows), embedding, reps
+        pa, pa.product, relation, quotient, tuple(action_rows), embedding
     )
 
 

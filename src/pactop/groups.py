@@ -76,10 +76,11 @@ def make_group(table: list[list[int]] | tuple[tuple[int, ...], ...]) -> FiniteGr
 
 
 def cyclic(k: int) -> FiniteGroup:
-    """The cyclic group of order ``k`` with addition mod k."""
+    """The cyclic group of order ``k`` with addition mod k, built from
+    the formula: identity 0, the inverse of g is -g mod k."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InvalidOrder(f"order must be a positive integer, got {k!r}")
     if k > GROUP_ORDER_LIMIT:
         raise LimitExceeded("group order", k, GROUP_ORDER_LIMIT)
-    table = [[(g + h) % k for h in range(k)] for g in range(k)]
-    return make_group(table)
+    table = tuple(tuple((g + h) % k for h in range(k)) for g in range(k))
+    return FiniteGroup(k, table, 0, tuple(-g % k for g in range(k)))

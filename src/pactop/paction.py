@@ -128,8 +128,9 @@ class PartialAction:
 
     @functools.cached_property
     def graph_open(self) -> bool:
-        """Whether ``graph`` is open in ``product``."""
-        return topo.is_open(self.product, self.graph)
+        """Whether ``graph`` is open in ``product``: the group is
+        discrete, so exactly when each slice, a domain, is open."""
+        return all(topo.is_open(self.space, d) for d in self.dom)
 
     @functools.cached_property
     def orbit_relation(self) -> EqRel:

@@ -85,7 +85,7 @@ def normalized_selector(pa: PartialAction) -> SelectorMap:
     on_slice: dict[int, list[int]] = {}
     for x in space.points():
         on_slice.setdefault(class_id[e * size + x], []).append(x)
-    image = list(min_selector(rel).image)
+    image = [rel.least[c] for c in class_id]
     bad = []
     for g in group.elements():
         for y in space.points():
@@ -109,12 +109,11 @@ def normalized_selector(pa: PartialAction) -> SelectorMap:
 
 @dataclass(frozen=True)
 class BorelReport:
-    """Transversal topology, the atoms of the two Borel structures it
-    is compared on, and the clause-by-clause report."""
+    """Transversal topology, the atoms of the quotient Borel structure
+    it is compared on, and the clause-by-clause report."""
 
     tau: FinTop
     quotient_atoms: tuple[int, ...]
-    tau_atoms: tuple[int, ...]
     report: Report
 
 
@@ -180,11 +179,10 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
     )
 
     quotient_atoms = _quotient_atoms(glob)
-    tau_atoms = tau.atoms
     rb.check(
         "quotient Borel structure equals the transversal Borel algebra",
-        quotient_atoms == tau_atoms,
-        (2 ** len(quotient_atoms), 2 ** len(tau_atoms)),
+        quotient_atoms == tau.atoms,
+        (2 ** len(quotient_atoms), 2 ** len(tau.atoms)),
     )
 
     image = glob.embedded_classes()
@@ -213,7 +211,7 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
 
     bad_meas = []
     for g in pa.group.elements():
-        for atom in tau_atoms:
+        for atom in tau.atoms:
             pre = mask_of(
                 c for c in range(n_classes) if (atom >> glob.action[g][c]) & 1
             )
@@ -225,7 +223,7 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
         tuple(bad_meas[:8]),
     )
 
-    return BorelReport(tau, quotient_atoms, tau_atoms, rb.build())
+    return BorelReport(tau, quotient_atoms, rb.build())
 
 
 def action_continuity_table(

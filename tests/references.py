@@ -3,6 +3,7 @@ kept as the references their label-row forms are compared against; the
 row form of the transform-identity suite, the reference for its bit
 planes; the square and pair-scan forms of the pair-shaped checks
 (orbit relation open in the square, separation, bireducibility); the
+definedness graph tested for openness in the product; the
 two pair scans the shared ``relations.disagreements`` replaced (the
 lift-orbit relation's first pair, the reductions' first 8); the inputs
 the comparisons run on (one-entry edits, lifted classes merged or
@@ -25,7 +26,7 @@ from operator import and_, or_
 
 import pactop.topology as topo
 from pactop import PartialAction
-from pactop import globalize, selector, vaught
+from pactop import globalize, paction, selector, vaught
 from pactop.errors import AxiomViolation, LimitExceeded
 from pactop.relations import EqRel
 from pactop.reports import ReportBuilder
@@ -165,6 +166,28 @@ def orbit_homeomorphism_report(pa: PartialAction, rel: EqRel):
         tuple(bad_homeo),
     )
     return rb.build()
+
+
+def graph_open(pa: PartialAction) -> bool:
+    """``PartialAction.graph_open`` as first written: the definedness
+    graph tested for openness in the group-indexed product itself."""
+    return topo.is_open(pa.product, pa.graph)
+
+
+def _no_product(*args):
+    raise AssertionError("the group-indexed product was built")
+
+
+def validate_without_product(pa: PartialAction, monkeypatch) -> tuple[dict, dict]:
+    """``validate`` on a fresh copy of ``pa`` with
+    ``topology.product_with_discrete`` patched to raise, and on another
+    whose ``graph_open`` is read from the product, as dicts."""
+    old = dataclasses.replace(pa)  # a copy with nothing cached
+    vars(old)["graph_open"] = graph_open(old)
+    expected = paction.validate(old).to_dict()
+    with monkeypatch.context() as patched:
+        patched.setattr(topo, "product_with_discrete", _no_product)
+        return paction.validate(dataclasses.replace(pa)).to_dict(), expected
 
 
 def effros_report(pa: PartialAction):

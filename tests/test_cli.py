@@ -16,7 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pactop import all_topologies, cli, cyclic, discrete, induced, mutant_family
+from pactop import (
+    all_topologies,
+    build,
+    cli,
+    cyclic,
+    discrete,
+    example_k3,
+    induced,
+    mutant_family,
+)
 from pactop.cli import ActionSpec, main, parse, serialize
 from pactop.errors import SchemaError
 
@@ -171,6 +180,19 @@ def test_group_order_limit_exits_2(tmp_path, group, where):
         res.stderr)
 
 
+def test_cyclic_group_of_the_largest_order_validates(tmp_path):
+    # order 256 is the limit itself: cyclic builds its table from the
+    # formula, so a one-point document validates at once
+    doc = {"group": {"kind": "cyclic", "order": 256},
+           "space": {"points": ["a"], "opens": [[], ["a"]]},
+           "domains": {"0": ["a"]}, "maps": {"0": {"a": "a"}}}
+    path = tmp_path / "c256.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("validate", str(path), timeout=30)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.endswith("OVERALL PASS\n")
+
+
 def test_report_passes_on_rotation_of_six_points_minus_one(tmp_path):
     # C3 rotating two blocks of three discrete points, point 4 dropped
     rows = [tuple((x // 3) * 3 + (x % 3 + g) % 3 for x in range(6)) for g in range(3)]
@@ -287,6 +309,18 @@ def test_globalize_dot_export(tmp_path):
     assert 'a0 -> a2 [label="1"]' in text
     payload = json.loads(res.stdout)
     assert payload["data"]["dot"] == str(out)
+
+
+@pytest.mark.parametrize("names", [("a",), ("a", "b", "c")], ids=["one", "three"])
+def test_names_must_match_the_carrier(names):
+    # one name per point of the two-point carrier: fewer would raise
+    # IndexError, more would serialize a document parse refuses
+    pa = example_k3()
+    message = f"{len(names)} point names for a carrier of 2 points"
+    with pytest.raises(ValueError, match=message):
+        ActionSpec("", names, pa)
+    with pytest.raises(ValueError, match=message):
+        cli.dot_export(build(pa), names)
 
 
 def test_dot_labels_escape_quotes_and_backslashes(tmp_path):

@@ -111,7 +111,7 @@ def test_build_swap():
     assert glob.topology == discrete(2)
     # translation by the swap exchanges the two classes
     assert glob.action[1] == (1, 0)
-    assert glob.reps == ((0, 0), (0, 1))
+    assert glob.relation.least == (0, 1)
 
 
 def test_build_example_k3_class_table():
@@ -176,9 +176,8 @@ def build_by_class_masks(pa):
                     raise AxiomViolation("translations do not compose", (g, h, c))
 
     quotient = topology.quotient(pa.product, relation)
-    reps = tuple(divmod(min(iter_bits(members)), size) for members in classes)
     return Globalization(
-        pa, pa.product, relation, quotient, tuple(action_rows), embedding, reps
+        pa, pa.product, relation, quotient, tuple(action_rows), embedding
     )
 
 
@@ -304,6 +303,49 @@ def test_effros_flags_agree_on_discrete(valid_family):
             assert all(
                 c.status in (INFO, NA) for c in rep.checks
             ), [c.name for c in rep.checks]
+
+
+def _partitions(size: int):
+    # class-id rows in restricted growth form: each label at most one
+    # more than the largest before it
+    for labels in itertools.product(range(size), repeat=size):
+        if all(c <= max(labels[:x], default=-1) + 1 for x, c in enumerate(labels)):
+            yield labels
+
+
+def test_relation_open_in_the_square_exactly_when_every_class_is_open():
+    # On every topology on at most 4 points and every partition of its
+    # points: N(x) x N(y) inside R at each (x, y) in R takes N(x) into the
+    # class of x at y = x, and the converse is immediate.
+    pairs = 0
+    for size in range(5):
+        for t in topology.all_topologies(size):
+            square = topology.product(t, t)
+            for labels in _partitions(size):
+                rel = mask_of(
+                    x * size + y for x in range(size) for y in range(size)
+                    if labels[x] == labels[y]
+                )
+                classes = EqRel(size, labels).classes()
+                assert topology.is_open(square, rel) == all(
+                    topology.is_open(t, c) for c in classes
+                ), (t, labels)
+                pairs += 1
+    assert pairs == 5480
+
+
+def test_effros_frozen_failure():
+    # The failing branch no group table reaches: on a discrete carrier
+    # every orbit is open and the orbit quotient is discrete.  C1 on two
+    # discrete points, its orbit quotient replaced by the indiscrete
+    # topology on its two classes.
+    pa = PartialAction(cyclic(1), discrete(2), (0b11,), ((0, 1),))
+    vars(pa)["orbit_quotient"] = FinTop.from_neighborhoods([0b11, 0b11])
+    rep = effros_report(pa)
+    assert [(c.status, c.witness) for c in rep.checks] == [
+        (INFO, (True,)), (INFO, (True,)), (INFO, (False,)),
+        (FAIL, (True, True, False)),
+    ]
 
 
 def test_effros_report_matches_the_square_reference(family, s3_family, changed_family):

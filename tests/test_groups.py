@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from pactop import cyclic, make_group
+from pactop import cyclic, groups, make_group
 from pactop.errors import (
     InvalidOrder,
     LimitExceeded,
@@ -22,6 +22,17 @@ def test_cyclic_tables():
                 assert g.mul[a][b] == (a + b) % k
             assert g.mul[a][g.inv[a]] == 0
             assert g.mul[g.inv[a]][a] == 0
+    # the table built from the formula is the one make_group verifies
+    for k in range(1, 65):
+        assert cyclic(k) == make_group([[(a + b) % k for b in range(k)] for a in range(k)])
+
+
+def test_cyclic_does_not_scan_its_own_table(monkeypatch):
+    def refuse(table):
+        raise AssertionError("cyclic scanned its own table")
+
+    monkeypatch.setattr(groups, "make_group", refuse)
+    assert cyclic(256).mul[255][1] == 0
 
 
 def test_cyclic_rejects_bad_order():

@@ -1,9 +1,11 @@
 """Engine modules import only names they use (``__init__`` re-exports),
-and no engine file holds an ``assert``."""
+no engine file holds an ``assert``, and the package exports functions
+and classes, not its submodules."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,20 @@ def test_engine_module_has_no_assert(path):
     # an AssertionError is no PactopError, so the command line would
     # print its traceback, and python -O drops the check altogether
     assert asserts(path.read_text()) == []
+
+
+def test_package_exports_functions_and_classes_only():
+    # ``from pactop import *`` binds no submodule; the lru_cache'd
+    # functions count as functions once unwrapped
+    namespace: dict = {}
+    exec("from pactop import *", namespace)
+    exported = {name: value for name, value in namespace.items()
+                if not name.startswith("__")}
+    assert sorted(exported) == pactop.__all__
+    assert not [name for name, value in exported.items() if inspect.ismodule(value)]
+    functions = [name for name, value in exported.items()
+                 if inspect.isfunction(inspect.unwrap(value))]
+    classes = [name for name, value in exported.items() if inspect.isclass(value)]
+    assert sorted(functions + classes) == pactop.__all__
+    assert {"minimal_neighborhoods", "pair_action"} <= set(functions)
+    assert (len(functions), len(classes)) == (51, 24)

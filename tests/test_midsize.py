@@ -255,6 +255,20 @@ def test_validate_never_raises_on_midsize_edits(midsize):
     assert raised == {"AxiomViolation": 118, "KeyError": 72}
 
 
+def test_midsize_graph_open_reads_the_domains(midsize, monkeypatch):
+    # each instance, its four one-entry edits and its blanked copy:
+    # validate builds no product and gives the report it gave reading
+    # the definedness graph in the product
+    counts: dict = {}
+    for n, (_, _, _, pa) in enumerate(midsize):
+        for edit in [pa, *references.one_entry_edits([pa], 4, seed=n), _blanked(pa)]:
+            assert edit.graph_open == references.graph_open(edit), edit
+            got, expected = references.validate_without_product(edit, monkeypatch)
+            assert got == expected, edit
+            counts[edit.graph_open] = counts.get(edit.graph_open, 0) + 1
+    assert counts == {True: 83, False: 61}
+
+
 def test_midsize_pair_checks_match_the_references(midsize):
     # The square flag on each instance, its four one-entry edits and
     # its blanked copy; separation on the envelope and orbit quotients

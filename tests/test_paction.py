@@ -297,6 +297,19 @@ def _entry_edits(instances, per_instance: int, seed: int):
             yield PartialAction(pa.group, pa.space, pa.dom, tuple(map(tuple, maps)))
 
 
+def test_graph_open_reads_the_domains(family, s3_family, changed_family, monkeypatch):
+    # A set is open in the product with the discrete group exactly when
+    # each slice is, so validate reads the domains and builds no product:
+    # its report is the one it gave when it read the product.
+    counts: dict = {}
+    for pa in [*family, *s3_family, *changed_family]:
+        assert pa.graph_open == references.graph_open(pa), pa
+        got, expected = references.validate_without_product(pa, monkeypatch)
+        assert got == expected, pa
+        counts[pa.graph_open] = counts.get(pa.graph_open, 0) + 1
+    assert counts == {True: 1411, False: 636}
+
+
 def test_axioms_match_the_accessor_reference(
     family, s3_family, valid_family, monkeypatch
 ):

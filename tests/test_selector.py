@@ -80,8 +80,8 @@ def test_transversal_topology_frozen():
     brep = transversal_topology(glob, normalized_selector(K3))
     assert brep.report.ok, brep.report.failures()
     assert brep.tau.opens == (0, 2, 3, 4, 6, 7, 8, 10, 11, 12, 14, 15)
-    assert len(brep.tau_atoms) == 4
-    assert brep.quotient_atoms == brep.tau_atoms
+    assert len(brep.tau.atoms) == 4
+    assert brep.quotient_atoms == brep.tau.atoms
     # strictly finer than the quotient topology on this instance
     assert len(glob.topology.opens) < len(brep.tau.opens)
 
