@@ -35,11 +35,10 @@ from .globalize import (
     hat_relation_report,
 )
 from .groups import FiniteGroup, cyclic, make_group
-from .instances import example_k3, induced_family, mutant_family
+from .instances import example_k3, induced, induced_family, mutant_family
 from .paction import (
     PartialAction,
     acting_set,
-    induced,
     lifted_action,
     orbit,
     orbit_consistency_report,

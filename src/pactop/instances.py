@@ -2,10 +2,11 @@
 
 The sweep family collects every partial action induced by restricting a
 continuous total action of a small group to an arbitrary subset of a
-small carrier, deduplicated, across all topologies on the carrier.
-Mutants are built from valid instances by edits that provably break an
-axiom by construction, so rejection tests never consult the validator
-to decide what counts as invalid.
+small carrier, deduplicated, across all topologies on the carrier;
+``induced`` builds one such restriction.  Mutants are built from valid
+instances by edits that provably break an axiom by construction, so
+rejection tests never consult the validator to decide what counts as
+invalid.
 """
 
 from __future__ import annotations
@@ -15,28 +16,83 @@ import random
 from typing import Sequence
 
 from . import topology as topo
-from .errors import NotAnAction
+from .errors import InvalidSubset, NotAnAction
 from .groups import FiniteGroup, cyclic
-from .paction import PartialAction, induced
-from .topology import FinTop
+from .paction import PartialAction, check_total_action
+from .topology import FinTop, iter_bits, mask_of
 
 
-def _generated_rows(
-    group: FiniteGroup, gens: Sequence[int], images: Sequence[tuple[int, ...]],
-    size: int,
-) -> list[tuple[int, ...]]:
-    # Rows of the action in which each generator acts as its image,
-    # found by walking out from the identity; ``induced`` rejects them
-    # when the images break a relation of the group.
-    rows = {group.identity: tuple(range(size))}
+def _restrict(
+    group: FiniteGroup, sub: FinTop, u: Sequence[Sequence[int]], carrier: int
+) -> PartialAction:
+    # The restriction of the total action ``u`` to ``carrier``, on ``sub``,
+    # the subspace over ``carrier``.  ``u`` must already be checked: an
+    # action sends p into the carrier under g exactly when p lies in
+    # u_{g^-1}(carrier), so maps[g] is defined on dom[g^-1] and dom[g]
+    # is where maps[g^-1] is defined.
+    points = list(iter_bits(carrier))
+    pos = {p: i for i, p in enumerate(points)}
+    maps = tuple(tuple(pos.get(u[g][p], -1) for p in points) for g in group.elements())
+    dom = tuple(
+        mask_of(i for i, y in enumerate(maps[gi]) if y >= 0) for gi in group.inv
+    )
+    return PartialAction(group, sub, dom, maps)
+
+
+def induced(
+    group: FiniteGroup, space: FinTop, u: Sequence[Sequence[int]], carrier: int
+) -> PartialAction:
+    """Restrict a continuous total action to an arbitrary carrier subset.
+
+    The result lives on the subspace over ``carrier`` (densely
+    reindexed); element ``g`` maps onto carrier ∩ u_g(carrier).
+    """
+    check_total_action(group, space, u)
+    if carrier < 0 or carrier > space.full:
+        raise InvalidSubset("carrier is not within the point range", (carrier,))
+    return _restrict(group, topo.subspace(space, carrier), u, carrier)
+
+
+def _cayley_walk(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
+    # The walk out from the identity along ``gens``, as (element, the
+    # element it is reached from, generator index) in the order found.
+    # Refuses a generator outside the group, and a set that does not
+    # generate it, naming the first element the walk misses.
+    for s in gens:
+        if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < group.order:
+            raise ValueError(
+                f"generator {s!r} is not an element of the group of order {group.order}"
+            )
+    reached = {group.identity}
+    steps = []
     frontier = [group.identity]
     while frontier:
         g = frontier.pop()
-        for s, img in zip(gens, images):
+        for i, s in enumerate(gens):
             h = group.mul[s][g]
-            if h not in rows:
-                rows[h] = tuple(img[y] for y in rows[g])
+            if h not in reached:
+                reached.add(h)
+                steps.append((h, g, i))
                 frontier.append(h)
+    for g in group.elements():
+        if g not in reached:
+            raise ValueError(
+                f"generators {tuple(gens)} do not generate the group: "
+                f"the walk from the identity misses element {g}"
+            )
+    return steps
+
+
+def _generated_rows(
+    group: FiniteGroup, steps: list[tuple[int, int, int]],
+    images: Sequence[tuple[int, ...]], size: int,
+) -> list[tuple[int, ...]]:
+    # Rows of the action in which each generator acts as its image,
+    # along the walk ``steps``; ``check_total_action`` rejects them when
+    # the images break a relation of the group.
+    rows = {group.identity: tuple(range(size))}
+    for h, g, i in steps:
+        rows[h] = tuple(images[i][y] for y in rows[g])
     return [rows[g] for g in group.elements()]
 
 
@@ -47,20 +103,25 @@ def induced_instances(
     one of ``groups`` on at most ``max_points`` points, over every
     carrier subset, deduplicated.  Each group comes with elements that
     generate it, and each choice of homeomorphisms for them to act as
-    is tried."""
+    is tried; a generator outside its group, or a set that does not
+    generate it, raises ValueError.  Each total action is checked once
+    and each carrier's subspace built once per space."""
+    walks = [(group, len(gens), _cayley_walk(group, gens)) for group, gens in groups]
     seen: set[PartialAction] = set()
     out: list[PartialAction] = []
     for size in range(1, max_points + 1):
         for space in topo.all_topologies(size):
             homeos = topo.homeomorphisms(space)
-            for group, gens in groups:
-                for images in itertools.product(homeos, repeat=len(gens)):
-                    rows = _generated_rows(group, gens, images, size)
-                    for carrier in range(1 << size):
-                        try:
-                            pa = induced(group, space, rows, carrier)
-                        except NotAnAction:  # the images break a relation
-                            break
+            subs = [topo.subspace(space, carrier) for carrier in range(1 << size)]
+            for group, arity, steps in walks:
+                for images in itertools.product(homeos, repeat=arity):
+                    rows = _generated_rows(group, steps, images, size)
+                    try:
+                        check_total_action(group, space, rows)
+                    except NotAnAction:  # the images break a relation
+                        continue
+                    for carrier, sub in enumerate(subs):
+                        pa = _restrict(group, sub, rows, carrier)
                         if pa not in seen:
                             seen.add(pa)
                             out.append(pa)

@@ -334,8 +334,11 @@ def _topological(pa: PartialAction, algebra_ok: bool) -> Report:
     rb = ReportBuilder("topological")
     group, space = pa.group, pa.space
 
-    bad_open = [g for g in group.elements() if not topo.is_open(space, pa.dom[g])]
-    rb.check("every domain set is open", not bad_open, tuple(bad_open))
+    graph_open = pa.graph_open
+    bad_open = () if graph_open else tuple(
+        g for g in group.elements() if not topo.is_open(space, pa.dom[g])
+    )
+    rb.check("every domain set is open", graph_open, bad_open)
 
     if not algebra_ok:
         rb.na("each map is a homeomorphism between its domains",
@@ -352,10 +355,10 @@ def _topological(pa: PartialAction, algebra_ok: bool) -> Report:
             tuple(bad_homeo),
         )
 
-    rb.info("definedness graph open in the product", (pa.graph_open,))
+    rb.info("definedness graph open in the product", (graph_open,))
     rb.info(
         "definedness graph is a countable intersection of opens",
-        (pa.graph_open,),
+        (graph_open,),
         "finite carrier: such intersections collapse to opens",
     )
     return rb.build()
@@ -414,34 +417,6 @@ def check_total_action(
     for g in range(n):
         if not topo.is_continuous(u[g], space, space):
             raise NotAnAction(f"row of element {g} is not continuous", (g,))
-
-
-def induced(
-    group: FiniteGroup, space: FinTop, u: Sequence[Sequence[int]], carrier: int
-) -> PartialAction:
-    """Restrict a continuous total action to an arbitrary carrier subset.
-
-    The result lives on the subspace over ``carrier`` (densely
-    reindexed); element ``g`` maps onto carrier ∩ u_g(carrier).
-    """
-    check_total_action(group, space, u)
-    if carrier < 0 or carrier > space.full:
-        raise InvalidSubset("carrier is not within the point range", (carrier,))
-
-    points = list(iter_bits(carrier))
-    pos = {p: i for i, p in enumerate(points)}
-    sub = topo.subspace(space, carrier)
-    dom = []
-    for g in group.elements():
-        hit = mask_of(u[g][p] for p in points) & carrier
-        dom.append(mask_of(pos[p] for p in iter_bits(hit)))
-    maps = []
-    for g in group.elements():
-        row = [-1] * len(points)
-        for i in iter_bits(dom[group.inv[g]]):
-            row[i] = pos[u[g][points[i]]]
-        maps.append(tuple(row))
-    return PartialAction(group, sub, tuple(dom), tuple(maps))
 
 
 def orbit_consistency_report(pa: PartialAction) -> Report:

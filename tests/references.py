@@ -7,8 +7,9 @@ definedness graph tested for openness in the product; the
 two pair scans the shared ``relations.disagreements`` replaced (the
 lift-orbit relation's first pair, the reductions' first 8); the inputs
 the comparisons run on (one-entry edits, lifted classes merged or
-split); and the saturation check every envelope built from a total
-action must pass.
+split); the saturation check every envelope built from a total
+action must pass; and the sweep generator that checks the total action
+again at every carrier.
 
 Each relation reference reads one product-wide bitmask row per point
 and scans the axioms on masks, as the engine first did; the transform
@@ -25,9 +26,9 @@ import random
 from operator import and_, or_
 
 import pactop.topology as topo
-from pactop import PartialAction
+from pactop import PartialAction, induced
 from pactop import globalize, paction, selector, vaught
-from pactop.errors import AxiomViolation, LimitExceeded
+from pactop.errors import AxiomViolation, LimitExceeded, NotAnAction
 from pactop.relations import EqRel
 from pactop.reports import ReportBuilder
 from pactop.selector import SelectorMap, is_selector_for, min_selector
@@ -561,3 +562,35 @@ def check_saturation(space, rows, carrier: int, glob) -> tuple[bool, bool]:
     # finer: every class has a smaller minimal neighbourhood
     assert all(q & ~s == 0 for q, s in zip(quotient_nbrs, subspace_nbrs)), pa
     return False, quotient_nbrs != subspace_nbrs
+
+
+def induced_instances(groups, max_points: int) -> list[PartialAction]:
+    """``instances.induced_instances`` as it first ran: the Cayley walk
+    redone for each choice of images, then ``induced`` (so the total
+    action is checked and the subspace built) at every carrier, moving
+    on to the next images at the first ``NotAnAction``."""
+    seen, out = set(), []
+    for size in range(1, max_points + 1):
+        for space in topo.all_topologies(size):
+            homeos = topo.homeomorphisms(space)
+            for group, gens in groups:
+                for images in itertools.product(homeos, repeat=len(gens)):
+                    rows = {group.identity: tuple(range(size))}
+                    frontier = [group.identity]
+                    while frontier:
+                        g = frontier.pop()
+                        for s, img in zip(gens, images):
+                            h = group.mul[s][g]
+                            if h not in rows:
+                                rows[h] = tuple(img[y] for y in rows[g])
+                                frontier.append(h)
+                    rows = [rows[g] for g in group.elements()]
+                    for carrier in range(1 << size):
+                        try:
+                            pa = induced(group, space, rows, carrier)
+                        except NotAnAction:
+                            break
+                        if pa not in seen:
+                            seen.add(pa)
+                            out.append(pa)
+    return out

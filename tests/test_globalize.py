@@ -492,16 +492,25 @@ def test_envelope_is_the_saturation_of_the_total_action(monkeypatch):
     # of (g, x) corresponds to g.x in the saturation G.X, equivariantly;
     # the quotient topology is the subspace topology of G.X when X is
     # open in Y, and finer than it otherwise.  Every sweep instance is
-    # such a restriction, so record Y and its table at each ``induced``
-    # call the sweep generators make.
+    # such a restriction, so record Y and its table at each total action
+    # the sweep generators accept, and each restriction they make of it.
     records = []
+    checked = []
 
-    def recording(group, space, rows, carrier):
-        pa = induced(group, space, rows, carrier)
+    def checking(group, space, rows):
+        check_total_action(group, space, rows)
+        checked.append((space, rows))
+
+    def recording(group, sub, rows, carrier):
+        pa = restrict(group, sub, rows, carrier)
+        space, checked_rows = checked[-1]
+        assert checked_rows is rows
         records.append((space, rows, carrier, pa))
         return pa
 
-    monkeypatch.setattr(instances, "induced", recording)
+    check_total_action, restrict = instances.check_total_action, instances._restrict
+    monkeypatch.setattr(instances, "check_total_action", checking)
+    monkeypatch.setattr(instances, "_restrict", recording)
     induced_family(4, 3)
     instances.induced_instances([(klein_four(), (1, 2))], 3)
     instances.induced_instances([(symmetric3(), (1, 3))], 3)

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+import pactop.topology as topology
 import references
-from pactop import paction
+from conftest import klein_four, symmetric3
+from pactop import instances, paction
 from pactop import (
     EqRel,
     FinTop,
@@ -31,6 +33,7 @@ from pactop import (
     validate,
 )
 from pactop.errors import AxiomViolation, InvalidSubset, NotAnAction
+from pactop.instances import induced_instances
 from pactop.reports import FAIL, NA, PASS, Report, ReportBuilder
 from pactop.topology import iter_bits, mask_of
 
@@ -39,6 +42,8 @@ Z3 = cyclic(3)
 
 SWAP = PartialAction(Z2, discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 ROTATION_ROWS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+# the groups and generators of induced_family(4, ...)
+CYCLIC_UP_TO_4 = [(cyclic(k), (1,) if k > 1 else ()) for k in range(1, 5)]
 
 
 def rotation3():
@@ -401,17 +406,91 @@ def test_induced_restriction_tables():
     assert validate(pa).ok
 
 
-def test_induced_rejects_non_actions():
-    with pytest.raises(NotAnAction):
-        induced(Z2, discrete(2), [(0, 1), (0, 0)], 0b11)
-    # swap has order 2, so its rows cannot compose as an order-3 action
-    with pytest.raises(NotAnAction):
-        induced(Z3, discrete(2), [(0, 1), (1, 0), (0, 1)], 0b11)
-    sierpinski = FinTop(2, (0, 0b10, 0b11))
-    with pytest.raises(NotAnAction):
-        induced(Z2, sierpinski, [(0, 1), (1, 0)], 0b11)
-    with pytest.raises(InvalidSubset):
-        induced(Z2, discrete(2), [(0, 1), (1, 0)], 0b100)
+@pytest.mark.parametrize(
+    "group, space, rows, carrier, error, message, witness",
+    [
+        (Z2, discrete(2), [(0, 1), (0, 0)], 0b11, NotAnAction,
+         "row of element 1 is not a permutation", (1,)),
+        # swap has order 2, so its rows cannot compose as an order-3 action
+        (Z3, discrete(2), [(0, 1), (1, 0), (0, 1)], 0b11, NotAnAction,
+         "rows do not compose at (1, 2, 0)", (1, 2, 0)),
+        (Z2, FinTop(2, (0, 0b10, 0b11)), [(0, 1), (1, 0)], 0b11, NotAnAction,
+         "row of element 1 is not continuous", (1,)),
+        (Z2, discrete(2), [(0, 1), (1, 0)], 0b100, InvalidSubset,
+         "carrier is not within the point range", (0b100,)),
+    ],
+)
+def test_induced_rejects_non_actions(
+    group, space, rows, carrier, error, message, witness
+):
+    with pytest.raises(error) as caught:
+        induced(group, space, rows, carrier)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+    assert caught.value.witness == witness
+
+
+@pytest.mark.parametrize(
+    "group, gens, message",
+    [
+        (Z3, (-1,), "generator -1 is not an element of the group of order 3"),
+        (Z2, (5,), "generator 5 is not an element of the group of order 2"),
+        (cyclic(4), (2,), "generators (2,) do not generate the group: "
+         "the walk from the identity misses element 1"),
+    ],
+)
+def test_induced_instances_refuses_bad_generators(group, gens, message):
+    # -1 used to read element 2 of C3 through mul[-1], 5 raised a bare
+    # IndexError and a non-generating set a bare KeyError
+    with pytest.raises(ValueError) as caught:
+        induced_instances([(group, gens)], 1)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "groups, max_points, members",
+    [
+        (CYCLIC_UP_TO_4, 3, 213),
+        (CYCLIC_UP_TO_4[:2], 4, 1305),
+        ([(klein_four(), (1, 2))], 3, 131),
+        ([(symmetric3(), (1, 3))], 3, 94),
+    ],
+)
+def test_induced_instances_matches_the_per_carrier_generator(
+    groups, max_points, members
+):
+    # the same members in the same order as checking the total action
+    # and building the subspace again at every carrier
+    got = induced_instances(groups, max_points)
+    assert len(got) == members
+    assert got == references.induced_instances(groups, max_points)
+
+
+def test_induced_family_checks_each_total_action_once(monkeypatch):
+    # one check per (space, group, generator images) and one subspace
+    # per (space, carrier) on induced_family(4, 3), against a check and
+    # a subspace at every carrier of every such table
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def count(generate, *args):
+        calls.update(check=0, subspace=0)
+        generate(*args)
+        return calls["check"], calls["subspace"]
+
+    monkeypatch.setattr(
+        instances, "check_total_action",
+        counted("check", instances.check_total_action),
+    )
+    monkeypatch.setattr(topology, "subspace", counted("subspace", topology.subspace))
+    assert count(induced_family, 4, 3) == (217, 250)
+    assert count(references.induced_instances, CYCLIC_UP_TO_4, 3) == (1415, 1384)
 
 
 def test_induced_on_empty_carrier():
