@@ -3,10 +3,10 @@
 The sweep family collects every partial action induced by restricting a
 continuous total action of a small group to an arbitrary subset of a
 small carrier, deduplicated, across all topologies on the carrier;
-``induced`` builds one such restriction.  Mutants are built from valid
-instances by edits that provably break an axiom by construction, so
-rejection tests never consult the validator to decide what counts as
-invalid.
+``induced`` builds one such restriction, and ``coset_rows`` a total
+action on coset spaces.  Mutants are built from valid instances by
+edits that provably break an axiom by construction, so rejection tests
+never consult the validator to decide what counts as invalid.
 """
 
 from __future__ import annotations
@@ -53,16 +53,51 @@ def induced(
     return _restrict(group, topo.subspace(space, carrier), u, carrier)
 
 
+def _refuse_non_element(group: FiniteGroup, what: str, s: object) -> None:
+    if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < group.order:
+        raise ValueError(
+            f"{what} {s!r} is not an element of the group of order {group.order}"
+        )
+
+
+def coset_rows(
+    group: FiniteGroup, subgroups: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """Rows of ``group`` acting on the disjoint union of its coset spaces
+    G/H, one per listed subgroup H, each numbering its cosets by their
+    least elements.  A list that is not a subgroup raises ValueError
+    naming an element outside the group, the missing identity, or the
+    first product that leaves the list."""
+    rows: list[list[int]] = [[] for _ in group.elements()]
+    for sub in subgroups:
+        for h in sub:
+            _refuse_non_element(group, "subgroup member", h)
+        members = set(sub)
+        if group.identity not in members:
+            raise ValueError(
+                f"subgroup {tuple(sub)} lacks the identity {group.identity}"
+            )
+        for h, k in itertools.product(sub, repeat=2):
+            if group.mul[h][k] not in members:
+                raise ValueError(
+                    f"subgroup {tuple(sub)} is not closed: "
+                    f"{h} * {k} = {group.mul[h][k]} is not in it"
+                )
+        least = [a for a in group.elements() if a == min(group.mul[a][h] for h in sub)]
+        where = {group.mul[a][h]: n for n, a in enumerate(least) for h in sub}
+        base = len(rows[0])
+        for mul_g, row in zip(group.mul, rows):
+            row += [base + where[mul_g[a]] for a in least]
+    return rows
+
+
 def _cayley_walk(group: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
     # The walk out from the identity along ``gens``, as (element, the
     # element it is reached from, generator index) in the order found.
     # Refuses a generator outside the group, and a set that does not
     # generate it, naming the first element the walk misses.
     for s in gens:
-        if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < group.order:
-            raise ValueError(
-                f"generator {s!r} is not an element of the group of order {group.order}"
-            )
+        _refuse_non_element(group, "generator", s)
     reached = {group.identity}
     steps = []
     frontier = [group.identity]
@@ -89,7 +124,9 @@ def _generated_rows(
 ) -> list[tuple[int, ...]]:
     # Rows of the action in which each generator acts as its image,
     # along the walk ``steps``; ``check_total_action`` rejects them when
-    # the images break a relation of the group.
+    # the images break a relation of the group.  A generator the walk
+    # reaches another way (the identity, or one listed twice) is not
+    # read here, so the caller compares its row with its image.
     rows = {group.identity: tuple(range(size))}
     for h, g, i in steps:
         rows[h] = tuple(images[i][y] for y in rows[g])
@@ -104,18 +141,22 @@ def induced_instances(
     carrier subset, deduplicated.  Each group comes with elements that
     generate it, and each choice of homeomorphisms for them to act as
     is tried; a generator outside its group, or a set that does not
-    generate it, raises ValueError.  Each total action is checked once
-    and each carrier's subspace built once per space."""
-    walks = [(group, len(gens), _cayley_walk(group, gens)) for group, gens in groups]
+    generate it, raises ValueError.  A choice under which some
+    generator's row is not its image is skipped unchecked.  Each total
+    action is checked once and each carrier's subspace built once per
+    space."""
+    walks = [(group, gens, _cayley_walk(group, gens)) for group, gens in groups]
     seen: set[PartialAction] = set()
     out: list[PartialAction] = []
     for size in range(1, max_points + 1):
         for space in topo.all_topologies(size):
             homeos = topo.homeomorphisms(space)
             subs = [topo.subspace(space, carrier) for carrier in range(1 << size)]
-            for group, arity, steps in walks:
-                for images in itertools.product(homeos, repeat=arity):
+            for group, gens, steps in walks:
+                for images in itertools.product(homeos, repeat=len(gens)):
                     rows = _generated_rows(group, steps, images, size)
+                    if any(rows[s] != img for s, img in zip(gens, images)):
+                        continue
                     try:
                         check_total_action(group, space, rows)
                     except NotAnAction:  # the images break a relation

@@ -1,27 +1,11 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-from pactop import build, induced_family, make_group, mutant_family, validate
+from gspaces import klein_four, symmetric3
+from pactop import build, induced_family, mutant_family, validate
 from pactop.instances import induced_instances
 from references import one_entry_edits
-
-
-def klein_four():
-    """Z2 x Z2 with xor as product; elements 1 and 2 generate it."""
-    return make_group([[g ^ h for h in range(4)] for g in range(4)])
-
-
-def symmetric3():
-    """S3 as the permutations of {0, 1, 2} in lexicographic order, g*h
-    applying h first; the transposition 1 and the 3-cycle 3 generate it."""
-    perms = list(itertools.permutations(range(3)))
-    idx = {p: i for i, p in enumerate(perms)}
-    return make_group(
-        [[idx[tuple(g[h[x]] for x in range(3))] for h in perms] for g in perms]
-    )
 
 
 @pytest.fixture(scope="session")

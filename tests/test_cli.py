@@ -28,6 +28,7 @@ from pactop import (
 )
 from pactop.cli import ActionSpec, main, parse, serialize
 from pactop.errors import SchemaError
+from pactop.instances import coset_rows
 
 EXAMPLE = str(resources.files("pactop").joinpath("data/example48.json"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -195,7 +196,7 @@ def test_cyclic_group_of_the_largest_order_validates(tmp_path):
 
 def test_report_passes_on_rotation_of_six_points_minus_one(tmp_path):
     # C3 rotating two blocks of three discrete points, point 4 dropped
-    rows = [tuple((x // 3) * 3 + (x % 3 + g) % 3 for x in range(6)) for g in range(3)]
+    rows = coset_rows(cyclic(3), [[0]] * 2)
     pa = induced(cyclic(3), discrete(6), rows, 0b101111)
     names = tuple(f"x{i}" for i in range(pa.space.size))
     doc = tmp_path / "c3_6_minus_one.json"

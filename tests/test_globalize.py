@@ -10,7 +10,7 @@ import oracles
 import pactop.globalize as globalize
 import pactop.topology as topology
 import references
-from conftest import klein_four, symmetric3
+from gspaces import klein_four, symmetric3
 from pactop import (
     EqRel,
     FinTop,

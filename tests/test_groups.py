@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from gspaces import compose, group_of
 from pactop import cyclic, groups, make_group
 from pactop.errors import (
     InvalidOrder,
@@ -87,11 +88,7 @@ def test_make_group_nonabelian_s3():
         (1, 2, 0),
         (2, 0, 1),
     ]
-    idx = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(idx[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms
-    )
-    g = make_group(table)
+    g = group_of(perms, compose)
     assert g.order == 6
     assert g.mul[1][2] != g.mul[2][1]
     for a in range(6):

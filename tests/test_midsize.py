@@ -1,11 +1,8 @@
 """A seeded mid-size sweep with larger non-abelian groups, and the scale
 gates at 8,128 and 16,376 product points.
 
-D4, Q8, A4 and S4 each act on a disjoint union of coset spaces G/H (H
-trivial gives the regular action, H a point stabilizer the natural
-one).  A topology made from seeded subsets closed under the action is
-invariant under it, so the action is continuous by construction.
-Restricting it to a seeded carrier gives the partial action.  Every
+D4, Q8, A4 and S4 each act on seeded coset spaces with a seeded
+invariant topology, restricted to a seeded carrier (``gspaces``).  Every
 valid one must be the saturation G.X, and each label-row relation and
 orbit check must match its mask reference.
 """
@@ -13,28 +10,22 @@ orbit check must match its mask reference.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import random
 
 import pytest
 
 import references
+from gspaces import blanked, midsize_instances, rotation
 from pactop import cli
 from pactop import (
-    PartialAction,
     SeparationFlags,
     bireducibility_report,
     build,
-    cyclic,
-    discrete,
     effros_report,
     enveloping_relation,
     hat_relation_report,
-    induced,
     is_selector_for,
-    make_group,
-    make_topology,
     normalized_selector,
     orbit_equivalence,
     orbit_homeomorphism_report,
@@ -45,111 +36,6 @@ from pactop import (
 from pactop.errors import LimitExceeded
 from pactop.reports import FAIL, PASS
 from pactop.vaught import TRANSFORM_LIMIT
-
-
-def _compose(p, q):
-    # permutations as tuples, q applied first
-    return tuple(p[i] for i in q)
-
-
-def _quaternion(a, b):
-    # Hamilton's product of integer quaternions (w, x, y, z)
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    )
-
-
-def _closure(gens, product):
-    # the group the generators generate, in sorted order
-    out = set(gens)
-    frontier = list(gens)
-    while frontier:
-        a = frontier.pop()
-        for s in gens:
-            b = product(s, a)
-            if b not in out:
-                out.add(b)
-                frontier.append(b)
-    return sorted(out)
-
-
-def _even(p):
-    return sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2)) % 2 == 0
-
-
-def _groups():
-    """(name, elements, product, subgroup generators) per group; each
-    subgroup H gives the coset space G/H.  Q8 lists its units with the
-    identity fifth, so code that takes element 0 for the identity shows."""
-    r, s = (1, 2, 3, 0), (0, 3, 2, 1)
-    s4 = list(itertools.permutations(range(4)))
-    one, i, j, k = [tuple(int(n == m) for m in range(4)) for n in range(4)]
-    minus = tuple(-c for c in one)
-    q8 = [i, j, k, minus, one, _quaternion(minus, i), _quaternion(minus, j),
-          _quaternion(minus, k)]
-    return [
-        ("D4", _closure([r, s], _compose), _compose,
-         [[(0, 1, 2, 3)], [s], [_compose(r, r)], [r]]),
-        ("Q8", q8, _quaternion, [[one], [minus], [i], [j]]),
-        ("A4", [p for p in s4 if _even(p)], _compose,
-         [[(0, 1, 2, 3)], [(0, 2, 3, 1)], [(1, 0, 3, 2), (2, 3, 0, 1)], [(1, 0, 3, 2)]]),
-        ("S4", s4, _compose,
-         [[(0, 1, 2, 3)], [(0, 2, 1, 3), (0, 1, 3, 2)], [(1, 2, 0, 3), (0, 2, 3, 1)],
-          [(1, 0, 3, 2), (2, 3, 0, 1)]]),
-    ]
-
-
-def _coset_rows(group, subgroup):
-    # rows of the action of ``group`` on the left cosets of ``subgroup``
-    cosets = []
-    for a in group.elements():
-        coset = frozenset(group.mul[a][h] for h in subgroup)
-        if coset not in cosets:
-            cosets.append(coset)
-    where = {a: n for n, coset in enumerate(cosets) for a in coset}
-    return [[where[group.mul[g][min(c)]] for c in cosets] for g in group.elements()]
-
-
-def midsize_instances(count: int = 24, seed: int = 17):
-    """``count`` seeded restrictions, the four groups in turn: (space,
-    rows, carrier, partial action) each, on 8 to 28 points."""
-    rng = random.Random(seed)
-    made = []
-    for _, elements, product, subgroups in _groups():
-        index = {a: n for n, a in enumerate(elements)}
-        group = make_group([[index[product(a, b)] for b in elements] for a in elements])
-        spaces = [
-            _coset_rows(group, [index[h] for h in _closure(gens, product)])
-            for gens in subgroups
-        ]
-        made.append((group, spaces))
-    out = []
-    while len(out) < count:
-        group, spaces = made[len(out) % len(made)]
-        chosen = [rows for rows in spaces if rng.random() < 0.5]
-        size = sum(len(rows[0]) for rows in chosen)
-        if not 8 <= size <= 28:
-            continue
-        rows, base = [[] for _ in group.elements()], 0
-        for part in chosen:
-            for g in group.elements():
-                rows[g] += [base + y for y in part[g]]
-            base += len(part[0])
-        gens = []
-        for _ in range(rng.randint(1, 3)):
-            subset = [y for y in range(size) if rng.random() < 0.3]
-            gens += [sum(1 << rows[g][y] for y in subset) for g in group.elements()]
-        space = make_topology(size, gens)
-        carrier = sum(1 << y for y in range(size) if rng.random() < 0.7)
-        if not carrier:
-            continue
-        out.append((space, rows, carrier, induced(group, space, rows, carrier)))
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -226,16 +112,6 @@ def test_midsize_identity_suite_matches_the_row_reference(midsize):
         assert expected.ok, pa
 
 
-def _blanked(pa):
-    # every element but the identity loses its image of point 0 and
-    # keeps its domain: several elements then fail at one point
-    e = pa.group.identity
-    maps = tuple(
-        row if g == e else (-1,) + row[1:] for g, row in enumerate(pa.maps)
-    )
-    return PartialAction(pa.group, pa.space, pa.dom, maps)
-
-
 def test_validate_never_raises_on_midsize_edits(midsize):
     # Four seeded one-entry edits of each instance, many ill-formed, and
     # the instance with point 0 blanked.  The two relation builders must
@@ -244,7 +120,7 @@ def test_validate_never_raises_on_midsize_edits(midsize):
     # read.
     rejected, raised = 0, {}
     for n, (_, _, _, pa) in enumerate(midsize):
-        for edit in [*references.one_entry_edits([pa], 4, seed=n), _blanked(pa)]:
+        for edit in [*references.one_entry_edits([pa], 4, seed=n), blanked(pa)]:
             rejected += not validate(edit).ok
             for check, reference in COMPARED[:2]:
                 expected = references.outcome(reference, edit)
@@ -261,7 +137,7 @@ def test_midsize_graph_open_reads_the_domains(midsize, monkeypatch):
     # the definedness graph in the product
     counts: dict = {}
     for n, (_, _, _, pa) in enumerate(midsize):
-        for edit in [pa, *references.one_entry_edits([pa], 4, seed=n), _blanked(pa)]:
+        for edit in [pa, *references.one_entry_edits([pa], 4, seed=n), blanked(pa)]:
             assert edit.graph_open == references.graph_open(edit), edit
             got, expected = references.validate_without_product(edit, monkeypatch)
             assert got == expected, edit
@@ -275,7 +151,7 @@ def test_midsize_pair_checks_match_the_references(midsize):
     # and bireducibility on the valid instances.
     kinds: dict = {}
     for n, (_, _, _, pa) in enumerate(midsize):
-        for edit in [pa, *references.one_entry_edits([pa], 4, seed=n), _blanked(pa)]:
+        for edit in [pa, *references.one_entry_edits([pa], 4, seed=n), blanked(pa)]:
             expected = references.outcome(references.effros_report, edit)
             assert references.outcome(effros_report, edit) == expected, edit
             if isinstance(expected, tuple):
@@ -332,7 +208,7 @@ def test_report_on_midsize_edits(midsize):
     passed, limits = [], {}
     for n, (_, _, _, pa) in enumerate(midsize):
         for k, edit in enumerate(
-            [pa, *references.one_entry_edits([pa], 4, seed=n), _blanked(pa)]
+            [pa, *references.one_entry_edits([pa], 4, seed=n), blanked(pa)]
         ):
             spec = cli.ActionSpec("", tuple(f"p{x}" for x in edit.space.points()), edit)
             data, reports = cli._run(spec, args)
@@ -357,19 +233,9 @@ def test_report_on_midsize_edits(midsize):
     assert limits == {"transform-identities": 6, "transversal-topology": 5}
 
 
-def _rotation(k: int, n: int):
-    """C_k rotating each block of k consecutive points out of n discrete
-    points, restricted to every point but point 0: (space, rows,
-    carrier, partial action)."""
-    space = discrete(n)
-    rows = [[(x // k) * k + (x % k + g) % k for x in range(n)] for g in range(k)]
-    carrier = space.full & ~1
-    return space, rows, carrier, induced(cyclic(k), space, rows, carrier)
-
-
 def test_c64_on_128_points_minus_one():
     # Scale gate: C64 on 128 points minus one (|G|*|X| = 8,128).
-    space, rows, carrier, pa = _rotation(64, 128)
+    space, rows, carrier, pa = rotation(64, 128)
     assert validate(pa).ok
     glob = build(pa)
     assert hat_relation_report(glob).ok
@@ -385,7 +251,7 @@ def test_c8_on_2048_points_minus_one():
     # stage passes but the two behind a size limit.  Bireducibility,
     # which the report skips after the transversal limit, and the
     # envelope's separation flags are read directly.
-    _, _, _, pa = _rotation(8, 2048)
+    _, _, _, pa = rotation(8, 2048)
     spec = cli.ActionSpec("", tuple(f"p{x}" for x in pa.space.points()), pa)
     args = cli._build_parser("report").parse_args(["report", "doc.json"])
     _, reports = cli._run(spec, args)
@@ -408,7 +274,7 @@ def test_transform_limit_on_c8_on_2048_points_minus_one_prints_a_short_count():
     # 2^2047 point sets times 2^8 - 1 group parts: the error keeps the
     # exact count, while the check name and witness the report prints
     # give its power of two, not 619 digits
-    _, _, _, pa = _rotation(8, 2048)
+    _, _, _, pa = rotation(8, 2048)
     spec = cli.ActionSpec("", tuple(f"p{x}" for x in pa.space.points()), pa)
     args = cli._build_parser("report").parse_args(["report", "doc.json"])
     _, reports = cli._run(spec, args)

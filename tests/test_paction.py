@@ -8,7 +8,7 @@ import pytest
 
 import pactop.topology as topology
 import references
-from conftest import klein_four, symmetric3
+from gspaces import klein_four, symmetric3
 from pactop import instances, paction
 from pactop import (
     EqRel,
@@ -491,6 +491,26 @@ def test_induced_family_checks_each_total_action_once(monkeypatch):
     monkeypatch.setattr(topology, "subspace", counted("subspace", topology.subspace))
     assert count(induced_family, 4, 3) == (217, 250)
     assert count(references.induced_instances, CYCLIC_UP_TO_4, 3) == (1415, 1384)
+
+
+@pytest.mark.parametrize("gens", [(1, 1), (0, 1)])
+def test_induced_instances_checks_the_image_of_every_generator(monkeypatch, gens):
+    # The walk never reads the image of the identity or of a generator
+    # listed twice; an image choice whose rows differ from it used to be
+    # checked and accepted anyway (155 checks, 85 accepted), and only
+    # deduplication kept the members right.
+    calls = {"check": 0, "accepted": 0}
+    check_total_action = instances.check_total_action
+
+    def counted(*args):
+        calls["check"] += 1
+        check_total_action(*args)
+        calls["accepted"] += 1
+
+    monkeypatch.setattr(instances, "check_total_action", counted)
+    got = induced_instances([(Z3, gens)], 3)
+    assert calls == {"check": 61, "accepted": 38}
+    assert got == induced_instances([(Z3, (1,))], 3)
 
 
 def test_induced_on_empty_carrier():

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 import references
+from gspaces import midsize_instances
 from pactop import vaught
 from pactop import (
     PartialAction,
@@ -29,7 +30,6 @@ from pactop import (
 from pactop.errors import AxiomViolation, InvalidOpenSet, InvalidSubset, NotOpen
 from pactop.reports import FAIL, INFO, PASS
 from pactop.topology import iter_bits, mask_of
-from test_midsize import midsize_instances
 
 SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 K3 = example_k3()
