@@ -71,9 +71,6 @@ class Globalization:
     def num_classes(self) -> int:
         return self.relation.num_classes
 
-    def embedded_classes(self) -> int:
-        return mask_of(self.embedding)
-
 
 def build(pa: PartialAction) -> Globalization:
     """Construct the enveloping space on the gluing relation's class ids.
@@ -137,7 +134,7 @@ def embedding_report(glob: Globalization) -> Report:
     group, space = pa.group, pa.space
     rb = ReportBuilder("embedding")
 
-    image = glob.embedded_classes()
+    image = mask_of(glob.embedding)
     positions = {c: i for i, c in enumerate(iter_bits(image))}
     sub = topo.subspace(glob.topology, image)
     emb = [positions[glob.embedding[x]] for x in space.points()]

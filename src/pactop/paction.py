@@ -62,12 +62,19 @@ class PartialAction:
     @functools.cached_property
     def acting(self) -> tuple[int, ...]:
         """Per point x, the bitmask of the g with x in dom[inv(g)]."""
-        return tuple(_acting_at(self, x) for x in self.space.points())
+        dom, inv = self.dom, self.group.inv
+        return tuple(
+            mask_of(g for g in self.group.elements() if (dom[inv[g]] >> x) & 1)
+            for x in self.space.points()
+        )
 
     @functools.cached_property
     def orbits(self) -> tuple[int, ...]:
         """Per point x, the bitmask of its images g.x."""
-        return tuple(_orbit_at(self, x, acting) for x, acting in enumerate(self.acting))
+        return tuple(
+            mask_of(self.act(g, x) for g in iter_bits(acting))
+            for x, acting in enumerate(self.acting)
+        )
 
     @functools.cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:
@@ -77,17 +84,6 @@ class PartialAction:
             for g in iter_bits(acting):
                 rows[g][self.act(g, x)] |= 1 << x
         return tuple(map(tuple, rows))
-
-    @functools.cached_property
-    def diagonal(self) -> tuple[int, ...]:
-        """Per point x, the orbit of (x, x) under ``pair_action(self)``,
-        read from that action's domains and maps at the |X| diagonal
-        points only, by the formula of ``acting`` and ``orbits``."""
-        beta, step = pair_action(self), self.space.size + 1
-        return tuple(
-            _orbit_at(beta, p, _acting_at(beta, p))
-            for p in range(0, self.space.size * step, step)
-        )
 
     @functools.cached_property
     def settled(self) -> tuple[bool, ...]:
@@ -100,16 +96,16 @@ class PartialAction:
         return tuple(all(orbits[y] & o == o for y in iter_bits(o)) for o in orbits)
 
     @functools.cached_property
-    def sections(self) -> tuple[tuple[int, int, int, int, bool], ...]:
+    def sections(self) -> tuple[tuple[int, int, int, bool], ...]:
         """Per point x, the packed row ``vaught.ideal_section_set`` reads:
         x, ``1 << x``, ``orbits[x] << (x * size)`` (the orbit as row x of
-        the square of the carrier), ``diagonal[x]`` and ``settled[x]``.
-        ``orbits`` is read first, so ill-formed tables raise its
-        KeyError."""
+        the square of the carrier, which is also the orbit of (x, x)
+        under ``pair_action``) and ``settled[x]``.  ``orbits`` is read
+        first, so ill-formed tables raise its KeyError."""
         size, orbits = self.space.size, self.orbits
         return tuple(
-            (x, 1 << x, o << (x * size), d, s)
-            for x, (o, s, d) in enumerate(zip(orbits, self.settled, self.diagonal))
+            (x, 1 << x, o << (x * size), s)
+            for x, (o, s) in enumerate(zip(orbits, self.settled))
         )
 
     @functools.cached_property
@@ -148,20 +144,10 @@ class PartialAction:
         return lifted_action(self)
 
 
-def _acting_at(pa: PartialAction, x: int) -> int:
-    # the g with x in dom[inv(g)]
-    dom, inv = pa.dom, pa.group.inv
-    return mask_of(g for g in pa.group.elements() if (dom[inv[g]] >> x) & 1)
-
-
-def _orbit_at(pa: PartialAction, x: int, acting: int) -> int:
-    # the images g.x of the g in ``acting``; KeyError where one is undefined
-    return mask_of(pa.act(g, x) for g in iter_bits(acting))
-
-
 def _check_point(pa: PartialAction, x: int) -> None:
-    # a negative index would silently read the last point's row
-    if not 0 <= x < pa.space.size:
+    # a negative index would silently read the last point's row, and
+    # True would read point 1
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < pa.space.size:
         raise InvalidSubset("point is not within the carrier", (x,))
 
 
@@ -495,7 +481,8 @@ def pair_action(pa: PartialAction) -> PartialAction:
     """Act on ordered pairs through the second coordinate only; the
     first coordinate just comes along for the ride.
 
-    Memoized; ``PartialAction.diagonal`` builds it once per action and
-    reads its domains and maps at the diagonal points (x, x) only."""
+    Memoized.  No engine path calls it: the orbit of (x, x) is row x
+    of ``PartialAction.sections``.  It is kept for the benchmark's
+    traced spans and the tests' reference forms."""
     prod = topo.product(pa.space, pa.space)
     return _slice_action(pa, prod, pa.space.size, lambda g, x: x)

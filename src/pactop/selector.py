@@ -185,7 +185,7 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
         (2 ** len(quotient_atoms), 2 ** len(tau.atoms)),
     )
 
-    image = glob.embedded_classes()
+    image = mask_of(glob.embedding)
     rb.check("embedded image is Borel", topo.is_borel(tau, image), (image,))
     pullback = mask_of(p for p in iter_bits(t_mask) if (image >> cid[p]) & 1)
     rb.check(

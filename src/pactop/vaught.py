@@ -14,10 +14,10 @@ identity suite stores each table as bit planes, one integer per point
 set, and checks each identity by a few integer operations per set.
 Over the whole group the transforms reduce to orbit-table readings.
 The ideal sweep makes one loop over the action's packed ``sections``
-rows, built once per action from its ``orbits``, ``diagonal`` and
-``settled`` tables; the diagonal is read at the diagonal points of the
-pair action only, and ``ideal_member`` is called at unsettled points
-only.
+rows, built once per action from its ``orbits`` and ``settled``
+tables; the orbit row of x is also the pair-action orbit of (x, x),
+so no pair action is built, and ``ideal_member`` is called only at
+unsettled points with a nonempty section.
 """
 
 from __future__ import annotations
@@ -262,28 +262,29 @@ def ideal_section_set(pa: PartialAction, pairs: int) -> int:
 
     One loop over the action's packed rows (``PartialAction.sections``,
     built once per action).  The section of x is the pair set cut
-    down to the orbit of x as row x of the square; at a settled point
-    (see ``PartialAction.settled``) the ideal definition reduces to "the
-    section is empty", elsewhere ``ideal_member`` judges it.  The result
-    is then cross-checked against the tight transform of the complement
-    under the pair action, read on the diagonal over the whole group:
-    (x, x) is in it exactly when its pair-action orbit, ``diagonal[x]``,
-    misses the pair set.  A mismatch raises since it would mean an
-    engine bug.
+    down to the orbit of x as row x of the square.  The pair action
+    moves only the second coordinate, so that row is also the orbit of
+    (x, x), and (x, x) is in the tight transform of the complement
+    under the pair action over the whole group exactly when the section
+    is empty.  An empty section is small by the ideal definition, and
+    at a settled point (see ``PartialAction.settled``) a nonempty one
+    is not; elsewhere ``ideal_member`` judges a nonempty section, and
+    calling it small raises once the loop is done, since the verdicts
+    would disagree with the diagonal tight transform, an engine bug.
     """
     size = pa.space.size
     if pairs < 0 or pairs >= 1 << (size * size):
         raise InvalidSubset("pair set is not within the square carrier", (pairs,))
-    out = dual = 0
-    for x, bit, row, diagonal, settled in pa.sections:
+    out = wrong = 0
+    for x, bit, row, settled in pa.sections:
         s = pairs & row
-        if (not s) if settled else ideal_member(pa, x, s >> (x * size)):
+        if not s:
             out |= bit
-        if not diagonal & pairs:
-            dual |= bit
-    if dual != out:
+        elif not settled and ideal_member(pa, x, s >> (x * size)):
+            wrong |= bit
+    if wrong:
         raise AxiomViolation(
             "ideal sections disagree with the diagonal tight transform",
-            (pairs, out, dual),
+            (pairs, out | wrong, out),
         )
     return out

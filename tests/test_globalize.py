@@ -423,7 +423,7 @@ def restriction_by_induced(glob):
     not raise here: ``build`` only returns tables that form an action."""
     pa = glob.source
     group, space = pa.group, pa.space
-    image = glob.embedded_classes()
+    image = mask_of(glob.embedding)
     ind = induced(group, glob.topology, glob.action, image)
     positions = {c: i for i, c in enumerate(iter_bits(image))}
     emb = [positions[glob.embedding[x]] for x in space.points()]

@@ -1,10 +1,12 @@
 """Engine modules import only names they use (``__init__`` re-exports),
-no engine file holds an ``assert``, and the package exports functions
-and classes, not its submodules."""
+no engine file holds an ``assert``, the package exports functions and
+classes, not its submodules, and every name the benchmark's traced run
+wraps still exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -73,3 +75,30 @@ def test_package_exports_functions_and_classes_only():
     assert sorted(functions + classes) == pactop.__all__
     assert {"minimal_neighborhoods", "pair_action"} <= set(functions)
     assert (len(functions), len(classes)) == (51, 24)
+
+
+def bench_names(source: str) -> dict:
+    """The literal ``TRACED`` and ``CACHED`` assignments of ``source``."""
+    return {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(source).body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("TRACED", "CACHED")
+    }
+
+
+def test_bench_spans_name_engine_functions():
+    # read as text, not imported: the benchmark's traced run wraps these
+    # names and reads these caches, so none may be renamed or dropped
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    names = bench_names(spans.read_text())
+    traced = [(mod, fn) for mod, fns in names["TRACED"].items() for fn in fns]
+    assert traced and names["CACHED"]
+    for mod, fn in traced:
+        assert callable(getattr(importlib.import_module(f"pactop.{mod}"), fn, None)), (
+            mod, fn
+        )
+    for name in names["CACHED"]:
+        mod, fn = name.split(".")
+        cached = getattr(importlib.import_module(f"pactop.{mod}"), fn, None)
+        assert callable(getattr(cached, "cache_info", None)), name

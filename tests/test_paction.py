@@ -354,9 +354,10 @@ def test_acting_set_stabilizer_orbit():
 
 
 @pytest.mark.parametrize("lookup", [acting_set, stabilizer, orbit])
-@pytest.mark.parametrize("x", [-1, 2])
+@pytest.mark.parametrize("x", [-1, 2, 1.0, True, "0"])
 def test_point_lookups_reject_points_outside_the_carrier(lookup, x):
-    # -1 would otherwise read the last point's row and 2 raise IndexError
+    # -1 would otherwise read the last point's row, 2 raise IndexError,
+    # True read point 1, and 1.0 or "0" raise a bare TypeError
     with pytest.raises(InvalidSubset, match="point is not within the carrier") as exc:
         lookup(SWAP, x)
     assert exc.value.witness == (x,)

@@ -9,7 +9,7 @@ import pytest
 import oracles
 import references
 from gspaces import midsize_instances
-from pactop import vaught
+from pactop import paction, topology, vaught
 from pactop import (
     PartialAction,
     acting_set,
@@ -398,7 +398,7 @@ def test_ideal_section_set_frozen():
 
 
 def test_ideal_member_rejects_points_outside_the_carrier():
-    for x in (-1, SWAP.space.size):
+    for x in (-1, SWAP.space.size, 1.0, True, "0"):
         with pytest.raises(InvalidSubset, match="not within the carrier") as exc:
             ideal_member(SWAP, x, 0)
         assert exc.value.witness == (x,)
@@ -477,23 +477,64 @@ def test_section_set_matches_the_transforms_on_midsize():
 
 
 def test_section_cross_check_fires():
-    # the pair {(0, 0)} meets the orbit of 0 only; dropping (0, 0) from
-    # the pair-action orbit of (0, 0) makes the diagonal read 0 as small.
-    # A fresh copy, since the shared SWAP may already hold its tables.
-    swap = dataclasses.replace(SWAP)
-    vars(swap)["diagonal"] = (SWAP.diagonal[0] ^ 1,) + SWAP.diagonal[1:]
+    # C2 on two discrete points, element 1 moving point 0 to 1 and
+    # defined nowhere else, the identity defined nowhere: the orbit of 0
+    # is {1}, whose own orbit is empty, so 0 is unsettled and
+    # ``ideal_member`` calls its section {1} small, while (0, 0) has
+    # the pair (0, 1) in its pair-action orbit
+    pa = PartialAction(cyclic(2), discrete(2), (0, 0b01), ((-1, -1), (1, -1)))
     with pytest.raises(AxiomViolation, match="diagonal tight transform") as exc:
-        ideal_section_set(swap, 0b0001)
-    assert exc.value.witness == (0b0001, 0b10, 0b11)
+        ideal_section_set(pa, 0b0010)
+    assert exc.value.witness == (0b0010, 0b11, 0b10)
 
 
-def test_diagonal_and_settled_tables(valid_family, s3_family):
+def test_section_rows_are_the_diagonal_pair_orbits(
+    valid_family, s3_family, changed_family
+):
+    # row x of the square is the pair-action orbit of (x, x), on every
+    # table whose orbits can be read; the pair action raises KeyError
+    # exactly where ``orbits`` does
+    unread = 0
+    for pa in valid_family + s3_family + changed_family:
+        try:
+            pa.orbits
+        except KeyError:
+            with pytest.raises(KeyError):
+                pair_action(pa)
+            unread += 1
+            continue
+        size, orbits = pa.space.size, pair_action(pa).orbits
+        assert [row for _, _, row, _ in pa.sections] == [
+            orbits[x * size + x] for x in pa.space.points()
+        ], pa
+    assert unread == 231
+
+
+def test_settled_tables(valid_family, s3_family):
     for pa in valid_family + s3_family:
-        size = pa.space.size
         assert all(pa.settled), pa
-        assert pa.diagonal == tuple(
-            pair_action(pa).orbits[x * size + x] for x in pa.space.points()
-        ), pa
+
+
+def test_ideal_sweep_builds_no_pair_action(monkeypatch):
+    # every pair set of every valid induced instance on <= 2 points, on
+    # fresh copies so that no table is already held
+    instances = [pa for pa in induced_family(4, 2) if validate(pa).ok]
+    want = [
+        [section_set_by_transforms(pa, pairs) for pairs in range(1 << pa.space.size ** 2)]
+        for pa in instances
+    ]
+
+    def refuse(*args):
+        raise AssertionError("the ideal sweep built a pair action")
+
+    monkeypatch.setattr(paction, "pair_action", refuse)
+    monkeypatch.setattr(topology, "product", refuse)
+    calls = 0
+    for pa, results in zip(instances, want):
+        for pairs, small in enumerate(results):
+            assert ideal_section_set(dataclasses.replace(pa), pairs) == small, (pa, pairs)
+            calls += 1
+    assert calls == 336
 
 
 def section_set_by_members(pa, pairs: int) -> int:
