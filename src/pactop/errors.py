@@ -1,10 +1,18 @@
-"""Exception taxonomy for the engine.
+"""Exception taxonomy for the engine, and ``in_range``, the one test
+every point, element, table entry and point set (an int index or
+bitmask) passes; a value that fails it gets its caller's typed error.
 
 Every exception carries a ``witness`` tuple pinpointing the offending
 element, pair or triple, so callers can report exactly what broke.
 """
 
 from __future__ import annotations
+
+
+def in_range(value: object, bound: int) -> bool:
+    """Whether ``value`` is an int, not a bool, with ``0 <= value < bound``
+    (a size or order for an index, ``1 << size`` for a set)."""
+    return type(value) is int and 0 <= value < bound
 
 
 class PactopError(Exception):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidOrder, LimitExceeded, NoIdentity, NoInverse, NotAssociative
+from .errors import (
+    InvalidOrder, LimitExceeded, NoIdentity, NoInverse, NotAssociative, in_range,
+)
 
 # Largest group order accepted: make_group's associativity scan is
 # cubic in the order, so a short document could otherwise run for hours.
@@ -42,7 +44,7 @@ def make_group(table: list[list[int]] | tuple[tuple[int, ...], ...]) -> FiniteGr
         if len(row) != n:
             raise ValueError(f"row {g} has length {len(row)}, expected {n}")
         for h, v in enumerate(row):
-            if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < n):
+            if not in_range(v, n):
                 raise ValueError(f"entry ({g}, {h}) = {v!r} out of range")
 
     identity = -1

@@ -16,7 +16,7 @@ import random
 from typing import Sequence
 
 from . import topology as topo
-from .errors import InvalidSubset, NotAnAction
+from .errors import InvalidSubset, NotAnAction, in_range
 from .groups import FiniteGroup, cyclic
 from .paction import PartialAction, check_total_action
 from .topology import FinTop, iter_bits, mask_of
@@ -48,13 +48,13 @@ def induced(
     reindexed); element ``g`` maps onto carrier ∩ u_g(carrier).
     """
     check_total_action(group, space, u)
-    if carrier < 0 or carrier > space.full:
+    if not in_range(carrier, 1 << space.size):
         raise InvalidSubset("carrier is not within the point range", (carrier,))
     return _restrict(group, topo.subspace(space, carrier), u, carrier)
 
 
 def _refuse_non_element(group: FiniteGroup, what: str, s: object) -> None:
-    if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < group.order:
+    if not in_range(s, group.order):
         raise ValueError(
             f"{what} {s!r} is not an element of the group of order {group.order}"
         )

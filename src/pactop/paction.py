@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import topology as topo
-from .errors import AxiomViolation, InvalidSubset, NotAnAction
+from .errors import AxiomViolation, InvalidSubset, NotAnAction, in_range
 from .groups import FiniteGroup
 from .relations import EqRel, from_relation
 from .reports import Report, ReportBuilder
@@ -38,14 +38,15 @@ class PartialAction:
         if len(self.dom) != n or len(self.maps) != n:
             raise ValueError("dom and maps must have one entry per group element")
         for g, mask in enumerate(self.dom):
-            if mask < 0 or mask > self.space.full:
+            if not in_range(mask, 1 << size):
                 raise ValueError(f"dom[{g}] outside the carrier")
         for g, row in enumerate(self.maps):
             if len(row) != size:
                 raise ValueError(f"maps[{g}] must have one entry per point")
             for x, y in enumerate(row):
-                if y < -1 or y >= size:
-                    raise ValueError(f"maps[{g}][{x}] = {y} out of range")
+                # a point, or the undefined mark: y + 1 is then the int 0
+                if not (in_range(y, size) or y == -1 and in_range(y + 1, 1)):
+                    raise ValueError(f"maps[{g}][{x}] = {y!r} out of range")
 
     def act(self, g: int, x: int) -> int:
         y = self.maps[g][x]
@@ -147,7 +148,7 @@ class PartialAction:
 def _check_point(pa: PartialAction, x: int) -> None:
     # a negative index would silently read the last point's row, and
     # True would read point 1
-    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < pa.space.size:
+    if not in_range(x, pa.space.size):
         raise InvalidSubset("point is not within the carrier", (x,))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import topology as topo
-from .errors import AxiomViolation
+from .errors import AxiomViolation, in_range
 from .globalize import Globalization
 from .paction import PartialAction
 from .relations import EqRel, disagreements, from_relation
@@ -33,8 +33,8 @@ class SelectorMap:
         if len(self.image) != self.size:
             raise ValueError("image must assign a value to every point")
         for x, y in enumerate(self.image):
-            if not 0 <= y < self.size:
-                raise ValueError(f"image[{x}] = {y} out of range")
+            if not in_range(y, self.size):
+                raise ValueError(f"image[{x}] = {y!r} out of range")
         for x in range(self.size):
             if self.image[self.image[x]] != self.image[x]:
                 raise ValueError(f"not idempotent at {x}")

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidSubset, LimitExceeded
+from .errors import InvalidSubset, LimitExceeded, in_range
 from .relations import EqRel, iter_bits
 
 # Largest open-set family ``FinTop.opens`` lists; the 2**21 subsets of
@@ -30,6 +30,10 @@ def _full(size: int) -> int:
     if size < 0:
         raise ValueError("size must be nonnegative")
     return (1 << size) - 1
+
+
+def _hex(mask: object) -> str:  # an int in hex, a bool or anything else by repr
+    return f"{mask:#x}" if type(mask) is int else repr(mask)
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -56,14 +60,15 @@ class FinTop:
 
     def __init__(self, size: int, opens: Iterable[int]):
         full = _full(size)
-        family = set(opens)
+        members = list(opens)
+        family = set(members)
         if 0 not in family:
             raise ValueError("missing the empty set")
         if full not in family:
             raise ValueError("missing the full carrier")
-        for u in family:
-            if u < 0 or u > full:
-                raise ValueError(f"member {u:#x} outside the carrier")
+        for u in members:  # the set keeps one of True and 1, so read the list
+            if not in_range(u, full + 1):
+                raise ValueError(f"member {_hex(u)} outside the carrier")
         nbrs = [full] * size
         for u in family:
             for x in iter_bits(u):
@@ -139,9 +144,9 @@ class SeparationFlags:
     t2: bool
 
 
-def _check_subset(t: FinTop, mask: int, what: str) -> None:
-    if mask < 0 or mask > t.full:
-        raise InvalidSubset(f"{what} {mask:#x} is not within the point range", (mask,))
+def _check_subset(t: FinTop, s: int, what: str) -> None:
+    if not in_range(s, 1 << t.size):
+        raise InvalidSubset(f"{what} {_hex(s)} is not within the point range", (s,))
 
 
 @lru_cache(maxsize=256)
@@ -169,8 +174,8 @@ def is_meager_in(t: FinTop, a: int, s: int) -> bool:
     in the empty subspace (a union over nothing).
     """
     _check_subset(t, s, "subspace")
-    if a & ~s:
-        raise InvalidSubset(f"set {a:#x} is not contained in the subspace", (a, s))
+    if not in_range(a, s + 1) or a & ~s:
+        raise InvalidSubset(f"set {_hex(a)} is not contained in the subspace", (a, s))
     nbrs = t.nbrs
     for x in iter_bits(a):
         # closure of {x} inside the subspace on s; x is nowhere dense
@@ -304,10 +309,15 @@ def is_homeomorphism(
     the subspace of ``dst`` on ``d``.  A bijection is continuous and open
     exactly when it carries each minimal neighborhood onto that of the
     image point (continuity gives one inclusion; an open image holding
-    f(x) the other), and subspace neighborhoods are traces."""
+    f(x) the other), and subspace neighborhoods are traces.  A map that
+    leaves a point of ``s`` unmapped raises ValueError."""
     _check_subset(src, s, "source set")
     _check_subset(dst, d, "target set")
-    if mask_of(f[x] for x in iter_bits(s)) != d or s.bit_count() != d.bit_count():
+    try:
+        image = mask_of(f[x] for x in iter_bits(s))
+    except (IndexError, KeyError):
+        raise ValueError("map leaves a point of the source set unmapped") from None
+    if image != d or s.bit_count() != d.bit_count():
         return False
     return all(
         mask_of(f[y] for y in iter_bits(src.nbrs[x] & s)) == dst.nbrs[f[x]] & d
@@ -325,8 +335,8 @@ def make_topology(size: int, generators: Iterable[int]) -> FinTop:
     full = _full(size)
     family = [0, full]
     for g in generators:
-        if g < 0 or g > full:
-            raise InvalidSubset(f"generator {g:#x} not within the point range", (g,))
+        if not in_range(g, full + 1):
+            raise InvalidSubset(f"generator {_hex(g)} not within the point range", (g,))
         family.append(g)
     return FinTop(size, family)
 

@@ -52,6 +52,12 @@ def test_booleans_are_not_group_integers():
     for table in ([[0, True], [True, False]], [[False]]):
         with pytest.raises(ValueError, match="out of range"):
             make_group(table)
+    # nor are floats, strings or ints outside the order
+    for v in (-1, 2, True, 1.0, 100.0, "0"):
+        with pytest.raises(ValueError) as caught:
+            make_group([[0, v], [1, 0]])
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"entry (0, 1) = {v!r} out of range"
 
 
 def test_group_order_limit():

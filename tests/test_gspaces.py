@@ -22,16 +22,21 @@ from hypothesis import strategies as st
 import references
 from gspaces import blanked, closure, group_of, klein_four, midsize_groups, symmetric3
 from pactop import (
+    PartialAction,
     build,
     cli,
     cyclic,
+    effros_report,
     enveloping_relation,
     induced,
     make_topology,
+    normalized_selector,
     orbit_equivalence,
+    orbit_homeomorphism_report,
     validate,
 )
 from pactop.instances import coset_rows
+from pactop.reports import Report
 from pactop.topology import mask_of
 
 GROUPS = {
@@ -96,6 +101,8 @@ SWEEP = settings(max_examples=15, deadline=None, derandomize=True)
         ([1, 3], "subgroup (1, 3) lacks the identity 0"),
         ([0, 5], "subgroup member 5 is not an element of the group of order 4"),
         ([0, 1], "subgroup (0, 1) is not closed: 1 * 1 = 2 is not in it"),
+        *[([0, h], f"subgroup member {h!r} is not an element of the group of order 4")
+          for h in (-1, 4, True, 1.0, 100.0, "0")],
     ],
 )
 def test_coset_rows_refuses_a_non_subgroup(sub, message):
@@ -136,6 +143,21 @@ def test_validate_never_raises_and_valid_instances_are_the_saturation(name, data
     _, space, rows, carrier, pa = data.draw(gspaces(name))
     for edit in changed(pa, data.draw(st.integers(0, 255))):
         validate(edit)
+    # one entry that is no point or set: the constructor refuses it with
+    # a ValueError, or else validate reports on it
+    g = data.draw(st.integers(0, pa.group.order - 1))
+    value = data.draw(st.sampled_from([True, 1.0, "0"]))
+    dom, maps = list(pa.dom), [list(row) for row in pa.maps]
+    if data.draw(st.booleans()):
+        dom[g] = value
+    else:
+        maps[g][data.draw(st.integers(0, pa.space.size - 1))] = value
+    try:
+        edit = PartialAction(pa.group, pa.space, tuple(dom), tuple(map(tuple, maps)))
+    except ValueError:
+        pass
+    else:
+        assert isinstance(validate(edit), Report)
     if validate(pa).ok:
         references.check_saturation(space, rows, carrier, build(pa))
 
@@ -149,6 +171,11 @@ def test_relations_match_their_references(name, data):
         for check, reference in (
             (enveloping_relation, references.enveloping_relation),
             (orbit_equivalence, references.orbit_equivalence),
+            (normalized_selector,
+             references.on_lifted_relation(references.normalized_selector)),
+            (orbit_homeomorphism_report,
+             references.on_lifted_relation(references.orbit_homeomorphism_report)),
+            (effros_report, references.effros_report),
         ):
             expected = references.outcome(reference, edit)
             assert references.outcome(check, edit) == expected, (check, edit)

@@ -354,13 +354,33 @@ def test_acting_set_stabilizer_orbit():
 
 
 @pytest.mark.parametrize("lookup", [acting_set, stabilizer, orbit])
-@pytest.mark.parametrize("x", [-1, 2, 1.0, True, "0"])
+@pytest.mark.parametrize("x", [-1, 2, True, 1.0, 100.0, "0"])
 def test_point_lookups_reject_points_outside_the_carrier(lookup, x):
     # -1 would otherwise read the last point's row, 2 raise IndexError,
     # True read point 1, and 1.0 or "0" raise a bare TypeError
     with pytest.raises(InvalidSubset, match="point is not within the carrier") as exc:
         lookup(SWAP, x)
     assert exc.value.witness == (x,)
+
+
+@pytest.mark.parametrize("mask", [-1, 4, True, 1.0, 100.0, "0"])
+def test_constructor_refuses_a_domain_outside_the_carrier(mask):
+    # True used to pass as the set {0}, and 1.0 made validate raise a
+    # bare TypeError
+    with pytest.raises(ValueError) as caught:
+        PartialAction(Z2, discrete(2), (0b11, mask), SWAP.maps)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "dom[1] outside the carrier"
+
+
+@pytest.mark.parametrize("y", [-2, 2, True, 1.0, 100.0, "0", -1.0])
+def test_constructor_refuses_a_map_entry_outside_the_carrier(y):
+    # -1 marks an undefined entry, so -2 is the int below the range;
+    # True used to pass as point 1 and validate to accept it
+    with pytest.raises(ValueError) as caught:
+        PartialAction(Z2, discrete(2), SWAP.dom, ((0, 1), (y, 0)))
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"maps[1][0] = {y!r} out of range"
 
 
 def test_orbit_equivalence_matches_reachability():
@@ -417,8 +437,9 @@ def test_induced_restriction_tables():
          "rows do not compose at (1, 2, 0)", (1, 2, 0)),
         (Z2, FinTop(2, (0, 0b10, 0b11)), [(0, 1), (1, 0)], 0b11, NotAnAction,
          "row of element 1 is not continuous", (1,)),
-        (Z2, discrete(2), [(0, 1), (1, 0)], 0b100, InvalidSubset,
-         "carrier is not within the point range", (0b100,)),
+        *[(Z2, discrete(2), [(0, 1), (1, 0)], carrier, InvalidSubset,
+           "carrier is not within the point range", (carrier,))
+          for carrier in (0b100, -1, True, 1.0, 100.0, "0")],
     ],
 )
 def test_induced_rejects_non_actions(
@@ -438,6 +459,8 @@ def test_induced_rejects_non_actions(
         (Z2, (5,), "generator 5 is not an element of the group of order 2"),
         (cyclic(4), (2,), "generators (2,) do not generate the group: "
          "the walk from the identity misses element 1"),
+        *[(Z3, (s,), f"generator {s!r} is not an element of the group of order 3")
+          for s in (3, True, 1.0, 100.0, "0")],
     ],
 )
 def test_induced_instances_refuses_bad_generators(group, gens, message):

@@ -42,6 +42,12 @@ def test_selector_map_validation():
         SelectorMap(2, (1, 0))
     sel = SelectorMap(3, (0, 0, 2))
     assert transversal(sel) == 0b101
+    # True used to pass as point 1, and 1.0 to raise a bare TypeError
+    for y in (-1, 2, True, 1.0, 100.0, "0"):
+        with pytest.raises(ValueError) as caught:
+            SelectorMap(2, (0, y))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"image[1] = {y!r} out of range"
 
 
 def test_min_selector_laws():

@@ -37,6 +37,12 @@ from pactop.errors import InvalidSubset, LimitExceeded
 from pactop.topology import iter_bits, mask_of, topology_with_opens
 
 SIERPINSKI = FinTop(2, (0, 0b10, 0b11))
+# -1, the bound 1 << 2 of a set of the two-point carrier, and values
+# that are no int, each with the name a message gives it: an int in hex
+NOT_SETS_OF_TWO_POINTS = [
+    (-1, "-0x1"), (0b100, "0x4"), (True, "True"), (1.0, "1.0"), (100.0, "100.0"),
+    ("0", "'0'"),
+]
 
 
 def indiscrete(size):
@@ -79,6 +85,14 @@ def test_fintop_normalizes_and_requires_bounds():
         FinTop(2, (0, 0b100, 0b11))
     with pytest.raises(ValueError):
         FinTop(2, (0b10, 0b11))
+    # a float past the carrier used to fail while its hex was formatted,
+    # and True to pass as the set {0}, even next to 1
+    for u, name in NOT_SETS_OF_TWO_POINTS:
+        for family in ((0, u, 0b11), (0, 1, u, 0b11)):
+            with pytest.raises(ValueError) as caught:
+                FinTop(2, family)
+            assert type(caught.value) is ValueError
+            assert str(caught.value) == f"member {name} outside the carrier"
 
 
 def test_counts_of_labeled_topologies():
@@ -128,6 +142,43 @@ def test_subset_arguments_validated():
     for s, d in ((-1, 0b111), (0b111, -1), (0b1000, 0b111), (0b111, 0b1000)):
         with pytest.raises(InvalidSubset):
             is_homeomorphism(ident, discrete(3), s, discrete(3), d)
+    # each set argument names the refused set and keeps it as the witness;
+    # True used to read as {0}, and 100.0 to fail while its hex was formatted
+    t = SIERPINSKI
+    for mask, name in NOT_SETS_OF_TWO_POINTS:
+        for call, message, witness in (
+            (lambda: is_open(t, mask), f"set {name} is not within the point range",
+             (mask,)),
+            (lambda: is_borel(t, mask), f"set {name} is not within the point range",
+             (mask,)),
+            (lambda: subspace(t, mask),
+             f"subspace carrier {name} is not within the point range", (mask,)),
+            (lambda: is_meager_in(t, 0, mask),
+             f"subspace {name} is not within the point range", (mask,)),
+            (lambda: is_meager_in(t, mask, 0b11),
+             f"set {name} is not contained in the subspace", (mask, 0b11)),
+            (lambda: is_homeomorphism((0, 1), t, mask, t, 0b11),
+             f"source set {name} is not within the point range", (mask,)),
+            (lambda: is_homeomorphism((0, 1), t, 0b11, t, mask),
+             f"target set {name} is not within the point range", (mask,)),
+            (lambda: make_topology(2, [mask]),
+             f"generator {name} not within the point range", (mask,)),
+        ):
+            with pytest.raises(InvalidSubset) as caught:
+                call()
+            assert (str(caught.value), caught.value.witness) == (message, witness)
+
+
+@pytest.mark.parametrize("f, s", [((0,), 0b111), ({0: 0}, 0b11), ((0, 1), 0b101)])
+def test_homeomorphism_refuses_a_map_that_leaves_a_point_unmapped(f, s):
+    # like is_continuous and is_open_map refuse a map of the wrong
+    # length; these raised a bare IndexError or KeyError
+    with pytest.raises(ValueError) as caught:
+        is_homeomorphism(f, discrete(3), s, discrete(3), s)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "map leaves a point of the source set unmapped"
+    # a map defined on s alone is enough
+    assert is_homeomorphism({0: 0, 2: 2}, discrete(3), 0b101, discrete(3), 0b101)
 
 
 def test_meager_against_oracle():

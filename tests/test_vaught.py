@@ -345,6 +345,11 @@ def test_identities_report_at_the_limit():
     assert info.witness[0] <= vaught.TRANSFORM_LIMIT
 
 
+# -1, the bound 1 << 2 of a set of two points or two elements, and
+# values that are no int
+NOT_SETS_OF_TWO = [-1, 0b100, True, 1.0, 100.0, "0"]
+
+
 def test_argument_validation():
     with pytest.raises(InvalidSubset):
         delta_transform(SWAP, 0b100, FULL_G2)
@@ -352,6 +357,16 @@ def test_argument_validation():
         star_transform(SWAP, 0b01, 0b100)
     with pytest.raises(InvalidOpenSet):
         delta_transform(SWAP, 0b01, 0)
+    # True used to read as {0}, and 1.0 to raise a bare TypeError
+    for transform in (delta_transform, star_transform, open_case):
+        for mask in NOT_SETS_OF_TWO:
+            for args, message in (
+                ((mask, FULL_G2), "point set is not within the carrier"),
+                ((0b01, mask), "group part is not within the group"),
+            ):
+                with pytest.raises(InvalidSubset) as caught:
+                    transform(SWAP, *args)
+                assert (str(caught.value), caught.value.witness) == (message, (mask,))
 
 
 def test_open_case_formula():
@@ -393,15 +408,25 @@ def test_ideal_section_set_frozen():
     assert ideal_section_set(SWAP, 0) == 0b11
     assert ideal_section_set(SWAP, 0b1001) == 0
     assert ideal_section_set(K3, 0b0001) == 0b10
-    with pytest.raises(InvalidSubset):
-        ideal_section_set(SWAP, 1 << 4)
+    for pairs in (-1, 1 << 4, True, 1.0, 100.0, "0"):
+        with pytest.raises(InvalidSubset) as caught:
+            ideal_section_set(SWAP, pairs)
+        message = "pair set is not within the square carrier"
+        assert (str(caught.value), caught.value.witness) == (message, (pairs,))
 
 
 def test_ideal_member_rejects_points_outside_the_carrier():
-    for x in (-1, SWAP.space.size, 1.0, True, "0"):
+    for x in (-1, SWAP.space.size, True, 1.0, 100.0, "0"):
         with pytest.raises(InvalidSubset, match="not within the carrier") as exc:
             ideal_member(SWAP, x, 0)
         assert exc.value.witness == (x,)
+    # the set too: True used to read as {0}, and 1.0 to raise a bare
+    # TypeError; K3's point 0 is its own orbit, so 0b10 is refused too
+    for s in [*NOT_SETS_OF_TWO, 0b10]:
+        with pytest.raises(InvalidSubset) as exc:
+            ideal_member(K3, 0, s)
+        assert (str(exc.value), exc.value.witness) == (
+            "set must sit inside the orbit", (s, 0b01))
 
 
 def section_set_by_transforms(pa, pairs: int) -> int:
