@@ -4,6 +4,13 @@ Reads a JSON action document, runs the requested construction and
 checks, and prints either a human-readable text report or a canonical
 JSON one.  Exit codes: 0 all checks pass, 1 at least one check failed
 (the witnesses are in the output), 2 the input could not be parsed.
+
+A plain command line (a command, its spec, and options spelled out in
+full, each followed by a value that does not start with ``-``) is read
+by ``_read_argv`` without building an argparse parser: building one
+imports ``locale`` and compiles argparse's regexes, which takes longer
+than the engine's stages on the bundled example.  Every other command
+line, help, usage and errors included, goes through argparse.
 """
 
 from __future__ import annotations
@@ -528,6 +535,42 @@ def _run(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
     return data, reports
 
 
+# the option every command takes, besides those in its _Command
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace ``_build_parser(argv[0])`` returns for ``argv``, read
+    without building a parser, or None when ``argv`` is not of the plain
+    form: a command, one spec that does not start with ``-``, and options
+    of that command spelled out in full, each followed by a value that
+    does not start with ``-`` and is among its choices.  A repeated option
+    keeps its last value, as in argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = dict((_FORMAT, *_COMMANDS[argv[0]].options))
+    given: dict[str, str] = {}
+    spec = None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            value = next(tokens, "-")  # a missing value declines too
+            if value.startswith("-") or value not in options[token].get("choices", (value,)):
+                return None
+            given[token] = value
+        elif token.startswith("-") or spec is not None:
+            return None
+        else:
+            spec = token
+    if spec is None:
+        return None
+    args = argparse.Namespace(command=argv[0], spec=spec)
+    for flag, keywords in options.items():
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        setattr(args, dest, given.get(flag, keywords.get("default")))
+    return args
+
+
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of ``command`` alone, or of every command when it is
     None.  Both print the same texts for the arguments they accept: the
@@ -545,8 +588,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in _COMMANDS if command is None else (command,):
         p = sub.add_parser(name, help=_COMMANDS[name].help)
         p.add_argument("spec", help="JSON action document")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        for flag, options in _COMMANDS[name].options:
+        for flag, options in (_FORMAT, *_COMMANDS[name].options):
             p.add_argument(flag, **options)
     return parser
 
@@ -576,10 +618,13 @@ def _render(label: str, command: str, data: dict,
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a known command needs only its own parser; anything else (help, no
-    # arguments, an unknown command) gets the parser of every command
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        # argparse prints help, usage and every error; a known command
+        # needs only its own parser, anything else (help, no arguments, an
+        # unknown command) the parser of every command
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = _build_parser(command).parse_args(argv)
     try:
         with open(args.spec, "rb") as fh:
             document = fh.read()

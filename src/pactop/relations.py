@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
+
+from .errors import in_range
 
 
 def _canonical(class_id: Iterable[int]) -> tuple[int, ...]:
@@ -53,6 +56,10 @@ def iter_bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# the type of a class id and of a row member: bool and float are refused
+_INT = {int}
+
+
 @dataclass(frozen=True)
 class EqRel:
     """Equivalence relation on ``range(size)``.
@@ -69,6 +76,11 @@ class EqRel:
     def __post_init__(self):
         if len(self.class_id) != self.size:
             raise ValueError("class_id length must equal size")
+        # an id is a label of any size, so only the type half of
+        # errors.in_range applies: True and 1.0 would pass for the id 1
+        if not {*map(type, self.class_id)} <= _INT:
+            x = next(x for x, c in enumerate(self.class_id) if type(c) is not int)
+            raise ValueError(f"class_id[{x}] = {self.class_id[x]!r} is not an int")
         object.__setattr__(self, "class_id", _canonical(self.class_id))
 
     @functools.cached_property
@@ -112,13 +124,20 @@ def from_relation(size: int, rows: Sequence[Sequence[int]]) -> EqRel:
     holds exactly the points that carry its label.
 
     Raises ValueError naming both counts unless there are ``size`` rows,
-    then the first point whose row leaves that range, then the
-    lexicographically first witnessing point, pair or triple if the
-    relation is not reflexive, symmetric and transitive.  The witness is
-    read from member masks, built only when the label check fails.
+    then the first point whose row holds a member that is not a point
+    (``errors.in_range``), then the lexicographically first witnessing
+    point, pair or triple if the relation is not reflexive, symmetric and
+    transitive.  The witness is read from member masks, built only when
+    the label check fails.
     """
     if len(rows) != size:
         raise ValueError(f"{len(rows)} rows given for {size} points")
+    # in_range on every member, at C speed: each is an int, and the first
+    # row of a class is bounded by its least and greatest members, every
+    # other row equals such a set.  True and 1.0 equal 1 in a set, so the
+    # types are read from every row.
+    if not {*map(type, chain.from_iterable(rows))} <= _INT:
+        return _scan(size, rows)
     label = [-1] * size
     classes: list[set[int]] = []  # the points carrying each label
     for p, row in enumerate(rows):
@@ -140,10 +159,10 @@ def from_relation(size: int, rows: Sequence[Sequence[int]]) -> EqRel:
 
 
 def _scan(size: int, label_rows: Sequence[Sequence[int]]) -> EqRel:
-    # Check the range, then scan the axioms on member masks, in the
+    # Check the members, then scan the axioms on member masks, in the
     # witness order ``from_relation`` documents.
     for x, row in enumerate(label_rows):
-        if row and not (0 <= min(row) and max(row) < size):
+        if not all(in_range(q, size) for q in row):
             raise ValueError(f"row of {x} is not within range({size})")
     rows = [sum(1 << q for q in set(row)) for row in label_rows]
     for x in range(size):

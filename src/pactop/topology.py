@@ -280,12 +280,28 @@ def borel_algebra(t: FinTop) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
+def _check_map(f: Sequence[int] | Mapping[int, int], points: Iterable[int],
+               dst: FinTop) -> None:
+    # each value read is a point of dst: 5 would index past its
+    # neighborhoods, -1 shift by a negative count, True pass for point 1
+    for x in points:
+        if not in_range(f[x], dst.size):
+            raise ValueError(f"map sends point {x} to {f[x]!r}, not a point of the target")
+
+
+def _check_total_map(f: Sequence[int], src: FinTop, dst: FinTop) -> None:
+    if len(f) != src.size:
+        raise ValueError("map length does not match the source carrier")
+    _check_map(f, range(src.size), dst)
+
+
 def is_continuous(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
     """Whether the preimage of every open of ``dst`` is open in ``src``;
     on finite spaces, whether ``f`` is monotone for the specialization
-    preorders: ``f(nbrs[x])`` lies in the neighborhood of ``f(x)``."""
-    if len(f) != src.size:
-        raise ValueError("map length does not match the source carrier")
+    preorders: ``f(nbrs[x])`` lies in the neighborhood of ``f(x)``.
+    A map of another length, or with a value that is not a point of
+    ``dst``, raises ValueError."""
+    _check_total_map(f, src, dst)
     return all(
         mask_of(f[y] for y in iter_bits(n)) & ~dst.nbrs[f[x]] == 0
         for x, n in enumerate(src.nbrs)
@@ -295,9 +311,9 @@ def is_continuous(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
 def is_open_map(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
     """Whether the image of every open of ``src`` is open in ``dst``.
     Opens are unions of minimal neighborhoods and images keep unions, so
-    checking the neighborhoods suffices."""
-    if len(f) != src.size:
-        raise ValueError("map length does not match the source carrier")
+    checking the neighborhoods suffices.  Raises ValueError as
+    ``is_continuous`` does."""
+    _check_total_map(f, src, dst)
     return all(is_open(dst, mask_of(f[y] for y in iter_bits(n))) for n in src.nbrs)
 
 
@@ -310,13 +326,15 @@ def is_homeomorphism(
     exactly when it carries each minimal neighborhood onto that of the
     image point (continuity gives one inclusion; an open image holding
     f(x) the other), and subspace neighborhoods are traces.  A map that
-    leaves a point of ``s`` unmapped raises ValueError."""
+    leaves a point of ``s`` unmapped, or sends one to a value that is
+    not a point of ``dst``, raises ValueError."""
     _check_subset(src, s, "source set")
     _check_subset(dst, d, "target set")
     try:
-        image = mask_of(f[x] for x in iter_bits(s))
+        _check_map(f, iter_bits(s), dst)
     except (IndexError, KeyError):
         raise ValueError("map leaves a point of the source set unmapped") from None
+    image = mask_of(f[x] for x in iter_bits(s))
     if image != d or s.bit_count() != d.bit_count():
         return False
     return all(

@@ -437,6 +437,9 @@ PARITY_ARGS = [
     ["vaught", EXAMPLE, "--kind", "gamma"],
     # unrecognized arguments are reported with the top-level usage
     ["report", EXAMPLE, "--bogus"], ["report", EXAMPLE, "--dot", "envelope.dot"],
+    # forms only argparse reads
+    ["report", EXAMPLE, "--format=json"], ["report", EXAMPLE, "--form", "json"],
+    ["report", "--", EXAMPLE], ["report", EXAMPLE, EXAMPLE],
     *([args[0], EXAMPLE, *args[1:]] for args in GOLDEN_CASES.values()),
 ]
 
@@ -455,6 +458,9 @@ def test_texts_and_exit_codes_match_the_six_subparser_parser(
         monkeypatch.setattr(sys, "argv", ["pactop", *argv])
         argv = None
     got = run_main(argv)
+    # the reference side reads every argv with argparse, the golden cases
+    # included, so they compare the reader with argparse
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
     monkeypatch.setattr(cli, "_build_parser", lambda command=None: reference_parser())
     assert got == run_main(argv)
 
@@ -465,13 +471,79 @@ def test_a_known_command_builds_only_its_own_parser(monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "_build_parser", lambda command=None: built.append(command) or real(command))
     monkeypatch.setattr(sys, "argv", ["pactop", "validate", EXAMPLE])
-    for argv in (["vaught", EXAMPLE], ["--help"], ["nosuch", EXAMPLE], None):
+    # a plain command line builds no parser
+    for argv in (["report", EXAMPLE, "--format", "json"],
+                 ["vaught", EXAMPLE, "--kind", "star"], None):
+        assert run_main(argv)[2] == 0
+    assert built == []
+    for argv in (["vaught", EXAMPLE, "--kind", "gamma"], ["report", EXAMPLE, "--format=json"],
+                 ["--help"], ["nosuch", EXAMPLE]):
         run_main(argv)
-    assert built == ["vaught", None, None, "validate"]
+    assert built == ["vaught", "report", None, None]
     with pytest.raises(SystemExit) as exc:  # the lone parser knows no other command
         real("vaught").parse_args(["report", EXAMPLE])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse\n"
+            "def refuse(*args, **kwargs): raise AssertionError('parser built')\n"
+            "argparse.ArgumentParser.__init__ = refuse\n"
+            "import pactop.cli\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert res.returncode == 0, res.stderr
+
+
+# what the reader must decline, or read as argparse does: full option
+# names and their abbreviations, the --x=v form, help, the end of options,
+# a lone dash, a negative number, spaces and choice values good and bad
+ARGV_TOKENS = [
+    *COMMANDS, "--format", "--dot", "--set", "--open-g", "--kind",
+    "--form", "--f", "--k", "--open", "--se", "--d", "--format=json", "--kind=star",
+    "-h", "--help", "--", "-", "-1", "", "a b", "-x y", "--bogus",
+    "text", "json", "xml", "delta", "star", "gamma", "doc", "v,w", "all", "1",
+]
+
+
+@st.composite
+def plain_argvs(draw, min_options: int = 0) -> list[str]:
+    """A command, its spec and some of its options, each with a value it
+    accepts, in any order."""
+    command = draw(st.sampled_from(COMMANDS))
+    options = [cli._FORMAT, *cli._COMMANDS[command].options]
+    parts = [[draw(st.sampled_from(["doc", "", "a b", "report", "json"]))]]
+    for flag, keywords in draw(
+            st.lists(st.sampled_from(options), min_size=min_options, max_size=4)):
+        parts.append(
+            [flag, draw(st.sampled_from(keywords.get("choices", ["", "v", "1,0", "all"])))])
+    return [command, *(t for part in draw(st.permutations(parts)) for t in part)]
+
+
+@st.composite
+def near_plain_argvs(draw) -> list[str]:
+    """A plain command line with one token replaced or put in."""
+    argv = draw(plain_argvs(min_options=1))
+    at = draw(st.integers(0, len(argv)))
+    argv[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(ARGV_TOKENS))]
+    return argv
+
+
+@given(plain_argvs())
+@settings(max_examples=200, deadline=None)
+def test_the_reader_reads_every_plain_command_line(argv):
+    args = cli._read_argv(argv)
+    assert args is not None
+    assert args == reference_parser().parse_args(argv)
+
+
+@given(st.one_of(near_plain_argvs(), st.lists(st.sampled_from(ARGV_TOKENS), max_size=7)))
+@settings(max_examples=500, deadline=None)
+def test_what_the_reader_reads_argparse_reads_alike(argv):
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert args == reference_parser().parse_args(argv)
 
 
 def test_selector_command():

@@ -363,6 +363,19 @@ def test_point_lookups_reject_points_outside_the_carrier(lookup, x):
     assert exc.value.witness == (x,)
 
 
+@pytest.mark.parametrize("dom, maps, message", [
+    (3, SWAP.maps, "dom and maps must have one entry per group element"),
+    (SWAP.dom, 5, "dom and maps must have one entry per group element"),
+    (SWAP.dom, ((0, 1), 5), "maps[1] must have one entry per point"),
+])
+def test_constructor_refuses_tables_that_are_not_sequences(dom, maps, message):
+    # len() of an int raised a bare TypeError
+    with pytest.raises(ValueError) as caught:
+        PartialAction(Z2, discrete(2), dom, maps)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("mask", [-1, 4, True, 1.0, 100.0, "0"])
 def test_constructor_refuses_a_domain_outside_the_carrier(mask):
     # True used to pass as the set {0}, and 1.0 made validate raise a

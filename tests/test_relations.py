@@ -34,6 +34,14 @@ def test_class_ids_canonical():
     assert a.classes() == (0b0101, 0b1010)
 
 
+@pytest.mark.parametrize("label", [1.0, True, "1", None])
+def test_class_ids_are_ints(label):
+    # 1.0 and True used to pass as the id 1
+    with pytest.raises(ValueError) as caught:
+        EqRel(2, (0, label))
+    assert str(caught.value) == f"class_id[1] = {label!r} is not an int"
+
+
 def test_num_classes_is_kept_apart_from_equality():
     # the cached class count and least members live outside the fields,
     # so reading them on one of two equal relations changes neither
@@ -167,13 +175,18 @@ def test_from_relation_rejects_non_reflexive():
         (((-1,), (0, 1)), 0),
         (((0, 1), (2,)), 1),
         (((), (0, 1, 2)), 1),
+        (((0, True), (0, 1)), 0),
+        (((0,), (1.0,)), 1),
+        (((0, 1), (1, True)), 1),
     ],
 )
 def test_from_relation_rejects_rows_outside_the_points(rows, point):
     # a member past the last point would index past the labels, and a
     # negative one would read them from the end; the range is checked
     # before reflexivity, so ((), (0, 1, 2)) names point 1 rather than
-    # the reflexivity failure at point 0
+    # the reflexivity failure at point 0.  True read as point 1, in a
+    # class's first row or a later one that a set compares equal, and
+    # 1.0 raised a bare TypeError
     with pytest.raises(ValueError, match=rf"^row of {point} is not within range\(2\)$"):
         from_relation(2, rows)
 

@@ -181,6 +181,21 @@ def test_homeomorphism_refuses_a_map_that_leaves_a_point_unmapped(f, s):
     assert is_homeomorphism({0: 0, 2: 2}, discrete(3), 0b101, discrete(3), 0b101)
 
 
+@pytest.mark.parametrize("y", [5, -1, 1.0, True])
+def test_map_values_must_be_points_of_the_target(y):
+    # 5 raised a bare IndexError, -1 a negative shift count, 1.0 a bare
+    # TypeError, an open-map check named the image set 0x20, and True
+    # passed as point 1
+    d = discrete(2)
+    message = f"map sends point 1 to {y!r}, not a point of the target"
+    for call in (lambda: is_continuous((0, y), d, d), lambda: is_open_map((0, y), d, d),
+                 lambda: is_homeomorphism((0, y), d, 0b11, d, 0b11)):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message
+
+
 def test_meager_against_oracle():
     for t in small_spaces():
         for s in range(1 << t.size):
