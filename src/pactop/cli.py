@@ -3,7 +3,9 @@
 Reads a JSON action document, runs the requested construction and
 checks, and prints either a human-readable text report or a canonical
 JSON one.  Exit codes: 0 all checks pass, 1 at least one check failed
-(the witnesses are in the output), 2 the input could not be parsed.
+(the witnesses are in the output), 2 the input could not be parsed,
+or the output could not be written (a DOT path, or standard output
+closed by a reader that quit, as ``| head`` does).
 
 A plain command line (a command, its spec, and options spelled out in
 full, each followed by a value that does not start with ``-``) is read
@@ -11,14 +13,22 @@ by ``_read_argv`` without building an argparse parser: building one
 imports ``locale`` and compiles argparse's regexes, which takes longer
 than the engine's stages on the bundled example.  Every other command
 line, help, usage and errors included, goes through argparse.
+
+The JSON output and the text output's data block are written by
+``_dumps``, whose text equals ``json.dumps(value, indent=2,
+sort_keys=True)`` byte for byte.  The standard library's C encoder
+cannot indent, so with ``indent`` set ``json.dumps`` runs its
+pure-Python generator chain, which took longer than any one stage.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 from typing import NoReturn
 
 from . import topology as topo
@@ -593,6 +603,58 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    the values the output holds: dicts with str keys, lists, tuples,
+    strs, ints, bools and None.  Any other value, a float, a set or a
+    key that is not a str, raises TypeError.  One recursive writer
+    appends to one list, joined once, where ``json.dumps`` with an
+    indent runs the standard library's pure-Python generator chain."""
+    out: list[str] = []
+    _write(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write(value, newline: str, put) -> None:
+    # ``newline`` is a line break and the indent of the line ``value``
+    # starts on; strs go through the standard encoder's own C escaper
+    kind = type(value)
+    if kind is str:
+        put(_escape(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"key {key!r} is not a str")
+            put(sep + _escape(key) + ": ")
+            _write(value[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif kind is bool:
+        put("true" if value else "false")
+    elif value is None:
+        put("null")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} {value!r}")
+
+
 def _render(label: str, command: str, data: dict,
             reports: list[Report], fmt: str) -> tuple[str, bool]:
     ok = all(r.ok for r in reports)
@@ -604,12 +666,12 @@ def _render(label: str, command: str, data: dict,
             "data": data,
             "reports": [r.to_dict() for r in reports],
         }
-        return json.dumps(payload, indent=2, sort_keys=True), ok
+        return _dumps(payload), ok
     lines = []
     if label:
         lines.append(f"# {label}")
     if data:
-        lines.append(json.dumps(data, indent=2, sort_keys=True))
+        lines.append(_dumps(data))
     for r in reports:
         lines.append(r.render_text())
     lines.append("OVERALL " + ("PASS" if ok else "FAIL"))
@@ -641,5 +703,15 @@ def main(argv=None) -> int:
         print(f"error: cannot write {exc.filename}: {exc}", file=sys.stderr)
         return 2
     text, ok = _render(spec.label, args.command, data, reports, args.format)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader quit; with stdout on devnull the flush at exit
+        # finds nothing left to write
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1

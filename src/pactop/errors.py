@@ -1,6 +1,7 @@
-"""Exception taxonomy for the engine, and ``in_range``, the one test
-every point, element, table entry and point set (an int index or
-bitmask) passes; a value that fails it gets its caller's typed error.
+"""Exception taxonomy for the engine; ``in_range``, the one test every
+point, element, table entry and point set (an int index or bitmask)
+passes; and ``has_entries``, the one test every table of them passes.
+A value that fails either gets its caller's typed error.
 
 Every exception carries a ``witness`` tuple pinpointing the offending
 element, pair or triple, so callers can report exactly what broke.
@@ -13,6 +14,15 @@ def in_range(value: object, bound: int) -> bool:
     """Whether ``value`` is an int, not a bool, with ``0 <= value < bound``
     (a size or order for an index, ``1 << size`` for a set)."""
     return type(value) is int and 0 <= value < bound
+
+
+def has_entries(table: object, n: int) -> bool:
+    """Whether ``table`` has ``n`` entries: ``len(table) == n``, and
+    False for a value with no ``len()``, an int say."""
+    try:
+        return len(table) == n
+    except TypeError:
+        return False
 
 
 class PactopError(Exception):

@@ -15,18 +15,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import topology as topo
-from .errors import AxiomViolation, InvalidSubset, NotAnAction, in_range
+from .errors import AxiomViolation, InvalidSubset, NotAnAction, has_entries, in_range
 from .groups import FiniteGroup
 from .relations import EqRel, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
-
-
-def _has_entries(table: object, n: int) -> bool:
-    try:
-        return len(table) == n
-    except TypeError:  # an int or another value with no len()
-        return False
 
 
 @dataclass(frozen=True)
@@ -42,13 +35,13 @@ class PartialAction:
     def __post_init__(self):
         n = self.group.order
         size = self.space.size
-        if not (_has_entries(self.dom, n) and _has_entries(self.maps, n)):
+        if not (has_entries(self.dom, n) and has_entries(self.maps, n)):
             raise ValueError("dom and maps must have one entry per group element")
         for g, mask in enumerate(self.dom):
             if not in_range(mask, 1 << size):
                 raise ValueError(f"dom[{g}] outside the carrier")
         for g, row in enumerate(self.maps):
-            if not _has_entries(row, size):
+            if not has_entries(row, size):
                 raise ValueError(f"maps[{g}] must have one entry per point")
             for x, y in enumerate(row):
                 # a point, or the undefined mark: y + 1 is then the int 0

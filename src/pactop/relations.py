@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .errors import in_range
+from .errors import has_entries, in_range
 
 
 def _canonical(class_id: Iterable[int]) -> tuple[int, ...]:
@@ -74,8 +74,8 @@ class EqRel:
     class_id: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.class_id) != self.size:
-            raise ValueError("class_id length must equal size")
+        if not has_entries(self.class_id, self.size):
+            raise ValueError("class_id must have one entry per point")
         # an id is a label of any size, so only the type half of
         # errors.in_range applies: True and 1.0 would pass for the id 1
         if not {*map(type, self.class_id)} <= _INT:
@@ -123,20 +123,28 @@ def from_relation(size: int, rows: Sequence[Sequence[int]]) -> EqRel:
     relation is an equivalence, when every point is labelled and its row
     holds exactly the points that carry its label.
 
-    Raises ValueError naming both counts unless there are ``size`` rows,
-    then the first point whose row holds a member that is not a point
-    (``errors.in_range``), then the lexicographically first witnessing
-    point, pair or triple if the relation is not reflexive, symmetric and
-    transitive.  The witness is read from member masks, built only when
-    the label check fails.
+    Raises ValueError naming both counts unless there are ``size`` rows
+    (naming the type when ``rows`` has no ``len()``), then the first
+    point whose row is not iterable or holds a member that is not a
+    point (``errors.in_range``), then the lexicographically first
+    witnessing point, pair or triple if the relation is not reflexive,
+    symmetric and transitive.  The witness is read from member masks,
+    built only when the label check fails.
     """
-    if len(rows) != size:
+    if not has_entries(rows, size):
+        if not hasattr(rows, "__len__"):
+            raise ValueError(f"rows for {size} points are not a table "
+                             f"({type(rows).__name__})")
         raise ValueError(f"{len(rows)} rows given for {size} points")
     # in_range on every member, at C speed: each is an int, and the first
     # row of a class is bounded by its least and greatest members, every
     # other row equals such a set.  True and 1.0 equal 1 in a set, so the
     # types are read from every row.
-    if not {*map(type, chain.from_iterable(rows))} <= _INT:
+    try:
+        typed = {*map(type, chain.from_iterable(rows))} <= _INT
+    except TypeError:  # a row that is not iterable, an int say
+        typed = False
+    if not typed:
         return _scan(size, rows)
     label = [-1] * size
     classes: list[set[int]] = []  # the points carrying each label
@@ -162,7 +170,12 @@ def _scan(size: int, label_rows: Sequence[Sequence[int]]) -> EqRel:
     # Check the members, then scan the axioms on member masks, in the
     # witness order ``from_relation`` documents.
     for x, row in enumerate(label_rows):
-        if not all(in_range(q, size) for q in row):
+        try:
+            inside = all(in_range(q, size) for q in row)
+        except TypeError:  # in_range raises none: the row is not iterable
+            raise ValueError(f"row of {x} is not a collection of points "
+                             f"({type(row).__name__})") from None
+        if not inside:
             raise ValueError(f"row of {x} is not within range({size})")
     rows = [sum(1 << q for q in set(row)) for row in label_rows]
     for x in range(size):

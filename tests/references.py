@@ -8,8 +8,9 @@ two pair scans the shared ``relations.disagreements`` replaced (the
 lift-orbit relation's first pair, the reductions' first 8); the inputs
 the comparisons run on (one-entry edits, lifted classes merged or
 split); the saturation check every envelope built from a total
-action must pass; and the sweep generator that checks the total action
-again at every carrier.
+action must pass; the sweep generator that checks the total action
+again at every carrier; and ``json.dumps``'s text of a run's JSON
+report, the reference for ``cli._render``.
 
 Each relation reference reads one product-wide bitmask row per point
 and scans the axioms on masks, as the engine first did; the transform
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 from operator import and_, or_
 
@@ -33,6 +35,19 @@ from pactop.relations import EqRel
 from pactop.reports import ReportBuilder
 from pactop.selector import SelectorMap, is_selector_for, min_selector
 from pactop.topology import iter_bits, mask_of
+
+
+def report_json(label: str, command: str, data: dict, reports) -> str:
+    """The JSON report of a run, written by ``json.dumps``: what
+    ``cli._render`` must print byte for byte."""
+    ok = all(r.ok for r in reports)
+    return json.dumps({
+        "label": label,
+        "command": command,
+        "overall": "pass" if ok else "fail",
+        "data": data,
+        "reports": [r.to_dict() for r in reports],
+    }, indent=2, sort_keys=True)
 
 
 def from_masks(size: int, rows) -> EqRel:

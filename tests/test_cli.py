@@ -357,6 +357,26 @@ def test_unwritable_dot_path_exits_2(tmp_path):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_closed_output_pipe_exits_2(fmt):
+    # the read end is closed before the child starts, so its first write
+    # fails whatever the timing; behind "| head" a report that fits in
+    # the pipe buffer may be written whole before head quits
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "pactop", "report", EXAMPLE, "--format", fmt],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert res.returncode == 2
+    assert "error: cannot write the output:" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert "Exception ignored" not in res.stderr
+
+
 GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_CASES = {
     "validate": ["validate"],
@@ -383,6 +403,53 @@ def test_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
     if "--dot" in args:
         assert (tmp_path / "envelope.dot").read_text() == (
             GOLDEN / "globalize.dot").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_render_writes_without_json_dumps(fmt, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert main(["report", EXAMPLE, "--format", fmt]) == 0
+    ext = "json" if fmt == "json" else "txt"
+    assert capsys.readouterr().out == (GOLDEN / f"report.{ext}").read_text()
+
+
+# strs the escaper treats apart: quotes, backslashes, control and
+# non-ASCII characters (outside the BMP as surrogate pairs), lone surrogates
+SPECIAL_STRS = ["", '"', "\\", "\x00", "\n\t\r\b\f", "\x7f", "é", "\u2028",
+                "\U0001f600", "\ud800", 'a "b" \\c']
+json_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    st.sampled_from([1 << 64, -(1 << 64) - 1]),
+    st.text(), st.sampled_from(SPECIAL_STRS),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.sampled_from(SPECIAL_STRS)),
+                        inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+@settings(max_examples=400, deadline=None)
+def test_the_writer_writes_what_json_dumps_writes(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {1, 2}, {1: "a"}, ["a", [0.0]], {"a": frozenset()}, {"a": {2: 0}},
+], ids=["float", "set", "int-key", "nested-float", "frozenset", "nested-int-key"])
+def test_the_writer_refuses_what_no_output_holds(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
 
 
 def reference_parser() -> argparse.ArgumentParser:

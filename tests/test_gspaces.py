@@ -189,7 +189,8 @@ def test_report_ends_in_a_verdict_or_a_named_limit(name, data):
     spec = cli.ActionSpec("", tuple(f"p{x}" for x in pa.space.points()), pa)
     args = cli._build_parser("report").parse_args(["report", "doc.json"])
     out, reports = cli._run(spec, args)
-    _, ok = cli._render(spec.label, "report", out, reports, "json")
+    text, ok = cli._render(spec.label, "report", out, reports, "json")
+    assert text == references.report_json(spec.label, "report", out, reports)
     assert ok or any(
         check.name.startswith("size limit hit") or check.witness
         for rep in reports for _, check in rep.failures()

@@ -212,7 +212,8 @@ def test_report_on_midsize_edits(midsize):
         ):
             spec = cli.ActionSpec("", tuple(f"p{x}" for x in edit.space.points()), edit)
             data, reports = cli._run(spec, args)
-            _, ok = cli._render(spec.label, "report", data, reports, "json")
+            text, ok = cli._render(spec.label, "report", data, reports, "json")
+            assert text == references.report_json(spec.label, "report", data, reports)
             if ok:
                 passed.append((n, k))
                 continue

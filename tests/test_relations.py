@@ -200,6 +200,29 @@ def test_from_relation_rejects_a_wrong_row_count(size, rows):
         from_relation(size, rows)
 
 
+@pytest.mark.parametrize("rows, message", [
+    (5, "rows for 2 points are not a table (int)"),
+    ((row for row in [[0], [1]]), "rows for 2 points are not a table (generator)"),
+    ([[0], 5], "row of 1 is not a collection of points (int)"),
+    ([None, [1]], "row of 0 is not a collection of points (NoneType)"),
+])
+def test_from_relation_refuses_tables_that_are_not_tables(rows, message):
+    # len() of the table, or iterating a row, raised a bare TypeError
+    with pytest.raises(ValueError) as caught:
+        from_relation(2, rows)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("class_id", [5, None, (0,), (0, 1, 2)])
+def test_class_ids_must_be_one_per_point(class_id):
+    # len() of an int or None raised a bare TypeError
+    with pytest.raises(ValueError) as caught:
+        EqRel(2, class_id)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "class_id must have one entry per point"
+
+
 def bits_by_scan(mask: int):
     """Lowest-bit scan, one position at a time: the reference for
     ``iter_bits``, which reads narrow masks from a table."""
