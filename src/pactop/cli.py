@@ -12,7 +12,8 @@ full, each followed by a value that does not start with ``-``) is read
 by ``_read_argv`` without building an argparse parser: building one
 imports ``locale`` and compiles argparse's regexes, which takes longer
 than the engine's stages on the bundled example.  Every other command
-line, help, usage and errors included, goes through argparse.
+line, help, usage and errors included, goes through argparse, which
+``_build_parser`` imports only when ``_read_argv`` declines.
 
 The JSON output and the text output's data block are written by
 ``_dumps``, whose text equals ``json.dumps(value, indent=2,
@@ -23,13 +24,12 @@ pure-Python generator chain, which took longer than any one stage.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
-from typing import NoReturn
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn
 
 from . import topology as topo
 from .errors import LimitExceeded, PactopError, ParseError, SchemaError
@@ -48,6 +48,7 @@ from .paction import (
     validate,
     well_formedness,
 )
+from .record import Record
 from .reports import FAIL, Check, Report
 from .selector import (
     action_continuity_table,
@@ -65,17 +66,23 @@ from .vaught import (
     transform_identities_report,
 )
 
+if TYPE_CHECKING:
+    import argparse
 
-@dataclass(frozen=True)
-class ActionSpec:
+
+class ActionSpec(Record):
     """A parsed action document: resolved tables plus the point names."""
 
+    _fields = ("label", "names", "pa")
     label: str
     names: tuple[str, ...]
     pa: PartialAction
 
-    def __post_init__(self):
-        _check_names(self.names, self.pa.space.size)
+    def __init__(self, label: str, names: tuple[str, ...], pa: PartialAction):
+        _check_names(names, pa.space.size)
+        self._set("label", label)
+        self._set("names", names)
+        self._set("pa", pa)
 
 
 def _check_names(names: tuple[str, ...], size: int) -> None:
@@ -485,15 +492,21 @@ _SELECTOR = {"selector-construction", "transversal-topology", "translation-conti
              "bireducibility", "orbit-enumeration", "selector"}
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(Record):
     """A subcommand: its line in ``pactop --help``, the stages it runs,
     and its options beyond ``spec`` and ``--format``, each a flag with
     the keywords of ``add_argument``."""
 
+    _fields = ("help", "stages", "options")
     help: str
     stages: set[str]
-    options: tuple[tuple[str, dict], ...] = ()
+    options: tuple[tuple[str, dict], ...]
+
+    def __init__(self, help: str, stages: set[str],
+                 options: tuple[tuple[str, dict], ...] = ()):
+        self._set("help", help)
+        self._set("stages", stages)
+        self._set("options", options)
 
 
 # the commands in the order ``pactop --help`` lists them
@@ -549,9 +562,10 @@ def _run(spec: ActionSpec, args) -> tuple[dict, list[Report]]:
 _FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 
 
-def _read_argv(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace ``_build_parser(argv[0])`` returns for ``argv``, read
-    without building a parser, or None when ``argv`` is not of the plain
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes of the Namespace ``_build_parser(argv[0])`` returns
+    for ``argv``, read without importing argparse or building a parser, as
+    a SimpleNamespace, or None when ``argv`` is not of the plain
     form: a command, one spec that does not start with ``-``, and options
     of that command spelled out in full, each followed by a value that
     does not start with ``-`` and is among its choices.  A repeated option
@@ -574,7 +588,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
             spec = token
     if spec is None:
         return None
-    args = argparse.Namespace(command=argv[0], spec=spec)
+    args = SimpleNamespace(command=argv[0], spec=spec)
     for flag, keywords in options.items():
         dest = keywords.get("dest", flag[2:].replace("-", "_"))
         setattr(args, dest, given.get(flag, keywords.get("default")))
@@ -586,6 +600,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     None.  Both print the same texts for the arguments they accept: the
     top-level usage, which the unrecognized-arguments error shows, names
     every command either way."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pactop",
         description="validate and analyze partial actions of finite groups "

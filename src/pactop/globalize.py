@@ -10,11 +10,11 @@ slice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import topology as topo
 from .errors import AxiomViolation
 from .paction import PartialAction, check_total_action
+from .record import Record
 from .relations import EqRel, disagreements, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
@@ -50,8 +50,7 @@ def enveloping_relation(pa: PartialAction) -> EqRel:
         raise AxiomViolation(f"gluing relation is not an equivalence: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Globalization:
+class Globalization(Record):
     """Enveloping space with its quotient topology and total action.
 
     ``relation.class_id[g * |X| + x]`` is the class of (g, x), and
@@ -60,12 +59,23 @@ class Globalization:
     points to classes of the identity slice.
     """
 
+    _fields = ("source", "product", "relation", "topology", "action", "embedding")
     source: PartialAction
     product: FinTop
     relation: EqRel
     topology: FinTop
     action: tuple[tuple[int, ...], ...]
     embedding: tuple[int, ...]
+
+    def __init__(self, source: PartialAction, product: FinTop, relation: EqRel,
+                 topology: FinTop, action: tuple[tuple[int, ...], ...],
+                 embedding: tuple[int, ...]):
+        self._set("source", source)
+        self._set("product", product)
+        self._set("relation", relation)
+        self._set("topology", topology)
+        self._set("action", action)
+        self._set("embedding", embedding)
 
     @property
     def num_classes(self) -> int:
@@ -227,7 +237,7 @@ def effros_report(pa: PartialAction) -> Report:
     rb.info("every orbit open", (orb_open,))
     rb.info("orbit quotient T0", (t0,))
 
-    if space == topo.discrete(space.size):
+    if all(n == 1 << x for x, n in enumerate(space.nbrs)):
         rb.check(
             "three conditions agree on a discrete carrier",
             rel_open == orb_open == t0,

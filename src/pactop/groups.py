@@ -2,25 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     InvalidOrder, LimitExceeded, NoIdentity, NoInverse, NotAssociative, in_range,
 )
+from .record import Record
 
 # Largest group order accepted: make_group's associativity scan is
 # cubic in the order, so a short document could otherwise run for hours.
 GROUP_ORDER_LIMIT = 256
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """Group on elements ``0..order-1`` with a verified Cayley table."""
 
+    _fields = ("order", "mul", "identity", "inv")
     order: int
     mul: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
+
+    def __init__(self, order: int, mul: tuple[tuple[int, ...], ...], identity: int,
+                 inv: tuple[int, ...]):
+        self._set("order", order)
+        self._set("mul", mul)
+        self._set("identity", identity)
+        self._set("inv", inv)
 
     def elements(self) -> range:
         return range(self.order)

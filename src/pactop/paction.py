@@ -11,42 +11,47 @@ must agree on every well-formed table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import topology as topo
 from .errors import AxiomViolation, InvalidSubset, NotAnAction, has_entries, in_range
 from .groups import FiniteGroup
+from .record import Record
 from .relations import EqRel, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
 
 
-@dataclass(frozen=True)
-class PartialAction:
+class PartialAction(Record):
     """Tables for a candidate partial action; validity is checked by
     ``validate``, never assumed by the constructor."""
 
+    _fields = ("group", "space", "dom", "maps")
     group: FiniteGroup
     space: FinTop
     dom: tuple[int, ...]
     maps: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = self.group.order
-        size = self.space.size
-        if not (has_entries(self.dom, n) and has_entries(self.maps, n)):
+    def __init__(self, group: FiniteGroup, space: FinTop, dom: tuple[int, ...],
+                 maps: tuple[tuple[int, ...], ...]):
+        n = group.order
+        size = space.size
+        if not (has_entries(dom, n) and has_entries(maps, n)):
             raise ValueError("dom and maps must have one entry per group element")
-        for g, mask in enumerate(self.dom):
+        for g, mask in enumerate(dom):
             if not in_range(mask, 1 << size):
                 raise ValueError(f"dom[{g}] outside the carrier")
-        for g, row in enumerate(self.maps):
+        for g, row in enumerate(maps):
             if not has_entries(row, size):
                 raise ValueError(f"maps[{g}] must have one entry per point")
             for x, y in enumerate(row):
                 # a point, or the undefined mark: y + 1 is then the int 0
                 if not (in_range(y, size) or y == -1 and in_range(y + 1, 1)):
                     raise ValueError(f"maps[{g}][{x}] = {y!r} out of range")
+        self._set("group", group)
+        self._set("space", space)
+        self._set("dom", dom)
+        self._set("maps", maps)
 
     def act(self, g: int, x: int) -> int:
         y = self.maps[g][x]

@@ -7,11 +7,11 @@ built once at import; wider masks are scanned one bit at a time."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import has_entries, in_range
+from .record import Record
 
 
 def _canonical(class_id: Iterable[int]) -> tuple[int, ...]:
@@ -60,8 +60,7 @@ def iter_bits(mask: int) -> tuple[int, ...]:
 _INT = {int}
 
 
-@dataclass(frozen=True)
-class EqRel:
+class EqRel(Record):
     """Equivalence relation on ``range(size)``.
 
     ``class_id[x]`` is the class of point ``x``; ids are normalized to
@@ -70,18 +69,20 @@ class EqRel:
     fields, is where id ``c`` first appears.
     """
 
+    _fields = ("size", "class_id")
     size: int
     class_id: tuple[int, ...]
 
-    def __post_init__(self):
-        if not has_entries(self.class_id, self.size):
+    def __init__(self, size: int, class_id: Sequence[int]):
+        if not has_entries(class_id, size):
             raise ValueError("class_id must have one entry per point")
         # an id is a label of any size, so only the type half of
         # errors.in_range applies: True and 1.0 would pass for the id 1
-        if not {*map(type, self.class_id)} <= _INT:
-            x = next(x for x, c in enumerate(self.class_id) if type(c) is not int)
-            raise ValueError(f"class_id[{x}] = {self.class_id[x]!r} is not an int")
-        object.__setattr__(self, "class_id", _canonical(self.class_id))
+        if not {*map(type, class_id)} <= _INT:
+            x = next(x for x, c in enumerate(class_id) if type(c) is not int)
+            raise ValueError(f"class_id[{x}] = {class_id[x]!r} is not an int")
+        self._set("size", size)
+        self._set("class_id", _canonical(class_id))
 
     @functools.cached_property
     def least(self) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ never counted as failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -17,19 +17,35 @@ NA = "not-applicable"
 INFO = "info"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
+    _fields = ("name", "status", "witness", "detail")
     name: str
     status: str
-    witness: tuple = ()
-    detail: str = ""
+    witness: tuple
+    detail: str
+
+    def __init__(self, name: str, status: str, witness: tuple = (), detail: str = ""):
+        # straight into the dict: built often, read rarely (pactop.record)
+        d = self.__dict__
+        d["name"] = name
+        d["status"] = status
+        d["witness"] = witness
+        d["detail"] = detail
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
+    _fields = ("name", "checks", "sections")
     name: str
-    checks: tuple[Check, ...] = ()
-    sections: tuple[Report, ...] = ()
+    checks: tuple[Check, ...]
+    sections: tuple[Report, ...]
+
+    def __init__(self, name: str, checks: tuple[Check, ...] = (),
+                 sections: tuple[Report, ...] = ()):
+        # straight into the dict, as Check
+        d = self.__dict__
+        d["name"] = name
+        d["checks"] = checks
+        d["sections"] = sections
 
     @property
     def ok(self) -> bool:
@@ -88,13 +104,13 @@ def _jsonable(value):
     return value
 
 
-@dataclass
 class ReportBuilder:
     """Mutable accumulator; ``build()`` freezes everything."""
 
-    name: str
-    checks: list[Check] = field(default_factory=list)
-    sections: list[Report] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.checks: list[Check] = []
+        self.sections: list[Report] = []
 
     def check(self, name: str, ok: bool, witness: tuple = (), detail: str = "") -> bool:
         self.checks.append(Check(name, PASS if ok else FAIL, witness, detail))

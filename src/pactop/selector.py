@@ -10,34 +10,36 @@ refines the quotient topology while generating the same Borel algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from . import topology as topo
 from .errors import AxiomViolation, in_range
 from .globalize import Globalization
 from .paction import PartialAction
+from .record import Record
 from .relations import EqRel, disagreements, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
 
 
-@dataclass(frozen=True)
-class SelectorMap:
+class SelectorMap(Record):
     """Idempotent point map on ``range(size)``; classes are the fibers."""
 
+    _fields = ("size", "image")
     size: int
     image: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.image) != self.size:
+    def __init__(self, size: int, image: tuple[int, ...]):
+        if len(image) != size:
             raise ValueError("image must assign a value to every point")
-        for x, y in enumerate(self.image):
-            if not in_range(y, self.size):
+        for x, y in enumerate(image):
+            if not in_range(y, size):
                 raise ValueError(f"image[{x}] = {y!r} out of range")
-        for x in range(self.size):
-            if self.image[self.image[x]] != self.image[x]:
+        for x in range(size):
+            if image[image[x]] != image[x]:
                 raise ValueError(f"not idempotent at {x}")
+        self._set("size", size)
+        self._set("image", image)
 
 
 def is_selector_for(sel: SelectorMap, rel: EqRel) -> bool:
@@ -107,14 +109,19 @@ def normalized_selector(pa: PartialAction) -> SelectorMap:
     return sel
 
 
-@dataclass(frozen=True)
-class BorelReport:
+class BorelReport(Record):
     """Transversal topology, the atoms of the quotient Borel structure
     it is compared on, and the clause-by-clause report."""
 
+    _fields = ("tau", "quotient_atoms", "report")
     tau: FinTop
     quotient_atoms: tuple[int, ...]
     report: Report
+
+    def __init__(self, tau: FinTop, quotient_atoms: tuple[int, ...], report: Report):
+        self._set("tau", tau)
+        self._set("quotient_atoms", quotient_atoms)
+        self._set("report", report)
 
 
 def _quotient_atoms(glob: Globalization) -> tuple[int, ...]:

@@ -13,12 +13,12 @@ topology is checked against the topology it generates, by counting.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidSubset, LimitExceeded, in_range
+from .record import Record
 from .relations import EqRel, iter_bits
 
 # Largest open-set family ``FinTop.opens`` lists; the 2**21 subsets of
@@ -43,8 +43,7 @@ def mask_of(points: Iterable[int]) -> int:
     return out
 
 
-@dataclass(frozen=True, init=False)
-class FinTop:
+class FinTop(Record):
     """Topology on ``range(size)``; ``nbrs[x]`` is the minimal open
     neighborhood of ``x``.  Equality and hashing use ``nbrs`` only.
 
@@ -55,6 +54,7 @@ class FinTop:
     ``from_neighborhoods`` builds a topology from its neighborhoods.
     """
 
+    _fields = ("size", "nbrs")
     size: int
     nbrs: tuple[int, ...]
 
@@ -73,8 +73,8 @@ class FinTop:
         for u in family:
             for x in iter_bits(u):
                 nbrs[x] &= u
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "nbrs", tuple(nbrs))
+        self._set("size", size)
+        self._set("nbrs", tuple(nbrs))
 
     @classmethod
     def from_neighborhoods(cls, nbrs: Iterable[int]) -> FinTop:
@@ -83,8 +83,9 @@ class FinTop:
         and the neighborhood of each of its points (the specialization
         preorder is reflexive and transitive) is the caller's contract."""
         t = cls.__new__(cls)
-        object.__setattr__(t, "nbrs", tuple(nbrs))
-        object.__setattr__(t, "size", len(t.nbrs))
+        nbrs = tuple(nbrs)
+        t._set("size", len(nbrs))
+        t._set("nbrs", nbrs)
         return t
 
     @cached_property
@@ -137,11 +138,16 @@ def _up_sets(nbrs: Sequence[int], limit: int) -> list[int]:
     return family
 
 
-@dataclass(frozen=True)
-class SeparationFlags:
+class SeparationFlags(Record):
+    _fields = ("t0", "t1", "t2")
     t0: bool
     t1: bool
     t2: bool
+
+    def __init__(self, t0: bool, t1: bool, t2: bool):
+        self._set("t0", t0)
+        self._set("t1", t1)
+        self._set("t2", t2)
 
 
 def _check_subset(t: FinTop, s: int, what: str) -> None:

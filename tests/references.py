@@ -9,8 +9,9 @@ lift-orbit relation's first pair, the reductions' first 8); the inputs
 the comparisons run on (one-entry edits, lifted classes merged or
 split); the saturation check every envelope built from a total
 action must pass; the sweep generator that checks the total action
-again at every carrier; and ``json.dumps``'s text of a run's JSON
-report, the reference for ``cli._render``.
+again at every carrier; ``json.dumps``'s text of a run's JSON
+report, the reference for ``cli._render``; and ``fresh``, the copy of
+an action with none of its tables cached.
 
 Each relation reference reads one product-wide bitmask row per point
 and scans the axioms on masks, as the engine first did; the transform
@@ -21,7 +22,6 @@ fine: these run on desk-scale instances only.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -35,6 +35,11 @@ from pactop.relations import EqRel
 from pactop.reports import ReportBuilder
 from pactop.selector import SelectorMap, is_selector_for, min_selector
 from pactop.topology import iter_bits, mask_of
+
+
+def fresh(pa: PartialAction) -> PartialAction:
+    """A copy of ``pa`` through its constructor, so nothing is cached."""
+    return PartialAction(pa.group, pa.space, pa.dom, pa.maps)
 
 
 def report_json(label: str, command: str, data: dict, reports) -> str:
@@ -198,12 +203,12 @@ def validate_without_product(pa: PartialAction, monkeypatch) -> tuple[dict, dict
     """``validate`` on a fresh copy of ``pa`` with
     ``topology.product_with_discrete`` patched to raise, and on another
     whose ``graph_open`` is read from the product, as dicts."""
-    old = dataclasses.replace(pa)  # a copy with nothing cached
+    old = fresh(pa)
     vars(old)["graph_open"] = graph_open(old)
     expected = paction.validate(old).to_dict()
     with monkeypatch.context() as patched:
         patched.setattr(topo, "product_with_discrete", _no_product)
-        return paction.validate(dataclasses.replace(pa)).to_dict(), expected
+        return paction.validate(fresh(pa)).to_dict(), expected
 
 
 def effros_report(pa: PartialAction):
@@ -351,7 +356,7 @@ def changed_bireducibility(pa, changed: str, change, rng, monkeypatch):
     by the class ids ``change(rel, rng)`` gives; None when that relation
     has one class.  The engine reads the new envelope relation through
     ``monkeypatch``."""
-    pa = dataclasses.replace(pa)  # a copy with nothing cached
+    pa = fresh(pa)
     glob, sel = globalize.build(pa), selector.normalized_selector(pa)
     envelope = envelope_classes(glob)
     rel = pa.orbit_relation if changed == "carrier" else envelope

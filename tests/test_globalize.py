@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -360,7 +359,7 @@ def test_effros_report_matches_the_square_reference(family, s3_family, changed_f
         expected = references.outcome(references.effros_report, pa)
         assert references.outcome(effros_report, pa) == expected, pa
         if isinstance(expected, tuple) and expected[0] is AxiomViolation:
-            pa = dataclasses.replace(pa)
+            pa = references.fresh(pa)
             vars(pa)["orbit_quotient"] = pa.space
             expected = references.effros_report(pa)
             assert effros_report(pa) == expected, pa
@@ -475,7 +474,8 @@ def test_restriction_check_matches_induced_reference(family, s3_family):
         for e in itertools.permutations(range(glob.num_classes), glob.source.space.size):
             if e == glob.embedding:
                 continue
-            moved = dataclasses.replace(glob, embedding=e)
+            moved = Globalization(glob.source, glob.product, glob.relation, glob.topology,
+                                  glob.action, e)
             status, witness = restriction_by_induced(moved)
             assert _restriction_check(moved) == (status, witness), (glob, e)
             count += 1
@@ -553,15 +553,14 @@ def test_hat_relation_matches_the_reference_on_changed_lifted_classes(
     rng = random.Random(0)
     seen = 0
     for pa in [*valid_family, *valid_s3_family]:
-        pa = dataclasses.replace(pa)  # a copy with nothing cached
+        pa = references.fresh(pa)
         lifted = pa.lifted.orbit_relation
         if lifted.num_classes < 2:
             continue
         vars(pa.lifted)["orbit_relation"] = EqRel(lifted.size, change(lifted, rng))
         glob = build(pa)
-        reference = dataclasses.replace(
-            glob, relation=references.enveloping_relation(pa)
-        )
+        reference = Globalization(pa, glob.product, references.enveloping_relation(pa),
+                                  glob.topology, glob.action, glob.embedding)
         report = hat_relation_report(glob)
         assert report == hat_relation_report(reference), pa
         seen += not report.ok

@@ -1,19 +1,24 @@
 """Engine modules import only names they use (``__init__`` re-exports),
 no engine file holds an ``assert``, the package exports functions and
-classes, not its submodules, and every name the benchmark's traced run
-wraps still exists."""
+classes, not its submodules, every name the benchmark's traced run
+wraps still exists, and importing the command line loads neither
+``dataclasses`` nor ``argparse``."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import pactop
 
+SRC = Path(pactop.__file__).resolve().parents[1]
 ENGINE = sorted(Path(pactop.__file__).parent.glob("*.py"))
 MODULES = [p for p in ENGINE if p.name != "__init__.py"]
 
@@ -102,3 +107,22 @@ def test_bench_spans_name_engine_functions():
         mod, fn = name.split(".")
         cached = getattr(importlib.import_module(f"pactop.{mod}"), fn, None)
         assert callable(getattr(cached, "cache_info", None)), name
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    # -S: no site hooks, so only what the engine imports is loaded
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_argparse():
+    # importing them took more than a third of ``import pactop``; argparse
+    # is imported only when a command line needs a parser
+    res = run_python("-c", "import sys, pactop.cli\n"
+                     "print(sorted({'dataclasses', 'inspect', 'argparse'} & {*sys.modules}))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+    res = run_python("-c", "from pactop.cli import main\nmain(['report', '--help'])")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage: pactop report [-h]")
+    assert "spec" in res.stdout and "--format {text,json}" in res.stdout

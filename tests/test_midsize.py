@@ -9,7 +9,6 @@ orbit check must match its mask reference.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 
@@ -86,7 +85,7 @@ def test_midsize_checks_match_the_mask_references(midsize):
     for _, _, _, pa in midsize:
         for check, reference in COMPARED:
             expected = references.outcome(reference, pa)
-            got = references.outcome(check, dataclasses.replace(pa))
+            got = references.outcome(check, references.fresh(pa))
             assert got == expected, (check, pa)
             raised += isinstance(expected, tuple)
     assert raised == 0

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 
@@ -422,7 +421,7 @@ def test_orbit_equivalence_matches_the_mask_reference(
             actions.append(lifted)
         for action in actions:
             expected = references.outcome(references.orbit_equivalence, action)
-            got = references.outcome(orbit_equivalence, dataclasses.replace(action))
+            got = references.outcome(orbit_equivalence, references.fresh(action))
             assert got == expected, action
             kinds["rel" if isinstance(expected, EqRel) else expected[0]] += 1
     assert ill_formed == 482

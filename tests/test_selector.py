@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -205,7 +204,7 @@ def test_orbit_checks_match_the_mask_references(family, s3_family, changed_famil
     for pa in [*family, *s3_family, *changed_family]:
         for check, reference in _CHECKS:
             expected = references.outcome(references.on_lifted_relation(reference), pa)
-            got = references.outcome(check, dataclasses.replace(pa))
+            got = references.outcome(check, references.fresh(pa))
             assert got == expected, (check, pa)
             kind = _kind(check, expected)
             seen[kind] = seen.get(kind, 0) + 1
@@ -293,7 +292,7 @@ def test_orbit_checks_match_the_references_on_changed_lifted_classes(
     rng = random.Random(0)
     seen: dict = {}
     for pa in [*valid_family, *valid_s3_family]:
-        pa = dataclasses.replace(pa)  # a copy with nothing cached
+        pa = references.fresh(pa)
         if change == "coarse product":
             vars(pa)["product"] = _coarse_product(pa)
         rel = pa.lifted.orbit_relation

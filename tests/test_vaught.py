@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import Counter
 
@@ -557,7 +556,7 @@ def test_ideal_sweep_builds_no_pair_action(monkeypatch):
     calls = 0
     for pa, results in zip(instances, want):
         for pairs, small in enumerate(results):
-            assert ideal_section_set(dataclasses.replace(pa), pairs) == small, (pa, pairs)
+            assert ideal_section_set(references.fresh(pa), pairs) == small, (pa, pairs)
             calls += 1
     assert calls == 336
 
