@@ -55,7 +55,6 @@ from .selector import (
     action_continuity_table,
     bireducibility_report,
     is_selector_for,
-    min_selector,
     normalized_selector,
     orbit_homeomorphism_report,
     transversal,

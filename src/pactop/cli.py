@@ -29,10 +29,11 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _escape
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NoReturn
 
 from . import topology as topo
-from .errors import LimitExceeded, PactopError, ParseError, SchemaError
+from .errors import (
+    LimitExceeded, PactopError, ParseError, SchemaError, has_entries, in_range,
+)
 from .globalize import (
     Globalization,
     build,
@@ -66,9 +67,6 @@ from .vaught import (
     transform_identities_report,
 )
 
-if TYPE_CHECKING:
-    import argparse
-
 
 class ActionSpec(Record):
     """A parsed action document: resolved tables plus the point names."""
@@ -88,11 +86,14 @@ class ActionSpec(Record):
 def _check_names(names: tuple[str, ...], size: int) -> None:
     # another length would raise IndexError, or write a document of
     # another carrier that parse refuses
-    if len(names) != size:
+    if not has_entries(names, size):
+        if not hasattr(names, "__len__"):
+            raise ValueError(f"point names for a carrier of {size} points are not "
+                             f"a table ({type(names).__name__})")
         raise ValueError(f"{len(names)} point names for a carrier of {size} points")
 
 
-def _fail(path: str, what: str) -> NoReturn:
+def _fail(path: str, what: str):  # raises, never returns
     raise SchemaError(f"{path}: {what}", (path,))
 
 
@@ -126,18 +127,14 @@ def _mask_from_names(values, names_idx: dict[str, int], path: str) -> int:
     return mask
 
 
-def _is_int(value) -> bool:
-    # JSON true and false decode to bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_group(doc, path: str) -> FiniteGroup:
     _expect(isinstance(doc, dict), path, "expected an object")
     kind = doc.get("kind")
     if kind == "cyclic":
         _expect(set(doc) == {"kind", "order"}, path, "cyclic group takes only order")
         order = doc.get("order")
-        _expect(_is_int(order) and order >= 1, f"{path}/order",
+        # JSON true and false decode to bool, a subclass of int
+        _expect(type(order) is int and order >= 1, f"{path}/order",
                 "expected a positive integer")
         try:
             return cyclic(order)
@@ -152,7 +149,7 @@ def _parse_group(doc, path: str) -> FiniteGroup:
         for i, row in enumerate(table):
             _expect(
                 isinstance(row, list) and len(row) == n
-                and all(_is_int(v) and 0 <= v < n for v in row),
+                and all(in_range(v, n) for v in row),
                 f"{path}/table/{i}", f"expected a list of {n} integers in 0..{n - 1}",
             )
         try:
@@ -595,11 +592,11 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or of every command when it is
-    None.  Both print the same texts for the arguments they accept: the
-    top-level usage, which the unrecognized-arguments error shows, names
-    every command either way."""
+def _build_parser(command: str | None = None):
+    """The argparse parser of ``command`` alone, or of every command when
+    it is None.  Both print the same texts for the arguments they accept:
+    the top-level usage, which the unrecognized-arguments error shows,
+    names every command either way."""
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -86,7 +86,7 @@ def make_group(table: list[list[int]] | tuple[tuple[int, ...], ...]) -> FiniteGr
 def cyclic(k: int) -> FiniteGroup:
     """The cyclic group of order ``k`` with addition mod k, built from
     the formula: identity 0, the inverse of g is -g mod k."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise InvalidOrder(f"order must be a positive integer, got {k!r}")
     if k > GROUP_ORDER_LIMIT:
         raise LimitExceeded("group order", k, GROUP_ORDER_LIMIT)

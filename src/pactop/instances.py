@@ -12,8 +12,7 @@ never consult the validator to decide what counts as invalid.
 from __future__ import annotations
 
 import itertools
-import random
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import topology as topo
 from .errors import InvalidSubset, NotAnAction, in_range
@@ -178,7 +177,7 @@ def induced_family(max_group: int = 4, max_points: int = 3) -> list[PartialActio
     )
 
 
-def _remap_mutant(pa: PartialAction, rng: random.Random) -> PartialAction | None:
+def _remap_mutant(pa: PartialAction, rng) -> PartialAction | None:
     # Redirect one defined entry to a different point.  The mutated map
     # either collides (not injective) or misses dom[g] (not onto), so a
     # bijection axiom fails; on the identity row the identity axiom
@@ -203,7 +202,7 @@ def _remap_mutant(pa: PartialAction, rng: random.Random) -> PartialAction | None
     return PartialAction(pa.group, pa.space, pa.dom, tuple(maps))
 
 
-def _identity_gap_mutant(pa: PartialAction, rng: random.Random) -> PartialAction | None:
+def _identity_gap_mutant(pa: PartialAction, rng) -> PartialAction | None:
     # Remove one point from the identity domain (and its map entry).
     # The identity must act everywhere, so both formulations reject.
     if pa.space.size == 0:
@@ -219,9 +218,7 @@ def _identity_gap_mutant(pa: PartialAction, rng: random.Random) -> PartialAction
     return PartialAction(pa.group, pa.space, tuple(dom), tuple(maps))
 
 
-def _non_open_domain_mutant(
-    pa: PartialAction, rng: random.Random
-) -> PartialAction | None:
+def _non_open_domain_mutant(pa: PartialAction, rng) -> PartialAction | None:
     # Replace one domain with a non-open subset, rebuilding the inverse
     # row's definedness pattern so the table stays well-formed.  The
     # open-domain requirement fails by construction; only possible on a
@@ -249,6 +246,8 @@ def _non_open_domain_mutant(
     return PartialAction(pa.group, space, tuple(dom), tuple(maps))
 
 
+# each takes a valid action and a random.Random, and returns None when
+# the action has no mutant of its kind
 _MUTATORS = (
     ("remap", _remap_mutant),
     ("identity-gap", _identity_gap_mutant),
@@ -264,6 +263,8 @@ def mutant_family(
     mutator needs a point, so at least one instance must have one."""
     if not any(pa.space.size for pa in instances):
         raise ValueError("mutant_family needs an instance with at least one point")
+    import random  # here, not at the top: no command draws mutants
+
     rng = random.Random(seed)
     out: list[tuple[str, PartialAction]] = []
     while len(out) < count:

@@ -11,7 +11,7 @@ must agree on every well-formed table.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import topology as topo
 from .errors import AxiomViolation, InvalidSubset, NotAnAction, has_entries, in_range
@@ -390,11 +390,11 @@ def check_total_action(
     """Raise NotAnAction unless the rows ``u`` form a continuous action:
     permutations, the identity row fixing every point, composition."""
     n, size = group.order, space.size
-    if len(u) != n:
+    if not has_entries(u, n):
         raise NotAnAction("action table needs one row per group element")
     for g in range(n):
         row = u[g]
-        if len(row) != size or sorted(row) != list(range(size)):
+        if not has_entries(row, size) or sorted(row) != list(range(size)):
             raise NotAnAction(f"row of element {g} is not a permutation", (g,))
     if tuple(u[group.identity]) != tuple(range(size)):
         raise NotAnAction("identity row is not the identity map", (group.identity,))

@@ -7,8 +7,8 @@ built once at import; wider masks are scanned one bit at a time."""
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
 
 from .errors import has_entries, in_range
 from .record import Record
@@ -95,13 +95,6 @@ class EqRel(Record):
     @functools.cached_property
     def num_classes(self) -> int:
         return len(self.least)
-
-    def classes(self) -> tuple[int, ...]:
-        """Bitmask of members per class, indexed by class id."""
-        masks = [0] * self.num_classes
-        for x, c in enumerate(self.class_id):
-            masks[c] |= 1 << x
-        return tuple(masks)
 
 
 def disagreements(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, int]]:

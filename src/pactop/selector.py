@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import islice
 
 from . import topology as topo
-from .errors import AxiomViolation, in_range
+from .errors import AxiomViolation, has_entries, in_range
 from .globalize import Globalization
 from .paction import PartialAction
 from .record import Record
@@ -30,7 +30,7 @@ class SelectorMap(Record):
     image: tuple[int, ...]
 
     def __init__(self, size: int, image: tuple[int, ...]):
-        if len(image) != size:
+        if not has_entries(image, size):
             raise ValueError("image must assign a value to every point")
         for x, y in enumerate(image):
             if not in_range(y, size):
@@ -53,11 +53,6 @@ def is_selector_for(sel: SelectorMap, rel: EqRel) -> bool:
     # Each class maps into itself, so it has one value exactly when
     # there are as many values as classes.
     return len(set(sel.image)) == rel.num_classes
-
-
-def min_selector(rel: EqRel) -> SelectorMap:
-    """Send every point to the least member of its class, ``rel.least``."""
-    return SelectorMap(rel.size, tuple(rel.least[c] for c in rel.class_id))
 
 
 def transversal(sel: SelectorMap) -> int:

@@ -13,11 +13,11 @@ topology is checked against the topology it generates, by counting.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property, lru_cache, reduce
 from operator import or_
-from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidSubset, LimitExceeded, in_range
+from .errors import InvalidSubset, LimitExceeded, has_entries, in_range
 from .record import Record
 from .relations import EqRel, iter_bits
 
@@ -296,7 +296,7 @@ def _check_map(f: Sequence[int] | Mapping[int, int], points: Iterable[int],
 
 
 def _check_total_map(f: Sequence[int], src: FinTop, dst: FinTop) -> None:
-    if len(f) != src.size:
+    if not has_entries(f, src.size):
         raise ValueError("map length does not match the source carrier")
     _check_map(f, range(src.size), dst)
 

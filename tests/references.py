@@ -10,8 +10,10 @@ the comparisons run on (one-entry edits, lifted classes merged or
 split); the saturation check every envelope built from a total
 action must pass; the sweep generator that checks the total action
 again at every carrier; ``json.dumps``'s text of a run's JSON
-report, the reference for ``cli._render``; and ``fresh``, the copy of
-an action with none of its tables cached.
+report, the reference for ``cli._render``; ``classes``, the member
+mask of each class of a relation; ``min_selector``, the selector onto
+each class's least member; and ``fresh``, the copy of an action with
+none of its tables cached.
 
 Each relation reference reads one product-wide bitmask row per point
 and scans the axioms on masks, as the engine first did; the transform
@@ -33,8 +35,21 @@ from pactop import globalize, paction, selector, vaught
 from pactop.errors import AxiomViolation, LimitExceeded, NotAnAction
 from pactop.relations import EqRel
 from pactop.reports import ReportBuilder
-from pactop.selector import SelectorMap, is_selector_for, min_selector
+from pactop.selector import SelectorMap, is_selector_for
 from pactop.topology import iter_bits, mask_of
+
+
+def classes(rel: EqRel) -> tuple[int, ...]:
+    """Bitmask of the members of each class of ``rel``, by class id."""
+    masks = [0] * rel.num_classes
+    for x, c in enumerate(rel.class_id):
+        masks[c] |= 1 << x
+    return tuple(masks)
+
+
+def min_selector(rel: EqRel) -> SelectorMap:
+    """Send every point to the least member of its class, ``rel.least``."""
+    return SelectorMap(rel.size, tuple(rel.least[c] for c in rel.class_id))
 
 
 def fresh(pa: PartialAction) -> PartialAction:
@@ -152,7 +167,7 @@ def orbit_homeomorphism_report(pa: PartialAction, rel: EqRel):
     size = space.size
     rb = ReportBuilder("orbit-enumeration")
     group_top = topo.discrete(group.order)
-    class_masks = rel.classes()
+    class_masks = classes(rel)
 
     bad_bij: list[tuple] = []
     bad_inv: list[tuple] = []

@@ -50,9 +50,8 @@ def test_relation_matches_reachability_oracle(valid_family):
         rel = enveloping_relation(pa)
         size = pa.space.size
         expected = oracles.envelope_classes_oracle(pa)
-        got = [
-            {divmod(p, size) for p in iter_bits(mask)} for mask in rel.classes()
-        ]
+        got = [{divmod(p, size) for p in iter_bits(mask)}
+               for mask in references.classes(rel)]
         assert sorted(got, key=min) == expected
 
 
@@ -135,7 +134,7 @@ def build_by_class_masks(pa):
     size = space.size
     relation = globalize.enveloping_relation(pa)
 
-    classes = relation.classes()
+    classes = references.classes(relation)
     action_rows = []
     for g in group.elements():
         row = []
@@ -243,7 +242,8 @@ def test_build_checks_the_translations_on_the_quotient(monkeypatch):
 def test_least_members_match_class_masks(valid_family, valid_s3_family):
     for pa in [*valid_family, *valid_s3_family]:
         for rel in (pa.orbit_relation, enveloping_relation(pa), pa.lifted.orbit_relation):
-            assert rel.least == tuple(min(iter_bits(m)) for m in rel.classes()), pa
+            least = tuple(min(iter_bits(m)) for m in references.classes(rel))
+            assert rel.least == least, pa
 
 
 def test_quotient_topology_against_oracle(valid_globs):
@@ -325,7 +325,7 @@ def test_relation_open_in_the_square_exactly_when_every_class_is_open():
                     x * size + y for x in range(size) for y in range(size)
                     if labels[x] == labels[y]
                 )
-                classes = EqRel(size, labels).classes()
+                classes = references.classes(EqRel(size, labels))
                 assert topology.is_open(square, rel) == all(
                     topology.is_open(t, c) for c in classes
                 ), (t, labels)
@@ -397,7 +397,7 @@ def test_lifted_orbit_count_matches_classes(valid_globs):
     # the gluing classes and the lifted orbits are the same partition,
     # so counting either way agrees
     for pa, glob in valid_globs:
-        assert glob.num_classes == len(glob.relation.classes())
+        assert glob.num_classes == len(references.classes(glob.relation))
 
 
 def test_embedding_injective_and_identity_slice(valid_globs):

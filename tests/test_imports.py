@@ -1,8 +1,9 @@
-"""Engine modules import only names they use (``__init__`` re-exports),
-no engine file holds an ``assert``, the package exports functions and
-classes, not its submodules, every name the benchmark's traced run
-wraps still exists, and importing the command line loads neither
-``dataclasses`` nor ``argparse``."""
+"""Engine modules import only names they use (``__init__`` re-exports)
+and never ``typing``, no engine file holds an ``assert``, the package
+exports functions and classes, not its submodules, every name the
+benchmark's traced run wraps still exists, and importing the command
+line loads none of ``dataclasses``, ``inspect``, ``argparse``,
+``typing`` and ``random``."""
 
 from __future__ import annotations
 
@@ -48,6 +49,29 @@ def test_engine_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """The modules ``source`` imports, at any depth, by their full names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+    return names
+
+
+def test_imported_modules_are_found():
+    source = "import os.path\nfrom a.b import c\nfrom . import d\ndef f():\n    import e\n"
+    assert imported_modules(source) == {"os.path", "a.b", "e"}
+
+
+@pytest.mark.parametrize("path", ENGINE, ids=lambda p: p.name)
+def test_engine_module_does_not_import_typing(path):
+    # every module defers its annotations, so typing would be loaded for
+    # names alone: collections.abc holds Iterable, Sequence and the rest
+    assert "typing" not in imported_modules(path.read_text())
+
+
 def asserts(source: str) -> list[int]:
     """Lines of the ``assert`` statements in ``source``."""
     tree = ast.parse(source)
@@ -79,7 +103,7 @@ def test_package_exports_functions_and_classes_only():
     classes = [name for name, value in exported.items() if inspect.isclass(value)]
     assert sorted(functions + classes) == pactop.__all__
     assert {"minimal_neighborhoods", "pair_action"} <= set(functions)
-    assert (len(functions), len(classes)) == (51, 24)
+    assert (len(functions), len(classes)) == (50, 24)
 
 
 def bench_names(source: str) -> dict:
@@ -116,10 +140,12 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_argparse():
-    # importing them took more than a third of ``import pactop``; argparse
-    # is imported only when a command line needs a parser
+    # importing the first three took more than a third of ``import
+    # pactop``; argparse is imported only when a command line needs a
+    # parser, random only when mutants are drawn, and typing not at all
     res = run_python("-c", "import sys, pactop.cli\n"
-                     "print(sorted({'dataclasses', 'inspect', 'argparse'} & {*sys.modules}))")
+                     "print(sorted({'dataclasses', 'inspect', 'argparse', 'typing',"
+                     " 'random'} & {*sys.modules}))")
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
     res = run_python("-c", "from pactop.cli import main\nmain(['report', '--help'])")

@@ -452,6 +452,11 @@ def test_induced_restriction_tables():
         *[(Z2, discrete(2), [(0, 1), (1, 0)], carrier, InvalidSubset,
            "carrier is not within the point range", (carrier,))
           for carrier in (0b100, -1, True, 1.0, 100.0, "0")],
+        # a table or row with no len() raised a bare TypeError
+        (Z2, discrete(2), 5, 0b11, NotAnAction,
+         "action table needs one row per group element", ()),
+        (Z2, discrete(2), [[0, 1], 5], 0b11, NotAnAction,
+         "row of element 1 is not a permutation", (1,)),
     ],
 )
 def test_induced_rejects_non_actions(
@@ -629,8 +634,11 @@ def _tables_digest(instances):
 
 def test_sweep_families_keep_their_members_and_order(family, s3_family, family3):
     # seeded mutant draws pick members by position, so the order is
-    # pinned along with the members
-    assert _tables_digest(induced_family(4, 3)) == (213, "37ec11acfe407901")
+    # pinned along with the members, and so are the draws themselves
+    sweep = induced_family(4, 3)
+    assert _tables_digest(sweep) == (213, "37ec11acfe407901")
+    mutants = [m for _, m in mutant_family(sweep, 200, seed=0)]
+    assert _tables_digest(mutants) == (200, "3b9be9af15695a9e")
     assert _tables_digest(family3) == (146, "e83d45e946fb9560")
     assert _tables_digest(family) == (353, "ca61538b8b92b9f0")
     assert _tables_digest(s3_family) == (94, "616c502ba707ce61")

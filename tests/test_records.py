@@ -195,9 +195,13 @@ def message(text: str) -> str:
     (lambda: PartialAction(cyclic(2), discrete(2), (3, 3), ((0, 1), (1, -1.0))),
      "maps[1][1] = -1.0 out of range"),
     (lambda: SelectorMap(2, (0,)), "image must assign a value to every point"),
+    pytest.param(lambda: SelectorMap(2, 5), "image must assign a value to every point",
+                 id="image-not-a-table"),
     (lambda: SelectorMap(2, (0, 2)), "image[1] = 2 out of range"),
     (lambda: SelectorMap(2, (1, 0)), "not idempotent at 0"),
     (lambda: ActionSpec("t", ("a",), swap()), "1 point names for a carrier of 2 points"),
+    (lambda: ActionSpec("t", 5, swap()),
+     "point names for a carrier of 2 points are not a table (int)"),
 ])
 def test_constructor_errors(build, text):
     with pytest.raises(ValueError, match=message(text)):

@@ -19,7 +19,6 @@ from pactop import (
     example_k3,
     is_selector_for,
     lifted_action,
-    min_selector,
     normalized_selector,
     orbit_homeomorphism_report,
     transversal,
@@ -51,7 +50,7 @@ def test_selector_map_validation():
 
 def test_min_selector_laws():
     rel = EqRel(4, (0, 1, 0, 1))
-    sel = min_selector(rel)
+    sel = references.min_selector(rel)
     assert sel.image == (0, 1, 0, 1)
     assert transversal(sel) == 0b0011
     assert is_selector_for(sel, rel)

@@ -181,15 +181,20 @@ def test_homeomorphism_refuses_a_map_that_leaves_a_point_unmapped(f, s):
     assert is_homeomorphism({0: 0, 2: 2}, discrete(3), 0b101, discrete(3), 0b101)
 
 
-@pytest.mark.parametrize("y", [5, -1, 1.0, True])
-def test_map_values_must_be_points_of_the_target(y):
+@pytest.mark.parametrize("f", [(0, 5), (0, -1), (0, 1.0), (0, True), 5, None],
+                         ids=lambda f: repr(f[1]) if isinstance(f, tuple) else f"map {f!r}")
+def test_map_values_must_be_points_of_the_target(f):
     # 5 raised a bare IndexError, -1 a negative shift count, 1.0 a bare
     # TypeError, an open-map check named the image set 0x20, and True
-    # passed as point 1
+    # passed as point 1; a map with no len() raised a bare TypeError
     d = discrete(2)
-    message = f"map sends point 1 to {y!r}, not a point of the target"
-    for call in (lambda: is_continuous((0, y), d, d), lambda: is_open_map((0, y), d, d),
-                 lambda: is_homeomorphism((0, y), d, 0b11, d, 0b11)):
+    calls = [lambda: is_continuous(f, d, d), lambda: is_open_map(f, d, d)]
+    if isinstance(f, tuple):
+        message = f"map sends point 1 to {f[1]!r}, not a point of the target"
+        calls.append(lambda: is_homeomorphism(f, d, 0b11, d, 0b11))
+    else:
+        message = "map length does not match the source carrier"
+    for call in calls:
         with pytest.raises(ValueError) as caught:
             call()
         assert type(caught.value) is ValueError
