@@ -2,7 +2,8 @@
 
 The sweep family collects every partial action induced by restricting a
 continuous total action of a small group to an arbitrary subset of a
-small carrier, deduplicated, across all topologies on the carrier;
+small carrier, across all topologies on the carrier, deduplicated on
+the restricted tables so that each distinct member is constructed once;
 ``induced`` builds one such restriction, and ``coset_rows`` a total
 action on coset spaces.  Mutants are built from valid instances by
 edits that provably break an axiom by construction, so rejection tests
@@ -21,17 +22,26 @@ from .paction import PartialAction, check_total_action
 from .topology import FinTop, iter_bits, mask_of
 
 
+def _cut(carrier: int) -> dict[int, int]:
+    # The dense index of each point of ``carrier``, in sorted order.
+    return {p: i for i, p in enumerate(iter_bits(carrier))}
+
+
+def _restricted_maps(
+    group: FiniteGroup, u: Sequence[Sequence[int]], pos: dict[int, int]
+) -> tuple[tuple[int, ...], ...]:
+    # The maps of the restriction of the checked total action ``u`` to
+    # the carrier ``pos`` indexes: g sends p into the carrier exactly
+    # when p lies in u_{g^-1}(carrier).
+    return tuple([tuple([pos.get(u[g][p], -1) for p in pos]) for g in group.elements()])
+
+
 def _restrict(
-    group: FiniteGroup, sub: FinTop, u: Sequence[Sequence[int]], carrier: int
+    group: FiniteGroup, sub: FinTop, maps: tuple[tuple[int, ...], ...]
 ) -> PartialAction:
-    # The restriction of the total action ``u`` to ``carrier``, on ``sub``,
-    # the subspace over ``carrier``.  ``u`` must already be checked: an
-    # action sends p into the carrier under g exactly when p lies in
-    # u_{g^-1}(carrier), so maps[g] is defined on dom[g^-1] and dom[g]
-    # is where maps[g^-1] is defined.
-    points = list(iter_bits(carrier))
-    pos = {p: i for i, p in enumerate(points)}
-    maps = tuple(tuple(pos.get(u[g][p], -1) for p in points) for g in group.elements())
+    # The restriction with ``maps`` on ``sub``, the subspace over its
+    # carrier: maps[g] is defined on dom[g^-1], so dom[g] is where
+    # maps[g^-1] is defined.
     dom = tuple(
         mask_of(i for i, y in enumerate(maps[gi]) if y >= 0) for gi in group.inv
     )
@@ -49,7 +59,9 @@ def induced(
     check_total_action(group, space, u)
     if not in_range(carrier, 1 << space.size):
         raise InvalidSubset("carrier is not within the point range", (carrier,))
-    return _restrict(group, topo.subspace(space, carrier), u, carrier)
+    return _restrict(
+        group, topo.subspace(space, carrier), _restricted_maps(group, u, _cut(carrier))
+    )
 
 
 def _refuse_non_element(group: FiniteGroup, what: str, s: object) -> None:
@@ -142,15 +154,16 @@ def induced_instances(
     is tried; a generator outside its group, or a set that does not
     generate it, raises ValueError.  A choice under which some
     generator's row is not its image is skipped unchecked.  Each total
-    action is checked once and each carrier's subspace built once per
-    space."""
+    action is checked once, each carrier's subspace built once per
+    space, and each distinct member constructed once, from restricted
+    tables not seen before."""
     walks = [(group, gens, _cayley_walk(group, gens)) for group, gens in groups]
-    seen: set[PartialAction] = set()
+    seen: set[tuple] = set()  # (group, sub, maps), which fix dom and so the action
     out: list[PartialAction] = []
     for size in range(1, max_points + 1):
         for space in topo.all_topologies(size):
             homeos = topo.homeomorphisms(space)
-            subs = [topo.subspace(space, carrier) for carrier in range(1 << size)]
+            subs = [(topo.subspace(space, c), _cut(c)) for c in range(1 << size)]
             for group, gens, steps in walks:
                 for images in itertools.product(homeos, repeat=len(gens)):
                     rows = _generated_rows(group, steps, images, size)
@@ -160,11 +173,11 @@ def induced_instances(
                         check_total_action(group, space, rows)
                     except NotAnAction:  # the images break a relation
                         continue
-                    for carrier, sub in enumerate(subs):
-                        pa = _restrict(group, sub, rows, carrier)
-                        if pa not in seen:
-                            seen.add(pa)
-                            out.append(pa)
+                    for sub, pos in subs:
+                        key = (group, sub, _restricted_maps(group, rows, pos))
+                        if key not in seen:
+                            seen.add(key)
+                            out.append(_restrict(*key))
     return out
 
 

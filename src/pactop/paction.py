@@ -394,7 +394,10 @@ def check_total_action(
         raise NotAnAction("action table needs one row per group element")
     for g in range(n):
         row = u[g]
-        if not has_entries(row, size) or sorted(row) != list(range(size)):
+        # in_range on every entry, at C speed: all ints, sorting to range
+        # (True and 1.0 would sort as 1, a str not at all)
+        if not (has_entries(row, size) and {*map(type, row)} <= {int}
+                and sorted(row) == list(range(size))):
             raise NotAnAction(f"row of element {g} is not a permutation", (g,))
     if tuple(u[group.identity]) != tuple(range(size)):
         raise NotAnAction("identity row is not the identity map", (group.identity,))

@@ -332,13 +332,13 @@ def is_homeomorphism(
     exactly when it carries each minimal neighborhood onto that of the
     image point (continuity gives one inclusion; an open image holding
     f(x) the other), and subspace neighborhoods are traces.  A map that
-    leaves a point of ``s`` unmapped, or sends one to a value that is
-    not a point of ``dst``, raises ValueError."""
+    leaves a point of ``s`` unmapped (or has no ``[]``), or sends one to
+    a value that is not a point of ``dst``, raises ValueError."""
     _check_subset(src, s, "source set")
     _check_subset(dst, d, "target set")
     try:
         _check_map(f, iter_bits(s), dst)
-    except (IndexError, KeyError):
+    except (IndexError, KeyError, TypeError):
         raise ValueError("map leaves a point of the source set unmapped") from None
     image = mask_of(f[x] for x in iter_bits(s))
     if image != d or s.bit_count() != d.bit_count():

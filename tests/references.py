@@ -9,11 +9,11 @@ lift-orbit relation's first pair, the reductions' first 8); the inputs
 the comparisons run on (one-entry edits, lifted classes merged or
 split); the saturation check every envelope built from a total
 action must pass; the sweep generator that checks the total action
-again at every carrier; ``json.dumps``'s text of a run's JSON
-report, the reference for ``cli._render``; ``classes``, the member
-mask of each class of a relation; ``min_selector``, the selector onto
-each class's least member; and ``fresh``, the copy of an action with
-none of its tables cached.
+and builds the restriction again at every carrier; ``json.dumps``'s
+text of a run's JSON report, the reference for ``cli._render``;
+``classes``, the member mask of each class of a relation;
+``min_selector``, the selector onto each class's least member; and
+``fresh``, the copy of an action with none of its tables cached.
 
 Each relation reference reads one product-wide bitmask row per point
 and scans the axioms on masks, as the engine first did; the transform
@@ -602,8 +602,9 @@ def check_saturation(space, rows, carrier: int, glob) -> tuple[bool, bool]:
 def induced_instances(groups, max_points: int) -> list[PartialAction]:
     """``instances.induced_instances`` as it first ran: the Cayley walk
     redone for each choice of images, then ``induced`` (so the total
-    action is checked and the subspace built) at every carrier, moving
-    on to the next images at the first ``NotAnAction``."""
+    action is checked, the subspace built and the action constructed)
+    at every carrier, moving on to the next images at the first
+    ``NotAnAction``."""
     seen, out = set(), []
     for size in range(1, max_points + 1):
         for space in topo.all_topologies(size):

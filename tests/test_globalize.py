@@ -493,7 +493,9 @@ def test_envelope_is_the_saturation_of_the_total_action(monkeypatch):
     # the quotient topology is the subspace topology of G.X when X is
     # open in Y, and finer than it otherwise.  Every sweep instance is
     # such a restriction, so record Y and its table at each total action
-    # the sweep generators accept, and each restriction they make of it.
+    # the sweep generators accept, and each carrier they restrict it to;
+    # every restriction passes through the maps step, whether or not its
+    # action turns out to be new, and its action is built here.
     records = []
     checked = []
 
@@ -501,22 +503,24 @@ def test_envelope_is_the_saturation_of_the_total_action(monkeypatch):
         check_total_action(group, space, rows)
         checked.append((space, rows))
 
-    def recording(group, sub, rows, carrier):
-        pa = restrict(group, sub, rows, carrier)
+    def recording(group, rows, pos):
         space, checked_rows = checked[-1]
         assert checked_rows is rows
-        records.append((space, rows, carrier, pa))
-        return pa
+        records.append((group, space, rows, mask_of(pos)))
+        return restricted_maps(group, rows, pos)
 
-    check_total_action, restrict = instances.check_total_action, instances._restrict
+    check_total_action = instances.check_total_action
+    restricted_maps = instances._restricted_maps
     monkeypatch.setattr(instances, "check_total_action", checking)
-    monkeypatch.setattr(instances, "_restrict", recording)
+    monkeypatch.setattr(instances, "_restricted_maps", recording)
     induced_family(4, 3)
     instances.induced_instances([(klein_four(), (1, 2))], 3)
     instances.induced_instances([(symmetric3(), (1, 3))], 3)
+    monkeypatch.undo()
 
     valid = open_carriers = finer_only = 0
-    for space, rows, carrier, pa in records:
+    for group, space, rows, carrier in records:
+        pa = induced(group, space, rows, carrier)
         if not validate(pa).ok:
             continue
         valid += 1

@@ -457,6 +457,13 @@ def test_induced_restriction_tables():
          "action table needs one row per group element", ()),
         (Z2, discrete(2), [[0, 1], 5], 0b11, NotAnAction,
          "row of element 1 is not a permutation", (1,)),
+        # True and 1.0 sort as 1, so these passed as permutations and
+        # ended in the continuity check's ValueError or a bare TypeError
+        # from indexing; 'a' raised a bare TypeError from sorting
+        *[(Z2, discrete(2), rows, 0b11, NotAnAction,
+           f"row of element {g} is not a permutation", (g,))
+          for g, rows in [(0, [[0, True], [1, 0]]), (1, [[0, 1], [True, 0]]),
+                          (1, [[0, 1], [1.0, 0]]), (1, [[0, 1], [1, "a"]])]],
     ],
 )
 def test_induced_rejects_non_actions(
@@ -496,6 +503,8 @@ def test_induced_instances_refuses_bad_generators(group, gens, message):
         (CYCLIC_UP_TO_4[:2], 4, 1305),
         ([(klein_four(), (1, 2))], 3, 131),
         ([(symmetric3(), (1, 3))], 3, 94),
+        # an equal group listed twice merges its members with the first's
+        ([(cyclic(3), (1,)), (cyclic(3), (2,))], 3, 44),
     ],
 )
 def test_induced_instances_matches_the_per_carrier_generator(
@@ -509,9 +518,9 @@ def test_induced_instances_matches_the_per_carrier_generator(
 
 
 def test_induced_family_checks_each_total_action_once(monkeypatch):
-    # one check per (space, group, generator images) and one subspace
-    # per (space, carrier) on induced_family(4, 3), against a check and
-    # a subspace at every carrier of every such table
+    # one check per (space, group, generator images), one subspace per
+    # (space, carrier) and one construction per member, against a check,
+    # a subspace and a construction at every carrier of every such table
     calls = {}
 
     def counted(name, fn):
@@ -521,17 +530,21 @@ def test_induced_family_checks_each_total_action_once(monkeypatch):
         return wrapper
 
     def count(generate, *args):
-        calls.update(check=0, subspace=0)
+        calls.update(check=0, subspace=0, construct=0)
         generate(*args)
-        return calls["check"], calls["subspace"]
+        return calls["check"], calls["subspace"], calls["construct"]
 
     monkeypatch.setattr(
         instances, "check_total_action",
         counted("check", instances.check_total_action),
     )
     monkeypatch.setattr(topology, "subspace", counted("subspace", topology.subspace))
-    assert count(induced_family, 4, 3) == (217, 250)
-    assert count(references.induced_instances, CYCLIC_UP_TO_4, 3) == (1415, 1384)
+    monkeypatch.setattr(instances, "PartialAction", counted("construct", PartialAction))
+    assert count(induced_family, 4, 3) == (217, 250, 213)
+    assert count(references.induced_instances, CYCLIC_UP_TO_4, 3) == (1415, 1384, 1384)
+    s3 = [(symmetric3(), (1, 3))]
+    assert count(induced_instances, s3, 3)[2] == 94
+    assert count(references.induced_instances, s3, 3)[2] == 522
 
 
 @pytest.mark.parametrize("gens", [(1, 1), (0, 1)])
