@@ -12,8 +12,9 @@ full, each followed by a value that does not start with ``-``) is read
 by ``_read_argv`` without building an argparse parser: building one
 imports ``locale`` and compiles argparse's regexes, which takes longer
 than the engine's stages on the bundled example.  Every other command
-line, help, usage and errors included, goes through argparse, which
-``_build_parser`` imports only when ``_read_argv`` declines.
+line, help, usage and errors included, goes through the one argparse
+parser of every command, which ``_build_parser`` imports and builds
+only when ``_read_argv`` declines.
 
 The JSON output and the text output's data block are written by
 ``_dumps``, whose text equals ``json.dumps(value, indent=2,
@@ -107,7 +108,7 @@ def _mask_from_names(values, names_idx: dict[str, int], path: str) -> int:
     # Plain lookups first: a name that is unknown or not a string raises
     # KeyError (TypeError when unhashable), and a repeat leaves fewer bits
     # than names.  The checks below, which build each entry's path and
-    # message, run only when some entry fails, and name the first.
+    # message, run only when some entry fails, and raise at the first.
     mask = 0
     try:
         for name in values:
@@ -124,7 +125,6 @@ def _mask_from_names(values, names_idx: dict[str, int], path: str) -> int:
         bit = 1 << names_idx[name]
         _expect(not mask & bit, f"{path}/{i}", f"duplicate point {name!r}")
         mask |= bit
-    return mask
 
 
 def _parse_group(doc, path: str) -> FiniteGroup:
@@ -560,13 +560,13 @@ _FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """The attributes of the Namespace ``_build_parser(argv[0])`` returns
-    for ``argv``, read without importing argparse or building a parser, as
-    a SimpleNamespace, or None when ``argv`` is not of the plain
-    form: a command, one spec that does not start with ``-``, and options
-    of that command spelled out in full, each followed by a value that
-    does not start with ``-`` and is among its choices.  A repeated option
-    keeps its last value, as in argparse."""
+    """The attributes of the Namespace ``_build_parser()`` returns for
+    ``argv``, read without importing argparse or building a parser, as a
+    SimpleNamespace, or None when ``argv`` is not of the plain form: a
+    command, one spec that does not start with ``-``, and options of that
+    command spelled out in full, each followed by a value that does not
+    start with ``-`` and is among its choices.  A repeated option keeps
+    its last value, as in argparse."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     options = dict((_FORMAT, *_COMMANDS[argv[0]].options))
@@ -592,11 +592,8 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
-def _build_parser(command: str | None = None):
-    """The argparse parser of ``command`` alone, or of every command when
-    it is None.  Both print the same texts for the arguments they accept:
-    the top-level usage, which the unrecognized-arguments error shows,
-    names every command either way."""
+def _build_parser():
+    """The argparse parser of every command."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -604,11 +601,8 @@ def _build_parser(command: str | None = None):
         description="validate and analyze partial actions of finite groups "
         "on finite topological spaces",
     )
-    # with every command registered, argparse writes the same {...} list
-    # itself, and names the argument "command" in its errors
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
         p = sub.add_parser(name, help=_COMMANDS[name].help)
         p.add_argument("spec", help="JSON action document")
         for flag, options in (_FORMAT, *_COMMANDS[name].options):
@@ -694,12 +688,8 @@ def _render(label: str, command: str, data: dict,
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
-    if args is None:
-        # argparse prints help, usage and every error; a known command
-        # needs only its own parser, anything else (help, no arguments, an
-        # unknown command) the parser of every command
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = _build_parser(command).parse_args(argv)
+    if args is None:  # argparse prints help, usage and every error
+        args = _build_parser().parse_args(argv)
     try:
         with open(args.spec, "rb") as fh:
             document = fh.read()

@@ -53,29 +53,31 @@ def enveloping_relation(pa: PartialAction) -> EqRel:
 class Globalization(Record):
     """Enveloping space with its quotient topology and total action.
 
-    ``relation.class_id[g * |X| + x]`` is the class of (g, x), and
-    ``relation.least[c]`` the least such g * |X| + x in class c;
-    ``action[g]`` permutes class indices, ``embedding`` sends carrier
-    points to classes of the identity slice.
+    ``relation.class_id[g * |X| + x]`` is the class of (g, x) in the
+    group-indexed product ``source.product``, and ``relation.least[c]``
+    the least such g * |X| + x in class c; ``action[g]`` permutes class
+    indices, ``embedding`` sends carrier points to classes of the
+    identity slice.
     """
 
-    _fields = ("source", "product", "relation", "topology", "action", "embedding")
+    _fields = ("source", "relation", "topology", "action", "embedding")
     source: PartialAction
-    product: FinTop
     relation: EqRel
     topology: FinTop
     action: tuple[tuple[int, ...], ...]
     embedding: tuple[int, ...]
 
-    def __init__(self, source: PartialAction, product: FinTop, relation: EqRel,
-                 topology: FinTop, action: tuple[tuple[int, ...], ...],
-                 embedding: tuple[int, ...]):
+    def __init__(self, source: PartialAction, relation: EqRel, topology: FinTop,
+                 action: tuple[tuple[int, ...], ...], embedding: tuple[int, ...]):
         self._set("source", source)
-        self._set("product", product)
         self._set("relation", relation)
         self._set("topology", topology)
         self._set("action", action)
         self._set("embedding", embedding)
+
+    @property
+    def product(self) -> FinTop:
+        return self.source.product
 
     @property
     def num_classes(self) -> int:
@@ -122,9 +124,7 @@ def build(pa: PartialAction) -> Globalization:
 
     quotient = topo.quotient(pa.product, relation)
     check_total_action(group, quotient, action_rows)
-    return Globalization(
-        pa, pa.product, relation, quotient, tuple(action_rows), embedding
-    )
+    return Globalization(pa, relation, quotient, tuple(action_rows), embedding)
 
 
 def embedding_report(glob: Globalization) -> Report:
@@ -237,7 +237,7 @@ def effros_report(pa: PartialAction) -> Report:
     rb.info("every orbit open", (orb_open,))
     rb.info("orbit quotient T0", (t0,))
 
-    if all(n == 1 << x for x, n in enumerate(space.nbrs)):
+    if topo.separation(space).t1:  # a finite T1 space is discrete
         rb.check(
             "three conditions agree on a discrete carrier",
             rel_open == orb_open == t0,

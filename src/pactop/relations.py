@@ -160,9 +160,11 @@ def from_relation(size: int, rows: Sequence[Sequence[int]]) -> EqRel:
     return EqRel(size, tuple(label))
 
 
-def _scan(size: int, label_rows: Sequence[Sequence[int]]) -> EqRel:
+def _scan(size: int, label_rows: Sequence[Sequence[int]]):  # raises, never returns
     # Check the members, then scan the axioms on member masks, in the
-    # witness order ``from_relation`` documents.
+    # witness order ``from_relation`` documents.  ``from_relation`` calls
+    # it only on rows its label pass refused, and that pass accepts every
+    # equivalence on points, so one of these checks fails.
     for x, row in enumerate(label_rows):
         try:
             inside = all(in_range(q, size) for q in row)
@@ -190,5 +192,3 @@ def _scan(size: int, label_rows: Sequence[Sequence[int]]) -> EqRel:
             if extra:
                 z = (extra & -extra).bit_length() - 1
                 raise ValueError(f"not transitive at ({x}, {y}, {z})")
-    # Related points now share their row, so the rows label the classes.
-    return EqRel(size, tuple(rows))

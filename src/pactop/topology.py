@@ -308,6 +308,11 @@ def is_continuous(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
     A map of another length, or with a value that is not a point of
     ``dst``, raises ValueError."""
     _check_total_map(f, src, dst)
+    return _is_monotone(f, src, dst)
+
+
+def _is_monotone(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
+    # f is a total map of src's points to dst's, checked or known
     return all(
         mask_of(f[y] for y in iter_bits(n)) & ~dst.nbrs[f[x]] == 0
         for x, n in enumerate(src.nbrs)

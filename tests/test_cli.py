@@ -532,13 +532,11 @@ def test_texts_and_exit_codes_match_the_six_subparser_parser(
     assert got == run_main(argv)
 
 
-def test_a_known_command_builds_only_its_own_parser(monkeypatch, capsys):
+def test_a_plain_command_line_builds_no_parser(monkeypatch):
     built = []
     real = cli._build_parser
-    monkeypatch.setattr(
-        cli, "_build_parser", lambda command=None: built.append(command) or real(command))
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or real())
     monkeypatch.setattr(sys, "argv", ["pactop", "validate", EXAMPLE])
-    # a plain command line builds no parser
     for argv in (["report", EXAMPLE, "--format", "json"],
                  ["vaught", EXAMPLE, "--kind", "star"], None):
         assert run_main(argv)[2] == 0
@@ -546,11 +544,7 @@ def test_a_known_command_builds_only_its_own_parser(monkeypatch, capsys):
     for argv in (["vaught", EXAMPLE, "--kind", "gamma"], ["report", EXAMPLE, "--format=json"],
                  ["--help"], ["nosuch", EXAMPLE]):
         run_main(argv)
-    assert built == ["vaught", "report", None, None]
-    with pytest.raises(SystemExit) as exc:  # the lone parser knows no other command
-        real("vaught").parse_args(["report", EXAMPLE])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    assert len(built) == 4
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -174,9 +174,7 @@ def build_by_class_masks(pa):
                     raise AxiomViolation("translations do not compose", (g, h, c))
 
     quotient = topology.quotient(pa.product, relation)
-    return Globalization(
-        pa, pa.product, relation, quotient, tuple(action_rows), embedding
-    )
+    return Globalization(pa, relation, quotient, tuple(action_rows), embedding)
 
 
 def _outcome(construct, pa):
@@ -474,8 +472,7 @@ def test_restriction_check_matches_induced_reference(family, s3_family):
         for e in itertools.permutations(range(glob.num_classes), glob.source.space.size):
             if e == glob.embedding:
                 continue
-            moved = Globalization(glob.source, glob.product, glob.relation, glob.topology,
-                                  glob.action, e)
+            moved = Globalization(glob.source, glob.relation, glob.topology, glob.action, e)
             status, witness = restriction_by_induced(moved)
             assert _restriction_check(moved) == (status, witness), (glob, e)
             count += 1
@@ -563,8 +560,8 @@ def test_hat_relation_matches_the_reference_on_changed_lifted_classes(
             continue
         vars(pa.lifted)["orbit_relation"] = EqRel(lifted.size, change(lifted, rng))
         glob = build(pa)
-        reference = Globalization(pa, glob.product, references.enveloping_relation(pa),
-                                  glob.topology, glob.action, glob.embedding)
+        reference = Globalization(pa, references.enveloping_relation(pa), glob.topology,
+                                  glob.action, glob.embedding)
         report = hat_relation_report(glob)
         assert report == hat_relation_report(reference), pa
         seen += not report.ok

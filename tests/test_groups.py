@@ -60,6 +60,17 @@ def test_booleans_are_not_group_integers():
         assert str(caught.value) == f"entry (0, 1) = {v!r} out of range"
 
 
+@pytest.mark.parametrize("table, error, message", [
+    ([], InvalidOrder, "group order must be at least 1"),
+    ([[0, 1], [1]], ValueError, "row 1 has length 1, expected 2"),
+])
+def test_make_group_refuses_a_table_of_no_shape(table, error, message):
+    with pytest.raises(error) as caught:
+        make_group(table)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_group_order_limit():
     # both kinds refuse before building or scanning a table: 257 rows of
     # length one would otherwise fail the shape check

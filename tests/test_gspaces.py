@@ -187,7 +187,7 @@ def test_relations_match_their_references(name, data):
 def test_report_ends_in_a_verdict_or_a_named_limit(name, data):
     pa = data.draw(gspaces(name))[-1]
     spec = cli.ActionSpec("", tuple(f"p{x}" for x in pa.space.points()), pa)
-    args = cli._build_parser("report").parse_args(["report", "doc.json"])
+    args = cli._build_parser().parse_args(["report", "doc.json"])
     out, reports = cli._run(spec, args)
     text, ok = cli._render(spec.label, "report", out, reports, "json")
     assert text == references.report_json(spec.label, "report", out, reports)

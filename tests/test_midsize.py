@@ -203,7 +203,7 @@ def test_report_on_midsize_edits(midsize):
     # copy: nothing raises, exactly the valid instances within the
     # transform limit pass, and every failing report names a witness or
     # the size limit it hit.
-    args = cli._build_parser("report").parse_args(["report", "doc.json"])
+    args = cli._build_parser().parse_args(["report", "doc.json"])
     passed, limits = [], {}
     for n, (_, _, _, pa) in enumerate(midsize):
         for k, edit in enumerate(
@@ -253,7 +253,7 @@ def test_c8_on_2048_points_minus_one():
     # envelope's separation flags are read directly.
     _, _, _, pa = rotation(8, 2048)
     spec = cli.ActionSpec("", tuple(f"p{x}" for x in pa.space.points()), pa)
-    args = cli._build_parser("report").parse_args(["report", "doc.json"])
+    args = cli._build_parser().parse_args(["report", "doc.json"])
     _, reports = cli._run(spec, args)
     failed = {
         rep.name: [check.name.split(":")[0] for _, check in rep.failures()]
@@ -276,7 +276,7 @@ def test_transform_limit_on_c8_on_2048_points_minus_one_prints_a_short_count():
     # give its power of two, not 619 digits
     _, _, _, pa = rotation(8, 2048)
     spec = cli.ActionSpec("", tuple(f"p{x}" for x in pa.space.points()), pa)
-    args = cli._build_parser("report").parse_args(["report", "doc.json"])
+    args = cli._build_parser().parse_args(["report", "doc.json"])
     _, reports = cli._run(spec, args)
     (check,) = next(r for r in reports if r.name == "transform-identities").checks
     assert check.name == (

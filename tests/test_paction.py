@@ -449,6 +449,8 @@ def test_induced_restriction_tables():
          "rows do not compose at (1, 2, 0)", (1, 2, 0)),
         (Z2, FinTop(2, (0, 0b10, 0b11)), [(0, 1), (1, 0)], 0b11, NotAnAction,
          "row of element 1 is not continuous", (1,)),
+        (Z2, discrete(2), [(1, 0), (0, 1)], 0b11, NotAnAction,
+         "identity row is not the identity map", (0,)),
         *[(Z2, discrete(2), [(0, 1), (1, 0)], carrier, InvalidSubset,
            "carrier is not within the point range", (carrier,))
           for carrier in (0b100, -1, True, 1.0, 100.0, "0")],

@@ -9,6 +9,7 @@ from pactop import (
     EqRel,
     FinTop,
     FiniteGroup,
+    Globalization,
     PartialAction,
     SelectorMap,
     action_continuity_table,
@@ -25,7 +26,7 @@ from pactop import (
     transversal_topology,
 )
 from pactop.errors import AxiomViolation
-from pactop.reports import FAIL, PASS
+from pactop.reports import FAIL, INFO, PASS
 
 SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 K3 = example_k3()
@@ -90,6 +91,24 @@ def test_transversal_topology_frozen():
     assert len(glob.topology.opens) < len(brep.tau.opens)
 
 
+def test_measurability_frozen_failure():
+    # The failing branch no swept instance reaches.  C2 fixing each point
+    # of the space whose opens are {}, {0, 1} and {0, 1, 2}, so that the
+    # tau-atoms are {0, 1} and {2}, its translation by 1 replaced by the
+    # swap of classes 0 and 2: the preimage of each atom splits {0, 1}.
+    space = FinTop.from_neighborhoods([0b011, 0b011, 0b111])
+    pa = PartialAction(cyclic(2), space, (0b111, 0b111), ((0, 1, 2), (0, 1, 2)))
+    glob = build(pa)
+    moved = Globalization(glob.source, glob.relation, glob.topology,
+                          (glob.action[0], (2, 1, 0)), glob.embedding)
+    brep = transversal_topology(moved, normalized_selector(pa))
+    assert brep.tau.atoms == (0b011, 0b100)
+    assert [(c.status, c.witness) for c in brep.report.checks] == [
+        (PASS, ()), (INFO, (3, 3)), (PASS, (4, 4)), (PASS, (0b111,)),
+        (PASS, (0b111, 0b111)), (PASS, (4, 4)), (FAIL, ((1, 0b011), (1, 0b100))),
+    ]
+
+
 def test_transversal_topology_across_family(valid_globs):
     for pa, glob in valid_globs:
         brep = transversal_topology(glob, normalized_selector(pa))
@@ -104,6 +123,15 @@ def test_selector_of_the_wrong_size_is_refused(check, size):
     sel = SelectorMap(size, tuple(range(size)))
     with pytest.raises(ValueError, match=f"selector has {size} points, the product 6"):
         check(build(K3), sel)
+
+
+def test_selector_of_another_relation_is_refused():
+    # the identity selector on the six product points of example_k3 meets
+    # three of its four classes once and class 1 three times
+    with pytest.raises(AxiomViolation) as caught:
+        transversal_topology(build(K3), SelectorMap(6, tuple(range(6))))
+    assert str(caught.value) == "transversal does not meet every class exactly once"
+    assert caught.value.witness == (0, 1, 2, 1, 3, 1)
 
 
 def test_continuity_table_frozen():

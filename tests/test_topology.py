@@ -298,6 +298,19 @@ def test_product_against_rectangle_oracle():
             assert set(p.opens) == expected
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: product_with_discrete(SIERPINSKI, 0),
+     "the discrete factor needs at least one point"),
+    (lambda: quotient(SIERPINSKI, EqRel(3, (0, 0, 1))),
+     "relation carrier does not match the space"),
+], ids=["empty discrete factor", "relation of another size"])
+def test_constructions_refuse_inputs_of_no_size(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
 def test_quotient_against_oracle():
     for t in small_spaces():
         if t.size == 0:
