@@ -204,7 +204,7 @@ def hat_relation_report(glob: Globalization) -> Report:
     the source, the lifted orbit rows from the columns of the lifted
     action's maps."""
     rb = ReportBuilder("lift-orbit-relation")
-    lifted_orbits = glob.source.lifted.orbit_relation
+    lifted_orbits = glob.source.lifted_orbits
     same = glob.relation == lifted_orbits
     witness: tuple = ()
     if not same:

@@ -145,9 +145,10 @@ class PartialAction(Record):
         return topo.quotient(self.space, self.orbit_relation)
 
     @functools.cached_property
-    def lifted(self) -> PartialAction:
-        """``lifted_action(self)``."""
-        return lifted_action(self)
+    def lifted_orbits(self) -> EqRel:
+        """``orbit_equivalence(lifted_action(self))``: the lifted action,
+        a table of |G|²·|X| entries, is built for this read and not kept."""
+        return orbit_equivalence(lifted_action(self))
 
 
 def _check_point(pa: PartialAction, x: int) -> None:
@@ -214,11 +215,9 @@ def well_formedness(pa: PartialAction) -> Report:
         actual = _defined(pa.maps[g])
         if actual != expected:
             bad = tuple(iter_bits(actual ^ expected))
-            ok = rb.check(
-                f"map of element {g} defined exactly on dom(inv(g))",
-                False,
-                (g,) + bad,
-            ) and ok
+            rb.check(f"map of element {g} defined exactly on dom(inv(g))",
+                     False, (g,) + bad)
+            ok = False
     rb.check("tables well-formed", ok)
     return rb.build()
 

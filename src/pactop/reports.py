@@ -99,8 +99,6 @@ class Report(Record):
 def _jsonable(value):
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (list, set, frozenset)):
-        return [_jsonable(v) for v in sorted(value)]
     return value
 
 

@@ -508,7 +508,7 @@ def on_lifted_relation(reference):
     """``reference(pa, rel)`` as a check of ``pa`` alone: ``rel`` is the
     lifted orbit relation the mask ``orbit_equivalence`` builds, so an
     ill-formed lift fails at the step where the engine's check fails."""
-    return lambda pa: reference(pa, orbit_equivalence(pa.lifted))
+    return lambda pa: reference(pa, orbit_equivalence(paction.lifted_action(pa)))
 
 
 def outcome(fn, *args):

@@ -239,7 +239,7 @@ def test_build_checks_the_translations_on_the_quotient(monkeypatch):
 
 def test_least_members_match_class_masks(valid_family, valid_s3_family):
     for pa in [*valid_family, *valid_s3_family]:
-        for rel in (pa.orbit_relation, enveloping_relation(pa), pa.lifted.orbit_relation):
+        for rel in (pa.orbit_relation, enveloping_relation(pa), pa.lifted_orbits):
             least = tuple(min(iter_bits(m)) for m in references.classes(rel))
             assert rel.least == least, pa
 
@@ -555,10 +555,10 @@ def test_hat_relation_matches_the_reference_on_changed_lifted_classes(
     seen = 0
     for pa in [*valid_family, *valid_s3_family]:
         pa = references.fresh(pa)
-        lifted = pa.lifted.orbit_relation
+        lifted = pa.lifted_orbits
         if lifted.num_classes < 2:
             continue
-        vars(pa.lifted)["orbit_relation"] = EqRel(lifted.size, change(lifted, rng))
+        vars(pa)["lifted_orbits"] = EqRel(lifted.size, change(lifted, rng))
         glob = build(pa)
         reference = Globalization(pa, references.enveloping_relation(pa), glob.topology,
                                   glob.action, glob.embedding)

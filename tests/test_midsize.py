@@ -25,6 +25,7 @@ from pactop import (
     enveloping_relation,
     hat_relation_report,
     is_selector_for,
+    lifted_action,
     normalized_selector,
     orbit_equivalence,
     orbit_homeomorphism_report,
@@ -71,8 +72,8 @@ def test_midsize_envelopes_are_the_saturation(midsize):
 COMPARED = [
     (enveloping_relation, references.enveloping_relation),
     (orbit_equivalence, references.orbit_equivalence),
-    (lambda pa: orbit_equivalence(pa.lifted),
-     lambda pa: references.orbit_equivalence(pa.lifted)),
+    (lambda pa: pa.lifted_orbits,
+     lambda pa: references.orbit_equivalence(lifted_action(pa))),
     (normalized_selector, references.on_lifted_relation(references.normalized_selector)),
     (orbit_homeomorphism_report,
      references.on_lifted_relation(references.orbit_homeomorphism_report)),

@@ -14,16 +14,20 @@ from pactop import (
     FinTop,
     PartialAction,
     acting_set,
+    build,
     cyclic,
     discrete,
     example_k3,
+    hat_relation_report,
     induced,
     induced_family,
     lifted_action,
     mutant_family,
+    normalized_selector,
     orbit,
     orbit_consistency_report,
     orbit_equivalence,
+    orbit_homeomorphism_report,
     pair_action,
     product,
     product_with_discrete,
@@ -599,6 +603,26 @@ def test_lifted_action_of_partial_instance_is_valid():
     lifted = lifted_action(example_k3())
     rep = validate(lifted)
     assert rep.ok
+
+
+def test_lifted_orbits_are_computed_once_and_the_lift_is_not_kept(
+    valid_family, monkeypatch
+):
+    # The lift-orbit-relation check, the normalized selector and the
+    # orbit enumeration read one cached table, the lifted orbit relation;
+    # the lifted action it comes from (|G|²·|X| entries) is built once,
+    # looked up by its module name, and not kept on the action.
+    calls = []
+    lift = paction.lifted_action
+    monkeypatch.setattr(paction, "lifted_action", lambda pa: calls.append(pa) or lift(pa))
+    for pa in valid_family:
+        pa = references.fresh(pa)
+        hat_relation_report(build(pa))
+        normalized_selector(pa)
+        orbit_homeomorphism_report(pa)
+        assert len(calls) == 1 and calls.pop() is pa, pa
+        assert "lifted_orbits" in vars(pa), pa
+        assert not any(isinstance(v, PartialAction) for v in vars(pa).values()), pa
 
 
 def test_pair_action_acts_through_second_coordinate():

@@ -159,7 +159,8 @@ def test_constructor_defaults():
 
 def test_cached_tables_are_computed_once_and_kept_beside_the_fields():
     pa, t, rel = swap(), FinTop(3, [0, 1, 3, 7]), EqRel(3, (1, 1, 0))
-    for record, name in ((pa, "orbits"), (t, "opens"), (rel, "least")):
+    cached = ((pa, "orbits"), (pa, "lifted_orbits"), (t, "opens"), (rel, "least"))
+    for record, name in cached:
         assert name not in vars(record)
         first = getattr(record, name)
         assert vars(record)[name] is first and getattr(record, name) is first
@@ -169,6 +170,8 @@ def test_cached_tables_are_computed_once_and_kept_beside_the_fields():
         assert record == fresh and hash(record) == hash(fresh)
         assert repr(record) == repr(fresh)
     assert pa.orbits == (3, 3) and t.opens == (0, 1, 3, 7) and rel.least == (0, 2)
+    # the swap's lift glues (0, 0) to (1, 1) and (0, 1) to (1, 0)
+    assert pa.lifted_orbits == EqRel(4, (0, 1, 1, 0))
 
 
 def message(text: str) -> str:

@@ -118,7 +118,7 @@ def test_disagreements_match_the_scans_they_replace_on_changed_relations(
         carrier, envelope = pa.orbit_relation, references.envelope_classes(glob)
         back = [sel.image[p] % pa.space.size for p in glob.relation.least]
         new = []
-        for rel in (pa.lifted.orbit_relation, carrier, envelope):
+        for rel in (pa.lifted_orbits, carrier, envelope):
             other = rel
             if rel.num_classes > 1:
                 other = EqRel(rel.size, change(rel, rng))

@@ -322,12 +322,12 @@ def test_orbit_checks_match_the_references_on_changed_lifted_classes(
         pa = references.fresh(pa)
         if change == "coarse product":
             vars(pa)["product"] = _coarse_product(pa)
-        rel = pa.lifted.orbit_relation
+        rel = pa.lifted_orbits
         if change in ("merge", "split"):
             if rel.num_classes < 2:
                 continue
             redraw = references.merge_two if change == "merge" else references.split_two
-            rel = vars(pa.lifted)["orbit_relation"] = EqRel(rel.size, redraw(rel, rng))
+            rel = vars(pa)["lifted_orbits"] = EqRel(rel.size, redraw(rel, rng))
         for check, reference in _CHECKS:
             expected = references.outcome(reference, pa, rel)
             assert references.outcome(check, pa) == expected, (check, pa)
