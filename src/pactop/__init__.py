@@ -54,7 +54,6 @@ from .selector import (
     SelectorMap,
     action_continuity_table,
     bireducibility_report,
-    is_selector_for,
     normalized_selector,
     orbit_homeomorphism_report,
     transversal,

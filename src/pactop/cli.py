@@ -72,7 +72,6 @@ from .vaught import (
 class ActionSpec(Record):
     """A parsed action document: resolved tables plus the point names."""
 
-    _fields = ("label", "names", "pa")
     label: str
     names: tuple[str, ...]
     pa: PartialAction
@@ -359,8 +358,6 @@ def _parse_group_part(spec: ActionSpec, text: str) -> int:
         if not (_is_decimal(part) and _below(part, order)):
             raise SchemaError(f"--open-g: bad element index {part!r}", ("--open-g",))
         mask |= 1 << int(part)
-    if mask == 0:
-        raise SchemaError("--open-g: group part must be nonempty", ("--open-g",))
     return mask
 
 
@@ -494,7 +491,6 @@ class _Command(Record):
     and its options beyond ``spec`` and ``--format``, each a flag with
     the keywords of ``add_argument``."""
 
-    _fields = ("help", "stages", "options")
     help: str
     stages: set[str]
     options: tuple[tuple[str, dict], ...]

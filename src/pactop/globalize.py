@@ -60,20 +60,11 @@ class Globalization(Record):
     identity slice.
     """
 
-    _fields = ("source", "relation", "topology", "action", "embedding")
     source: PartialAction
     relation: EqRel
     topology: FinTop
     action: tuple[tuple[int, ...], ...]
     embedding: tuple[int, ...]
-
-    def __init__(self, source: PartialAction, relation: EqRel, topology: FinTop,
-                 action: tuple[tuple[int, ...], ...], embedding: tuple[int, ...]):
-        self._set("source", source)
-        self._set("relation", relation)
-        self._set("topology", topology)
-        self._set("action", action)
-        self._set("embedding", embedding)
 
     @property
     def product(self) -> FinTop:

@@ -15,18 +15,10 @@ GROUP_ORDER_LIMIT = 256
 class FiniteGroup(Record):
     """Group on elements ``0..order-1`` with a verified Cayley table."""
 
-    _fields = ("order", "mul", "identity", "inv")
     order: int
     mul: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
-
-    def __init__(self, order: int, mul: tuple[tuple[int, ...], ...], identity: int,
-                 inv: tuple[int, ...]):
-        self._set("order", order)
-        self._set("mul", mul)
-        self._set("identity", identity)
-        self._set("inv", inv)
 
     def elements(self) -> range:
         return range(self.order)

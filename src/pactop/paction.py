@@ -26,7 +26,6 @@ class PartialAction(Record):
     """Tables for a candidate partial action; validity is checked by
     ``validate``, never assumed by the constructor."""
 
-    _fields = ("group", "space", "dom", "maps")
     group: FiniteGroup
     space: FinTop
     dom: tuple[int, ...]

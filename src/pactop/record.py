@@ -1,18 +1,28 @@
 """``Record``, the base of the engine's immutable value classes.
 
-A subclass names its fields in ``_fields`` and writes them in its own
-``__init__``.  Records of one class compare and hash by those fields,
-print as ``Name(field=value, ...)``, and refuse assignment and deletion.
-They keep a ``__dict__``, so ``functools.cached_property`` tables live
-beside the fields and take no part in equality.  A copy is made by
-calling the constructor.
+A subclass declares its fields once, as annotated class attributes:
+``_fields`` is read from the class's own annotations, in order.
+Records of one class compare and hash by those fields, print as
+``Name(field=value, ...)``, and refuse assignment and deletion.  They
+keep a ``__dict__``, so ``functools.cached_property`` tables live beside
+the fields and take no part in equality.  A copy is made by calling the
+constructor.
 
-``__init__`` writes a field with ``self._set(name, value)``, which is
-``object.__setattr__``: CPython then keeps the fields in the instance's
-inline value array.  Writing ``self.__dict__`` directly builds a dict,
-which halves the construction, but on CPython 3.11 a loop of field
-reads ran about four times as slow on it; only ``Check`` and
-``Report``, built by the thousand and read a few times each, write it.
+``Record.__init__`` takes the fields by position, then by keyword, and
+writes each with ``self._set(name, value)`` in declaration order.
+``_set`` is ``object.__setattr__``: CPython then keeps the fields in the
+instance's inline value array.  Writing ``self.__dict__`` directly
+builds a dict, which halves the construction, but on CPython 3.11 a
+loop of field reads ran about four times as slow on it; only ``Check``
+and ``Report``, built by the thousand and read a few times each, write
+it.
+
+A record keeps its own ``__init__`` when it checks its arguments
+(``PartialAction``, ``FinTop``, ``EqRel``, ``SelectorMap``,
+``ActionSpec``), when a field has a default (``Check``, ``Report``,
+``_Command``), or when the sweeps build it in their inner loops: the
+generic constructor took about 1.1 us against 0.4 us for a hand-written
+one (CPython 3.11).
 
 The standard library's generated classes behave the same, but importing
 their module loads ``inspect`` and ``ast``, and each decorated class
@@ -26,12 +36,29 @@ from operator import attrgetter
 
 
 class Record:
-    _fields: tuple[str, ...] = ()
+    _fields = ()  # each subclass's own annotations, in order
     _set = object.__setattr__
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, {len(args)} given")
+        for field, value in zip(fields, args):
+            self._set(field, value)
+        for field in fields[len(args):]:
+            if field not in kwargs:
+                raise TypeError(f"{name}() missing field {field!r}")
+            self._set(field, kwargs.pop(field))
+        if kwargs:
+            field = next(iter(kwargs))
+            if field in fields:
+                raise TypeError(f"{name}() got field {field!r} twice")
+            raise TypeError(f"{name}() has no field {field!r}")
 
     def __eq__(self, other):
         if type(other) is type(self):

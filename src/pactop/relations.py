@@ -69,7 +69,6 @@ class EqRel(Record):
     fields, is where id ``c`` first appears.
     """
 
-    _fields = ("size", "class_id")
     size: int
     class_id: tuple[int, ...]
 

@@ -18,7 +18,6 @@ INFO = "info"
 
 
 class Check(Record):
-    _fields = ("name", "status", "witness", "detail")
     name: str
     status: str
     witness: tuple
@@ -34,7 +33,6 @@ class Check(Record):
 
 
 class Report(Record):
-    _fields = ("name", "checks", "sections")
     name: str
     checks: tuple[Check, ...]
     sections: tuple[Report, ...]

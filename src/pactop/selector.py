@@ -25,7 +25,6 @@ from .topology import FinTop, iter_bits, mask_of
 class SelectorMap(Record):
     """Idempotent point map on ``range(size)``; classes are the fibers."""
 
-    _fields = ("size", "image")
     size: int
     image: tuple[int, ...]
 
@@ -40,19 +39,6 @@ class SelectorMap(Record):
                 raise ValueError(f"not idempotent at {x}")
         self._set("size", size)
         self._set("image", image)
-
-
-def is_selector_for(sel: SelectorMap, rel: EqRel) -> bool:
-    """Selector laws: values stay in class, and two points share a value
-    exactly when they share a class."""
-    if sel.size != rel.size:
-        return False
-    cid = rel.class_id
-    if not all(cid[x] == cid[y] for x, y in enumerate(sel.image)):
-        return False
-    # Each class maps into itself, so it has one value exactly when
-    # there are as many values as classes.
-    return len(set(sel.image)) == rel.num_classes
 
 
 def transversal(sel: SelectorMap) -> int:
@@ -108,15 +94,9 @@ class BorelReport(Record):
     """Transversal topology, the atoms of the quotient Borel structure
     it is compared on, and the clause-by-clause report."""
 
-    _fields = ("tau", "quotient_atoms", "report")
     tau: FinTop
     quotient_atoms: tuple[int, ...]
     report: Report
-
-    def __init__(self, tau: FinTop, quotient_atoms: tuple[int, ...], report: Report):
-        self._set("tau", tau)
-        self._set("quotient_atoms", quotient_atoms)
-        self._set("report", report)
 
 
 def _quotient_atoms(glob: Globalization) -> tuple[int, ...]:

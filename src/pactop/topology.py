@@ -54,7 +54,6 @@ class FinTop(Record):
     ``from_neighborhoods`` builds a topology from its neighborhoods.
     """
 
-    _fields = ("size", "nbrs")
     size: int
     nbrs: tuple[int, ...]
 
@@ -139,15 +138,9 @@ def _up_sets(nbrs: Sequence[int], limit: int) -> list[int]:
 
 
 class SeparationFlags(Record):
-    _fields = ("t0", "t1", "t2")
     t0: bool
     t1: bool
     t2: bool
-
-    def __init__(self, t0: bool, t1: bool, t2: bool):
-        self._set("t0", t0)
-        self._set("t1", t1)
-        self._set("t2", t2)
 
 
 def _check_subset(t: FinTop, s: int, what: str) -> None:

@@ -12,7 +12,8 @@ action must pass; the sweep generator that checks the total action
 and builds the restriction again at every carrier; ``json.dumps``'s
 text of a run's JSON report, the reference for ``cli._render``;
 ``classes``, the member mask of each class of a relation;
-``min_selector``, the selector onto each class's least member; and
+``min_selector``, the selector onto each class's least member;
+``is_selector_for``, the selector laws of a map against a relation; and
 ``fresh``, the copy of an action with none of its tables cached.
 
 Each relation reference reads one product-wide bitmask row per point
@@ -35,7 +36,7 @@ from pactop import globalize, paction, selector, vaught
 from pactop.errors import AxiomViolation, LimitExceeded, NotAnAction
 from pactop.relations import EqRel
 from pactop.reports import ReportBuilder
-from pactop.selector import SelectorMap, is_selector_for
+from pactop.selector import SelectorMap
 from pactop.topology import iter_bits, mask_of
 
 
@@ -50,6 +51,19 @@ def classes(rel: EqRel) -> tuple[int, ...]:
 def min_selector(rel: EqRel) -> SelectorMap:
     """Send every point to the least member of its class, ``rel.least``."""
     return SelectorMap(rel.size, tuple(rel.least[c] for c in rel.class_id))
+
+
+def is_selector_for(sel: SelectorMap, rel: EqRel) -> bool:
+    """Selector laws: values stay in class, and two points share a value
+    exactly when they share a class."""
+    if sel.size != rel.size:
+        return False
+    cid = rel.class_id
+    if not all(cid[x] == cid[y] for x, y in enumerate(sel.image)):
+        return False
+    # Each class maps into itself, so it has one value exactly when
+    # there are as many values as classes.
+    return len(set(sel.image)) == rel.num_classes
 
 
 def fresh(pa: PartialAction) -> PartialAction:

@@ -738,6 +738,25 @@ def test_space_opens_errors(opens, reason, tmp_path):
     assert message in err
 
 
+@pytest.mark.parametrize("group, message", [
+    ({"kind": "dihedral", "order": 3}, "/group/kind: expected 'cyclic' or 'table'"),
+    ({"kind": "table", "table": [[0, 0], [0, 0]]},
+     "/group/table: not a group table: no two-sided identity element"),
+], ids=["kind", "no-identity"])
+def test_group_errors(group, message, tmp_path):
+    doc = _three_point_doc([[], ABC])
+    doc["group"] = group
+    with pytest.raises(SchemaError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == message
+    assert exc.value.witness == (message.split(": ")[0],)
+    bad = tmp_path / "group.json"
+    bad.write_text(json.dumps(doc))
+    out, err, code = run_main(["validate", str(bad)])
+    assert (out, code) == ("", 2)
+    assert message in err
+
+
 def test_parse_rejects_unknown_key():
     doc = example_doc()
     doc["extra"] = 1

@@ -345,6 +345,24 @@ def test_effros_frozen_failure():
     ]
 
 
+def test_homeomorphic_translations_frozen_failure():
+    # The failing branch build never reaches: its total action is checked
+    # continuous and invertible.  C2 fixing each point of the space whose
+    # opens are {}, {0, 1} and {0, 1, 2}, its translation by 1 replaced
+    # by the swap of classes 0 and 2, which is not continuous.
+    space = FinTop.from_neighborhoods([0b011, 0b011, 0b111])
+    pa = PartialAction(cyclic(2), space, (0b111, 0b111), ((0, 1, 2), (0, 1, 2)))
+    glob = build(pa)
+    moved = Globalization(glob.source, glob.relation, glob.topology,
+                          (glob.action[0], (2, 1, 0)), glob.embedding)
+    rep = embedding_report(moved)
+    assert [(c.status, c.witness) for c in rep.checks] == [
+        (PASS, ()), (PASS, ()), (FAIL, ((1, 0), (1, 2))), (PASS, ()),
+        (FAIL, (1,)), (FAIL, (("map", 1, 0), ("map", 1, 2))),
+    ]
+    assert rep.checks[4].name == "every translation is a homeomorphism of the quotient"
+
+
 def test_effros_report_matches_the_square_reference(family, s3_family, changed_family):
     # Read on neighborhood pairs, "orbit relation open in the square"
     # must give the square's report, or raise as it does, on valid,

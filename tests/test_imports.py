@@ -103,7 +103,7 @@ def test_package_exports_functions_and_classes_only():
     classes = [name for name, value in exported.items() if inspect.isclass(value)]
     assert sorted(functions + classes) == pactop.__all__
     assert {"minimal_neighborhoods", "pair_action"} <= set(functions)
-    assert (len(functions), len(classes)) == (50, 24)
+    assert (len(functions), len(classes)) == (49, 24)
 
 
 def bench_names(source: str) -> dict:

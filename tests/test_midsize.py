@@ -24,7 +24,6 @@ from pactop import (
     effros_report,
     enveloping_relation,
     hat_relation_report,
-    is_selector_for,
     lifted_action,
     normalized_selector,
     orbit_equivalence,
@@ -240,7 +239,7 @@ def test_c64_on_128_points_minus_one():
     assert validate(pa).ok
     glob = build(pa)
     assert hat_relation_report(glob).ok
-    assert is_selector_for(normalized_selector(pa), glob.relation)
+    assert references.is_selector_for(normalized_selector(pa), glob.relation)
     assert orbit_homeomorphism_report(pa).ok
     assert references.check_saturation(space, rows, carrier, glob) == (True, False)
     assert glob.num_classes == 128

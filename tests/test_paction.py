@@ -700,6 +700,28 @@ def test_orbit_consistency_on_valid_family(valid_family):
         assert orbit_consistency_report(pa).ok
 
 
+@pytest.mark.parametrize("nbrs, statuses", [
+    ([0b001, 0b010, 0b100], (FAIL, PASS)),
+    ([0b111, 0b111, 0b111], (PASS, FAIL)),
+], ids=["discrete", "indiscrete"])
+def test_class_map_frozen_failures(nbrs, statuses):
+    # The failing branches topology.quotient never reaches: it opens a
+    # class set exactly when its preimage is open.  C2 fixing each point
+    # of the space whose opens are {}, {0, 1} and {0, 1, 2}, its orbit
+    # quotient replaced by a discrete one (the class map is not
+    # continuous) or an indiscrete one (it is not open).
+    space = FinTop.from_neighborhoods([0b011, 0b011, 0b111])
+    pa = PartialAction(cyclic(2), space, (0b111, 0b111), ((0, 1, 2), (0, 1, 2)))
+    vars(pa)["orbit_quotient"] = FinTop.from_neighborhoods(nbrs)
+    rep = orbit_consistency_report(pa)
+    assert [(c.name, c.status, c.witness) for c in rep.checks] == [
+        ("acting set translates along each move", PASS, ()),
+        ("class map continuous", statuses[0], ()),
+        ("class map open", statuses[1], ()),
+        ("acting set absorbs stabilizer right-shifts", PASS, ()),
+    ]
+
+
 def test_acting_set_size_constant_on_orbits(valid_family):
     # |G^x| is constant along an orbit since acting sets translate
     for pa in valid_family:

@@ -1,14 +1,19 @@
 """The engine's immutable records behave as the frozen dataclasses they
 replaced: equality and hashing by fields within one class, the same
 repr text, no assignment or deletion, cached tables kept beside the
-fields, and the constructors' own checks and messages.  The reference
-for equality, hashing and repr is a frozen dataclass with the same
-name and fields, built here."""
+fields, and the constructors' own checks and messages.  Each class
+declares its fields once, as annotations, and the records that only
+store them share ``Record.__init__``.  The reference for equality,
+hashing and repr is a frozen dataclass with the same name and fields,
+built here."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import re
+import textwrap
 
 import pytest
 
@@ -82,6 +87,40 @@ def test_every_record_class_is_covered():
     assert engine == set(CLASSES)
 
 
+# the records whose constructor would only store its arguments
+STORED_ONLY = (Globalization, BorelReport, SeparationFlags, FiniteGroup)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_fields_are_declared_once_as_annotations(cls):
+    [body] = ast.parse(textwrap.dedent(inspect.getsource(cls))).body
+    assigned = {t.id for node in body.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert "_fields" not in assigned and "_fields" not in cls.__annotations__
+    assert cls._fields == tuple(cls.__annotations__) and cls._fields
+    assert (cls.__init__ is Record.__init__) == (cls in STORED_ONLY)
+
+
+@pytest.mark.parametrize("cls", STORED_ONLY, ids=lambda c: c.__name__)
+def test_the_shared_constructor_writes_every_field_once(cls):
+    a = BUILDERS[cls]()
+    values = list(fields(a).values())
+    first, last = a._fields[0], a._fields[-1]
+    # keywords in reverse: still written in declaration order
+    mixed = cls(*values[:1], **dict(reversed([*zip(a._fields, values)][1:])))
+    assert mixed == a and list(vars(mixed)) == list(a._fields)
+    name = cls.__qualname__
+    with pytest.raises(TypeError, match=message(
+            f"{name}() takes {len(values)} fields, {len(values) + 1} given")):
+        cls(*values, None)
+    with pytest.raises(TypeError, match=message(f"{name}() missing field {last!r}")):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=message(f"{name}() got field {first!r} twice")):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError, match=message(f"{name}() has no field 'other'")):
+        cls(*values, other=None)
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_equal_fields_give_equal_records_and_hashes(cls):
     a, b = BUILDERS[cls](), BUILDERS[cls]()
@@ -100,7 +139,7 @@ def test_equal_fields_give_equal_records_and_hashes(cls):
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_a_record_of_another_class_is_not_equal(cls):
     a = BUILDERS[cls]()
-    twin_cls = type(cls.__name__, (Record,), {"_fields": cls._fields})
+    twin_cls = type(cls.__name__, (Record,), {"__annotations__": cls.__annotations__})
     twin = twin_cls.__new__(twin_cls)
     vars(twin).update(fields(a))
     assert a != twin and twin != a
