@@ -36,7 +36,6 @@ from operator import attrgetter
 
 
 class Record:
-    _fields = ()  # each subclass's own annotations, in order
     _set = object.__setattr__
 
     def __init_subclass__(cls, **kwargs):
