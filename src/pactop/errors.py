@@ -1,7 +1,8 @@
 """Exception taxonomy for the engine; ``in_range``, the one test every
 point, element, table entry and point set (an int index or bitmask)
-passes; and ``has_entries``, the one test every table of them passes.
-A value that fails either gets its caller's typed error.
+passes; ``has_entries``, the one test every table of them passes; and
+``short_count``, the form a printed count takes.  A value that fails
+``in_range`` or ``has_entries`` gets its caller's typed error.
 
 Every exception carries a ``witness`` tuple pinpointing the offending
 element, pair or triple, so callers can report exactly what broke.
@@ -23,6 +24,13 @@ def has_entries(table: object, n: int) -> bool:
         return len(table) == n
     except TypeError:
         return False
+
+
+def short_count(n: int) -> int | str:
+    """``n`` below 2^64; from 2^64 on, "at least 2^k" with 2^k <= n, its
+    power of two, rather than hundreds of digits (past 4,300 digits
+    ``int.__repr__`` raises ValueError)."""
+    return n if n < 1 << 64 else f"at least 2^{n.bit_length() - 1}"
 
 
 class PactopError(Exception):
@@ -86,16 +94,15 @@ class LimitExceeded(PactopError):
     ``limit`` names what is counted and ``size`` is the count that hit
     the limit; for a family built up step by step (open sets) it is the
     count reached when the limit tripped, so a lower bound.  The message
-    and witness give a count of 2^64 or more as "at least 2^k", its
-    power of two, rather than in hundreds of digits.
+    and witness give the count as ``short_count`` does.
     """
 
     def __init__(self, limit: str, size: int, bound: int):
-        exact = size < 1 << 64
-        shown = f"{size:,}" if exact else f"at least 2^{size.bit_length() - 1}"
+        shown = short_count(size)
+        text = f"{shown:,}" if type(shown) is int else shown
         super().__init__(
-            f"size limit hit: {shown} {limit} exceed the {bound:,} allowed",
-            (limit, size if exact else shown),
+            f"size limit hit: {text} {limit} exceed the {bound:,} allowed",
+            (limit, shown),
         )
         self.limit = limit
         self.size = size

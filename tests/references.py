@@ -1,8 +1,9 @@
 """Mask-row forms of the engine's relation builders and orbit checks,
 kept as the references their label-row forms are compared against; the
-row form of the transform-identity suite, the reference for its bit
-planes; the square and pair-scan forms of the pair-shaped checks
-(orbit relation open in the square, separation, bireducibility); the
+row form of the transform-identity suite, which enumerates every point
+set and group part where the engine decides each element; the square
+and pair-scan forms of the pair-shaped checks (orbit relation open in
+the square, separation, bireducibility); the
 definedness graph tested for openness in the product; the
 two pair scans the shared ``relations.disagreements`` replaced (the
 lift-orbit relation's first pair, the reductions' first 8); the inputs
@@ -438,21 +439,6 @@ def transform_tables(pa: PartialAction) -> tuple[list[list[int]], list[list[int]
     return delta, star
 
 
-def planes_to_rows(pa: PartialAction, tables: list[int]) -> list[list[int]]:
-    """Bit-plane transform tables as rows: ``rows[A][V]`` is the mask of
-    the points x whose cell x * 2^|G| + V is set in ``tables[A]``."""
-    width = 1 << pa.group.order
-    plane = (1 << width) - 1
-    out = []
-    for t in tables:
-        row = [0] * width
-        for x in pa.space.points():
-            for v in iter_bits((t >> (x * width)) & plane):
-                row[v] |= 1 << x
-        out.append(row)
-    return out
-
-
 def _subset_or(acc: list[int]) -> None:
     """In place, acc[V] becomes the union of acc[U] over U inside V: the
     subset-sum (zeta) transform, one bit at a time, as strided or
@@ -470,14 +456,20 @@ def _subset_or(acc: list[int]) -> None:
         b = step
 
 
+# Most (point set, group part) combinations the row suite enumerates
+TRANSFORM_LIMIT = 1 << 20
+
+
 def transform_identities_report(pa: PartialAction):
     """The identity suite on ``transform_tables``, comparing whole rows
-    of point masks one point set at a time and listing witnesses only
-    for a row that differs.  Same checks, order, witnesses and limit."""
+    of point masks one point set at a time and listing as witnesses the
+    (A, V) of a row that differs: the engine's checks, in its order,
+    with its info line, decided by enumeration up to ``TRANSFORM_LIMIT``
+    combinations."""
     size, full, order = pa.space.size, pa.space.full, pa.group.order
     count = (1 << size) * ((1 << order) - 1)
-    if count > vaught.TRANSFORM_LIMIT:
-        raise LimitExceeded("transform combinations", count, vaught.TRANSFORM_LIMIT)
+    if count > TRANSFORM_LIMIT:
+        raise LimitExceeded("transform combinations", count, TRANSFORM_LIMIT)
     rb = ReportBuilder("transform-identities")
     delta, star = transform_tables(pa)
     # Per part V, the points whose acting set misses V.

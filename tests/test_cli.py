@@ -27,7 +27,7 @@ from pactop import (
     mutant_family,
 )
 from pactop.cli import ActionSpec, main, parse, serialize
-from pactop.errors import SchemaError
+from pactop.errors import ParseError, SchemaError
 from pactop.instances import coset_rows
 
 EXAMPLE = str(resources.files("pactop").joinpath("data/example48.json"))
@@ -84,6 +84,8 @@ def test_malformed_json_exits_2(tmp_path):
     res = run_cli("validate", str(bad))
     assert res.returncode == 2
     assert "error:" in res.stderr
+    with pytest.raises(ParseError, match="^not valid JSON: "):
+        parse("{not json at all")
 
 
 @pytest.mark.parametrize("document", [
@@ -97,6 +99,8 @@ def test_undecodable_json_exits_2(tmp_path, document):
     assert res.returncode == 2
     assert "error:" in res.stderr
     assert "Traceback" not in res.stderr
+    with pytest.raises(ParseError, match="^not valid JSON: "):
+        parse(document)
 
 
 def test_schema_error_exits_2(tmp_path):
@@ -177,8 +181,13 @@ def test_group_order_limit_exits_2(tmp_path, group, where):
     res = run_cli("validate", str(bad), timeout=30)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
-    assert f"{where}: size limit hit: 257 group order exceed the 256 allowed" in (
-        res.stderr)
+    message = f"{where}: size limit hit: 257 group order exceed the 256 allowed"
+    assert message in res.stderr
+    # and in process: the parser turns the group's LimitExceeded into a
+    # SchemaError at the same path
+    with pytest.raises(SchemaError) as exc:
+        parse(json.dumps(doc))
+    assert (str(exc.value), exc.value.witness) == (message, (where,))
 
 
 def test_cyclic_group_of_the_largest_order_validates(tmp_path):
@@ -208,14 +217,19 @@ def test_report_passes_on_rotation_of_six_points_minus_one(tmp_path):
 
 @pytest.mark.parametrize("command", [["report"], ["vaught", "--set", "p"]])
 def test_transform_limit_fails_at_once(tmp_path, command):
-    # 2 point sets times 2**25 - 1 group parts pass the transform limit
+    # 2 point sets times 2**25 - 1 group parts, 64 times the old transform
+    # limit: the identities are decided per element, at once, and pass
     pa = induced(cyclic(25), discrete(1), [(0,)] * 25, 1)
     doc = tmp_path / "c25.json"
     doc.write_text(json.dumps(serialize(ActionSpec("c25", ("p",), pa))))
     res = run_cli(command[0], str(doc), *command[1:], timeout=30)
-    assert res.returncode == 1
+    assert res.returncode == 0, res.stderr
     assert "Traceback" not in res.stderr
-    assert "67,108,862 transform combinations" in res.stdout
+    assert "[PASS] transform-identities\n" in res.stdout
+    assert (
+        "  [info] combinations checked witness=[67108862, 33554431]"
+        " (point sets times group parts, both transforms)\n"
+    ) in res.stdout
 
 
 def test_identity_domain_must_be_full(tmp_path):

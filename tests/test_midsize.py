@@ -32,9 +32,8 @@ from pactop import (
     transform_identities_report,
     validate,
 )
-from pactop.errors import LimitExceeded
-from pactop.reports import FAIL, PASS
-from pactop.vaught import TRANSFORM_LIMIT
+from pactop.errors import LimitExceeded, short_count
+from pactop.reports import FAIL, INFO, PASS
 
 
 @pytest.fixture(scope="module")
@@ -92,20 +91,22 @@ def test_midsize_checks_match_the_mask_references(midsize):
 
 
 def test_midsize_identity_suite_matches_the_row_reference(midsize):
-    # The valid instances the transform limit admits: D4, Q8 (identity
-    # listed fifth) and A4 on 3 to 12 points.  Every check's status and
-    # witness, and the info line, must equal the row form's.
+    # The instances the row reference's enumeration bound admits: D4, Q8
+    # (identity listed fifth) and A4 on 3 to 12 points, valid or not.
+    # Every check's status and witness, and the info line, must equal the
+    # row form's; no check fails on any of them.
     names = ["D4", "Q8", "A4", "S4"]
     within = [
-        (names[n % 4], pa) for n, (_, _, _, pa) in enumerate(midsize)
-        if validate(pa).ok
-        and (1 << pa.space.size) * ((1 << pa.group.order) - 1) <= TRANSFORM_LIMIT
+        (names[n % 4], validate(pa).ok, pa) for n, (_, _, _, pa) in enumerate(midsize)
+        if (1 << pa.space.size) * ((1 << pa.group.order) - 1)
+        <= references.TRANSFORM_LIMIT
     ]
-    assert [(name, pa.space.size) for name, pa in within] == [
+    assert [(name, pa.space.size) for name, ok, pa in within if ok] == [
         ("D4", 9), ("A4", 8), ("D4", 4), ("Q8", 12), ("D4", 7), ("Q8", 10),
         ("D4", 11), ("Q8", 3),
     ]
-    for _, pa in within:
+    assert len(within) == 13
+    for _, _, pa in within:
         expected = references.transform_identities_report(pa)
         assert transform_identities_report(pa) == expected, pa
         assert expected.ok, pa
@@ -200,11 +201,13 @@ def test_report_on_midsize_edits(midsize):
     # The report stages, in process: some instances have no document
     # (serialize hits the open-set limit), and S4 on 19 points has one of
     # 33 MB.  Each instance, its four one-entry edits and its blanked
-    # copy: nothing raises, exactly the valid instances within the
-    # transform limit pass, and every failing report names a witness or
-    # the size limit it hit.
+    # copy: nothing raises, exactly the valid instances but S4's pass (S4's
+    # transversal topology stops at the open-set limit), every failing
+    # report names a witness or the size limit it hit, and every
+    # transform-identities report that runs passes, past the row
+    # reference's bound too, with its count on the info line.
     args = cli._build_parser().parse_args(["report", "doc.json"])
-    passed, limits = [], {}
+    passed, limits, transforms = [], {}, 0
     for n, (_, _, _, pa) in enumerate(midsize):
         for k, edit in enumerate(
             [pa, *references.one_entry_edits([pa], 4, seed=n), blanked(pa)]
@@ -213,6 +216,13 @@ def test_report_on_midsize_edits(midsize):
             data, reports = cli._run(spec, args)
             text, ok = cli._render(spec.label, "report", data, reports, "json")
             assert text == references.report_json(spec.label, "report", data, reports)
+            for rep in reports:
+                if rep.name == "transform-identities":
+                    parts = (1 << edit.group.order) - 1
+                    count = (1 << edit.space.size) * parts
+                    assert rep.ok, edit
+                    assert rep.checks[-1].witness == (count, parts), edit
+                    transforms += 1
             if ok:
                 passed.append((n, k))
                 continue
@@ -226,11 +236,11 @@ def test_report_on_midsize_edits(midsize):
             assert named, edit
     assert passed == [
         (n, 0) for n, (_, _, _, pa) in enumerate(midsize)
-        if validate(pa).ok
-        and (1 << pa.space.size) * ((1 << pa.group.order) - 1) <= TRANSFORM_LIMIT
+        if validate(pa).ok and pa.group.order != 24
     ]
-    assert len(passed) == 8
-    assert limits == {"transform-identities": 6, "transversal-topology": 5}
+    assert len(passed) == 9
+    assert limits == {"transversal-topology": 5}
+    assert transforms == 14
 
 
 def test_c64_on_128_points_minus_one():
@@ -248,8 +258,8 @@ def test_c64_on_128_points_minus_one():
 def test_c8_on_2048_points_minus_one():
     # Scale gate: C8 on 2,048 points minus one (|G|*|X| = 16,376).  No
     # table here may grow with the square of the points: every report
-    # stage passes but the two behind a size limit.  Bireducibility,
-    # which the report skips after the transversal limit, and the
+    # stage passes but transversal-topology, behind its open-set limit.
+    # Bireducibility, which the report skips after that limit, and the
     # envelope's separation flags are read directly.
     _, _, _, pa = rotation(8, 2048)
     spec = cli.ActionSpec("", tuple(f"p{x}" for x in pa.space.points()), pa)
@@ -259,10 +269,10 @@ def test_c8_on_2048_points_minus_one():
         rep.name: [check.name.split(":")[0] for _, check in rep.failures()]
         for rep in reports if not rep.ok
     }
-    assert failed == {
-        "transform-identities": ["size limit hit"],
-        "transversal-topology": ["size limit hit"],
-    }
+    assert failed == {"transversal-topology": ["size limit hit"]}
+    transforms = next(r for r in reports if r.name == "transform-identities")
+    assert transforms.ok
+    assert transforms.checks[-1].witness == ("at least 2^2054", 255)
     assert effros_report(pa).ok
     glob = build(pa)
     assert separation(glob.topology) == SeparationFlags(True, True, True)
@@ -271,24 +281,22 @@ def test_c8_on_2048_points_minus_one():
 
 
 def test_transform_limit_on_c8_on_2048_points_minus_one_prints_a_short_count():
-    # 2^2047 point sets times 2^8 - 1 group parts: the error keeps the
-    # exact count, while the check name and witness the report prints
-    # give its power of two, not 619 digits
+    # 2^2047 point sets times 2^8 - 1 group parts, past the old transform
+    # limit: the checks are decided, and the info line the report prints
+    # gives the count's power of two, not 619 digits
     _, _, _, pa = rotation(8, 2048)
     spec = cli.ActionSpec("", tuple(f"p{x}" for x in pa.space.points()), pa)
     args = cli._build_parser().parse_args(["report", "doc.json"])
     _, reports = cli._run(spec, args)
-    (check,) = next(r for r in reports if r.name == "transform-identities").checks
-    assert check.name == (
-        "size limit hit: at least 2^2054 transform combinations"
-        " exceed the 1,048,576 allowed"
-    )
-    assert check.witness == ("transform combinations", "at least 2^2054")
-    assert len(check.name) < 120 and len(json.dumps(check.witness)) < 120
-    with pytest.raises(LimitExceeded) as exc:
-        transform_identities_report(pa)
-    assert exc.value.size == (1 << 2047) * 255
+    rep = next(r for r in reports if r.name == "transform-identities")
+    assert [(c.status, c.witness) for c in rep.checks] == [(PASS, ())] * 5 + [
+        (INFO, ("at least 2^2054", 255))
+    ]
+    assert rep.checks[-1].name == "combinations checked"
+    assert len(json.dumps(rep.checks[-1].witness)) < 120
+    assert short_count((1 << 2047) * 255) == "at least 2^2054"
     # the exact count is printed up to 2^64 - 1
+    assert short_count((1 << 64) - 1) == (1 << 64) - 1
     err = LimitExceeded("open sets", (1 << 64) - 1, 1)
     assert str(err).startswith("size limit hit: 18,446,744,073,709,551,615 open sets")
     assert err.witness == ("open sets", (1 << 64) - 1)
@@ -297,3 +305,14 @@ def test_transform_limit_on_c8_on_2048_points_minus_one_prints_a_short_count():
     assert err.witness == ("open sets", "at least 2^64")
     # a count past 4,300 digits, which str() refuses with ValueError
     assert "at least 2^15000 open" in str(LimitExceeded("open sets", 1 << 15000, 1))
+
+
+def test_transform_identities_on_c8_on_16384_points_minus_one():
+    # |G|*|X| = 131,064: 2^16383 point sets times 255 group parts, a count
+    # of 4,935 digits, past what int.__repr__ prints.  The checks pass,
+    # and the JSON writer renders the report's short count.
+    _, _, _, pa = rotation(8, 16384)
+    rep = transform_identities_report(pa)
+    assert rep.ok, rep.failures()
+    assert rep.checks[-1].witness == ("at least 2^16390", 255)
+    assert '"at least 2^16390"' in cli._dumps(rep.to_dict())

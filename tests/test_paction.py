@@ -695,6 +695,24 @@ def test_mutant_family_needs_a_point(instances):
         mutant_family(instances, 5)
 
 
+def test_mutants_of_an_action_with_no_defined_entry(monkeypatch):
+    # C2 on two points with every entry undefined: each time the remap
+    # mutator is drawn it finds no entry to redirect and gives nothing
+    # (rng.choice([]) would raise IndexError), and the discrete space has
+    # no non-open domain, so every mutant is an identity gap
+    remapped = []
+
+    def remap(pa, rng):
+        remapped.append(instances._remap_mutant(pa, rng))
+        return remapped[-1]
+
+    mutators = (("remap", remap), *instances._MUTATORS[1:])
+    monkeypatch.setattr(instances, "_MUTATORS", mutators)
+    pa = PartialAction(cyclic(2), discrete(2), (0, 0), ((-1, -1), (-1, -1)))
+    assert [kind for kind, _ in mutant_family([pa], 12, seed=1)] == ["identity-gap"] * 12
+    assert remapped and not any(remapped), remapped
+
+
 def test_orbit_consistency_on_valid_family(valid_family):
     for pa in valid_family:
         assert orbit_consistency_report(pa).ok

@@ -18,6 +18,7 @@ from pactop import (
     cyclic,
     discrete,
     example_k3,
+    induced,
     lifted_action,
     normalized_selector,
     orbit_homeomorphism_report,
@@ -105,6 +106,25 @@ def test_measurability_frozen_failure():
     assert [(c.status, c.witness) for c in brep.report.checks] == [
         (PASS, ()), (INFO, (3, 3)), (PASS, (4, 4)), (PASS, (0b111,)),
         (PASS, (0b111, 0b111)), (PASS, (4, 4)), (FAIL, ((1, 0b011), (1, 0b100))),
+    ]
+
+
+def test_extension_frozen_failure():
+    # The failing branch no swept instance reaches.  C2 swapping the two
+    # Sierpinski pairs of one block, each a closed bottom point 2i under
+    # an open top point 2i + 1, restricted to every point but the bottom
+    # of pair 0 (3 points), its envelope's quotient topology replaced by
+    # the discrete one: class 2 is open there and not in the transversal
+    # topology, and every other check still passes.
+    space = FinTop.from_neighborhoods([0b0011, 0b0010, 0b1100, 0b1000])
+    pa = induced(cyclic(2), space, [(0, 1, 2, 3), (2, 3, 0, 1)], 0b1110)
+    glob = build(pa)
+    moved = Globalization(glob.source, glob.relation, discrete(glob.num_classes),
+                          glob.action, glob.embedding)
+    brep = transversal_topology(moved, normalized_selector(pa))
+    assert [(c.status, c.witness) for c in brep.report.checks] == [
+        (FAIL, (2,)), (INFO, (16, 12)), (PASS, (16, 16)), (PASS, (7,)),
+        (PASS, (7, 7)), (PASS, (8, 8)), (PASS, ()),
     ]
 
 

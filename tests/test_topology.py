@@ -497,9 +497,16 @@ def test_size_limits_name_the_limit_and_size():
     with pytest.raises(LimitExceeded) as exc:
         all_topologies(5)
     assert exc.value.size == 5
-    for order in (25, 64):  # 2**64 - 1 group parts overflow a range's len()
+    # the transform identities have no limit: 2 * (2**order - 1)
+    # combinations are decided, and the info line prints each count below
+    # 2**64 in full, 2**64 - 1 group parts (which overflow a range's len())
+    # too, and from 2**64 on its power of two
+    for order, counts in (
+        (25, (2 * (2 ** 25 - 1), 2 ** 25 - 1)),
+        (64, ("at least 2^64", 2 ** 64 - 1)),
+        (65, ("at least 2^65", "at least 2^64")),
+    ):
         pa = induced(cyclic(order), discrete(1), [(0,)] * order, 1)
-        with pytest.raises(LimitExceeded) as exc:
-            transform_identities_report(pa)
-        assert exc.value.limit == "transform combinations"
-        assert exc.value.size == 2 * (2 ** order - 1)
+        rep = transform_identities_report(pa)
+        assert rep.ok, rep.failures()
+        assert rep.checks[-1].witness == counts

@@ -140,24 +140,15 @@ def _partitions_upto3(points):
             yield sub[:i] + (sub[i] | (1 << first),) + sub[i + 1:]
 
 
-def plane_tables(pa) -> tuple[list[int], list[int]]:
-    """The report's bit-plane tables, built through ``vaught._planes``."""
-    return vaught._planes(pa, *vaught._layout(pa.space.size, pa.group.order))
-
-
-def plane_rows(pa) -> tuple[list[list[int]], list[list[int]]]:
-    """The report's tables as rows of point masks, ``rows[A][V]``."""
-    return tuple(references.planes_to_rows(pa, t) for t in plane_tables(pa))
-
-
 def scan_identities(pa) -> dict[str, bool]:
-    """Verdicts of the three checks the reductions replace, by direct
+    """Verdicts of the three checks the row reference reduces, by direct
     enumeration: every partition of A into at most 3 blocks, every pair
-    (A, B) and every sub-part of every group part.  Reads the report's
-    tables through ``vaught._planes``, so a patched table reaches both."""
+    (A, B) and every sub-part of every group part.  Reads the tables
+    through ``references.transform_tables``, so a patched table reaches
+    both."""
     size, full = pa.space.size, pa.space.full
     parts = range(1, 1 << pa.group.order)
-    delta, star = plane_rows(pa)
+    delta, star = references.transform_tables(pa)
     union = inter = basis = True
     for a in range(1 << size):
         for blocks in _partitions_upto3(tuple(iter_bits(a))):
@@ -182,9 +173,9 @@ def scan_identities(pa) -> dict[str, bool]:
 
 
 def reference_checks(pa, delta, star) -> list[tuple[str, str, tuple]]:
-    """The five checks of ``transform_identities_report`` as entry-by-entry
-    loops over the tables: (name, status, witness) each, the witnesses
-    the first 8 failing (A, V) in order."""
+    """The five checks of ``references.transform_identities_report`` as
+    entry-by-entry loops over the tables: (name, status, witness) each,
+    the witnesses the first 8 failing (A, V) in order."""
     size, full, order = pa.space.size, pa.space.full, pa.group.order
     parts = range(1, 1 << order)
     out = []
@@ -238,30 +229,33 @@ def _checks(rep) -> list[tuple[str, str, tuple]]:
 
 def test_reductions_match_scans_on_family(valid_family, valid_s3_family):
     for pa in valid_family + valid_s3_family:
-        assert _verdicts(transform_identities_report(pa)) == scan_identities(pa), pa
+        rep = references.transform_identities_report(pa)
+        assert _verdicts(rep) == scan_identities(pa), pa
+        assert _verdicts(transform_identities_report(pa)) == _verdicts(rep), pa
 
 
 def test_reductions_match_scans_on_broken_tables(
     valid_family, valid_s3_family, monkeypatch
 ):
-    # Each table has one cell (A, V, x) of delta or star flipped: 2,000
-    # draws from the family, then 300 from S3 on 3 points, whose parts
-    # fill 64-cell planes.  The report and the scans read every table
-    # through ``_planes``, so patching it reaches both.
+    # Each table has one entry (A, V, x) of delta or star flipped: 2,000
+    # draws from the family, then 300 from S3 on 3 points, whose rows
+    # hold 64 group parts.  The row reference and the scans read every
+    # table through ``transform_tables``, so patching it reaches both.
     rng = random.Random(11)
     true = {}  # the true tables, keyed by instance
-    broken = {}  # the cell to flip, keyed by the table
-    planes = vaught._planes
+    broken = {}  # the entry to flip, keyed by the table
+    tables = references.transform_tables
 
-    def broken_planes(pa, cells, lacks):
+    def broken_tables(pa):
         if pa not in true:
-            true[pa] = planes(pa, cells, lacks)
-        out = {"delta": list(true[pa][0]), "star": list(true[pa][1])}
-        for (kind, a), cell in broken.items():
-            out[kind][a] ^= cell
+            true[pa] = tables(pa)
+        out = {"delta": [list(r) for r in true[pa][0]],
+               "star": [list(r) for r in true[pa][1]]}
+        for (kind, a, v), bit in broken.items():
+            out[kind][a][v] ^= bit
         return out["delta"], out["star"]
 
-    monkeypatch.setattr(vaught, "_planes", broken_planes)
+    monkeypatch.setattr(references, "transform_tables", broken_tables)
     for count, instances in [(2000, valid_family), (300, valid_s3_family)]:
         nonempty = [pa for pa in instances if pa.space.size]
         fails = Counter()
@@ -272,22 +266,120 @@ def test_reductions_match_scans_on_broken_tables(
             v = rng.randrange(1, 1 << pa.group.order)
             x = rng.randrange(pa.space.size)
             broken.clear()
-            broken[kind, a] = 1 << (x * (1 << pa.group.order) + v)
-            rep = transform_identities_report(pa)
+            broken[kind, a, v] = 1 << x
+            rep = references.transform_identities_report(pa)
             got = _verdicts(rep)
             assert got == scan_identities(pa), (pa, kind, a, v, x)
-            assert _checks(rep) == reference_checks(pa, *plane_rows(pa)), (
+            assert _checks(rep) == reference_checks(pa, *broken_tables(pa)), (
                 pa, kind, a, v, x
             )
             fails.update(name for name, ok in got.items() if not ok)
         assert all(fails[name] for name in (UNION, INTER, BASIS)), fails
 
 
-def test_identities_report_matches_the_row_reference(family, s3_family):
-    # every check's status and witness, the info line, or what is raised
-    for pa in family + s3_family:
+def test_identities_report_matches_the_row_reference(family, s3_family, changed_family):
+    # every check's status and witness, the info line, or what is raised;
+    # no table of the sweeps fails a check, so no witness differs in kind
+    raised = 0
+    for pa in family + s3_family + changed_family:
         expected = references.outcome(references.transform_identities_report, pa)
         assert references.outcome(transform_identities_report, pa) == expected, pa
+        raised += isinstance(expected, tuple)
+    assert raised == 231
+
+
+def _statuses(rep) -> list[tuple[str, str]]:
+    # each check's status, and the info line's witness
+    return [(c.name, c.witness if c.status == INFO else c.status) for c in rep.checks]
+
+
+@pytest.mark.parametrize("seed, fails", [
+    (1, {"complement duality": 3836, INTER: 2858}),
+    (2, {"complement duality": 3855, INTER: 2835}),
+])
+def test_identities_report_matches_the_reference_on_flipped_preimages(
+    valid_family, valid_s3_family, seed, fails
+):
+    # 4,000 valid tables, each with 1-3 bits of ``preimages`` flipped:
+    # the per-element verdicts equal the enumerated ones, check by check.
+    # The witnesses differ in kind (elements against (A, V) pairs), so
+    # only the statuses and the info line are compared.
+    rng = random.Random(seed)
+    nonempty = [pa for pa in valid_family + valid_s3_family if pa.space.size]
+    seen = Counter()
+    for _ in range(4000):
+        pa = references.fresh(rng.choice(nonempty))
+        rows = [list(row) for row in pa.preimages]
+        for _ in range(rng.randint(1, 3)):
+            g, y = rng.randrange(pa.group.order), rng.randrange(pa.space.size)
+            rows[g][y] ^= 1 << rng.randrange(pa.space.size)
+        vars(pa)["preimages"] = tuple(map(tuple, rows))
+        expected = references.transform_identities_report(pa)
+        assert _statuses(transform_identities_report(pa)) == _statuses(expected), (
+            pa, rows
+        )
+        seen.update(c.name for c in expected.checks if c.status == FAIL)
+    assert seen == fails
+
+
+# SWAP's element 1 carries point 0 to 1 and 1 to 0: its preimage rows
+# are ({1}, {0}).  In K3 only the identity acts at x0.
+@pytest.mark.parametrize("pa, tables, frozen", [
+    # point 0 dropped from element 1's row of point 1: the rows miss point 0
+    (SWAP, {"preimages": (SWAP.preimages[0], (0b10, 0))},
+     [(FAIL, (1,)), (PASS, ()), (PASS, ()), (PASS, ()), (PASS, ()), (INFO, (12, 3))]),
+    # point 0 added to element 1's row of point 0: it lies in both rows
+    (SWAP, {"preimages": (SWAP.preimages[0], (0b11, 0b01))},
+     [(FAIL, (1,)), (PASS, ()), (FAIL, (1,)), (PASS, ()), (PASS, ()), (INFO, (12, 3))]),
+    # every element claimed to act at x0: the tight transforms of 1 and 2
+    # hold there without the acting sets allowing it
+    (K3, {"acting": (FULL_G3, FULL_G3)},
+     [(PASS, ()), (PASS, ()), (PASS, ()), (FAIL, (1, 2)), (PASS, ()), (INFO, (28, 7))]),
+], ids=["duality", "intersections", "vacuous"])
+def test_identities_frozen_failures_on_patched_tables(pa, tables, frozen):
+    # the preimage rows are read before ``acting`` is replaced: they are
+    # built from it
+    pa = references.fresh(pa)
+    pa.preimages
+    vars(pa).update(tables)
+    rep = transform_identities_report(pa)
+    assert [(c.status, c.witness) for c in rep.checks] == frozen
+
+
+# C16 rotating 4 discrete points: 16 * (2**16 - 1) = 1,048,560
+# combinations, the largest table the row reference's TRANSFORM_LIMIT
+# admits
+ROT16 = PartialAction(
+    cyclic(16),
+    discrete(4),
+    (0b1111,) * 16,
+    tuple(tuple((x + g) % 4 for x in range(4)) for g in range(16)),
+)
+
+
+@pytest.mark.parametrize("pa, name, frozen", [
+    # the wide transform of the carrier loses point 0: no longer the
+    # union of the preimage rows
+    (SWAP, "delta_transform",
+     [(PASS, ()), (FAIL, (0, 1)), (PASS, ()), (PASS, ()), (PASS, ()), (INFO, (12, 3))]),
+    # the tight transform of the carrier loses point 0: the wide one
+    # then exceeds the tight one at V = {g}, the only sub-part
+    (SWAP, "star_transform",
+     [(PASS, ()), (PASS, ()), (PASS, ()), (PASS, ()), (FAIL, (0, 1)), (INFO, (12, 3))]),
+    # every one of the 16 elements fails, and the first 8 are listed
+    (ROT16, "delta_transform",
+     [(PASS, ()), (FAIL, tuple(range(8))), (PASS, ()), (PASS, ()), (PASS, ()),
+      (INFO, (1_048_560, 2 ** 16 - 1))]),
+], ids=["unions", "sub-parts", "first-8"])
+def test_identities_frozen_failures_on_patched_transforms(monkeypatch, pa, name, frozen):
+    transform = getattr(vaught, name)
+
+    def patched(pa, a, v):
+        return transform(pa, a, v) & ~(a == pa.space.full)
+
+    monkeypatch.setattr(vaught, name, patched)
+    rep = transform_identities_report(pa)
+    assert [(c.status, c.witness) for c in rep.checks] == frozen
 
 
 def hits_row(pa, a: int) -> list[int]:
@@ -309,39 +401,28 @@ def tight_by_hits(pa, row: list[int], v: int) -> int:
 
 
 def test_tables_match_the_hits_rows(family, s3_family):
-    # the report's tables against the per-point definition, cell by
-    # cell: x is wide when some hit lies in V, tight when every g in V
-    # defined at x hits; the empty part holds no wide and every tight x
+    # the row reference's tables against the per-point definition, entry
+    # by entry: x is wide when some hit lies in V, tight when every g in
+    # V defined at x hits; the empty part holds no wide and every tight x
     for pa in family + s3_family:
-        delta, star = plane_tables(pa)
+        delta, star = references.transform_tables(pa)
         width = 1 << pa.group.order
         for a in range(1 << pa.space.size):
             row = hits_row(pa, a)
-            for x in pa.space.points():
-                for v in range(width):
-                    cell = x * width + v
-                    wide = (wide_by_hits(row, v) >> x) & 1 if v else 0
-                    tight = (tight_by_hits(pa, row, v) >> x) & 1 if v else 1
-                    assert (delta[a] >> cell) & 1 == wide, (pa, a, v, x)
-                    assert (star[a] >> cell) & 1 == tight, (pa, a, v, x)
-            assert delta[a] >> (pa.space.size * width) == 0, (pa, a)
-            assert star[a] >> (pa.space.size * width) == 0, (pa, a)
+            assert (len(delta[a]), len(star[a])) == (width, width), (pa, a)
+            assert (delta[a][0], star[a][0]) == (0, pa.space.full), (pa, a)
+            for v in range(1, width):
+                assert delta[a][v] == wide_by_hits(row, v), (pa, a, v)
+                assert star[a][v] == tight_by_hits(pa, row, v), (pa, a, v)
 
 
 def test_identities_report_at_the_limit():
-    # C16 rotating 4 discrete points: 16 * (2**16 - 1) = 1,048,560
-    # combinations, the largest table TRANSFORM_LIMIT admits
-    rot = PartialAction(
-        cyclic(16),
-        discrete(4),
-        (0b1111,) * 16,
-        tuple(tuple((x + g) % 4 for x in range(4)) for g in range(16)),
-    )
-    rep = transform_identities_report(rot)
+    rep = references.transform_identities_report(ROT16)
     assert rep.ok, rep.failures()
+    assert transform_identities_report(ROT16) == rep
     info = rep.checks[-1]
     assert info.witness == (1_048_560, 2 ** 16 - 1)
-    assert info.witness[0] <= vaught.TRANSFORM_LIMIT
+    assert info.witness[0] <= references.TRANSFORM_LIMIT
 
 
 # -1, the bound 1 << 2 of a set of two points or two elements, and
