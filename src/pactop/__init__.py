@@ -31,7 +31,6 @@ from .globalize import (
     build,
     effros_report,
     embedding_report,
-    enveloping_relation,
     hat_relation_report,
 )
 from .groups import FiniteGroup, cyclic, make_group

@@ -1,10 +1,10 @@
 """Enveloping space of a partial action.
 
-The carrier is the group-indexed product glued along the reachability
-relation: (g, x) is identified with (h, y) when the element inv(h)*g
-carries x to y.  The quotient inherits the product topology, the group
-translates classes, and the original space embeds as the identity
-slice.
+The carrier is the group-indexed product glued along
+``PartialAction.lifted_orbits``: (g, x) is identified with (h, y) when
+the element inv(h)*g carries x to y.  The quotient inherits the product
+topology, the group translates classes, and the original space embeds
+as the identity slice.
 """
 
 from __future__ import annotations
@@ -15,39 +15,9 @@ from . import topology as topo
 from .errors import AxiomViolation
 from .paction import PartialAction, check_total_action
 from .record import Record
-from .relations import EqRel, disagreements, from_relation
+from .relations import EqRel, disagreements
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
-
-
-def enveloping_relation(pa: PartialAction) -> EqRel:
-    """Gluing relation on the group-indexed product.
-
-    (g, x) ~ (h, y) when x lies in the domain of inv(g)*h and the
-    element inv(h)*g moves x to y.  So the row of (g, x) lists
-    (g*k, inv(k).x) for each k with x in dom(k).  On a valid partial
-    action this is an equivalence; otherwise AxiomViolation reports the
-    broken axiom.
-    """
-    group, size = pa.group, pa.space.size
-    inv = group.inv
-    # moves[x] holds (k, inv(k).x) for each k with x in dom(k), listed by
-    # increasing h = 0*k: a missing image raises KeyError at the first
-    # (x, h) of the pair condition at g = 0.
-    first = group.mul[inv[0]]
-    moves = [
-        [(k, pa.act(inv[k], x)) for k in first if (pa.dom[k] >> x) & 1]
-        for x in pa.space.points()
-    ]
-    rows = [
-        [mul_g[k] * size + y for k, y in xmoves]
-        for mul_g in group.mul
-        for xmoves in moves
-    ]
-    try:
-        return from_relation(group.order * size, rows)
-    except ValueError as exc:
-        raise AxiomViolation(f"gluing relation is not an equivalence: {exc}") from exc
 
 
 class Globalization(Record):
@@ -76,7 +46,8 @@ class Globalization(Record):
 
 
 def build(pa: PartialAction) -> Globalization:
-    """Construct the enveloping space on the gluing relation's class ids.
+    """Construct the enveloping space on the class ids of the gluing
+    relation, the cached ``pa.lifted_orbits``.
 
     Translation by g sends class c to the class of (g*h, x) for the
     least member (h, x) of c, checked at every member of c.  The
@@ -85,7 +56,7 @@ def build(pa: PartialAction) -> Globalization:
     """
     group, space = pa.group, pa.space
     size = space.size
-    relation = enveloping_relation(pa)
+    relation = pa.lifted_orbits
     class_id, least = relation.class_id, relation.least
 
     action_rows = []
@@ -189,11 +160,12 @@ def embedding_report(glob: Globalization) -> Report:
 
 
 def hat_relation_report(glob: Globalization) -> Report:
-    """The gluing relation must coincide exactly with the orbit
-    relation of the lifted action on the product.  The two are built by
-    different formulas: the gluing rows from the domains and moves of
-    the source, the lifted orbit rows from the columns of the lifted
-    action's maps."""
+    """The envelope's relation must coincide exactly with the orbit
+    relation of the lifted action on the product, the source's
+    ``lifted_orbits``.  ``build`` glues along that very table, so the
+    check holds by construction on the envelopes it returns; it stays
+    for envelopes built elsewhere, and names the first pair on which
+    the two relations disagree."""
     rb = ReportBuilder("lift-orbit-relation")
     lifted_orbits = glob.source.lifted_orbits
     same = glob.relation == lifted_orbits

@@ -145,9 +145,24 @@ class PartialAction(Record):
 
     @functools.cached_property
     def lifted_orbits(self) -> EqRel:
-        """``orbit_equivalence(lifted_action(self))``: the lifted action,
-        a table of |G|²·|X| entries, is built for this read and not kept."""
-        return orbit_equivalence(lifted_action(self))
+        """The gluing relation of the enveloping space, (g, x) ~ (h, y)
+        when inv(h)*g carries x to y: the orbit relation of
+        ``lifted_action(self)``, read by its formula with no |G|²·|X|
+        table.  The row of (g, x) lists (g*k, inv(k).x) for each k with x
+        in dom(k); AxiomViolation names a broken axiom."""
+        group, size, inv = self.group, self.space.size, self.group.inv
+        # moves[x] holds (k, inv(k).x) for each k with x in dom(k), listed
+        # by increasing h = 0*k: a missing image raises KeyError at the
+        # first (x, h) of the pair condition at g = 0.
+        first = group.mul[inv[0]]
+        moves = [[(k, self.act(inv[k], x)) for k in first if (self.dom[k] >> x) & 1]
+                 for x in self.space.points()]
+        rows = [[mul_g[k] * size + y for k, y in xmoves]
+                for mul_g in group.mul for xmoves in moves]
+        try:
+            return from_relation(group.order * size, rows)
+        except ValueError as exc:
+            raise AxiomViolation(f"gluing relation is not an equivalence: {exc}") from exc
 
 
 def _check_point(pa: PartialAction, x: int) -> None:
@@ -452,7 +467,8 @@ def _slice_action(
 ) -> PartialAction:
     """Act on ``space``, which holds ``copies`` copies of the carrier
     (point x of copy j at ``j * size + x``): ``g`` acts on each copy as
-    on the carrier and sends copy j to copy ``move(g, j)``."""
+    on the carrier and sends copy j to copy ``move(g, j)``.  No engine
+    path calls it or the lifted and pair actions it builds."""
     group, size = pa.group, pa.space.size
     dom, maps = [], []
     for g in group.elements():
@@ -473,7 +489,10 @@ def _slice_action(
 def lifted_action(pa: PartialAction) -> PartialAction:
     """Lift to the group-indexed product: ``g`` sends (h, x) to
     (h * inv(g), g.x) on the slices where the original action is
-    defined.  The lift's orbits present the enveloping space."""
+    defined.  Its orbits, ``PartialAction.lifted_orbits``, present the
+    enveloping space.  No engine path calls it: that table is read by its
+    formula.  It is kept for the benchmark's traced spans and the tests'
+    reference forms."""
     mul, inv = pa.group.mul, pa.group.inv
     return _slice_action(pa, pa.product, pa.group.order, lambda g, h: mul[h][inv[g]])
 

@@ -134,12 +134,21 @@ def enveloping_relation(pa: PartialAction) -> EqRel:
         raise AxiomViolation(f"gluing relation is not an equivalence: {exc}") from exc
 
 
-def orbit_equivalence(pa: PartialAction) -> EqRel:
-    """The orbit relation on the ``orbits`` mask rows."""
+def orbit_equivalence(pa: PartialAction, name: str = "orbit relation") -> EqRel:
+    """The orbit relation on the ``orbits`` mask rows; ``name`` heads the
+    message of the AxiomViolation that a failed axiom raises."""
     try:
         return from_masks(pa.space.size, pa.orbits)
     except ValueError as exc:
-        raise AxiomViolation(f"orbit relation is not an equivalence: {exc}") from exc
+        raise AxiomViolation(f"{name} is not an equivalence: {exc}") from exc
+
+
+def lifted_orbits(pa: PartialAction) -> EqRel:
+    """The orbit relation of the lifted action, built as a table, on its
+    ``orbits`` mask rows: the independent form of the engine's
+    ``PartialAction.lifted_orbits``, which raises as the gluing relation
+    it is."""
+    return orbit_equivalence(paction.lifted_action(pa), "gluing relation")
 
 
 def normalized_selector(pa: PartialAction, rel: EqRel) -> SelectorMap:
@@ -512,9 +521,10 @@ def transform_identities_report(pa: PartialAction):
 
 def on_lifted_relation(reference):
     """``reference(pa, rel)`` as a check of ``pa`` alone: ``rel`` is the
-    lifted orbit relation the mask ``orbit_equivalence`` builds, so an
-    ill-formed lift fails at the step where the engine's check fails."""
-    return lambda pa: reference(pa, orbit_equivalence(paction.lifted_action(pa)))
+    lifted orbit relation the mask ``enveloping_relation`` builds, so an
+    ill-formed table fails at the step, and names the entry, where the
+    engine's check fails."""
+    return lambda pa: reference(pa, enveloping_relation(pa))
 
 
 def outcome(fn, *args):

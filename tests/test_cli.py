@@ -25,6 +25,7 @@ from pactop import (
     example_k3,
     induced,
     mutant_family,
+    paction,
 )
 from pactop.cli import ActionSpec, main, parse, serialize
 from pactop.errors import ParseError, SchemaError
@@ -371,6 +372,19 @@ def test_unwritable_dot_path_exits_2(tmp_path):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("command, verb", [("validate", "read"), ("globalize", "write")])
+def test_read_and_dot_write_errors_exit_2_in_process(command, verb, tmp_path):
+    # main's exits for a spec path that cannot be read and a DOT path in
+    # a missing directory, in this process; the closed-pipe exit below
+    # needs a real pipe, so it runs in a subprocess only
+    path = tmp_path / "missing" / ("doc.json" if verb == "read" else "envelope.dot")
+    argv = [command, str(path)] if verb == "read" else [command, EXAMPLE, "--dot", str(path)]
+    out, err, code = run_main(argv)
+    assert (out, code) == ("", 2)
+    assert err.startswith(f"error: cannot {verb} {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_closed_output_pipe_exits_2(fmt):
     # the read end is closed before the child starts, so its first write
@@ -417,6 +431,18 @@ def test_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
     if "--dot" in args:
         assert (tmp_path / "envelope.dot").read_text() == (
             GOLDEN / "globalize.dot").read_text()
+
+
+def test_report_never_builds_the_lifted_action(monkeypatch, capsys):
+    # every stage that reads the lifted orbit relation reads the one
+    # cached table, computed by its formula, so the golden report comes
+    # out byte for byte with the lifted action refused
+    def refuse(pa):
+        raise AssertionError("the lifted action was built")
+
+    monkeypatch.setattr(paction, "lifted_action", refuse)
+    assert main(["report", EXAMPLE, "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "report.json").read_text()
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

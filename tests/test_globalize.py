@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import attrgetter
 
 import pytest
 
 import oracles
-import pactop.globalize as globalize
 import pactop.topology as topology
 import references
 from gspaces import klein_four, symmetric3
@@ -21,7 +21,6 @@ from pactop import (
     discrete,
     effros_report,
     embedding_report,
-    enveloping_relation,
     example_k3,
     hat_relation_report,
     induced,
@@ -39,7 +38,7 @@ SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 
 
 def test_swap_relation_classes():
-    rel = enveloping_relation(SWAP)
+    rel = SWAP.lifted_orbits
     # group-major pairs: (0,0)=0, (0,1)=1, (1,0)=2, (1,1)=3
     assert rel.num_classes == 2
     assert rel.class_id == (0, 1, 1, 0)
@@ -47,7 +46,7 @@ def test_swap_relation_classes():
 
 def test_relation_matches_reachability_oracle(valid_family):
     for pa in valid_family:
-        rel = enveloping_relation(pa)
+        rel = pa.lifted_orbits
         size = pa.space.size
         expected = oracles.envelope_classes_oracle(pa)
         got = [{divmod(p, size) for p in iter_bits(mask)}
@@ -56,7 +55,7 @@ def test_relation_matches_reachability_oracle(valid_family):
 
 
 def _gluing_pairs(pa) -> list[list[bool]]:
-    # The pair condition of the enveloping_relation docstring, literally.
+    # The pair condition of the lifted_orbits docstring, literally.
     group, size = pa.group, pa.space.size
     n = group.order * size
     table = [[False] * n for _ in range(n)]
@@ -83,7 +82,7 @@ def _is_equivalence(table) -> bool:
 
 def test_relation_matches_pair_condition(family, valid_family):
     for pa in valid_family:
-        rel = enveloping_relation(pa)
+        rel = pa.lifted_orbits
         for p, row in enumerate(_gluing_pairs(pa)):
             cid = rel.class_id
             assert [cid[p] == cid[q] for q in range(len(row))] == row, (pa, p)
@@ -92,9 +91,9 @@ def test_relation_matches_pair_condition(family, valid_family):
         table = _gluing_pairs(m)
         if not _is_equivalence(table):
             with pytest.raises(AxiomViolation):
-                enveloping_relation(m)
+                m.lifted_orbits
             continue
-        rel = enveloping_relation(m)
+        rel = m.lifted_orbits
         for p, row in enumerate(table):
             cid = rel.class_id
             assert [cid[p] == cid[q] for q in range(len(row))] == row, (kind, m, p)
@@ -132,7 +131,7 @@ def build_by_class_masks(pa):
     gathered in a set, and the action laws checked in place."""
     group, space = pa.group, pa.space
     size = space.size
-    relation = globalize.enveloping_relation(pa)
+    relation = pa.lifted_orbits
 
     classes = references.classes(relation)
     action_rows = []
@@ -201,22 +200,22 @@ def test_build_matches_the_class_mask_reference(family, s3_family):
         (references.split_two, {"translation": 112, "injective": 0, "built": 83}),
     ],
 )
-def test_build_matches_the_reference_on_changed_classes(monkeypatch, change, paths):
-    # Each valid gluing relation with seeded classes merged or split:
-    # a relation that translations may not respect, or one that glues
-    # the identity slice, so both raising paths of ``build`` are
-    # compared with the reference.
-    glue = globalize.enveloping_relation
+def test_build_matches_the_reference_on_changed_classes(change, paths):
+    # Each valid gluing relation with seeded classes merged or split,
+    # injected as the cached table ``build`` reads: a relation that
+    # translations may not respect, or one that glues the identity
+    # slice, so both raising paths of ``build`` are compared with the
+    # reference.
     rng = random.Random(0)
     seen = {"translation": 0, "injective": 0, "built": 0}
     for pa in induced_family(4, 3):
         if not validate(pa).ok:
             continue
-        rel = glue(pa)
+        rel = pa.lifted_orbits
         if rel.num_classes < 2:
             continue
-        changed = EqRel(rel.size, change(rel, rng))
-        monkeypatch.setattr(globalize, "enveloping_relation", lambda _: changed)
+        pa = references.fresh(pa)
+        changed = vars(pa)["lifted_orbits"] = EqRel(rel.size, change(rel, rng))
         expected = _outcome(build_by_class_masks, pa)
         assert _outcome(build, pa) == expected, (pa, changed)
         if isinstance(expected, Globalization):
@@ -239,7 +238,7 @@ def test_build_checks_the_translations_on_the_quotient(monkeypatch):
 
 def test_least_members_match_class_masks(valid_family, valid_s3_family):
     for pa in [*valid_family, *valid_s3_family]:
-        for rel in (pa.orbit_relation, enveloping_relation(pa), pa.lifted_orbits):
+        for rel in (pa.orbit_relation, pa.lifted_orbits):
             least = tuple(min(iter_bits(m)) for m in references.classes(rel))
             assert rel.least == least, pa
 
@@ -548,13 +547,18 @@ def test_envelope_is_the_saturation_of_the_total_action(monkeypatch):
 def test_enveloping_relation_matches_the_mask_reference(
     family, s3_family, changed_family
 ):
-    # the same EqRel, or the same exception type, message and witness:
-    # KeyError on a domain point with no image, AxiomViolation on a
-    # table whose gluing rows are not an equivalence
+    # The engine's gluing relation, ``lifted_orbits``, against both
+    # references: the mask gluing rows, and the orbit relation of the
+    # lifted action built as a table.  The same EqRel, or the same
+    # exception type, message and witness: KeyError on a domain point
+    # with no image, AxiomViolation on a table whose gluing rows are not
+    # an equivalence.
     kinds = {"glued": 0, KeyError: 0, AxiomViolation: 0}
     for pa in [*family, *s3_family, *changed_family]:
         expected = references.outcome(references.enveloping_relation, pa)
-        assert references.outcome(enveloping_relation, pa) == expected, pa
+        assert references.outcome(references.lifted_orbits, pa) == expected, pa
+        got = references.outcome(attrgetter("lifted_orbits"), references.fresh(pa))
+        assert got == expected, pa
         kinds["glued" if isinstance(expected, EqRel) else expected[0]] += 1
     assert kinds == {"glued": 513, KeyError: 231, AxiomViolation: 1303}
 
@@ -566,21 +570,25 @@ def test_enveloping_relation_matches_the_mask_reference(
 def test_hat_relation_matches_the_reference_on_changed_lifted_classes(
     valid_family, valid_s3_family, change, failed
 ):
-    # The lifted orbit relation with seeded classes merged or split: the
-    # gluing relation built from pair labels must differ from it at the
-    # same first pair as the mask reference's.
+    # A built envelope whose record holds the lifted orbit relation with
+    # seeded classes merged or split, as an envelope built elsewhere
+    # might: the check must fail at the first pair on which the record's
+    # relation and the mask gluing relation differ.
     rng = random.Random(0)
     seen = 0
     for pa in [*valid_family, *valid_s3_family]:
-        pa = references.fresh(pa)
+        glob = build(pa)
         lifted = pa.lifted_orbits
         if lifted.num_classes < 2:
             continue
-        vars(pa)["lifted_orbits"] = EqRel(lifted.size, change(lifted, rng))
-        glob = build(pa)
-        reference = Globalization(pa, references.enveloping_relation(pa), glob.topology,
-                                  glob.action, glob.embedding)
-        report = hat_relation_report(glob)
-        assert report == hat_relation_report(reference), pa
+        changed = EqRel(lifted.size, change(lifted, rng))
+        report = hat_relation_report(Globalization(
+            pa, changed, glob.topology, glob.action, glob.embedding))
+        first = references.first_disagreement(changed, references.enveloping_relation(pa))
+        assert [(c.name, c.status, c.witness) for c in report.checks] == [
+            ("gluing relation equals lifted orbit relation",
+             FAIL if first else PASS, first or ()),
+            ("class count", INFO, (changed.num_classes,)),
+        ], pa
         seen += not report.ok
     assert seen == failed

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,6 @@ from pactop import (
     cli,
     cyclic,
     effros_report,
-    enveloping_relation,
     induced,
     make_topology,
     normalized_selector,
@@ -167,9 +167,10 @@ def test_validate_never_raises_and_valid_instances_are_the_saturation(name, data
 @given(data=st.data())
 def test_relations_match_their_references(name, data):
     pa = data.draw(gspaces(name))[-1]
-    for edit in changed(pa, data.draw(st.integers(0, 255))):
+    seed = data.draw(st.integers(0, 255))
+    for edit in changed(pa, seed):
         for check, reference in (
-            (enveloping_relation, references.enveloping_relation),
+            (attrgetter("lifted_orbits"), references.enveloping_relation),
             (orbit_equivalence, references.orbit_equivalence),
             (normalized_selector,
              references.on_lifted_relation(references.normalized_selector)),
@@ -179,6 +180,12 @@ def test_relations_match_their_references(name, data):
         ):
             expected = references.outcome(reference, edit)
             assert references.outcome(check, edit) == expected, (check, edit)
+    # The lift built as a table reads its missing entries element by
+    # element, the gluing rows point by point: they name the same entry
+    # unless several are missing, as on the blanked copy.
+    for edit in [pa, *references.one_entry_edits([pa], 2, seed)]:
+        expected = references.outcome(references.lifted_orbits, edit)
+        assert references.outcome(attrgetter("lifted_orbits"), edit) == expected, edit
 
 
 @EACH_GROUP

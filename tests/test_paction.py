@@ -608,20 +608,28 @@ def test_lifted_action_of_partial_instance_is_valid():
 def test_lifted_orbits_are_computed_once_and_the_lift_is_not_kept(
     valid_family, monkeypatch
 ):
-    # The lift-orbit-relation check, the normalized selector and the
-    # orbit enumeration read one cached table, the lifted orbit relation;
-    # the lifted action it comes from (|G|²·|X| entries) is built once,
-    # looked up by its module name, and not kept on the action.
-    calls = []
-    lift = paction.lifted_action
-    monkeypatch.setattr(paction, "lifted_action", lambda pa: calls.append(pa) or lift(pa))
+    # Envelope construction, the lift-orbit-relation check, the
+    # normalized selector and the orbit enumeration read one cached
+    # table, the lifted orbit relation, built by one from_relation of
+    # |G|·|X| points: the lifted action (|G|²·|X| entries) is never
+    # built, and the envelope glues along that very table.
+    def refuse(pa):
+        raise AssertionError("the lifted action was built")
+
+    monkeypatch.setattr(paction, "lifted_action", refuse)
+    sizes = []
+    relate = paction.from_relation
+    monkeypatch.setattr(
+        paction, "from_relation", lambda size, rows: sizes.append(size) or relate(size, rows))
     for pa in valid_family:
         pa = references.fresh(pa)
-        hat_relation_report(build(pa))
+        glob = build(pa)
+        hat_relation_report(glob)
         normalized_selector(pa)
         orbit_homeomorphism_report(pa)
-        assert len(calls) == 1 and calls.pop() is pa, pa
-        assert "lifted_orbits" in vars(pa), pa
+        assert glob.relation is pa.lifted_orbits, pa
+        assert sizes == [pa.group.order * pa.space.size], pa
+        sizes.clear()
         assert not any(isinstance(v, PartialAction) for v in vars(pa).values()), pa
 
 

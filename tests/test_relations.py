@@ -334,11 +334,11 @@ def test_valid_sweeps_never_reach_the_mask_scan(
     monkeypatch, valid_family, valid_s3_family
 ):
     # The label check accepts every equivalence, so on valid instances
-    # the gluing, orbit, lifted-orbit and envelope-orbit relations never
-    # fall back to the mask scan.
+    # the gluing (lifted orbit), orbit, orbit-of-the-lift and
+    # envelope-orbit relations never fall back to the mask scan.
     from pactop import (
-        bireducibility_report, build, enveloping_relation, lifted_action,
-        normalized_selector, orbit_equivalence,
+        bireducibility_report, build, lifted_action, normalized_selector,
+        orbit_equivalence,
     )
 
     def refuse(size, rows):
@@ -346,7 +346,8 @@ def test_valid_sweeps_never_reach_the_mask_scan(
 
     monkeypatch.setattr(relations, "_scan", refuse)
     for pa in [*valid_family, *valid_s3_family]:
-        enveloping_relation(pa)
+        pa = references.fresh(pa)
+        pa.lifted_orbits
         orbit_equivalence(pa)
         orbit_equivalence(lifted_action(pa))
         bireducibility_report(build(pa), normalized_selector(pa))

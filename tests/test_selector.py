@@ -19,7 +19,6 @@ from pactop import (
     discrete,
     example_k3,
     induced,
-    lifted_action,
     normalized_selector,
     orbit_homeomorphism_report,
     transversal,
@@ -71,8 +70,7 @@ def test_normalized_selector_frozen():
 def test_normalized_selector_across_family(valid_family):
     for pa in valid_family[::5]:
         sel = normalized_selector(pa)
-        rel = references.orbit_equivalence(lifted_action(pa))
-        assert references.is_selector_for(sel, rel)
+        assert references.is_selector_for(sel, references.lifted_orbits(pa))
 
 
 def test_transversal_topology_frozen():
@@ -107,6 +105,48 @@ def test_measurability_frozen_failure():
         (PASS, ()), (INFO, (3, 3)), (PASS, (4, 4)), (PASS, (0b111,)),
         (PASS, (0b111, 0b111)), (PASS, (4, 4)), (FAIL, ((1, 0b011), (1, 0b100))),
     ]
+
+
+@pytest.mark.parametrize("relation, embedding, graph, statuses", [
+    # slice 1 lies off the transversal; gluing (1, 1) to class 2 and
+    # (1, 2) to class 0 makes the product atom {(1, 0), (1, 1)} meet
+    # classes 0 and 2, so the quotient's one atom joins all three classes
+    ((0, 1, 2, 0, 2, 0), None, None,
+     [(PASS, ()), (INFO, (3, 3)), (FAIL, (2, 4)), (PASS, (0b111,)),
+      (PASS, (0b111, 0b111)), (PASS, (4, 4)), (PASS, ())]),
+    # points 0 and 1 both embedded in class 0: the image {0, 2} splits the
+    # tau-atom {0, 1}; the graph is the image's transversal part, so that
+    # clause still holds
+    (None, (0, 0, 2), 0b101,
+     [(PASS, ()), (INFO, (3, 3)), (PASS, (4, 4)), (FAIL, (0b101,)),
+      (PASS, (0b101, 0b101)), (PASS, (4, 4)), (PASS, ())]),
+    # the definedness graph without (identity, 2)
+    (None, None, 0b011,
+     [(PASS, ()), (INFO, (3, 3)), (PASS, (4, 4)), (PASS, (0b111,)),
+      (FAIL, (0b111, 0b011)), (PASS, (4, 4)), (PASS, ())]),
+    # points 1 and 2 embedded in each other's class: the carrier atom
+    # {0, 1} lands on {0, 2}, which is not an atom of the image
+    (None, (0, 2, 1), None,
+     [(PASS, ()), (INFO, (3, 3)), (PASS, (4, 4)), (PASS, (0b111,)),
+      (PASS, (0b111, 0b111)), (FAIL, (4, 4)), (PASS, ())]),
+], ids=["borel-equality", "image-borel", "transversal-part", "image-algebra"])
+def test_transversal_clause_frozen_failures(relation, embedding, graph, statuses):
+    # The failing branches no swept instance reaches, on the instance of
+    # the measurability test (tau-atoms {0, 1} and {2}, the transversal
+    # the identity slice): a built envelope with its relation or
+    # embedding replaced, or its source's definedness graph, fails the
+    # one clause that reads it.
+    space = FinTop.from_neighborhoods([0b011, 0b011, 0b111])
+    pa = PartialAction(cyclic(2), space, (0b111, 0b111), ((0, 1, 2), (0, 1, 2)))
+    glob, sel = build(pa), normalized_selector(pa)
+    if graph is not None:
+        vars(pa)["graph"] = graph
+    moved = Globalization(
+        pa, glob.relation if relation is None else EqRel(6, relation), glob.topology,
+        glob.action, glob.embedding if embedding is None else embedding)
+    brep = transversal_topology(moved, sel)
+    assert brep.tau.atoms == (0b011, 0b100)
+    assert [(c.status, c.witness) for c in brep.report.checks] == statuses
 
 
 def test_extension_frozen_failure():
