@@ -9,11 +9,8 @@ as the identity slice.
 
 from __future__ import annotations
 
-import itertools
-
 from . import topology as topo
-from .errors import AxiomViolation
-from .paction import PartialAction, check_total_action
+from .paction import PartialAction
 from .record import Record
 from .relations import EqRel, disagreements
 from .reports import Report, ReportBuilder
@@ -45,48 +42,46 @@ class Globalization(Record):
         return self.relation.num_classes
 
 
+# The envelope, read off the gluing formula.  Once ``lifted_orbits``
+# returns, the row of (h, x), the (h*k, inv(k).x) for each k with x in
+# dom(k), is exactly its class; and ``mul``, ``inv`` and ``identity``
+# form a group table, as ``FiniteGroup`` requires.  So:
+# - left translation by g maps the row of (h, x) onto the row of
+#   (g*h, x): translation is well defined on classes, a permutation
+#   whose inverse is translation by inv(g), and the rows compose;
+# - it is a slice shift of the product that respects the relation, so
+#   it is continuous on the quotient;
+# - reflexivity puts (e, x) in its own row, and only k = e can put it
+#   there, which forces e.x = x: the row of (e, x) meets the identity
+#   slice at (e, x) alone, so the identity slice embeds injectively;
+# - the identity-slice members of the row of (g, y) are those with
+#   g*k = e, that is k = inv(g): [(e, g.y)] when g acts at y, and none
+#   otherwise.
+# ``build`` and ``selector.normalized_selector`` check none of this
+# again, and ``embedding_report`` reads the action laws from here.
+
+
 def build(pa: PartialAction) -> Globalization:
     """Construct the enveloping space on the class ids of the gluing
     relation, the cached ``pa.lifted_orbits``.
 
     Translation by g sends class c to the class of (g*h, x) for the
-    least member (h, x) of c, checked at every member of c.  The
-    identity-slice embedding must be injective, and ``check_total_action``
-    must accept the translations on the quotient.
+    least member (h, x) of c, and the identity slice embeds as its
+    classes: by the lemma above, both are well defined, and the
+    translations form a continuous action on the quotient.
     """
-    group, space = pa.group, pa.space
-    size = space.size
+    size = pa.space.size
     relation = pa.lifted_orbits
-    class_id, least = relation.class_id, relation.least
-
-    action_rows = []
-    for g in group.elements():
-        # moved[p] is the class of (g*h, x) for p = (h, x)
-        moved: list[int] = []
-        for gh in group.mul[g]:
-            moved += class_id[gh * size:(gh + 1) * size]
-        row = tuple(moved[p] for p in least)
-        bad = [c for c, m in zip(class_id, moved) if m != row[c]]
-        if bad:
-            c = min(bad)
-            targets = sorted({m for d, m in zip(class_id, moved) if d == c})
-            raise AxiomViolation(
-                f"translation by {g} is not well defined on class {c}", (g, c, *targets)
-            )
-        action_rows.append(row)
-
-    e = group.identity
+    class_id = relation.class_id
+    least = [divmod(p, size) for p in relation.least]
+    action = tuple(
+        tuple([class_id[mul_g[h] * size + x] for h, x in least])
+        for mul_g in pa.group.mul
+    )
+    e = pa.group.identity
     embedding = class_id[e * size:(e + 1) * size]
-    if len(set(embedding)) != size:
-        dup = tuple(
-            (x, y) for x, y in itertools.combinations(range(size), 2)
-            if embedding[x] == embedding[y]
-        )
-        raise AxiomViolation("identity-slice embedding is not injective", dup)
-
     quotient = topo.quotient(pa.product, relation)
-    check_total_action(group, quotient, action_rows)
-    return Globalization(pa, relation, quotient, tuple(action_rows), embedding)
+    return Globalization(pa, relation, quotient, action, embedding)
 
 
 def embedding_report(glob: Globalization) -> Report:
@@ -99,8 +94,9 @@ def embedding_report(glob: Globalization) -> Report:
     The restriction is read on class labels: the embedded ``dom[g]``
     must be the part of the image that translation by g carries into
     the image, and each move must match.  It is a partial action with no
-    further check: ``build`` verified the action laws, and every
-    translation descends from a slice permutation of the product.
+    further check: the translations are an action by the lemma above
+    ``build``, and each descends from a slice permutation of the
+    product.
     """
     pa = glob.source
     group, space = pa.group, pa.space

@@ -13,7 +13,13 @@ GROUP_ORDER_LIMIT = 256
 
 
 class FiniteGroup(Record):
-    """Group on elements ``0..order-1`` with a verified Cayley table."""
+    """Group on elements ``0..order-1``: ``mul`` is its Cayley table,
+    ``identity`` its identity and ``inv[g]`` the inverse of g.
+
+    The constructor stores the tables unchecked.  That they form a group
+    is the contract ``make_group`` (which checks a table from outside)
+    and ``cyclic`` (which builds one from the formula) meet, and the
+    one ``globalize.build`` relies on."""
 
     order: int
     mul: tuple[tuple[int, ...], ...]

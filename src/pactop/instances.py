@@ -4,10 +4,11 @@ The sweep family collects every partial action induced by restricting a
 continuous total action of a small group to an arbitrary subset of a
 small carrier, across all topologies on the carrier, deduplicated on
 the restricted tables so that each distinct member is constructed once;
-``induced`` builds one such restriction, and ``coset_rows`` a total
-action on coset spaces.  Mutants are built from valid instances by
-edits that provably break an axiom by construction, so rejection tests
-never consult the validator to decide what counts as invalid.
+``check_total_action`` accepts each total action first, ``induced``
+builds one such restriction, and ``coset_rows`` a total action on coset
+spaces.  Mutants are built from valid instances by edits that provably
+break an axiom by construction, so rejection tests never consult the
+validator to decide what counts as invalid.
 """
 
 from __future__ import annotations
@@ -16,10 +17,40 @@ import itertools
 from collections.abc import Sequence
 
 from . import topology as topo
-from .errors import InvalidSubset, NotAnAction, in_range
+from .errors import InvalidSubset, NotAnAction, has_entries, in_range
 from .groups import FiniteGroup, cyclic
-from .paction import PartialAction, check_total_action
+from .paction import PartialAction
 from .topology import FinTop, iter_bits, mask_of
+
+
+def check_total_action(
+    group: FiniteGroup, space: FinTop, u: Sequence[Sequence[int]]
+) -> None:
+    """Raise NotAnAction unless the rows ``u`` form a continuous action:
+    permutations, the identity row fixing every point, composition."""
+    n, size = group.order, space.size
+    if not has_entries(u, n):
+        raise NotAnAction("action table needs one row per group element")
+    for g in range(n):
+        row = u[g]
+        # in_range on every entry, at C speed: all ints, sorting to range
+        # (True and 1.0 would sort as 1, a str not at all)
+        if not (has_entries(row, size) and {*map(type, row)} <= {int}
+                and sorted(row) == list(range(size))):
+            raise NotAnAction(f"row of element {g} is not a permutation", (g,))
+    if tuple(u[group.identity]) != tuple(range(size)):
+        raise NotAnAction("identity row is not the identity map", (group.identity,))
+    for g in range(n):
+        for h in range(n):
+            gh = group.mul[g][h]
+            for y in range(size):
+                if u[g][u[h][y]] != u[gh][y]:
+                    raise NotAnAction(
+                        f"rows do not compose at ({g}, {h}, {y})", (g, h, y)
+                    )
+    for g in range(n):
+        if not topo._is_monotone(u[g], space, space):
+            raise NotAnAction(f"row of element {g} is not continuous", (g,))
 
 
 def _cut(carrier: int) -> dict[int, int]:

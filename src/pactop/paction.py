@@ -14,7 +14,7 @@ import functools
 from collections.abc import Callable, Sequence
 
 from . import topology as topo
-from .errors import AxiomViolation, InvalidSubset, NotAnAction, has_entries, in_range
+from .errors import AxiomViolation, InvalidSubset, has_entries, in_range
 from .groups import FiniteGroup
 from .record import Record
 from .relations import EqRel, from_relation
@@ -390,36 +390,6 @@ def validate(pa: PartialAction) -> Report:
         "disagreement would mean an engine bug",
     )
     return rb.build()
-
-
-def check_total_action(
-    group: FiniteGroup, space: FinTop, u: Sequence[Sequence[int]]
-) -> None:
-    """Raise NotAnAction unless the rows ``u`` form a continuous action:
-    permutations, the identity row fixing every point, composition."""
-    n, size = group.order, space.size
-    if not has_entries(u, n):
-        raise NotAnAction("action table needs one row per group element")
-    for g in range(n):
-        row = u[g]
-        # in_range on every entry, at C speed: all ints, sorting to range
-        # (True and 1.0 would sort as 1, a str not at all)
-        if not (has_entries(row, size) and {*map(type, row)} <= {int}
-                and sorted(row) == list(range(size))):
-            raise NotAnAction(f"row of element {g} is not a permutation", (g,))
-    if tuple(u[group.identity]) != tuple(range(size)):
-        raise NotAnAction("identity row is not the identity map", (group.identity,))
-    for g in range(n):
-        for h in range(n):
-            gh = group.mul[g][h]
-            for y in range(size):
-                if u[g][u[h][y]] != u[gh][y]:
-                    raise NotAnAction(
-                        f"rows do not compose at ({g}, {h}, {y})", (g, h, y)
-                    )
-    for g in range(n):
-        if not topo._is_monotone(u[g], space, space):
-            raise NotAnAction(f"row of element {g} is not continuous", (g,))
 
 
 def orbit_consistency_report(pa: PartialAction) -> Report:

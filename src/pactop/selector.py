@@ -50,43 +50,20 @@ def normalized_selector(pa: PartialAction) -> SelectorMap:
     """Selector for the lifted orbit relation, normalized onto the
     identity slice wherever the group element is defined.
 
-    Verifies the identity-slice description of the lifted orbits:
-    (identity, x) is related to (g, y) exactly when g is defined at y
-    and moves it to x.  So the identity-slice members of the class of
-    (g, y) must be [g.y] where g acts at y and none elsewhere; the
-    lexicographically first failing (x, g, y) is the witness.  Falls
-    back to the least-member selector on classes that never meet the
-    identity slice.  Once the description holds, a class that meets the
-    identity slice maps whole to its one member there and any other
-    class to its least member, so the map is a selector for the lifted
-    orbits and is not checked again.
+    (g, y) maps to (identity, g.y) where g acts at y, and any other
+    point to the least member of its class.  By the lemma above
+    ``globalize.build``, (identity, g.y) is then the one identity-slice
+    member of the class of (g, y), and a class that misses the identity
+    slice holds no such (g, y): so the map is a selector for the lifted
+    orbits, and is not checked again.
     """
-    group, space = pa.group, pa.space
-    size = space.size
-    e = group.identity
+    size = pa.space.size
     rel = pa.lifted_orbits
-    class_id = rel.class_id
-
-    # on_slice[c] lists the x with (identity, x) in class c
-    on_slice: dict[int, list[int]] = {}
-    for x in space.points():
-        on_slice.setdefault(class_id[e * size + x], []).append(x)
-    image = [rel.least[c] for c in class_id]
-    bad = []
-    for g in group.elements():
-        for y in space.points():
-            p = g * size + y
-            direct = []
-            if (pa.acting[y] >> g) & 1:
-                direct = [pa.act(g, y)]
-                image[p] = e * size + direct[0]
-            related = on_slice.get(class_id[p], [])
-            if related != direct:
-                bad += [(x, g, y) for x in set(related) ^ set(direct)]
-    if bad:
-        raise AxiomViolation(
-            "identity-slice description of lifted orbits failed", min(bad)
-        )
+    base = pa.group.identity * size
+    image = [rel.least[c] for c in rel.class_id]
+    for y, acting in enumerate(pa.acting):
+        for g in iter_bits(acting):
+            image[g * size + y] = base + pa.act(g, y)
     return SelectorMap(rel.size, tuple(image))
 
 

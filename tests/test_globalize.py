@@ -9,7 +9,7 @@ import pytest
 import oracles
 import pactop.topology as topology
 import references
-from gspaces import klein_four, symmetric3
+from gspaces import klein_four, midsize_instances, rotation, symmetric3
 from pactop import (
     EqRel,
     FinTop,
@@ -30,7 +30,7 @@ from pactop import (
     separation,
     validate,
 )
-from pactop.errors import AxiomViolation, NotAnAction, PactopError
+from pactop.errors import AxiomViolation
 from pactop.reports import FAIL, INFO, NA, PASS
 from pactop.topology import is_homeomorphism, iter_bits, mask_of
 
@@ -176,64 +176,51 @@ def build_by_class_masks(pa):
     return Globalization(pa, relation, quotient, tuple(action_rows), embedding)
 
 
-def _outcome(construct, pa):
-    try:
-        return construct(pa)
-    except PactopError as exc:
-        return type(exc), str(exc), exc.witness
-
-
-def test_build_matches_the_class_mask_reference(family, s3_family):
+def test_build_matches_the_class_mask_reference(family, s3_family, changed_family):
+    # ``build`` reads its translations and embedding off the gluing
+    # formula, by the lemma stated above it, and checks nothing; the
+    # reference checks every law in place.  The same envelope, or the
+    # same exception type, message and witness, on every sweep table,
+    # their invalid neighbours, 400 mutants and the mid-size instances.
     mutants = [m for _, m in mutant_family(family, 400, seed=1)]
-    returned = 0
-    for pa in [*family, *s3_family, *mutants]:
-        expected = _outcome(build_by_class_masks, pa)
-        assert _outcome(build, pa) == expected, pa
-        returned += isinstance(expected, Globalization)
-    assert returned == 353 + 94 + 11
+    midsize = [pa for *_, pa in midsize_instances()]
+    returned = []
+    for sweep in (family, s3_family, changed_family, mutants, midsize):
+        returned.append(0)
+        for pa in sweep:
+            expected = references.outcome(build_by_class_masks, pa)
+            assert references.outcome(build, pa) == expected, pa
+            returned[-1] += isinstance(expected, Globalization)
+    assert returned == [353, 94, 66, 11, 24]
 
 
-@pytest.mark.parametrize(
-    "change, paths",
-    [
-        (references.merge_two, {"translation": 36, "injective": 154, "built": 5}),
-        (references.split_two, {"translation": 112, "injective": 0, "built": 83}),
-    ],
-)
-def test_build_matches_the_reference_on_changed_classes(change, paths):
-    # Each valid gluing relation with seeded classes merged or split,
-    # injected as the cached table ``build`` reads: a relation that
-    # translations may not respect, or one that glues the identity
-    # slice, so both raising paths of ``build`` are compared with the
-    # reference.
-    rng = random.Random(0)
-    seen = {"translation": 0, "injective": 0, "built": 0}
-    for pa in induced_family(4, 3):
-        if not validate(pa).ok:
+def test_the_gluing_formula_makes_the_translations_an_action(
+    family, s3_family, changed_family
+):
+    # The lemma above ``build``, checked wherever ``lifted_orbits``
+    # returns: the identity slice meets each class as the normalized
+    # selector's reference requires, the translations are a continuous
+    # total action on the quotient, and each translation sends every
+    # member of a class, not only its least, into the class it assigns.
+    midsize = [pa for *_, pa in midsize_instances()]
+    glued = 0
+    for pa in [*family, *s3_family, *changed_family, *midsize, rotation(64, 128)[3]]:
+        try:
+            rel = pa.lifted_orbits
+        except (AxiomViolation, KeyError):
             continue
-        rel = pa.lifted_orbits
-        if rel.num_classes < 2:
-            continue
-        pa = references.fresh(pa)
-        changed = vars(pa)["lifted_orbits"] = EqRel(rel.size, change(rel, rng))
-        expected = _outcome(build_by_class_masks, pa)
-        assert _outcome(build, pa) == expected, (pa, changed)
-        if isinstance(expected, Globalization):
-            seen["built"] += 1
-        else:
-            seen["injective" if "injective" in expected[1] else "translation"] += 1
-    assert seen == paths
-
-
-def test_build_checks_the_translations_on_the_quotient(monkeypatch):
-    # The action laws and continuity are read from the total-action
-    # check on the quotient; a quotient on which the swap is not
-    # continuous must be refused.
-    sierpinski = FinTop(2, (0, 0b10, 0b11))
-    monkeypatch.setattr(topology, "quotient", lambda t, e: sierpinski)
-    with pytest.raises(NotAnAction, match=r"^row of element 1 is not continuous$") as info:
-        build(SWAP)
-    assert info.value.witness == (1,)
+        glued += 1
+        references.normalized_selector(pa, rel)
+        glob = build(pa)
+        instances.check_total_action(pa.group, glob.topology, glob.action)
+        cid, size = rel.class_id, pa.space.size
+        for g, row in enumerate(glob.action):
+            moved = []  # moved[p], the class of (g*h, x) for p = (h, x)
+            for gh in pa.group.mul[g]:
+                moved += cid[gh * size:(gh + 1) * size]
+            assert [row[c] for c in cid] == moved, (pa, g)
+    # both sweeps, their neighbours, the mid-size instances and C64
+    assert glued == 447 + 66 + 24 + 1
 
 
 def test_least_members_match_class_masks(valid_family, valid_s3_family):
@@ -345,10 +332,11 @@ def test_effros_frozen_failure():
 
 
 def test_homeomorphic_translations_frozen_failure():
-    # The failing branch build never reaches: its total action is checked
-    # continuous and invertible.  C2 fixing each point of the space whose
-    # opens are {}, {0, 1} and {0, 1, 2}, its translation by 1 replaced
-    # by the swap of classes 0 and 2, which is not continuous.
+    # The failing branch build never reaches: by the lemma above it, its
+    # translations are continuous permutations of the quotient.  C2
+    # fixing each point of the space whose opens are {}, {0, 1} and
+    # {0, 1, 2}, its translation by 1 replaced by the swap of classes 0
+    # and 2, which is not continuous.
     space = FinTop.from_neighborhoods([0b011, 0b011, 0b111])
     pa = PartialAction(cyclic(2), space, (0b111, 0b111), ((0, 1, 2), (0, 1, 2)))
     glob = build(pa)

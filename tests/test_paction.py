@@ -181,6 +181,23 @@ def test_formulations_agree_across_family(family):
             assert pair_ok == bij_ok
 
 
+def test_formulations_agree_frozen_failure(monkeypatch):
+    # The failing branch no table reaches: both formulations decide the
+    # same axioms.  The swap on two discrete points, its pair section
+    # patched to fail, so the pair form (False) and the bijection form
+    # (True) disagree.
+    def failing(pa):
+        rb = ReportBuilder("pair-axioms")
+        rb.check("patched to fail", False)
+        return rb.build()
+
+    monkeypatch.setattr(paction, "_pair_axioms", failing)
+    rep = validate(SWAP)
+    assert section(rep, "bijection-axioms").ok
+    agreement = check(rep, "both axiom formulations give the same verdict")
+    assert (agreement.status, agreement.witness) == (FAIL, (False, True))
+
+
 def _defined(pa: PartialAction, g: int, x: int) -> bool:
     return pa.maps[g][x] >= 0
 

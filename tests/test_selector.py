@@ -359,11 +359,8 @@ def test_bireducibility_witnesses_match_the_pair_scan_on_changed_relations(
 @pytest.mark.parametrize(
     "change, kinds",
     [
-        ("merge", {(NS, "AxiomViolation"): 401, (OH, (FAIL, PASS, PASS)): 401}),
-        ("split", {
-            (NS, "AxiomViolation"): 361, (NS, "selector"): 40,
-            (OH, (FAIL, PASS, PASS)): 363, (OH, PASSES): 38,
-        }),
+        ("merge", {(OH, (FAIL, PASS, PASS)): 401}),
+        ("split", {(OH, (FAIL, PASS, PASS)): 363, (OH, PASSES): 38}),
         ("coarse product", {
             (NS, "selector"): 415, (OH, (PASS, PASS, FAIL)): 367, (OH, PASSES): 48,
         }),
@@ -373,10 +370,14 @@ def test_orbit_checks_match_the_references_on_changed_lifted_classes(
     valid_family, valid_s3_family, change, kinds
 ):
     # Seeded merges and splits of the lifted classes reach the failure
-    # witnesses of both checks; a product in which the orbits are not
-    # discrete reaches the homeomorphism clause.
+    # witnesses of the orbit enumeration; a product in which the orbits
+    # are not discrete reaches its homeomorphism clause.  The normalized
+    # selector reads the classes by the lemma above ``globalize.build``,
+    # which holds on the classes ``lifted_orbits`` builds and not on
+    # injected ones, so it is compared on the coarse product alone.
     rng = random.Random(0)
     seen: dict = {}
+    checks = _CHECKS if change == "coarse product" else _CHECKS[1:]
     for pa in [*valid_family, *valid_s3_family]:
         pa = references.fresh(pa)
         if change == "coarse product":
@@ -387,7 +388,7 @@ def test_orbit_checks_match_the_references_on_changed_lifted_classes(
                 continue
             redraw = references.merge_two if change == "merge" else references.split_two
             rel = vars(pa)["lifted_orbits"] = EqRel(rel.size, redraw(rel, rng))
-        for check, reference in _CHECKS:
+        for check, reference in checks:
             expected = references.outcome(reference, pa, rel)
             assert references.outcome(check, pa) == expected, (check, pa)
             kind = _kind(check, expected)

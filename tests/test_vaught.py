@@ -458,6 +458,20 @@ def test_open_case_formula():
         open_case(K3, 0b01, FULL_G3)
 
 
+def test_open_case_frozen_failure(monkeypatch):
+    # The failing branch no table reaches: the direct formula is the
+    # wide transform's union written out.  The wide transform patched to
+    # gain point 0, so on K3 at A = {1} it reads {0, 1} and the formula
+    # {1}.
+    wide = vaught.delta_transform
+    monkeypatch.setattr(vaught, "delta_transform", lambda *args: wide(*args) | 1)
+    rep = open_case(K3, 0b10, FULL_G3)
+    assert [(c.name, c.status, c.witness) for c in rep.checks] == [
+        ("direct formula agrees with the wide transform", FAIL, (0b10, FULL_G3, 0b10)),
+        ("transform of an open set is open", PASS, ()),
+    ]
+
+
 def test_open_case_across_family(valid_family):
     for pa in valid_family[::5]:
         gfull = (1 << pa.group.order) - 1
