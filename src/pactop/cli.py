@@ -115,7 +115,7 @@ def _mask_from_names(values, names_idx: dict[str, int], path: str) -> int:
     except (KeyError, TypeError):
         pass
     else:
-        if bin(mask).count("1") == len(values):
+        if mask.bit_count() == len(values):
             return mask
     mask = 0
     for i, name in enumerate(values):
@@ -382,8 +382,8 @@ def _points(v: dict) -> dict:
     return {"points": {
         names[x]: {
             "orbit": _names_of(names, pa.orbits[x]),
-            "stabilizer": sorted(iter_bits(stabilizer(pa, x))),
-            "acting-set": sorted(iter_bits(pa.acting[x])),
+            "stabilizer": list(iter_bits(stabilizer(pa, x))),
+            "acting-set": list(iter_bits(pa.acting[x])),
         }
         for x in pa.space.points()
     }}
@@ -395,7 +395,7 @@ def _transform(v: dict) -> dict:
     return {
         "kind": v["kind"],
         "set": _names_of(names, v["a"]),
-        "group-part": sorted(iter_bits(v["part"])),
+        "group-part": list(iter_bits(v["part"])),
         "result": _names_of(names, transform(v["pa"], v["a"], v["part"])),
     }
 
@@ -436,7 +436,7 @@ def _selector(v: dict) -> dict:
         "transversal": [
             f"({p // size},{names[p % size]})" for p in iter_bits(transversal(v["sel"]))
         ],
-        "tau-opens": [sorted(iter_bits(u)) for u in v["brep"].tau.opens],
+        "tau-opens": [list(iter_bits(u)) for u in v["brep"].tau.opens],
         "discontinuities": [
             {"element": g, "class": _class_label(glob, names, c)}
             for g, row in enumerate(v["rows"])

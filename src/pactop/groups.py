@@ -69,14 +69,14 @@ def make_group(table: list[list[int]] | tuple[tuple[int, ...], ...]) -> FiniteGr
                         f"(g*h)*k != g*(h*k) at ({g}, {h}, {k})", (g, h, k)
                     )
 
-    inv = [-1] * n
-    for g in range(n):
-        for h in range(n):
-            if rows[g][h] == identity and rows[h][g] == identity:
-                inv[g] = h
-                break
-        if inv[g] == -1:
+    # In a finite associative table with an identity, g*h = e already
+    # gives h*g = e: k -> g*k is onto (g*(h*k) = k), so one-to-one, and
+    # g*(h*g) = g = g*e.
+    inv = []
+    for g, row in enumerate(rows):
+        if identity not in row:
             raise NoInverse(f"element {g} has no inverse", (g,))
+        inv.append(row.index(identity))
 
     return FiniteGroup(n, rows, identity, tuple(inv))
 

@@ -197,18 +197,11 @@ def orbit_equivalence(pa: PartialAction) -> EqRel:
     """The reachability relation; on a valid partial action it is an
     equivalence, otherwise AxiomViolation names the broken axiom.
 
-    The row of x is column x of ``maps``: its defined entries are the
-    images g.x.  That reading needs each map defined exactly on
-    dom[inv(g)]; otherwise the rows are read from ``orbits``, which
-    raises KeyError where a domain point has no image.
+    The row of x is ``orbits[x]``, the images g.x, which raises
+    KeyError where a domain point has no image.
     """
-    inv = pa.group.inv
-    if all(_defined(row) == pa.dom[inv[g]] for g, row in enumerate(pa.maps)):
-        rows = [[y for y in column if y >= 0] for column in zip(*pa.maps)]
-    else:
-        rows = [iter_bits(o) for o in pa.orbits]
     try:
-        return from_relation(pa.space.size, rows)
+        return from_relation(pa.space.size, [iter_bits(o) for o in pa.orbits])
     except ValueError as exc:
         raise AxiomViolation(f"orbit relation is not an equivalence: {exc}") from exc
 

@@ -78,17 +78,14 @@ class BorelReport(Record):
 
 def _quotient_atoms(glob: Globalization) -> tuple[int, ...]:
     # A class set is Borel in the quotient when its preimage is a union
-    # of product atoms.  So the classes meeting one product atom share
-    # an atom, and an atom is a class set joined by such overlaps.
-    atoms: list[int] = []
-    cid = glob.relation.class_id
-    for product_atom in glob.product.atoms:
-        met = mask_of(cid[p] for p in iter_bits(product_atom))
-        for a in [a for a in atoms if a & met]:
-            atoms.remove(a)
-            met |= a
-        atoms.append(met)
-    return tuple(sorted(atoms))
+    # of product atoms, that is, open in the partition topology of the
+    # product atoms, where each point's neighborhood is its atom.  So the
+    # quotient Borel structure is the quotient of that topology.
+    atom_of = [0] * glob.relation.size
+    for atom in glob.product.atoms:
+        for p in iter_bits(atom):
+            atom_of[p] = atom
+    return topo.quotient(FinTop.from_neighborhoods(atom_of), glob.relation).atoms
 
 
 def _check_size(glob: Globalization, sel: SelectorMap) -> None:
@@ -285,7 +282,6 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
     for x in space.points():
         hs = iter_bits(pa.acting[x])
         moves.append((hs, [(inv[h], pa.act(h, x)) for h in hs]))
-    back = [mul[inv[j]] for j in group.elements()]  # back[j][g] = inv(j) * g
 
     bad_bij: list[tuple] = []
     bad_inv: list[tuple] = []
@@ -298,8 +294,8 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
             if sorted(image) != members[c]:
                 bad_bij.append((g, x))
                 continue
-            rho = dict(zip(hs, image))  # h -> (g * inv(h), h.x)
-            missed = [p for p in members[c] if rho.get(back[p // size][g]) != p]
+            # h goes to p = (g * inv(h), h.x), in the order of members[c]
+            missed = [p for p, h in sorted(zip(image, hs)) if mul[inv[p // size]][g] != h]
             bad_inv += [(g, x, p) for p in missed]
             if not missed and not discrete_orbit[c]:
                 bad_homeo.append((g, x))

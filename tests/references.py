@@ -13,6 +13,7 @@ action must pass; the sweep generator that checks the total action
 and builds the restriction again at every carrier; ``json.dumps``'s
 text of a run's JSON report, the reference for ``cli._render``;
 ``classes``, the member mask of each class of a relation;
+``quotient_atoms``, the quotient Borel atoms by enumerating class sets;
 ``min_selector``, the selector onto each class's least member;
 ``is_selector_for``, the selector laws of a map against a relation; and
 ``fresh``, the copy of an action with none of its tables cached.
@@ -26,6 +27,7 @@ fine: these run on desk-scale instances only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -297,6 +299,23 @@ def separation(t) -> topo.SeparationFlags:
             if nbrs[x] & nbrs[y]:
                 t2 = False
     return topo.SeparationFlags(t0, t1, t2)
+
+
+def quotient_atoms(glob) -> tuple[int, ...]:
+    """The atoms of the quotient Borel structure, by enumeration: the
+    class sets whose preimage is a union of product atoms, and for each
+    class the meet of those that hold it."""
+    cid, n = glob.relation.class_id, glob.relation.num_classes
+    preimages = [
+        mask_of(p for p, c in enumerate(cid) if (s >> c) & 1) for s in range(1 << n)
+    ]
+    borel = [
+        s for s, pre in enumerate(preimages)
+        if all(atom & pre in (0, atom) for atom in glob.product.atoms)
+    ]
+    return tuple(sorted(
+        {functools.reduce(and_, [s for s in borel if (s >> c) & 1]) for c in range(n)}
+    ))
 
 
 def envelope_classes(glob) -> EqRel:

@@ -137,8 +137,10 @@ def test_make_group_rejects_missing_inverse():
         (0, 1),
         (1, 1),
     )
-    with pytest.raises(NoInverse):
+    with pytest.raises(NoInverse) as caught:
         make_group(table)
+    assert str(caught.value) == "element 1 has no inverse"
+    assert caught.value.witness == (1,)
 
 
 def test_make_group_witnesses():

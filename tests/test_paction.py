@@ -449,6 +449,36 @@ def test_orbit_equivalence_matches_the_mask_reference(
     assert kinds == {"rel": 1726, KeyError: 231, AxiomViolation: 1906}
 
 
+def test_orbit_equivalence_reads_the_orbits_table(family, s3_family):
+    # The rows are read from ``orbits`` alone, not from the map columns,
+    # which hold the same point sets on a well-formed table.  So with the
+    # table replaced in a fresh copy, the relation follows it: two
+    # seeded orbits merged give the merged relation, and one seeded
+    # membership flipped (no longer reflexive or symmetric) raises as
+    # the mask reference does on the same replaced table.
+    rng = random.Random(0)
+    kinds = {"merged": 0, AxiomViolation: 0}
+    for pa in [*family, *s3_family]:
+        if not (pa.space.size and paction.well_formedness(pa).ok):
+            continue
+        rel = pa.orbit_relation
+        if rel.num_classes > 1:
+            merged = EqRel(rel.size, references.merge_two(rel, rng))
+            masks, changed = references.classes(merged), references.fresh(pa)
+            vars(changed)["orbits"] = tuple(masks[c] for c in merged.class_id)
+            assert orbit_equivalence(changed) == merged != rel, pa
+            kinds["merged"] += 1
+        x, y = rng.randrange(rel.size), rng.randrange(rel.size)
+        changed = references.fresh(pa)
+        vars(changed)["orbits"] = tuple(
+            o ^ (1 << y) if z == x else o for z, o in enumerate(pa.orbits)
+        )
+        expected = references.outcome(references.orbit_equivalence, changed)
+        assert references.outcome(orbit_equivalence, changed) == expected, pa
+        kinds[expected[0]] += 1
+    assert kinds == {"merged": 376, AxiomViolation: 440}
+
+
 def test_induced_restriction_tables():
     # order-3 rotation of three discrete points cut down to {0, 1}:
     # element 1 lands only on 1 (from 0), element 2 only on 0 (from 1)

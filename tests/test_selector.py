@@ -26,6 +26,7 @@ from pactop import (
 )
 from pactop.errors import AxiomViolation
 from pactop.reports import FAIL, INFO, PASS
+from pactop.selector import _quotient_atoms
 
 SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 K3 = example_k3()
@@ -147,6 +148,34 @@ def test_transversal_clause_frozen_failures(relation, embedding, graph, statuses
     brep = transversal_topology(moved, sel)
     assert brep.tau.atoms == (0b011, 0b100)
     assert [(c.status, c.witness) for c in brep.report.checks] == statuses
+
+
+@pytest.mark.parametrize("change, counts", [
+    (None, {"envelopes": 415, "joined": 154}),
+    (references.merge_two, {"envelopes": 401, "joined": 102}),
+    (references.split_two, {"envelopes": 401, "joined": 154}),
+], ids=["envelope", "merge", "split"])
+def test_quotient_atoms_match_the_class_set_enumeration(
+    valid_globs, valid_s3_family, change, counts
+):
+    # The quotient of the product's atom topology against every class set
+    # whose preimage is a union of product atoms: on each envelope, and
+    # with two of its classes merged or split (its relation replaced).
+    # "joined" counts the envelopes with an atom of two or more classes.
+    rng = random.Random(0)
+    seen = {"envelopes": 0, "joined": 0}
+    for pa, glob in [*valid_globs, *((pa, build(pa)) for pa in valid_s3_family)]:
+        rel = glob.relation
+        if change is not None:
+            if rel.num_classes < 2:
+                continue
+            rel = EqRel(rel.size, change(rel, rng))
+            glob = Globalization(pa, rel, glob.topology, glob.action, glob.embedding)
+        atoms = _quotient_atoms(glob)
+        assert atoms == references.quotient_atoms(glob), (pa, rel)
+        seen["envelopes"] += 1
+        seen["joined"] += len(atoms) < rel.num_classes
+    assert seen == counts
 
 
 def test_extension_frozen_failure():
