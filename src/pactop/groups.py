@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from .errors import (
-    InvalidOrder, LimitExceeded, NoIdentity, NoInverse, NotAssociative, in_range,
+    InvalidOrder, LimitExceeded, NoIdentity, NoInverse, NotAssociative, has_entries,
+    in_range,
 )
 from .record import Record
 
@@ -38,15 +39,19 @@ def make_group(table: list[list[int]] | tuple[tuple[int, ...], ...]) -> FiniteGr
     (g, h, k), NoInverse with the element.  An order past
     ``GROUP_ORDER_LIMIT`` raises LimitExceeded before any check.
     """
-    n = len(table)
+    try:
+        n = len(table)
+    except TypeError:
+        raise ValueError("table must be a sequence of rows") from None
     if n == 0:
         raise InvalidOrder("group order must be at least 1")
     if n > GROUP_ORDER_LIMIT:
         raise LimitExceeded("group order", n, GROUP_ORDER_LIMIT)
+    for g, row in enumerate(table):
+        if not has_entries(row, n):
+            raise ValueError(f"row {g} must have {n} entries")
     rows = tuple(tuple(row) for row in table)
     for g, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {g} has length {len(row)}, expected {n}")
         for h, v in enumerate(row):
             if not in_range(v, n):
                 raise ValueError(f"entry ({g}, {h}) = {v!r} out of range")

@@ -61,8 +61,8 @@ class PartialAction(Record):
     # Derived tables, each computed on first read and kept on the
     # action.  ``acting``, ``graph``, ``product`` and ``graph_open`` read
     # only ``dom`` and the space, so ``validate`` may read them on any
-    # tables; the others call ``act`` and raise KeyError on ill-formed
-    # tables.
+    # tables; ``moves`` calls ``act``, the others read it, and all of them
+    # raise KeyError on ill-formed tables.
 
     @functools.cached_property
     def acting(self) -> tuple[int, ...]:
@@ -74,20 +74,30 @@ class PartialAction(Record):
         )
 
     @functools.cached_property
-    def orbits(self) -> tuple[int, ...]:
-        """Per point x, the bitmask of its images g.x."""
+    def moves(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per point x, the pairs (g, g.x) for each g acting at x, listed
+        by increasing h for g = inv(h)*0: the order in which the gluing
+        relation's first row, that of element 0, meets them, so a missing
+        image raises the KeyError that relation raises."""
+        inv = self.group.inv
+        order = [inv[k] for k in self.group.mul[inv[0]]]
         return tuple(
-            mask_of(self.act(g, x) for g in iter_bits(acting))
+            tuple([(g, self.act(g, x)) for g in order if (acting >> g) & 1])
             for x, acting in enumerate(self.acting)
         )
+
+    @functools.cached_property
+    def orbits(self) -> tuple[int, ...]:
+        """Per point x, the bitmask of its images g.x."""
+        return tuple(mask_of(y for _, y in xmoves) for xmoves in self.moves)
 
     @functools.cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:
         """Per element g and point y, the bitmask of the x with g.x = y."""
         rows = [[0] * self.space.size for _ in self.group.elements()]
-        for x, acting in enumerate(self.acting):
-            for g in iter_bits(acting):
-                rows[g][self.act(g, x)] |= 1 << x
+        for x, xmoves in enumerate(self.moves):
+            for g, y in xmoves:
+                rows[g][y] |= 1 << x
         return tuple(map(tuple, rows))
 
     @functools.cached_property
@@ -148,17 +158,11 @@ class PartialAction(Record):
         """The gluing relation of the enveloping space, (g, x) ~ (h, y)
         when inv(h)*g carries x to y: the orbit relation of
         ``lifted_action(self)``, read by its formula with no |G|²·|X|
-        table.  The row of (g, x) lists (g*k, inv(k).x) for each k with x
-        in dom(k); AxiomViolation names a broken axiom."""
+        table.  The row of (g, x) lists (g*inv(h), h.x) for each (h, h.x)
+        in ``moves[x]``; AxiomViolation names a broken axiom."""
         group, size, inv = self.group, self.space.size, self.group.inv
-        # moves[x] holds (k, inv(k).x) for each k with x in dom(k), listed
-        # by increasing h = 0*k: a missing image raises KeyError at the
-        # first (x, h) of the pair condition at g = 0.
-        first = group.mul[inv[0]]
-        moves = [[(k, self.act(inv[k], x)) for k in first if (self.dom[k] >> x) & 1]
-                 for x in self.space.points()]
-        rows = [[mul_g[k] * size + y for k, y in xmoves]
-                for mul_g in group.mul for xmoves in moves]
+        rows = [[mul_g[inv[h]] * size + y for h, y in xmoves]
+                for mul_g in group.mul for xmoves in self.moves]
         try:
             return from_relation(group.order * size, rows)
         except ValueError as exc:
@@ -181,11 +185,7 @@ def acting_set(pa: PartialAction, x: int) -> int:
 
 def stabilizer(pa: PartialAction, x: int) -> int:
     _check_point(pa, x)
-    out = 0
-    for g in iter_bits(pa.acting[x]):
-        if pa.act(g, x) == x:
-            out |= 1 << g
-    return out
+    return mask_of(g for g, y in pa.moves[x] if y == x)
 
 
 def orbit(pa: PartialAction, x: int) -> int:
@@ -275,13 +275,12 @@ def _bijection_axioms(pa: PartialAction) -> Report:
     for g in group.elements():
         row, range_g = maps[g], dom[g]
         seen: dict[int, int] = {}
-        image = 0
         for x in iter_bits(dom[inv[g]]):
             y = row[x]
             if y in seen:
                 bad_bij.append((g, seen[y], x))
             seen[y] = x
-            image |= 1 << y
+        image = mask_of(seen)
         if image != range_g:
             bad_bij.append((g,) + iter_bits(image ^ range_g))
     rb.check("each map is a bijection onto its range set", not bad_bij, tuple(bad_bij))
@@ -313,7 +312,7 @@ def _bijection_axioms(pa: PartialAction) -> Report:
             row_h, row_gh = maps[h], maps[gh]
             for x in iter_bits(dom[inv[h]] & dom[inv[gh]]):
                 y = row_h[x]
-                if row_g[y] < 0 or row_g[y] != row_gh[x]:
+                if row_g[y] != row_gh[x]:
                     bad_comp.append((g, h, x))
     rb.check(
         "composition agrees with the product element on its region",

@@ -50,21 +50,18 @@ def normalized_selector(pa: PartialAction) -> SelectorMap:
     """Selector for the lifted orbit relation, normalized onto the
     identity slice wherever the group element is defined.
 
-    (g, y) maps to (identity, g.y) where g acts at y, and any other
-    point to the least member of its class.  By the lemma above
-    ``globalize.build``, (identity, g.y) is then the one identity-slice
-    member of the class of (g, y), and a class that misses the identity
-    slice holds no such (g, y): so the map is a selector for the lifted
-    orbits, and is not checked again.
+    Each point goes to the identity-slice member of its class, and to
+    the class's least member when there is none.  By the lemma above
+    ``globalize.build``, a class meets the identity slice at most once,
+    at (identity, g.y) for the (g, y) in it with g acting at y: so the
+    map is a selector for the lifted orbits, and is not checked again.
     """
     size = pa.space.size
     rel = pa.lifted_orbits
     base = pa.group.identity * size
-    image = [rel.least[c] for c in rel.class_id]
-    for y, acting in enumerate(pa.acting):
-        for g in iter_bits(acting):
-            image[g * size + y] = base + pa.act(g, y)
-    return SelectorMap(rel.size, tuple(image))
+    on_slice = {rel.class_id[p]: p for p in range(base, base + size)}
+    image = tuple([on_slice.get(c, rel.least[c]) for c in rel.class_id])
+    return SelectorMap(rel.size, image)
 
 
 class BorelReport(Record):
@@ -276,26 +273,21 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
         for c, ps in enumerate(members)
     ]
 
-    # moves[x] pairs each h acting at x with (inv(h), h.x)
-    inv, mul = group.inv, group.mul
-    moves = []
-    for x in space.points():
-        hs = iter_bits(pa.acting[x])
-        moves.append((hs, [(inv[h], pa.act(h, x)) for h in hs]))
-
     bad_bij: list[tuple] = []
     bad_inv: list[tuple] = []
     bad_homeo: list[tuple] = []
+    inv, mul = group.inv, group.mul
     for g in group.elements():
         mul_g = mul[g]
-        for x, (hs, xmoves) in enumerate(moves):
+        for x, xmoves in enumerate(pa.moves):
             c = class_id[g * size + x]
-            image = [mul_g[ih] * size + y for ih, y in xmoves]
+            image = [mul_g[inv[h]] * size + y for h, y in xmoves]
             if sorted(image) != members[c]:
                 bad_bij.append((g, x))
                 continue
             # h goes to p = (g * inv(h), h.x), in the order of members[c]
-            missed = [p for p, h in sorted(zip(image, hs)) if mul[inv[p // size]][g] != h]
+            missed = [p for p, (h, _) in sorted(zip(image, xmoves))
+                      if mul[inv[p // size]][g] != h]
             bad_inv += [(g, x, p) for p in missed]
             if not missed and not discrete_orbit[c]:
                 bad_homeo.append((g, x))

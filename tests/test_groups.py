@@ -62,7 +62,10 @@ def test_booleans_are_not_group_integers():
 
 @pytest.mark.parametrize("table, error, message", [
     ([], InvalidOrder, "group order must be at least 1"),
-    ([[0, 1], [1]], ValueError, "row 1 has length 1, expected 2"),
+    ([[0, 1], [1]], ValueError, "row 1 must have 2 entries"),
+    # len() of an int raised a bare TypeError
+    (7, ValueError, "table must be a sequence of rows"),
+    ([[0, 1], 5], ValueError, "row 1 must have 2 entries"),
 ])
 def test_make_group_refuses_a_table_of_no_shape(table, error, message):
     with pytest.raises(error) as caught:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from operator import attrgetter
 
 import pytest
 
@@ -449,6 +450,64 @@ def test_orbit_equivalence_matches_the_mask_reference(
     assert kinds == {"rel": 1726, KeyError: 231, AxiomViolation: 1906}
 
 
+def moves_by_definition(pa):
+    """Per point x, the pairs (g, maps[g][x]) for each g acting at x, by
+    increasing h for g = inv(h)*0; KeyError names the first entry
+    missing in that order."""
+    group = pa.group
+    order = [group.mul[group.inv[h]][0] for h in group.elements()]
+    out = []
+    for x in pa.space.points():
+        row = []
+        for g in order:
+            if (pa.dom[group.inv[g]] >> x) & 1:
+                if pa.maps[g][x] < 0:
+                    raise KeyError(f"element {g} does not act on point {x}")
+                row.append((g, pa.maps[g][x]))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _walks(pa):
+    # every table and report that reads ``moves``
+    return (
+        pa.orbits,
+        pa.preimages,
+        references.outcome(attrgetter("lifted_orbits"), pa),
+        [stabilizer(pa, x) for x in pa.space.points()],
+        references.outcome(orbit_homeomorphism_report, pa),
+    )
+
+
+def test_moves_is_the_one_walk_of_the_maps(
+    family, s3_family, changed_family, monkeypatch
+):
+    # ``moves`` holds the pairs its definition lists, or raises the
+    # KeyError the gluing relation's reference raises; once it is cached,
+    # the tables and reports read from it call ``act`` no more.
+    def refuse(*args):
+        raise AssertionError("act called once moves is cached")
+
+    kinds = {"moves": 0, KeyError: 0}
+    for pa in [*family, *s3_family, *changed_family]:
+        expected = references.outcome(moves_by_definition, pa)
+        got = references.outcome(attrgetter("moves"), references.fresh(pa))
+        assert got == expected, pa
+        if got[:1] == (KeyError,):
+            assert got == references.outcome(references.enveloping_relation, pa), pa
+            kinds[KeyError] += 1
+            continue
+        kinds["moves"] += 1
+        before = _walks(references.fresh(pa))
+        cached = references.fresh(pa)
+        cached.moves
+        with monkeypatch.context() as m:
+            m.setattr(PartialAction, "act", refuse)
+            assert _walks(cached) == before, pa
+    # the 231 ill-formed tables whose orbit relation raises KeyError
+    assert kinds == {"moves": 1816, KeyError: 231}
+
+
 def test_orbit_equivalence_reads_the_orbits_table(family, s3_family):
     # The rows are read from ``orbits`` alone, not from the map columns,
     # which hold the same point sets on a well-formed table.  So with the
@@ -792,6 +851,22 @@ def test_class_map_frozen_failures(nbrs, statuses):
         ("class map continuous", statuses[0], ()),
         ("class map open", statuses[1], ()),
         ("acting set absorbs stabilizer right-shifts", PASS, ()),
+    ]
+
+
+def test_acting_set_frozen_failures():
+    # The failing branches only invalid tables reach.  C3 on two discrete
+    # points, element 1 fixing point 0 though dom[1] is empty and element
+    # 2 acting nowhere: the acting set {0, 1} of point 0, shifted by 2
+    # along the move of 2 at 0, reads {0, 2}; and 1 times the stabilizer
+    # {0, 1} of point 0 holds 2, which does not act there.
+    pa = PartialAction(Z3, discrete(2), (0b11, 0, 0b01), ((0, 1), (0, -1), (-1, -1)))
+    rep = orbit_consistency_report(pa)
+    assert [(c.name, c.status, c.witness) for c in rep.checks] == [
+        ("acting set translates along each move", FAIL, ((2, 0),)),
+        ("class map continuous", PASS, ()),
+        ("class map open", PASS, ()),
+        ("acting set absorbs stabilizer right-shifts", FAIL, ((0, 1, 2),)),
     ]
 
 

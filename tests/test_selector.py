@@ -5,6 +5,7 @@ import random
 import pytest
 
 import references
+from gspaces import midsize_instances
 from pactop import (
     EqRel,
     FinTop,
@@ -72,6 +73,39 @@ def test_normalized_selector_across_family(valid_family):
     for pa in valid_family[::5]:
         sel = normalized_selector(pa)
         assert references.is_selector_for(sel, references.lifted_orbits(pa))
+
+
+def test_normalized_selector_reads_the_gluing_relation_alone(
+    family, s3_family, changed_family, monkeypatch
+):
+    # Wherever the gluing relation is built, the selector reads it and
+    # nothing of the action's moves: with ``acting``, ``moves`` and
+    # ``act`` refusing once ``lifted_orbits`` is cached, it equals the
+    # reference, which checks the identity-slice description at every
+    # (x, g, y) and routes each defined (g, y) to (identity, g.y).  The
+    # mid-size Q8 instances list the identity fifth, so there the
+    # identity slice does not hold the least member of each class.
+    def refuse(*args):
+        raise AssertionError("the selector read the action's moves")
+
+    glued = 0
+    midsize = [pa for *_, pa in midsize_instances()]
+    for pa in [*family, *s3_family, *changed_family, *midsize]:
+        try:
+            rel = pa.lifted_orbits
+        except (AxiomViolation, KeyError):
+            continue
+        glued += 1
+        expected = references.normalized_selector(pa, rel)
+        cached = references.fresh(pa)
+        cached.lifted_orbits
+        with monkeypatch.context() as m:
+            for name in ("acting", "moves"):
+                m.setattr(PartialAction, name, property(refuse))
+            m.setattr(PartialAction, "act", refuse)
+            assert normalized_selector(cached) == expected, pa
+    # both sweeps, their neighbours and the mid-size instances
+    assert glued == 447 + 66 + 24
 
 
 def test_transversal_topology_frozen():

@@ -10,6 +10,7 @@ import references
 from gspaces import midsize_instances
 from pactop import paction, topology, vaught
 from pactop import (
+    FinTop,
     PartialAction,
     acting_set,
     cyclic,
@@ -469,6 +470,20 @@ def test_open_case_frozen_failure(monkeypatch):
     assert [(c.name, c.status, c.witness) for c in rep.checks] == [
         ("direct formula agrees with the wide transform", FAIL, (0b10, FULL_G3, 0b10)),
         ("transform of an open set is open", PASS, ()),
+    ]
+
+
+def test_open_case_frozen_failure_on_a_discontinuous_swap():
+    # The failing branch only an invalid table reaches: C2 swapping the
+    # two points of the space whose opens are {}, {1} and {0, 1}, a map
+    # that is not continuous.  At A = {1} the transform by element 1 is
+    # {0}, the formula agrees, and {0} is not open.
+    pa = PartialAction(cyclic(2), FinTop(2, (0, 0b10, 0b11)), (0b11, 0b11),
+                       ((0, 1), (1, 0)))
+    rep = open_case(pa, 0b10, 0b10)
+    assert [(c.name, c.status, c.witness) for c in rep.checks] == [
+        ("direct formula agrees with the wide transform", PASS, (0b10, 0b10, 0b01)),
+        ("transform of an open set is open", FAIL, ()),
     ]
 
 
