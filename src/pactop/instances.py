@@ -13,6 +13,7 @@ validator to decide what counts as invalid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 
@@ -27,30 +28,53 @@ def check_total_action(
     group: FiniteGroup, space: FinTop, u: Sequence[Sequence[int]]
 ) -> None:
     """Raise NotAnAction unless the rows ``u`` form a continuous action:
-    permutations, the identity row fixing every point, composition."""
+    permutations, the identity row fixing every point, composition.
+    The rows' shape is checked on every call, their laws once per table
+    while it stays among the last few checked."""
     n, size = group.order, space.size
+    points = list(range(size))
     if not has_entries(u, n):
         raise NotAnAction("action table needs one row per group element")
+    rows = []
     for g in range(n):
-        row = u[g]
+        row = u[g]  # by index: u may map elements to rows
         # in_range on every entry, at C speed: all ints, sorting to range
         # (True and 1.0 would sort as 1, a str not at all)
         if not (has_entries(row, size) and {*map(type, row)} <= {int}
-                and sorted(row) == list(range(size))):
+                and sorted(row) == points):
             raise NotAnAction(f"row of element {g} is not a permutation", (g,))
+        rows.append(row)
+    if {*map(type, rows)} <= {list, tuple}:  # read alike by index and in order
+        _checked_laws(group, space, tuple(map(tuple, rows)))
+    else:
+        _laws(group, space, rows)
+
+
+def _laws(group: FiniteGroup, space: FinTop, u: Sequence[Sequence[int]]) -> None:
+    # the identity, composition and continuity of the permutation rows u
+    size = space.size
     if tuple(u[group.identity]) != tuple(range(size)):
         raise NotAnAction("identity row is not the identity map", (group.identity,))
-    for g in range(n):
-        for h in range(n):
-            gh = group.mul[g][h]
+    for g in group.elements():
+        row_g = u[g]
+        for h, gh in enumerate(group.mul[g]):
+            row_h, row_gh = u[h], u[gh]
             for y in range(size):
-                if u[g][u[h][y]] != u[gh][y]:
+                if row_g[row_h[y]] != row_gh[y]:
                     raise NotAnAction(
                         f"rows do not compose at ({g}, {h}, {y})", (g, h, y)
                     )
-    for g in range(n):
+    for g in group.elements():
         if not topo._is_monotone(u[g], space, space):
             raise NotAnAction(f"row of element {g} is not continuous", (g,))
+
+
+# ``_laws`` on rows given as tuples.  The sweeps restrict one total action
+# to every carrier in turn, so the repeats of a table are consecutive and
+# a few entries catch them.  An entry keeps its space alive, and the
+# masks of discrete(16384) alone take about 16 MB.  A failing table is
+# not stored: it raises again.
+_checked_laws = functools.lru_cache(maxsize=4)(_laws)
 
 
 def _cut(carrier: int) -> dict[int, int]:

@@ -15,7 +15,8 @@ instance's inline value array.  Writing ``self.__dict__`` directly
 builds a dict, which halves the construction, but on CPython 3.11 a
 loop of field reads ran about four times as slow on it; only ``Check``
 and ``Report``, built by the thousand and read a few times each, write
-it.
+it.  ``Report`` also stores ``ok`` there, computed once at construction;
+it is not a field, so equality, hashing and the repr ignore it.
 
 A record keeps its own ``__init__`` when it checks its arguments
 (``PartialAction``, ``FinTop``, ``EqRel``, ``SelectorMap``,

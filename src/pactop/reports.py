@@ -44,11 +44,10 @@ class Report(Record):
         d["name"] = name
         d["checks"] = checks
         d["sections"] = sections
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status != FAIL for c in self.checks) and all(
-            s.ok for s in self.sections
+        # no failing check here or below; not a field, so equality, hash
+        # and repr ignore it
+        d["ok"] = all(s.ok for s in sections) and all(
+            c.status != FAIL for c in checks
         )
 
     def failures(self) -> list[tuple[str, Check]]:

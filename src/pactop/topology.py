@@ -26,9 +26,15 @@ from .relations import EqRel, iter_bits
 OPEN_SET_LIMIT = 2_000_000
 
 
-def _full(size: int) -> int:
+def _check_size(size: int) -> None:
+    if type(size) is not int:  # a bool would pass below as 0 or 1
+        raise ValueError(f"size must be an int, not {type(size).__name__}")
     if size < 0:
         raise ValueError("size must be nonnegative")
+
+
+def _full(size: int) -> int:
+    _check_size(size)
     return (1 << size) - 1
 
 
@@ -341,6 +347,13 @@ def is_homeomorphism(
     image = mask_of(f[x] for x in iter_bits(s))
     if image != d or s.bit_count() != d.bit_count():
         return False
+    return _carries_nbrs(f, src, s, dst, d)
+
+
+def _carries_nbrs(f: Sequence[int] | Mapping[int, int], src: FinTop, s: int,
+                  dst: FinTop, d: int) -> bool:
+    # is_homeomorphism's last step: f is known to be a bijection of s
+    # onto d, given by points of dst
     return all(
         mask_of(f[y] for y in iter_bits(src.nbrs[x] & s)) == dst.nbrs[f[x]] & d
         for x in iter_bits(s)
@@ -364,7 +377,7 @@ def make_topology(size: int, generators: Iterable[int]) -> FinTop:
 
 
 def discrete(size: int) -> FinTop:
-    _full(size)  # refuses a negative size
+    _check_size(size)
     return FinTop.from_neighborhoods(1 << x for x in range(size))
 
 
@@ -405,8 +418,9 @@ def all_topologies(size: int) -> list[FinTop]:
     each topology from its neighborhoods; on a finite carrier this hits
     each topology exactly once.  Raises LimitExceeded past 4 points.
     """
-    if size <= 0:  # FinTop refuses a negative size
-        return [FinTop(size, (0,))]
+    _check_size(size)
+    if size == 0:
+        return [FinTop(0, (0,))]
     if size > 4:
         raise LimitExceeded("points of an exhaustive topology enumeration", size, 4)
     pairs = [(x, y) for x in range(size) for y in range(size) if x != y]

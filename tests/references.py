@@ -9,7 +9,10 @@ two pair scans the shared ``relations.disagreements`` replaced (the
 lift-orbit relation's first pair, the reductions' first 8); the inputs
 the comparisons run on (one-entry edits, lifted classes merged or
 split); the saturation check every envelope built from a total
-action must pass; the sweep generator that checks the total action
+action must pass; the constructor's entry checks one at a time
+(``partial_action_error``), ``validate``'s topological section through
+the whole ``is_homeomorphism`` and ``Report.ok`` by its recursive
+definition; the sweep generator that checks the total action
 and builds the restriction again at every carrier; ``json.dumps``'s
 text of a run's JSON report, the reference for ``cli._render``;
 ``classes``, the member mask of each class of a relation;
@@ -36,9 +39,9 @@ from operator import and_, or_
 import pactop.topology as topo
 from pactop import PartialAction, induced
 from pactop import globalize, paction, selector, vaught
-from pactop.errors import AxiomViolation, LimitExceeded, NotAnAction
+from pactop.errors import AxiomViolation, LimitExceeded, NotAnAction, has_entries, in_range
 from pactop.relations import EqRel
-from pactop.reports import ReportBuilder
+from pactop.reports import FAIL, ReportBuilder
 from pactop.selector import SelectorMap
 from pactop.topology import iter_bits, mask_of
 
@@ -228,6 +231,65 @@ def orbit_homeomorphism_report(pa: PartialAction, rel: EqRel):
         tuple(bad_homeo),
     )
     return rb.build()
+
+
+def partial_action_error(group, space, dom, maps) -> str | None:
+    """The message of the ValueError ``PartialAction`` raises on these
+    tables, or None when it accepts them: its checks as first written,
+    one mask and one entry at a time, each through ``in_range``."""
+    n, size = group.order, space.size
+    if not (has_entries(dom, n) and has_entries(maps, n)):
+        return "dom and maps must have one entry per group element"
+    for g, mask in enumerate(dom):
+        if not in_range(mask, 1 << size):
+            return f"dom[{g}] outside the carrier"
+    for g, row in enumerate(maps):
+        if not has_entries(row, size):
+            return f"maps[{g}] must have one entry per point"
+        for x, y in enumerate(row):
+            if not (in_range(y, size) or y == -1 and in_range(y + 1, 1)):
+                return f"maps[{g}][{x}] = {y!r} out of range"
+    return None
+
+
+def topological_by_homeomorphism(pa: PartialAction, algebra_ok: bool):
+    """``paction._topological`` as first written: each map put through
+    the whole ``is_homeomorphism``, its input checks and its image and
+    count test included, where the engine reads the neighbourhoods
+    alone."""
+    rb = ReportBuilder("topological")
+    group, space = pa.group, pa.space
+    graph_open = pa.graph_open
+    bad_open = () if graph_open else tuple(
+        g for g in group.elements() if not topo.is_open(space, pa.dom[g])
+    )
+    rb.check("every domain set is open", graph_open, bad_open)
+    if not algebra_ok:
+        rb.na("each map is a homeomorphism between its domains",
+              "skipped: maps are not bijections between the domain sets")
+    else:
+        bad_homeo = [
+            g for g in group.elements()
+            if not topo.is_homeomorphism(
+                pa.maps[g], space, pa.dom[group.inv[g]], space, pa.dom[g])
+        ]
+        rb.check("each map is a homeomorphism between its domains",
+                 not bad_homeo, tuple(bad_homeo))
+    rb.info("definedness graph open in the product", (graph_open,))
+    rb.info(
+        "definedness graph is a countable intersection of opens",
+        (graph_open,),
+        "finite carrier: such intersections collapse to opens",
+    )
+    return rb.build()
+
+
+def report_ok(report) -> bool:
+    """``Report.ok`` by its definition, read again at every level: no
+    check of the report or of any section below it failed."""
+    return all(c.status != FAIL for c in report.checks) and all(
+        report_ok(s) for s in report.sections
+    )
 
 
 def graph_open(pa: PartialAction) -> bool:

@@ -8,8 +8,8 @@ import pytest
 
 import pactop.topology as topology
 import references
-from gspaces import klein_four, symmetric3
-from pactop import instances, paction
+from gspaces import klein_four, midsize_instances, rotation, symmetric3
+from pactop import cli, instances, paction
 from pactop import (
     EqRel,
     FinTop,
@@ -348,6 +348,9 @@ def test_axioms_match_the_accessor_reference(
     engine = [validate(pa).to_dict() for pa in tables]
     monkeypatch.setattr(paction, "_pair_axioms", pair_axioms_by_accessors)
     monkeypatch.setattr(paction, "_bijection_axioms", bijection_axioms_by_accessors)
+    # the topological section reads the neighbourhoods alone, where the
+    # whole is_homeomorphism re-checked what the bijection section shows
+    monkeypatch.setattr(paction, "_topological", references.topological_by_homeomorphism)
     for pa, report in zip(tables, engine):
         assert validate(pa).to_dict() == report, pa
 
@@ -362,6 +365,26 @@ def test_axioms_match_the_accessor_reference(
         for name in ("well-formedness", "pair-axioms", "bijection-axioms")
     ]
     assert (len(tables), counts) == (4247, [638, 2522, 2522])
+
+
+def test_report_ok_is_its_recursive_definition(valid_family):
+    # Report.ok is computed once, at construction; it must read as the
+    # definition on every report the family sweep builds (each valid
+    # member through pactop report, each of 300 mutants through
+    # validate), at every level of each
+    args = cli._read_argv(["report", "doc.json"])
+    reports = []
+    for pa in valid_family:
+        names = tuple(f"p{x}" for x in pa.space.points())
+        reports += cli._run(cli.ActionSpec("", names, pa), args)[1]
+    reports += [validate(m) for _, m in mutant_family(valid_family, count=300, seed=0)]
+    seen = {True: 0, False: 0}
+    while reports:
+        report = reports.pop()
+        assert report.ok == references.report_ok(report), report
+        seen[report.ok] += 1
+        reports += report.sections
+    assert seen == {True: 5086, False: 1048}
 
 
 def test_acting_set_stabilizer_orbit():
@@ -576,6 +599,10 @@ def test_induced_restriction_tables():
            f"row of element {g} is not a permutation", (g,))
           for g, rows in [(0, [[0, True], [1, 0]]), (1, [[0, 1], [True, 0]]),
                           (1, [[0, 1], [1.0, 0]]), (1, [[0, 1], [1, "a"]])]],
+        # a row read otherwise by index than in order, a dict here: its
+        # laws are read by index, as the restriction reads it, not cached
+        (Z2, discrete(2), [{0: 0, 1: 1}, {0: 0, 1: 0}], 0b11, NotAnAction,
+         "rows do not compose at (1, 1, 1)", (1, 1, 1)),
     ],
 )
 def test_induced_rejects_non_actions(
@@ -677,6 +704,129 @@ def test_induced_instances_checks_the_image_of_every_generator(monkeypatch, gens
     got = induced_instances([(Z3, gens)], 3)
     assert calls == {"check": 61, "accepted": 38}
     assert got == induced_instances([(Z3, (1,))], 3)
+
+
+def test_induced_checks_the_laws_of_a_total_action_once(monkeypatch):
+    # induced at every carrier of one total action re-checks the rows'
+    # shape each time and their laws once: the continuity check reads
+    # each row once, not once per carrier
+    laws = instances._checked_laws
+    laws.cache_clear()
+    reads = []
+    is_monotone = topology._is_monotone
+    monkeypatch.setattr(
+        topology, "_is_monotone", lambda f, *args: reads.append(f) or is_monotone(f, *args)
+    )
+    rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    got = [induced(Z3, discrete(3), rows, carrier) for carrier in range(8)]
+    assert len(reads) == 3
+    assert (laws.cache_info().hits, laws.cache_info().misses) == (7, 1)
+    # a list row mutated between calls is checked again: rotating
+    # element 1 one way and element 2 the same way breaks composition
+    rows[2][:] = [1, 2, 0]
+    with pytest.raises(NotAnAction, match=r"^rows do not compose at \(1, 1, 0\)$"):
+        induced(Z3, discrete(3), rows, 0b111)
+    # a mapping of rows is read by index, as the shape checks read it
+    table = {0: (0, 1, 2), 1: (1, 2, 0), 2: (2, 0, 1)}
+    assert induced(Z3, discrete(3), table, 0b011) == got[3]
+
+
+@pytest.mark.parametrize("group, space, rows, message", [
+    (Z3, discrete(2), [(0, 1), (1, 0), (0, 1)], "rows do not compose at (1, 2, 0)"),
+    (Z2, FinTop(2, (0, 0b10, 0b11)), [(0, 1), (1, 0)], "row of element 1 is not continuous"),
+    (Z3, discrete(2), {0: (1, 0), 1: (0, 1), 2: (0, 1)},
+     "identity row is not the identity map"),
+])
+def test_a_failing_total_action_raises_the_same_error_each_time(
+    group, space, rows, message
+):
+    # the cache keeps only returns: every call checks a failing table
+    # again, and raises the same type, message and witness
+    instances._checked_laws.cache_clear()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(NotAnAction) as caught:
+            instances.check_total_action(group, space, rows)
+        raised.append((type(caught.value), str(caught.value), caught.value.witness))
+    assert raised[0][:2] == (NotAnAction, message)
+    assert raised == raised[:1] * 3
+    info = instances._checked_laws.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+
+class _Sized:
+    # a row with a length and no entries to read
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+
+def _bad_table_edits(tables, rng):
+    # seeded copies of well-formed tables with one or two entries of dom
+    # or maps set to a bad value, sometimes with a short row after the
+    # last one; the values fail in_range for their site
+    for pa in tables:
+        size, n = pa.space.size, pa.group.order
+        for _ in range(4 if size else 0):
+            dom, maps = list(pa.dom), [list(row) for row in pa.maps]
+            for _ in range(rng.choice((1, 2))):
+                bad = rng.choice([True, 1.0, "0", None, -2, "size"])
+                g = rng.randrange(n)
+                if rng.random() < 0.3:
+                    dom[g] = 1 << size if bad == "size" else bad
+                else:
+                    maps[g][rng.randrange(size)] = size if bad == "size" else bad
+            if rng.random() < 0.3:
+                g = rng.randrange(n)
+                maps[g] = maps[g][:-1]
+            yield pa.group, pa.space, tuple(dom), tuple(map(tuple, maps))
+
+
+def test_constructor_refuses_what_the_per_entry_checks_refuse(family):
+    # The constructor checks tables of 32 entries or more at C speed and
+    # falls back to the checks one by one, which smaller tables take
+    # directly, so each table gets the first failure's message: on the
+    # sweep's tables, on the mid-size ones (C3 on 11 points among them)
+    # and on a row that has a length and no entries to read, after a
+    # good or a bad row
+    midsize = [pa for *_, pa in midsize_instances()] + [rotation(3, 12)[3]]
+    edits = list(_bad_table_edits(family + midsize, random.Random(41)))
+    for pa in (SWAP, midsize[-1]):
+        good = pa.maps[0]
+        bad = (True, *good[1:])
+        sized = _Sized(pa.space.size)
+        edits += [(pa.group, pa.space, pa.dom, (good, sized, *pa.maps[2:])),
+                  (pa.group, pa.space, pa.dom, (bad, sized, *pa.maps[2:])),
+                  (pa.group, pa.space, pa.dom, pa.maps)]
+    messages = {}
+    for table in edits:
+        got = _first_error(PartialAction, *table)
+        assert got == _first_error(references.partial_action_error, *table), table
+        kind = got if got in (None, TypeError) else " ".join(got.split()[-3:])
+        kind = (kind, table[0].order * table[1].size >= 32)
+        messages[kind] = messages.get(kind, 0) + 1
+    # (kind of message, whether the table has 32 entries or more)
+    assert messages == {
+        ("outside the carrier", False): 554, ("outside the carrier", True): 30,
+        ("entry per point", False): 157, ("entry per point", True): 8,
+        ("out of range", False): 682, ("out of range", True): 59,
+        (TypeError, False): 1, (TypeError, True): 1, (None, False): 1, (None, True): 1,
+    }
+
+
+def _first_error(check, *table):
+    # the message of the ValueError check raises or returns, or TypeError
+    # for a row with no entries to read, or None
+    try:
+        out = check(*table)
+    except ValueError as exc:
+        assert type(exc) is ValueError
+        return str(exc)
+    except TypeError:
+        return TypeError
+    return out if type(out) is str else None
 
 
 def test_induced_on_empty_carrier():

@@ -486,6 +486,25 @@ def test_negative_sizes_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize("size, name", [
+    (True, "bool"), (False, "bool"), (2.0, "float"), ("2", "str"), (None, "NoneType"),
+])
+@pytest.mark.parametrize("build", [
+    lambda size: FinTop(size, [0, 1, 3]),
+    lambda size: all_topologies(size),
+    lambda size: make_topology(size, []),
+    lambda size: topology_with_opens(size, [0, 3]),
+    lambda size: discrete(size),
+], ids=["FinTop", "all_topologies", "make_topology", "topology_with_opens", "discrete"])
+def test_sizes_that_are_not_ints_are_refused(build, size, name):
+    # True passed as the size 1 (FinTop(True, [0, 1]) stored size=True),
+    # and 2.0 or "2" raised a bare TypeError
+    with pytest.raises(ValueError) as caught:
+        build(size)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"size must be an int, not {name}"
+
+
 def test_size_limits_name_the_limit_and_size():
     with pytest.raises(LimitExceeded) as exc:
         discrete(21).opens
