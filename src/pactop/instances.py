@@ -43,17 +43,22 @@ def check_total_action(
         if not (has_entries(row, size) and {*map(type, row)} <= {int}
                 and sorted(row) == points):
             raise NotAnAction(f"row of element {g} is not a permutation", (g,))
-        rows.append(row)
-    if {*map(type, rows)} <= {list, tuple}:  # read alike by index and in order
-        _checked_laws(group, space, tuple(map(tuple, rows)))
-    else:
-        _laws(group, space, rows)
+        # by index too, as the laws and the restriction read it
+        rows.append(tuple(map(row.__getitem__, points)))
+    _checked_laws(group, space, tuple(rows))
 
 
-def _laws(group: FiniteGroup, space: FinTop, u: Sequence[Sequence[int]]) -> None:
+# The sweeps restrict one total action to every carrier in turn, so the
+# repeats of a table are consecutive and a few entries catch them.  An
+# entry keeps its space alive, and the masks of discrete(16384) alone
+# take about 16 MB.  A failing table is not stored: it raises again.
+@functools.lru_cache(maxsize=4)
+def _checked_laws(
+    group: FiniteGroup, space: FinTop, u: tuple[tuple[int, ...], ...]
+) -> None:
     # the identity, composition and continuity of the permutation rows u
     size = space.size
-    if tuple(u[group.identity]) != tuple(range(size)):
+    if u[group.identity] != tuple(range(size)):
         raise NotAnAction("identity row is not the identity map", (group.identity,))
     for g in group.elements():
         row_g = u[g]
@@ -67,14 +72,6 @@ def _laws(group: FiniteGroup, space: FinTop, u: Sequence[Sequence[int]]) -> None
     for g in group.elements():
         if not topo._is_monotone(u[g], space, space):
             raise NotAnAction(f"row of element {g} is not continuous", (g,))
-
-
-# ``_laws`` on rows given as tuples.  The sweeps restrict one total action
-# to every carrier in turn, so the repeats of a table are consecutive and
-# a few entries catch them.  An entry keeps its space alive, and the
-# masks of discrete(16384) alone take about 16 MB.  A failing table is
-# not stored: it raises again.
-_checked_laws = functools.lru_cache(maxsize=4)(_laws)
 
 
 def _cut(carrier: int) -> dict[int, int]:

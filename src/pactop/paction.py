@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Sequence
-from itertools import chain
 
 from . import topology as topo
 from .errors import AxiomViolation, InvalidSubset, has_entries, in_range
@@ -21,22 +20,6 @@ from .record import Record
 from .relations import EqRel, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
-
-
-def _tables_in_range(dom: Sequence[int], maps: Sequence[Sequence[int]],
-                     size: int) -> bool:
-    # The constructor's entry checks at C speed: every mask an int (not
-    # a bool) in range, every row of length size, every entry an int in
-    # -1..size-1.  False sends the caller to the checks one by one.
-    try:
-        entries = [*chain.from_iterable(maps)]
-        lengths = {*map(len, maps)}
-    except TypeError:  # a row with no entries to read, or no length
-        return False
-    if not ({*map(type, dom), *map(type, entries)} <= {int} and lengths == {size}):
-        return False
-    return (min(dom) >= 0 and max(dom) >> size == 0
-            and min(entries) >= -1 and max(entries) < size)
 
 
 class PartialAction(Record):
@@ -54,20 +37,16 @@ class PartialAction(Record):
         size = space.size
         if not (has_entries(dom, n) and has_entries(maps, n)):
             raise ValueError("dom and maps must have one entry per group element")
-        if n * size < 32 or not _tables_in_range(dom, maps, size):
-            # the checks one by one: for the first failure's message, and
-            # on tables of fewer than 32 entries, where they cost less
-            # than the pass at C speed
-            for g, mask in enumerate(dom):
-                if not in_range(mask, 1 << size):
-                    raise ValueError(f"dom[{g}] outside the carrier")
-            for g, row in enumerate(maps):
-                if not has_entries(row, size):
-                    raise ValueError(f"maps[{g}] must have one entry per point")
-                for x, y in enumerate(row):
-                    # a point, or the undefined mark: y + 1 is then the int 0
-                    if not (in_range(y, size) or y == -1 and in_range(y + 1, 1)):
-                        raise ValueError(f"maps[{g}][{x}] = {y!r} out of range")
+        for g, mask in enumerate(dom):
+            if not in_range(mask, 1 << size):
+                raise ValueError(f"dom[{g}] outside the carrier")
+        for g, row in enumerate(maps):
+            if not has_entries(row, size):
+                raise ValueError(f"maps[{g}] must have one entry per point")
+            for x, y in enumerate(row):
+                # a point, or the undefined mark: y + 1 is then the int 0
+                if not (in_range(y, size) or y == -1 and in_range(y + 1, 1)):
+                    raise ValueError(f"maps[{g}][{x}] = {y!r} out of range")
         self._set("group", group)
         self._set("space", space)
         self._set("dom", dom)

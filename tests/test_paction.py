@@ -600,7 +600,7 @@ def test_induced_restriction_tables():
           for g, rows in [(0, [[0, True], [1, 0]]), (1, [[0, 1], [True, 0]]),
                           (1, [[0, 1], [1.0, 0]]), (1, [[0, 1], [1, "a"]])]],
         # a row read otherwise by index than in order, a dict here: its
-        # laws are read by index, as the restriction reads it, not cached
+        # laws are read by index, as the restriction reads it
         (Z2, discrete(2), [{0: 0, 1: 1}, {0: 0, 1: 0}], 0b11, NotAnAction,
          "rows do not compose at (1, 1, 1)", (1, 1, 1)),
     ],
@@ -785,12 +785,10 @@ def _bad_table_edits(tables, rng):
 
 
 def test_constructor_refuses_what_the_per_entry_checks_refuse(family):
-    # The constructor checks tables of 32 entries or more at C speed and
-    # falls back to the checks one by one, which smaller tables take
-    # directly, so each table gets the first failure's message: on the
-    # sweep's tables, on the mid-size ones (C3 on 11 points among them)
-    # and on a row that has a length and no entries to read, after a
-    # good or a bad row
+    # The constructor reports the first failure of the checks one by one:
+    # on the sweep's tables, on the mid-size ones (C3 on 11 points among
+    # them) and on a row that has a length and no entries to read, after
+    # a good or a bad row
     midsize = [pa for *_, pa in midsize_instances()] + [rotation(3, 12)[3]]
     edits = list(_bad_table_edits(family + midsize, random.Random(41)))
     for pa in (SWAP, midsize[-1]):
@@ -805,14 +803,10 @@ def test_constructor_refuses_what_the_per_entry_checks_refuse(family):
         got = _first_error(PartialAction, *table)
         assert got == _first_error(references.partial_action_error, *table), table
         kind = got if got in (None, TypeError) else " ".join(got.split()[-3:])
-        kind = (kind, table[0].order * table[1].size >= 32)
         messages[kind] = messages.get(kind, 0) + 1
-    # (kind of message, whether the table has 32 entries or more)
     assert messages == {
-        ("outside the carrier", False): 554, ("outside the carrier", True): 30,
-        ("entry per point", False): 157, ("entry per point", True): 8,
-        ("out of range", False): 682, ("out of range", True): 59,
-        (TypeError, False): 1, (TypeError, True): 1, (None, False): 1, (None, True): 1,
+        "outside the carrier": 584, "entry per point": 165, "out of range": 741,
+        TypeError: 2, None: 2,
     }
 
 
