@@ -16,7 +16,7 @@ from collections.abc import Callable, Sequence
 from . import topology as topo
 from .errors import AxiomViolation, InvalidSubset, has_entries, in_range
 from .groups import FiniteGroup
-from .record import Record
+from .record import Record, cached
 from .relations import EqRel, from_relation
 from .reports import Report, ReportBuilder
 from .topology import FinTop, iter_bits, mask_of
@@ -64,7 +64,7 @@ class PartialAction(Record):
     # tables; ``moves`` calls ``act``, the others read it, and all of them
     # raise KeyError on ill-formed tables.
 
-    @functools.cached_property
+    @cached
     def acting(self) -> tuple[int, ...]:
         """Per point x, the bitmask of the g with x in dom[inv(g)]."""
         dom, inv = self.dom, self.group.inv
@@ -73,7 +73,7 @@ class PartialAction(Record):
             for x in self.space.points()
         )
 
-    @functools.cached_property
+    @cached
     def moves(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per point x, the pairs (g, g.x) for each g acting at x, listed
         by increasing h for g = inv(h)*0: the order in which the gluing
@@ -86,12 +86,12 @@ class PartialAction(Record):
             for x, acting in enumerate(self.acting)
         )
 
-    @functools.cached_property
+    @cached
     def orbits(self) -> tuple[int, ...]:
         """Per point x, the bitmask of its images g.x."""
         return tuple(mask_of(y for _, y in xmoves) for xmoves in self.moves)
 
-    @functools.cached_property
+    @cached
     def preimages(self) -> tuple[tuple[int, ...], ...]:
         """Per element g and point y, the bitmask of the x with g.x = y."""
         rows = [[0] * self.space.size for _ in self.group.elements()]
@@ -100,7 +100,7 @@ class PartialAction(Record):
                 rows[g][y] |= 1 << x
         return tuple(map(tuple, rows))
 
-    @functools.cached_property
+    @cached
     def settled(self) -> tuple[bool, ...]:
         """Per point x, whether the orbit of each point y in the orbit
         of x covers the orbit of x.  Each such y then meets every nonempty
@@ -110,7 +110,7 @@ class PartialAction(Record):
         orbits = self.orbits
         return tuple(all(orbits[y] & o == o for y in iter_bits(o)) for o in orbits)
 
-    @functools.cached_property
+    @cached
     def sections(self) -> tuple[tuple[int, int, int, bool], ...]:
         """Per point x, the packed row ``vaught.ideal_section_set`` reads:
         x, ``1 << x``, ``orbits[x] << (x * size)`` (the orbit as row x of
@@ -123,7 +123,7 @@ class PartialAction(Record):
             for x, (o, s) in enumerate(zip(orbits, self.settled))
         )
 
-    @functools.cached_property
+    @cached
     def graph(self) -> int:
         """The definedness graph {(g, x) : x in dom[inv(g)]} as a set of
         product points."""
@@ -132,28 +132,28 @@ class PartialAction(Record):
             out |= self.dom[self.group.inv[g]] << (g * self.space.size)
         return out
 
-    @functools.cached_property
+    @cached
     def product(self) -> FinTop:
         """The group-indexed product of the space with the discrete group."""
         return topo.product_with_discrete(self.space, self.group.order)
 
-    @functools.cached_property
+    @cached
     def graph_open(self) -> bool:
         """Whether ``graph`` is open in ``product``: the group is
         discrete, so exactly when each slice, a domain, is open."""
         return all(topo.is_open(self.space, d) for d in self.dom)
 
-    @functools.cached_property
+    @cached
     def orbit_relation(self) -> EqRel:
         """``orbit_equivalence(self)``."""
         return orbit_equivalence(self)
 
-    @functools.cached_property
+    @cached
     def orbit_quotient(self) -> FinTop:
         """The quotient of the space by ``orbit_relation``."""
         return topo.quotient(self.space, self.orbit_relation)
 
-    @functools.cached_property
+    @cached
     def lifted_orbits(self) -> EqRel:
         """The gluing relation of the enveloping space, (g, x) ~ (h, y)
         when inv(h)*g carries x to y: the orbit relation of

@@ -6,12 +6,11 @@ built once at import; wider masks are scanned one bit at a time."""
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 from .errors import has_entries, in_range
-from .record import Record
+from .record import Record, cached
 
 
 def _canonical(class_id: Iterable[int]) -> tuple[int, ...]:
@@ -83,7 +82,7 @@ class EqRel(Record):
         self._set("size", size)
         self._set("class_id", _canonical(class_id))
 
-    @functools.cached_property
+    @cached
     def least(self) -> tuple[int, ...]:
         least: list[int] = []
         for x, c in enumerate(self.class_id):
@@ -91,7 +90,7 @@ class EqRel(Record):
                 least.append(x)
         return tuple(least)
 
-    @functools.cached_property
+    @cached
     def num_classes(self) -> int:
         return len(self.least)
 

@@ -162,14 +162,7 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
         (2 ** len(image_atoms), 2 ** len(carrier_atoms)),
     )
 
-    bad_meas = []
-    for g in pa.group.elements():
-        for atom in tau.atoms:
-            pre = mask_of(
-                c for c in range(n_classes) if (atom >> glob.action[g][c]) & 1
-            )
-            if not topo.is_borel(tau, pre):
-                bad_meas.append((g, atom))
+    bad_meas = _measurability_failures(tau, glob.action)
     rb.check(
         "every translation is Borel measurable for the transversal topology",
         not bad_meas,
@@ -177,6 +170,27 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
     )
 
     return BorelReport(tau, quotient_atoms, rb.build())
+
+
+def _measurability_failures(tau: FinTop, action) -> list[tuple[int, int]]:
+    # Translation by g is measurable exactly when it carries each tau-atom
+    # into one tau-atom.  Classes share an atom when they share a
+    # neighborhood, so then the (source, target) neighborhood pairs are as
+    # many as the atoms.  Otherwise the preimage of atom B is not Borel
+    # exactly when the image of an atom that g splits meets B: the
+    # witnesses (g, B), by g and then in the atom order.
+    nbrs, atoms = tau.nbrs, tau.atoms
+    bad = []
+    for g, row in enumerate(action):
+        if len(set(zip(nbrs, map(nbrs.__getitem__, row)))) == len(atoms):
+            continue
+        split = 0
+        for atom in atoms:
+            moved = mask_of(row[c] for c in iter_bits(atom))
+            if len({nbrs[d] for d in iter_bits(moved)}) > 1:
+                split |= moved
+        bad += [(g, atom) for atom in atoms if atom & split]
+    return bad
 
 
 def action_continuity_table(

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import or_
 
 from .errors import InvalidSubset, LimitExceeded, has_entries, in_range
-from .record import Record
+from .record import Record, cached
 from .relations import EqRel, iter_bits
 
 # Largest open-set family ``FinTop.opens`` lists; the 2**21 subsets of
@@ -93,7 +93,7 @@ class FinTop(Record):
         t._set("nbrs", nbrs)
         return t
 
-    @cached_property
+    @cached
     def opens(self) -> tuple[int, ...]:
         """Every open set, in increasing order; computed once.  Raises
         LimitExceeded past ``OPEN_SET_LIMIT`` sets."""
@@ -103,7 +103,7 @@ class FinTop(Record):
         family.sort()
         return tuple(family)
 
-    @cached_property
+    @cached
     def atoms(self) -> tuple[int, ...]:
         """Atoms of the algebra the opens generate, in increasing order;
         computed once.  Two points share an atom exactly when every open

@@ -17,6 +17,8 @@ and builds the restriction again at every carrier; ``json.dumps``'s
 text of a run's JSON report, the reference for ``cli._render``;
 ``classes``, the member mask of each class of a relation;
 ``quotient_atoms``, the quotient Borel atoms by enumerating class sets;
+``measurability_failures``, the transversal topology's measurability
+clause as one ``is_borel`` call per (g, atom);
 ``min_selector``, the selector onto each class's least member;
 ``is_selector_for``, the selector laws of a map against a relation; and
 ``fresh``, the copy of an action with none of its tables cached.
@@ -378,6 +380,21 @@ def quotient_atoms(glob) -> tuple[int, ...]:
     return tuple(sorted(
         {functools.reduce(and_, [s for s in borel if (s >> c) & 1]) for c in range(n)}
     ))
+
+
+def measurability_failures(glob, tau) -> list[tuple[int, int]]:
+    """The (g, atom) pairs whose preimage under translation by g is not
+    Borel for ``tau``, one ``is_borel`` call per pair, by g and then in
+    the atom order."""
+    bad = []
+    for g in glob.source.group.elements():
+        for atom in tau.atoms:
+            pre = mask_of(
+                c for c in range(glob.num_classes) if (atom >> glob.action[g][c]) & 1
+            )
+            if not topo.is_borel(tau, pre):
+                bad.append((g, atom))
+    return bad
 
 
 def envelope_classes(glob) -> EqRel:

@@ -36,7 +36,7 @@ from pactop import (
     transversal_topology,
 )
 from pactop.cli import ActionSpec, _Command
-from pactop.record import Record
+from pactop.record import Record, cached
 
 
 def swap() -> PartialAction:
@@ -198,19 +198,36 @@ def test_constructor_defaults():
 
 def test_cached_tables_are_computed_once_and_kept_beside_the_fields():
     pa, t, rel = swap(), FinTop(3, [0, 1, 3, 7]), EqRel(3, (1, 1, 0))
-    cached = ((pa, "orbits"), (pa, "lifted_orbits"), (t, "opens"), (rel, "least"))
-    for record, name in cached:
-        assert name not in vars(record)
-        first = getattr(record, name)
-        assert vars(record)[name] is first and getattr(record, name) is first
-        # the cached table takes no part in equality, hashing or repr
+    tables = {
+        record: [n for n, v in vars(type(record)).items() if isinstance(v, cached)]
+        for record in (pa, t, rel)
+    }
+    assert [len(names) for names in tables.values()] == [12, 2, 2]
+    for record, names in tables.items():
+        cls = type(record)
+        for name in names:
+            # class access gives the descriptor, with the function's doc
+            table = getattr(cls, name)
+            assert table is vars(cls)[name] and table.__doc__ == table.func.__doc__
+            assert name not in vars(record)
+            first = getattr(record, name)
+            assert vars(record)[name] is first and getattr(record, name) is first
+        # the cached tables take no part in equality, hashing or repr
         fresh = type(record)(**fields(record)) if record is not t else FinTop(3, t.opens)
-        assert name not in vars(fresh)
+        assert not set(names) & set(vars(fresh))
         assert record == fresh and hash(record) == hash(fresh)
         assert repr(record) == repr(fresh)
     assert pa.orbits == (3, 3) and t.opens == (0, 1, 3, 7) and rel.least == (0, 2)
     # the swap's lift glues (0, 0) to (1, 1) and (0, 1) to (1, 0)
     assert pa.lifted_orbits == EqRel(4, (0, 1, 1, 0))
+    assert PartialAction.moves.__doc__.startswith("Per point x, the pairs (g, g.x)")
+    # a table whose computation raises keeps nothing, and raises again:
+    # element 1 acts at point 1 with no image there
+    broken = PartialAction(cyclic(2), discrete(2), (3, 3), ((0, 1), (1, -1)))
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            broken.moves
+        assert "moves" not in vars(broken)
 
 
 def message(text: str) -> str:

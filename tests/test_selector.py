@@ -20,14 +20,15 @@ from pactop import (
     discrete,
     example_k3,
     induced,
+    make_topology,
     normalized_selector,
     orbit_homeomorphism_report,
     transversal,
     transversal_topology,
 )
-from pactop.errors import AxiomViolation
+from pactop.errors import AxiomViolation, LimitExceeded
 from pactop.reports import FAIL, INFO, PASS
-from pactop.selector import _quotient_atoms
+from pactop.selector import _measurability_failures, _quotient_atoms
 
 SWAP = PartialAction(cyclic(2), discrete(2), (0b11, 0b11), ((0, 1), (1, 0)))
 K3 = example_k3()
@@ -140,6 +141,53 @@ def test_measurability_frozen_failure():
         (PASS, ()), (INFO, (3, 3)), (PASS, (4, 4)), (PASS, (0b111,)),
         (PASS, (0b111, 0b111)), (PASS, (4, 4)), (FAIL, ((1, 0b011), (1, 0b100))),
     ]
+
+
+def test_measurability_matches_the_preimage_loop(family, s3_family, changed_family):
+    # The atom-image rule against one is_borel call per (g, atom): on the
+    # quotient and transversal topologies of every envelope built from
+    # the sweeps, their neighbours and the mid-size instances, then on
+    # seeded random topologies with random class maps, permutations or
+    # not, each group element's row drawn on its own.
+    def agree(glob, tau):
+        got = _measurability_failures(tau, glob.action)
+        assert got == references.measurability_failures(glob, tau), (glob, tau)
+        return bool(got)
+
+    built = crossed = 0
+    midsize = [pa for *_, pa in midsize_instances()]
+    for pa in [*family, *s3_family, *changed_family, *midsize]:
+        try:
+            glob = build(pa)
+        except (AxiomViolation, KeyError):
+            continue
+        built += 1
+        agree(glob, glob.topology)
+        try:
+            tau = transversal_topology(glob, normalized_selector(pa)).tau
+        except (AxiomViolation, LimitExceeded):
+            continue
+        crossed += 1
+        agree(glob, tau)
+    # six mid-size transversal topologies pass the open-set limit
+    assert (built, crossed) == (447 + 66 + 24, 447 + 66 + 18)
+
+    rng = random.Random(0)
+    failing = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        gens = [rng.getrandbits(n) for _ in range(rng.randint(0, 3))]
+        tau = make_topology(n, gens)
+        permutations, order = rng.random() < 0.5, rng.randint(1, 4)
+        rows = tuple(
+            tuple(rng.sample(range(n), n) if permutations else rng.choices(range(n), k=n))
+            for _ in range(order)
+        )
+        # the loop reads the group's elements, the class count and the rows
+        source = PartialAction(cyclic(order), discrete(0), (0,) * order, ((),) * order)
+        glob = Globalization(source, EqRel(n, range(n)), tau, rows, ())
+        failing[permutations] += agree(glob, tau)
+    assert failing == {True: 638, False: 591}
 
 
 @pytest.mark.parametrize("relation, embedding, graph, statuses", [
