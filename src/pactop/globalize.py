@@ -14,7 +14,7 @@ from .paction import PartialAction
 from .record import Record
 from .relations import EqRel, disagreements
 from .reports import Report, ReportBuilder
-from .topology import FinTop, iter_bits, mask_of
+from .topology import FinTop, image_of, iter_bits, mask_of
 
 
 class Globalization(Record):
@@ -113,8 +113,8 @@ def embedding_report(glob: Globalization) -> Report:
     bad_restriction: list[tuple] = [] if cont and opens else [("space",)]
     for g in group.elements():
         row = glob.action[g]
-        reached = image & mask_of(row[c] for c in iter_bits(image))
-        if mask_of(glob.embedding[x] for x in iter_bits(pa.dom[g])) != reached:
+        reached = image & image_of(row, image)
+        if image_of(glob.embedding, pa.dom[g]) != reached:
             bad_restriction.append(("dom", g))
         for x in iter_bits(pa.dom[group.inv[g]]):
             if row[glob.embedding[x]] != glob.embedding[pa.act(g, x)]:

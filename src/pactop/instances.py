@@ -38,13 +38,18 @@ def check_total_action(
     rows = []
     for g in range(n):
         row = u[g]  # by index: u may map elements to rows
-        # in_range on every entry, at C speed: all ints, sorting to range
+        try:
+            # by index too, as the laws and the restriction read it: the
+            # values of a dict row, not its keys
+            values = tuple([row[x] for x in points])
+        except (LookupError, TypeError):  # a point missing, or a row with no []
+            values = None
+        # in_range on every value, at C speed: all ints, sorting to range
         # (True and 1.0 would sort as 1, a str not at all)
-        if not (has_entries(row, size) and {*map(type, row)} <= {int}
-                and sorted(row) == points):
+        if not (has_entries(row, size) and values is not None
+                and {*map(type, values)} <= {int} and sorted(values) == points):
             raise NotAnAction(f"row of element {g} is not a permutation", (g,))
-        # by index too, as the laws and the restriction read it
-        rows.append(tuple(map(row.__getitem__, points)))
+        rows.append(values)
     _checked_laws(group, space, tuple(rows))
 
 

@@ -19,7 +19,7 @@ from .groups import FiniteGroup
 from .record import Record, cached
 from .relations import EqRel, from_relation
 from .reports import Report, ReportBuilder
-from .topology import FinTop, iter_bits, mask_of
+from .topology import FinTop, image_of, iter_bits, mask_of
 
 
 class PartialAction(Record):
@@ -293,10 +293,7 @@ def _bijection_axioms(pa: PartialAction) -> Report:
     for g in group.elements():
         row, src_g, range_g, mul_g = maps[g], dom[inv[g]], dom[g], mul[g]
         for h in group.elements():
-            img = 0
-            for x in iter_bits(src_g & dom[h]):
-                img |= 1 << row[x]
-            if img != range_g & dom[mul_g[h]]:
+            if image_of(row, src_g & dom[h]) != range_g & dom[mul_g[h]]:
                 bad_ranges.append((g, h))
     rb.check(
         "maps carry domain intersections onto range intersections",

@@ -1,12 +1,15 @@
 """Equivalence relations on dense point ranges, stored as class-id tables;
-``disagreements``, the pair scan between two labellings; and
-``iter_bits``, the bit-position reader every other module imports
-through topology.  Masks below 2^12 read their positions from a table
-built once at import; wider masks are scanned one bit at a time."""
+``disagreements``, the pair scan between two labellings; ``iter_bits``,
+the bit-position reader; and the two mask kernels built on it,
+``image_of`` (the image of a point set under a point map) and
+``union_of`` (the union of rows over a point set).  Every other module
+imports these three through topology.  Masks below 2^12 read their
+positions from a table built once at import; wider masks are scanned
+one bit at a time, by ``iter_bits``."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain
 
 from .errors import has_entries, in_range
@@ -53,6 +56,25 @@ def iter_bits(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def image_of(f: Sequence[int] | Mapping[int, int], s: int) -> int:
+    """The mask of ``f[y]`` for each y in the point set ``s``.  A negative
+    ``s`` raises iter_bits' ValueError; a value that is not a point
+    raises what reading or shifting it raises."""
+    out = 0
+    for y in _BITS[s] if 0 <= s < _TABLE_SIZE else iter_bits(s):
+        out |= 1 << f[y]
+    return out
+
+
+def union_of(rows: Sequence[int], s: int) -> int:
+    """The union of ``rows[y]`` over the point set ``s``; a negative ``s``
+    raises iter_bits' ValueError."""
+    out = 0
+    for y in _BITS[s] if 0 <= s < _TABLE_SIZE else iter_bits(s):
+        out |= rows[y]
+    return out
 
 
 # the type of a class id and of a row member: bool and float are refused

@@ -19,7 +19,7 @@ from .paction import PartialAction
 from .record import Record
 from .relations import EqRel, disagreements, from_relation
 from .reports import Report, ReportBuilder
-from .topology import FinTop, iter_bits, mask_of
+from .topology import FinTop, image_of, iter_bits, mask_of
 
 
 class SelectorMap(Record):
@@ -111,9 +111,7 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
 
     tau_nbrs = [0] * n_classes
     for p in iter_bits(t_mask):
-        tau_nbrs[cid[p]] = mask_of(
-            cid[q] for q in iter_bits(glob.product.nbrs[p] & t_mask)
-        )
+        tau_nbrs[cid[p]] = image_of(cid, glob.product.nbrs[p] & t_mask)
     tau = FinTop.from_neighborhoods(tau_nbrs)
 
     rb = ReportBuilder("transversal-topology")
@@ -153,8 +151,7 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
         by_trace[tau.nbrs[c] & image] = by_trace.get(tau.nbrs[c] & image, 0) | 1 << c
     image_atoms = tuple(sorted(by_trace.values()))
     carrier_atoms = tuple(sorted(
-        mask_of(glob.embedding[x] for x in iter_bits(atom))
-        for atom in pa.space.atoms
+        image_of(glob.embedding, atom) for atom in pa.space.atoms
     ))
     rb.check(
         "Borel algebra of the embedded image matches the carrier's",
@@ -186,7 +183,7 @@ def _measurability_failures(tau: FinTop, action) -> list[tuple[int, int]]:
             continue
         split = 0
         for atom in atoms:
-            moved = mask_of(row[c] for c in iter_bits(atom))
+            moved = image_of(row, atom)
             if len({nbrs[d] for d in iter_bits(moved)}) > 1:
                 split |= moved
         bad += [(g, atom) for atom in atoms if atom & split]
@@ -204,9 +201,10 @@ def action_continuity_table(
     rb = ReportBuilder("translation-continuity")
     for g in glob.source.group.elements():
         row = []
+        act_g = glob.action[g]
         for c in range(glob.num_classes):
-            moved = mask_of(glob.action[g][d] for d in iter_bits(nbrs[c]))
-            row.append(moved & ~nbrs[glob.action[g][c]] == 0)
+            moved = image_of(act_g, nbrs[c])
+            row.append(moved & ~nbrs[act_g[c]] == 0)
         rows.append(tuple(row))
         failures = tuple(c for c, ok in enumerate(row) if not ok)
         if failures:

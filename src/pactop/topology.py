@@ -19,7 +19,7 @@ from operator import or_
 
 from .errors import InvalidSubset, LimitExceeded, has_entries, in_range
 from .record import Record, cached
-from .relations import EqRel, iter_bits
+from .relations import EqRel, image_of, iter_bits, union_of
 
 # Largest open-set family ``FinTop.opens`` lists; the 2**21 subsets of
 # a 21-point discrete space already pass it.
@@ -167,8 +167,7 @@ def minimal_neighborhoods(t: FinTop) -> tuple[int, ...]:
 
 def is_open(t: FinTop, mask: int) -> bool:
     _check_subset(t, mask, "set")
-    nbrs = t.nbrs
-    return all(nbrs[x] & ~mask == 0 for x in iter_bits(mask))
+    return union_of(t.nbrs, mask) & ~mask == 0
 
 
 def is_meager_in(t: FinTop, a: int, s: int) -> bool:
@@ -210,9 +209,7 @@ def subspace(t: FinTop, s: int) -> FinTop:
     _check_subset(t, s, "subspace carrier")
     points = list(iter_bits(s))
     pos = {p: i for i, p in enumerate(points)}
-    return FinTop.from_neighborhoods(
-        mask_of(pos[q] for q in iter_bits(t.nbrs[p] & s)) for p in points
-    )
+    return FinTop.from_neighborhoods(image_of(pos, t.nbrs[p] & s) for p in points)
 
 
 def product_with_discrete(t: FinTop, k: int) -> FinTop:
@@ -254,15 +251,12 @@ def quotient(t: FinTop, e: EqRel) -> FinTop:
     cid = e.class_id
     step = [0] * e.num_classes
     for x, n in enumerate(t.nbrs):
-        step[cid[x]] |= mask_of(cid[y] for y in iter_bits(n))
+        step[cid[x]] |= image_of(cid, n)
     nbrs = []
     for c in range(len(step)):
         reach = frontier = 1 << c
         while frontier:
-            grown = 0
-            for d in iter_bits(frontier):
-                grown |= step[d]
-            frontier = grown & ~reach
+            frontier = union_of(step, frontier) & ~reach
             reach |= frontier
         nbrs.append(reach)
     return FinTop.from_neighborhoods(nbrs)
@@ -312,10 +306,11 @@ def is_continuous(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
 
 def _is_monotone(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
     # f is a total map of src's points to dst's, checked or known
-    return all(
-        mask_of(f[y] for y in iter_bits(n)) & ~dst.nbrs[f[x]] == 0
-        for x, n in enumerate(src.nbrs)
-    )
+    nbrs = dst.nbrs
+    for x, n in enumerate(src.nbrs):
+        if image_of(f, n) & ~nbrs[f[x]]:
+            return False
+    return True
 
 
 def is_open_map(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
@@ -324,7 +319,14 @@ def is_open_map(f: Sequence[int], src: FinTop, dst: FinTop) -> bool:
     checking the neighborhoods suffices.  Raises ValueError as
     ``is_continuous`` does."""
     _check_total_map(f, src, dst)
-    return all(is_open(dst, mask_of(f[y] for y in iter_bits(n))) for n in src.nbrs)
+    # each image is a set of points of dst, so ``is_open`` is read
+    # without its subset check
+    nbrs = dst.nbrs
+    for n in src.nbrs:
+        moved = image_of(f, n)
+        if union_of(nbrs, moved) & ~moved:
+            return False
+    return True
 
 
 def is_homeomorphism(
@@ -344,7 +346,7 @@ def is_homeomorphism(
         _check_map(f, iter_bits(s), dst)
     except (IndexError, KeyError, TypeError):
         raise ValueError("map leaves a point of the source set unmapped") from None
-    image = mask_of(f[x] for x in iter_bits(s))
+    image = image_of(f, s)
     if image != d or s.bit_count() != d.bit_count():
         return False
     return _carries_nbrs(f, src, s, dst, d)
@@ -354,10 +356,11 @@ def _carries_nbrs(f: Sequence[int] | Mapping[int, int], src: FinTop, s: int,
                   dst: FinTop, d: int) -> bool:
     # is_homeomorphism's last step: f is known to be a bijection of s
     # onto d, given by points of dst
-    return all(
-        mask_of(f[y] for y in iter_bits(src.nbrs[x] & s)) == dst.nbrs[f[x]] & d
-        for x in iter_bits(s)
-    )
+    src_nbrs, dst_nbrs = src.nbrs, dst.nbrs
+    for x in iter_bits(s):
+        if image_of(f, src_nbrs[x] & s) != dst_nbrs[f[x]] & d:
+            return False
+    return True
 
 
 def make_topology(size: int, generators: Iterable[int]) -> FinTop:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .paction import PartialAction, orbit
 from .reports import Report, ReportBuilder
-from .topology import iter_bits, mask_of
+from .topology import iter_bits, mask_of, union_of
 
 _IDENTITIES = (
     "complement duality",
@@ -50,15 +50,6 @@ def _check_args(pa: PartialAction, a: int, v: int) -> None:
             "group part must be a nonempty open set; on a discrete group "
             "that means any nonempty subset"
         )
-
-
-def _preimage(pa: PartialAction, g: int, a: int) -> int:
-    # The points g carries into A.
-    row = pa.preimages[g]
-    out = 0
-    for y in iter_bits(a):
-        out |= row[y]
-    return out
 
 
 def _undefined(pa: PartialAction, g: int) -> int:
@@ -82,7 +73,7 @@ def delta_transform(pa: PartialAction, a: int, v: int) -> int:
     _check_args(pa, a, v)
     out = 0
     for g in iter_bits(v):
-        out |= _preimage(pa, g, a)
+        out |= union_of(pa.preimages[g], a)  # the points g carries into A
     return out
 
 
@@ -93,7 +84,7 @@ def star_transform(pa: PartialAction, a: int, v: int) -> int:
     _check_args(pa, a, v)
     out = pa.space.full
     for g in iter_bits(v):
-        out &= _preimage(pa, g, a) | _undefined(pa, g)
+        out &= union_of(pa.preimages[g], a) | _undefined(pa, g)
     return out
 
 

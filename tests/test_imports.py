@@ -106,6 +106,67 @@ def test_package_exports_functions_and_classes_only():
     assert (len(functions), len(classes)) == (48, 24)
 
 
+def _over_bits(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "iter_bits")
+
+
+def _indexed_by(node: ast.expr, target: ast.expr) -> bool:
+    # node is x[target] for the loop variable target
+    return (isinstance(node, ast.Subscript) and isinstance(target, ast.Name)
+            and isinstance(node.slice, ast.Name) and node.slice.id == target.id)
+
+
+def hand_kernels(source: str) -> list[int]:
+    """Lines of ``source`` that write out an image or a union over a
+    point set by hand, in place of ``relations.image_of`` and
+    ``union_of``: ``mask_of(f[y] for y in iter_bits(...))`` with one
+    ``for`` and no ``if``, or a ``for y in iter_bits(...)`` loop whose
+    only statement is ``out |= rows[y]`` or ``out |= 1 << f[y]``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "mask_of" and len(node.args) == 1
+                and isinstance(node.args[0], ast.GeneratorExp)):
+            gen = node.args[0]
+            loop, *more = gen.generators
+            if (not more and not loop.ifs and _over_bits(loop.iter)
+                    and _indexed_by(gen.elt, loop.target)):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.For) and _over_bits(node.iter)
+              and len(node.body) == 1 and isinstance(node.body[0], ast.AugAssign)
+              and isinstance(node.body[0].op, ast.BitOr)):
+            value = node.body[0].value
+            if (isinstance(value, ast.BinOp) and isinstance(value.op, ast.LShift)
+                    and isinstance(value.left, ast.Constant) and value.left.value == 1):
+                value = value.right
+            if _indexed_by(value, node.target):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_hand_kernels_are_found():
+    source = (
+        "a = mask_of(f[y] for y in iter_bits(s))\n"
+        "b = mask_of(f[y] for y in iter_bits(s) if y)\n"
+        "c = mask_of(y for y in iter_bits(s))\n"
+        "d = mask_of(g[y][0] for y in iter_bits(s))\n"
+        "for y in iter_bits(s):\n    out |= rows[y]\n"
+        "for y in iter_bits(s):\n    out |= 1 << f[y]\n"
+        "for y in iter_bits(s):\n    out |= 2 << f[y]\n"
+        "for y in iter_bits(s):\n    out |= rows[y]\n    n += 1\n"
+        "for y in range(s):\n    out |= rows[y]\n"
+        "e = mask_of(t.nbrs[y] for y in iter_bits(s))\n"
+    )
+    assert hand_kernels(source) == [1, 5, 7, 16]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_engine_module_reads_images_and_unions_through_the_kernels(path):
+    # one kernel per operation, so a faster read of either serves every site
+    assert hand_kernels(path.read_text()) == []
+
+
 def bench_names(source: str) -> dict:
     """The literal ``TRACED`` and ``CACHED`` assignments of ``source``."""
     return {

@@ -600,9 +600,17 @@ def test_induced_restriction_tables():
           for g, rows in [(0, [[0, True], [1, 0]]), (1, [[0, 1], [True, 0]]),
                           (1, [[0, 1], [1.0, 0]]), (1, [[0, 1], [1, "a"]])]],
         # a row read otherwise by index than in order, a dict here: its
-        # laws are read by index, as the restriction reads it
-        (Z2, discrete(2), [{0: 0, 1: 1}, {0: 0, 1: 0}], 0b11, NotAnAction,
-         "rows do not compose at (1, 1, 1)", (1, 1, 1)),
+        # shape and its laws are read by index, as the restriction reads
+        # it, so its values (0, 0) are no permutation; a set has no index
+        # and a value that is not a point none in the rows
+        *[(group, discrete(2), rows, 0b11, NotAnAction,
+           f"row of element {g} is not a permutation", (g,))
+          for group, g, rows in [(Z2, 1, [{0: 0, 1: 1}, {0: 0, 1: 0}]),
+                                 (cyclic(1), 0, [{0, 1}]),
+                                 (Z2, 1, [(0, 1), {0: 5, 1: 0}]),
+                                 (Z2, 1, [(0, 1), {0: -1, 1: 0}])]],
+        (Z3, discrete(2), [(0, 1), {1: 0, 0: 1}, {0: 0, 1: 1}], 0b11, NotAnAction,
+         "rows do not compose at (1, 2, 0)", (1, 2, 0)),
     ],
 )
 def test_induced_rejects_non_actions(

@@ -8,7 +8,8 @@ import pactop.relations as relations
 import pactop.selector as selector
 import references
 from pactop import EqRel, build, from_relation, normalized_selector
-from pactop.relations import iter_bits
+from pactop.relations import image_of, iter_bits, union_of
+from pactop.topology import mask_of
 from references import from_masks
 
 
@@ -254,6 +255,62 @@ def test_iter_bits_rejects_negative_masks(mask):
     # yielded forever on it
     with pytest.raises(ValueError, match="negative mask"):
         iter_bits(mask)
+
+
+def image_by_hand(f, mask: int) -> int:
+    """The image as the engine wrote it out before ``image_of``."""
+    return mask_of(f[y] for y in iter_bits(mask))
+
+
+def union_by_hand(rows, mask: int) -> int:
+    """The union as the engine wrote it out before ``union_of``."""
+    out = 0
+    for y in iter_bits(mask):
+        out |= rows[y]
+    return out
+
+
+def test_kernels_match_their_written_out_forms():
+    # seeded masks below the table edge at 2^12, at 4095 and 4096 and up
+    # to 2^14, through maps given as tuples and as dicts (is_homeomorphism
+    # takes a Mapping) and rows as wide as 70 bits
+    rng = random.Random(43)
+    masks = [0, 1, 4095, 4096, 4097, (1 << 14) - 1]
+    masks += [rng.randrange(1 << 12) for _ in range(500)]
+    masks += [rng.randrange(1 << 14) for _ in range(500)]
+    for mask in masks:
+        f = tuple(rng.randrange(70) for _ in range(14))
+        rows = tuple(rng.getrandbits(70) for _ in range(14))
+        assert image_of(f, mask) == image_by_hand(f, mask), (f, mask)
+        assert image_of(dict(enumerate(f)), mask) == image_by_hand(f, mask), (f, mask)
+        assert union_of(rows, mask) == union_by_hand(rows, mask), (rows, mask)
+
+
+def raised(call) -> tuple[type, str]:
+    try:
+        call()
+    except Exception as exc:  # the error is the result compared
+        return type(exc), str(exc)
+    raise AssertionError("nothing raised")
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 12), -(1 << 100)])
+def test_kernels_reject_negative_masks(mask):
+    for kernel in (image_of, union_of):
+        with pytest.raises(ValueError, match="negative mask"):
+            kernel((0,) * 16, mask)
+
+
+@pytest.mark.parametrize("mask", [0b101, 1 << 13 | 1])
+@pytest.mark.parametrize("f", [(0, 1), {0: 0, 1: 1}, (0,) + (-1,) * 13])
+def test_kernels_raise_as_their_written_out_forms(f, mask):
+    # a value past the map reads past its end (IndexError, or KeyError
+    # for a dict), a negative value shifts by a negative count (ValueError)
+    got = raised(lambda: image_of(f, mask))
+    assert got == raised(lambda: image_by_hand(f, mask))
+    assert got[0] in (IndexError, KeyError, ValueError)
+    assert raised(lambda: union_of((0, 1), mask)) == raised(
+        lambda: union_by_hand((0, 1), mask))
 
 
 def scan_relation(size: int, related) -> EqRel:
