@@ -21,6 +21,8 @@ The JSON output and the text output's data block are written by
 sort_keys=True)`` byte for byte.  The standard library's C encoder
 cannot indent, so with ``indent`` set ``json.dumps`` runs its
 pure-Python generator chain, which took longer than any one stage.
+``_dumps`` writes each ``Report`` tree itself, its fixed keys as literal
+text in sorted order, with no copy of the tree into dicts first.
 """
 
 from __future__ import annotations
@@ -609,10 +611,12 @@ def _build_parser():
 def _dumps(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
     the values the output holds: dicts with str keys, lists, tuples,
-    strs, ints, bools and None.  Any other value, a float, a set or a
-    key that is not a str, raises TypeError.  One recursive writer
-    appends to one list, joined once, where ``json.dumps`` with an
-    indent runs the standard library's pure-Python generator chain."""
+    strs, ints, bools, None and ``Report`` trees, each written as the dict
+    of its ``checks``, ``name``, ``sections`` and ``status``.  Any other
+    value, a float, a set or a key that is not a str, raises TypeError.
+    One recursive writer appends to one list, joined once, where
+    ``json.dumps`` with an indent runs the standard library's pure-Python
+    generator chain."""
     out: list[str] = []
     _write(value, "\n", out.append)
     return "".join(out)
@@ -639,6 +643,26 @@ def _write(value, newline: str, put) -> None:
             _write(value[key], inner, put)
             sep = "," + inner
         put(newline + "}")
+    elif kind is Report:
+        # the keys in sorted order, as literal text, for the report and
+        # each check; the witnesses and sections go through _write
+        inner = newline + "  "
+        item = inner + "  "
+        key = item + "  "
+        sep = "[" + item
+        put("{" + inner + '"checks": ')
+        for c in value.checks:
+            put(sep + "{" + key + '"detail": ' + _escape(c.detail) + "," + key
+                + '"name": ' + _escape(c.name) + "," + key + '"status": '
+                + _escape(c.status) + "," + key + '"witness": ')
+            _write(c.witness, key, put)
+            put(item + "}")
+            sep = "," + item
+        put((inner + "]," if value.checks else "[],") + inner + '"name": '
+            + _escape(value.name) + "," + inner + '"sections": ')
+        _write(value.sections, inner, put)
+        put("," + inner + ('"status": "pass"' if value.ok else '"status": "fail"')
+            + newline + "}")
     elif kind is list or kind is tuple:
         if not value:
             put("[]")
@@ -667,7 +691,7 @@ def _render(label: str, command: str, data: dict,
             "command": command,
             "overall": "pass" if ok else "fail",
             "data": data,
-            "reports": [r.to_dict() for r in reports],
+            "reports": reports,
         }
         return _dumps(payload), ok
     lines = []

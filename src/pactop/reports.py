@@ -5,6 +5,10 @@ group related checks.  Statuses: ``pass``/``fail`` decide the overall
 verdict, ``not-applicable`` marks checks whose hypothesis failed, and
 ``info`` records facts (separation flags, discontinuity points) that are
 never counted as failures.
+
+A report is ok when no check in it or below it fails.  ``ReportBuilder``
+keeps that verdict as its checks and sections come in, and ``build()``
+stores it with no second scan; a ``Report`` built directly computes it.
 """
 
 from __future__ import annotations
@@ -61,22 +65,6 @@ class Report(Record):
                 out.append((f"{self.name}/{path}", c))
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": PASS if self.ok else FAIL,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "witness": _jsonable(c.witness),
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-            "sections": [s.to_dict() for s in self.sections],
-        }
-
     def render_text(self, indent: int = 0) -> str:
         pad = "  " * indent
         mark = "PASS" if self.ok else "FAIL"
@@ -106,8 +94,11 @@ class ReportBuilder:
         self.name = name
         self.checks: list[Check] = []
         self.sections: list[Report] = []
+        self.ok = True  # no failing check or section added yet
 
     def check(self, name: str, ok: bool, witness: tuple = (), detail: str = "") -> bool:
+        if not ok:
+            self.ok = False
         self.checks.append(Check(name, PASS if ok else FAIL, witness, detail))
         return ok
 
@@ -118,8 +109,18 @@ class ReportBuilder:
         self.checks.append(Check(name, NA, (), detail))
 
     def section(self, report: Report) -> Report:
+        if not report.ok:
+            self.ok = False
         self.sections.append(report)
         return report
 
     def build(self) -> Report:
-        return Report(self.name, tuple(self.checks), tuple(self.sections))
+        # straight into the dict, as Check, with the verdict kept above in
+        # place of Report.__init__'s scan
+        report = object.__new__(Report)
+        d = report.__dict__
+        d["name"] = self.name
+        d["checks"] = tuple(self.checks)
+        d["sections"] = tuple(self.sections)
+        d["ok"] = self.ok
+        return report

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from pactop import (
     all_topologies,
     build,
@@ -30,6 +31,7 @@ from pactop import (
 from pactop.cli import ActionSpec, main, parse, serialize
 from pactop.errors import ParseError, SchemaError
 from pactop.instances import coset_rows
+from pactop.reports import FAIL, INFO, NA, PASS, Check, Report
 
 EXAMPLE = str(resources.files("pactop").joinpath("data/example48.json"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -484,9 +486,43 @@ def test_the_writer_writes_what_json_dumps_writes(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+# report trees as the stages build them: every status, witnesses of
+# nested tuples of ints (past 2^64 too), bools and short counts, sections
+# up to three levels down, with empty checks and empty sections
+report_strs = st.one_of(st.sampled_from(SPECIAL_STRS), st.text())
+witness_items = st.recursive(
+    st.one_of(
+        st.integers(), st.sampled_from([1 << 64, -(1 << 64) - 1]), st.booleans(),
+        st.integers(min_value=0, max_value=20000).map(lambda k: f"at least 2^{k}"),
+    ),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=10,
+)
+report_checks = st.builds(
+    Check, report_strs, st.sampled_from([PASS, FAIL, NA, INFO]),
+    st.lists(witness_items, max_size=4).map(tuple), report_strs,
+)
+
+
+def report_trees(depth: int):
+    sections = st.lists(report_trees(depth - 1), max_size=2) if depth else st.just([])
+    return st.builds(Report, report_strs, st.lists(report_checks, max_size=3).map(tuple),
+                     sections.map(tuple))
+
+
+@given(st.lists(report_trees(3), max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_the_writer_writes_a_report_as_json_dumps_writes_its_dicts(trees):
+    assert cli._dumps({"reports": trees}) == json.dumps(
+        {"reports": [references.report_dict(t) for t in trees]}, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("value", [
     1.5, {1, 2}, {1: "a"}, ["a", [0.0]], {"a": frozenset()}, {"a": {2: 0}},
-], ids=["float", "set", "int-key", "nested-float", "frozenset", "nested-int-key"])
+    [Report("r", sections=(Report("s", (Check("c", INFO, (1, (0.5,))),)),))],
+    Report("r", (Check("c", PASS, ({1, 2},)),)),
+], ids=["float", "set", "int-key", "nested-float", "frozenset", "nested-int-key",
+        "float-witness", "set-witness"])
 def test_the_writer_refuses_what_no_output_holds(value):
     with pytest.raises(TypeError):
         cli._dumps(value)

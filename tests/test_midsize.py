@@ -313,4 +313,4 @@ def test_transform_identities_on_c8_on_16384_points_minus_one():
     rep = transform_identities_report(pa)
     assert rep.ok, rep.failures()
     assert rep.checks[-1].witness == ("at least 2^16390", 255)
-    assert '"at least 2^16390"' in cli._dumps(rep.to_dict())
+    assert '"at least 2^16390"' in cli._dumps(rep)

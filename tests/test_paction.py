@@ -38,7 +38,7 @@ from pactop import (
 )
 from pactop.errors import AxiomViolation, InvalidSubset, NotAnAction
 from pactop.instances import induced_instances
-from pactop.reports import FAIL, NA, PASS, Report, ReportBuilder
+from pactop.reports import FAIL, NA, PASS, Check, Report, ReportBuilder
 from pactop.topology import iter_bits, mask_of
 
 Z2 = cyclic(2)
@@ -345,14 +345,14 @@ def test_axioms_match_the_accessor_reference(
         + [pa for seed in range(8) for _, pa in mutant_family(valid_family, seed=seed)]
         + list(_entry_edits(family + s3_family, 5, seed=14))
     )
-    engine = [validate(pa).to_dict() for pa in tables]
+    engine = [references.report_dict(validate(pa)) for pa in tables]
     monkeypatch.setattr(paction, "_pair_axioms", pair_axioms_by_accessors)
     monkeypatch.setattr(paction, "_bijection_axioms", bijection_axioms_by_accessors)
     # the topological section reads the neighbourhoods alone, where the
     # whole is_homeomorphism re-checked what the bijection section shows
     monkeypatch.setattr(paction, "_topological", references.topological_by_homeomorphism)
     for pa, report in zip(tables, engine):
-        assert validate(pa).to_dict() == report, pa
+        assert references.report_dict(validate(pa)) == report, pa
 
     def status(report, name):
         found = [s["status"] for s in report["sections"] if s["name"] == name]
@@ -367,24 +367,64 @@ def test_axioms_match_the_accessor_reference(
     assert (len(tables), counts) == (4247, [638, 2522, 2522])
 
 
-def test_report_ok_is_its_recursive_definition(valid_family):
-    # Report.ok is computed once, at construction; it must read as the
-    # definition on every report the family sweep builds (each valid
-    # member through pactop report, each of 300 mutants through
-    # validate), at every level of each
+def _report_stages(actions) -> list:
+    """The reports ``pactop report`` builds on each action."""
     args = cli._read_argv(["report", "doc.json"])
     reports = []
-    for pa in valid_family:
+    for pa in actions:
         names = tuple(f"p{x}" for x in pa.space.points())
         reports += cli._run(cli.ActionSpec("", names, pa), args)[1]
-    reports += [validate(m) for _, m in mutant_family(valid_family, count=300, seed=0)]
+    return reports
+
+
+def _verdicts(reports) -> dict:
+    """How many of ``reports`` and their sections, at every level, are ok
+    and not ok, each verdict checked against its recursive definition and
+    against ``Report``'s own computation from the same fields."""
     seen = {True: 0, False: 0}
     while reports:
         report = reports.pop()
         assert report.ok == references.report_ok(report), report
+        assert report.ok == Report(report.name, report.checks, report.sections).ok
         seen[report.ok] += 1
         reports += report.sections
-    assert seen == {True: 5086, False: 1048}
+    return seen
+
+
+def test_report_ok_is_its_recursive_definition(valid_family):
+    # Report.ok is computed once, by ReportBuilder as checks and sections
+    # come in, or at construction; it must read as the definition on
+    # every report the family sweep builds (each valid member through
+    # pactop report, each of 300 mutants through validate)
+    reports = _report_stages(valid_family)
+    reports += [validate(m) for _, m in mutant_family(valid_family, count=300, seed=0)]
+    assert _verdicts(reports) == {True: 5086, False: 1048}
+
+
+def test_report_ok_on_what_the_family_sweep_leaves_out(family, s3_family):
+    # the same on pactop report over the family members that fail
+    # validate, S3 on 3 points and the mid-size instances
+    invalid = [pa for pa in family if not validate(pa).ok]
+    midsize = [pa for *_, pa in midsize_instances()]
+    assert _verdicts(_report_stages(invalid + s3_family + midsize)) == {True: 1478, False: 89}
+
+
+@pytest.mark.parametrize("fill, ok", [
+    (lambda b: None, True),
+    (lambda b: b.check("c", True, (1,)), True),
+    (lambda b: b.check("c", False, (1,)), False),
+    (lambda b: b.section(Report("s", (Check("c", PASS),))), True),
+    (lambda b: b.section(Report("s", sections=(Report("t", (Check("c", FAIL),)),))), False),
+    (lambda b: (b.info("i", (1,)), b.na("n")), True),
+    (lambda b: (b.check("c", False), b.check("c", True), b.info("i")), False),
+], ids=["empty", "passing-check", "failing-check", "passing-section",
+        "failing-section", "info-and-na", "failing-then-passing"])
+def test_a_hand_built_builder_carries_the_verdict(fill, ok):
+    builder = ReportBuilder("r")
+    fill(builder)
+    report = builder.build()
+    assert report.ok is builder.ok is ok
+    assert Report(report.name, report.checks, report.sections).ok is ok
 
 
 def test_acting_set_stabilizer_orbit():
