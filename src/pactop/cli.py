@@ -497,19 +497,13 @@ class _Command(Record):
     stages: set[str]
     options: tuple[tuple[str, dict], ...]
 
-    def __init__(self, help: str, stages: set[str],
-                 options: tuple[tuple[str, dict], ...] = ()):
-        self._set("help", help)
-        self._set("stages", stages)
-        self._set("options", options)
-
 
 # the commands in the order ``pactop --help`` lists them
 _COMMANDS = {
     "validate": _Command("axioms in both formulations",
-                         {"partial-action-validation", "orbit-consistency"}),
+                         {"partial-action-validation", "orbit-consistency"}, ()),
     "orbits": _Command("orbits, stabilizers, acting sets",
-                       {"well-formedness", "points", "orbit-consistency"}),
+                       {"well-formedness", "points", "orbit-consistency"}, ()),
     "globalize": _Command(
         "enveloping space and its checks", _ENVELOPE | {"envelope", "dot"},
         (("--dot", {"metavar": "PATH", "help": "write the DOT graph here"}),),
@@ -523,9 +517,9 @@ _COMMANDS = {
                        "help": "comma-separated element indices, or 'all'"}),
          ("--kind", {"choices": ("delta", "star"), "default": "delta"})),
     ),
-    "selector": _Command("transversal topology and reductions", _ENVELOPE | _SELECTOR),
+    "selector": _Command("transversal topology and reductions", _ENVELOPE | _SELECTOR, ()),
     "report": _Command("everything", _ENVELOPE | _SELECTOR | {
-        "envelope", "orbit-consistency", "transform-identities"}),
+        "envelope", "orbit-consistency", "transform-identities"}, ()),
 }
 
 

@@ -201,6 +201,11 @@ def _generated_rows(
     return [rows[g] for g in group.elements()]
 
 
+def _check_count(name: str, value: int) -> None:
+    if type(value) is not int or value < 0:  # True would pass as 1
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def induced_instances(
     groups: Sequence[tuple[FiniteGroup, Sequence[int]]], max_points: int
 ) -> list[PartialAction]:
@@ -209,11 +214,12 @@ def induced_instances(
     carrier subset, deduplicated.  Each group comes with elements that
     generate it, and each choice of homeomorphisms for them to act as
     is tried; a generator outside its group, or a set that does not
-    generate it, raises ValueError.  A choice under which some
-    generator's row is not its image is skipped unchecked.  Each total
-    action is checked once, each carrier's subspace built once per
-    space, and each distinct member constructed once, from restricted
-    tables not seen before."""
+    generate it, raises ValueError, as does a ``max_points`` that is
+    not a nonnegative int.  A choice under which some generator's row
+    is not its image is skipped unchecked.  Each total action is
+    checked once, each carrier's subspace built once per space, and
+    each distinct member constructed once, from new restricted tables."""
+    _check_count("max_points", max_points)
     walks = [(group, gens, _cayley_walk(group, gens)) for group, gens in groups]
     seen: set[tuple] = set()  # (group, sub, maps), which fix dom and so the action
     out: list[PartialAction] = []
@@ -241,6 +247,7 @@ def induced_instances(
 def induced_family(max_group: int = 4, max_points: int = 3) -> list[PartialAction]:
     """``induced_instances`` on the cyclic groups of order at most
     ``max_group``, each generated by 1 (the trivial one by nothing)."""
+    _check_count("max_group", max_group)
     return induced_instances(
         [(cyclic(k), (1,) if k > 1 else ()) for k in range(1, max_group + 1)],
         max_points,
@@ -328,9 +335,10 @@ _MUTATORS = (
 def mutant_family(
     instances: list[PartialAction], count: int = 200, seed: int = 0
 ) -> list[tuple[str, PartialAction]]:
-    """Draw ``count`` invalid instances by mutating members of
-    ``instances``; each is labeled with the mutation kind.  Every
-    mutator needs a point, so at least one instance must have one."""
+    """Draw ``count`` (a nonnegative int) invalid instances by mutating
+    members of ``instances``; each is labeled with the mutation kind.
+    Every mutator needs a point, so one instance must have one."""
+    _check_count("count", count)
     if not any(pa.space.size for pa in instances):
         raise ValueError("mutant_family needs an instance with at least one point")
     import random  # here, not at the top: no command draws mutants

@@ -101,26 +101,21 @@ class PartialAction(Record):
         return tuple(map(tuple, rows))
 
     @cached
-    def settled(self) -> tuple[bool, ...]:
-        """Per point x, whether the orbit of each point y in the orbit
-        of x covers the orbit of x.  Each such y then meets every nonempty
-        subset of that orbit, so at x a set is in the meager-translate
-        ideal exactly when it is empty, and the verdict cannot differ
-        between class members (always so on a valid action)."""
-        orbits = self.orbits
-        return tuple(all(orbits[y] & o == o for y in iter_bits(o)) for o in orbits)
-
-    @cached
     def sections(self) -> tuple[tuple[int, int, int, bool], ...]:
         """Per point x, the packed row ``vaught.ideal_section_set`` reads:
         x, ``1 << x``, ``orbits[x] << (x * size)`` (the orbit as row x of
         the square of the carrier, which is also the orbit of (x, x)
-        under ``pair_action``) and ``settled[x]``.  ``orbits`` is read
-        first, so ill-formed tables raise its KeyError."""
+        under ``pair_action``) and whether x is settled: whether the
+        orbit of each y in the orbit of x covers the orbit of x.  Each
+        such y then meets every nonempty subset of that orbit, so at x a
+        set is in the meager-translate ideal exactly when it is empty,
+        and the verdict cannot differ between class members (always so
+        on a valid action).  ``orbits`` is read first, so ill-formed
+        tables raise its KeyError."""
         size, orbits = self.space.size, self.orbits
         return tuple(
-            (x, 1 << x, o << (x * size), s)
-            for x, (o, s) in enumerate(zip(orbits, self.settled))
+            (x, 1 << x, o << (x * size), all(orbits[y] & o == o for y in iter_bits(o)))
+            for x, o in enumerate(orbits)
         )
 
     @cached

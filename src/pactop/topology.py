@@ -218,6 +218,8 @@ def product_with_discrete(t: FinTop, k: int) -> FinTop:
     Point ``(j, x)`` is encoded as ``j * t.size + x``; the opens are
     exactly the sets whose every slice is open in ``t``.
     """
+    if type(k) is not int:  # True would pass below as one copy
+        raise ValueError(f"size must be an int, not {type(k).__name__}")
     if k < 1:
         raise ValueError("the discrete factor needs at least one point")
     return FinTop.from_neighborhoods(

@@ -15,10 +15,10 @@ preimage rows or transforms, stated once above the identity suite,
 which so reads |G| rows of masks rather than every point set.
 Over the whole group the transforms reduce to orbit-table readings.
 The ideal sweep makes one loop over the action's packed ``sections``
-rows, built once per action from its ``orbits`` and ``settled``
-tables; the orbit row of x is also the pair-action orbit of (x, x),
-so no pair action is built, and ``ideal_member`` is called only at
-unsettled points with a nonempty section.
+rows, built once per action from its ``orbits`` table with a
+settled flag per point; the orbit row of x is also the pair-action
+orbit of (x, x), so no pair action is built, and ``ideal_member`` is
+called only at unsettled points with a nonempty section.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def ideal_section_set(pa: PartialAction, pairs: int) -> int:
     (x, x), and (x, x) is in the tight transform of the complement
     under the pair action over the whole group exactly when the section
     is empty.  An empty section is small by the ideal definition, and
-    at a settled point (see ``PartialAction.settled``) a nonempty one
+    at a settled point (see ``PartialAction.sections``) a nonempty one
     is not; elsewhere ``ideal_member`` judges a nonempty section, and
     calling it small raises once the loop is done, since the verdicts
     would disagree with the diagonal tight transform, an engine bug.

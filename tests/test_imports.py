@@ -1,9 +1,9 @@
 """Engine modules import only names they use (``__init__`` re-exports)
 and never ``typing``, no engine file holds an ``assert``, the package
 exports functions and classes, not its submodules, every name the
-benchmark's traced run wraps still exists, and importing the command
-line loads none of ``dataclasses``, ``inspect``, ``argparse``,
-``typing`` and ``random``."""
+benchmark's traced run wraps or its code reads still exists, and
+importing the command line loads none of ``dataclasses``,
+``inspect``, ``argparse``, ``typing`` and ``random``."""
 
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import pactop
+from pactop.globalize import Globalization
+from pactop.selector import BorelReport
 
 SRC = Path(pactop.__file__).resolve().parents[1]
 ENGINE = sorted(Path(pactop.__file__).parent.glob("*.py"))
@@ -177,11 +179,65 @@ def bench_names(source: str) -> dict:
     }
 
 
+# the records bench/child.py reads by these variable names
+BENCH_RECORDS = {"glob": Globalization, "brep": BorelReport}
+
+
+def bench_reads(source: str) -> tuple[set[str], set[tuple[str, str]]]:
+    """The dotted ``pactop`` names ``source`` reads, and the (variable,
+    attribute) pairs it reads on the ``BENCH_RECORDS`` variables.  A
+    name is one imported from a pactop module, or an attribute read
+    through a name bound to one (``P.validate``, ``cli.parse``,
+    ``pactop.topology.mask_of``)."""
+    tree = ast.parse(source)
+    bound, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "pactop":
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        bound["pactop"] = "pactop"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pactop"):
+            for alias in node.names:
+                names.add(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    reads = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in bound:
+            names.add(".".join([bound[node.id], *attrs]))
+        elif isinstance(node, ast.Name) and node.id in BENCH_RECORDS and len(attrs) == 1:
+            reads.add((node.id, attrs[0]))
+    return names, reads
+
+
+def engine_object(name: str):
+    """The object the dotted ``pactop`` name reads; AttributeError or
+    ImportError when it is gone."""
+    parts = name.split(".")
+    obj = pactop
+    for i, part in enumerate(parts[1:], 2):
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:
+            # a submodule not imported yet, as ``from pactop import cli`` imports it
+            obj = importlib.import_module(".".join(parts[:i]))
+    return obj
+
+
 def test_bench_spans_name_engine_functions():
     # read as text, not imported: the benchmark's traced run wraps these
-    # names and reads these caches, so none may be renamed or dropped
-    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    names = bench_names(spans.read_text())
+    # names and reads these caches, and its children call and read the
+    # names and record attributes below, so none may be renamed or dropped
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    names = bench_names((bench / "spans.py").read_text())
     traced = [(mod, fn) for mod, fns in names["TRACED"].items() for fn in fns]
     assert traced and names["CACHED"]
     for mod, fn in traced:
@@ -192,6 +248,25 @@ def test_bench_spans_name_engine_functions():
         mod, fn = name.split(".")
         cached = getattr(importlib.import_module(f"pactop.{mod}"), fn, None)
         assert callable(getattr(cached, "cache_info", None)), name
+    read, fields = set(), set()
+    for path in sorted(bench.glob("*.py")):
+        path_names, path_fields = bench_reads(path.read_text())
+        read |= path_names
+        fields |= path_fields
+    # each way of reading is seen, so the walk above is not vacuous
+    assert {"pactop.induced_family", "pactop.validate", "pactop.topology.mask_of",
+            "pactop.cli.parse", "pactop.cli.ActionSpec"} <= read
+    assert {("glob", "product"), ("brep", "tau")} <= fields
+    gone = []
+    for name in sorted(read):
+        try:
+            engine_object(name)
+        except (AttributeError, ImportError):
+            gone.append(name)
+    gone += [f"{var}.{attr}" for var, attr in sorted(fields)
+             if attr not in BENCH_RECORDS[var]._fields
+             and not hasattr(BENCH_RECORDS[var], attr)]
+    assert gone == []
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

@@ -1001,6 +1001,28 @@ def test_mutant_family_needs_a_point(instances):
         mutant_family(instances, 5)
 
 
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda pool, v: induced_family(v, 2), "max_group", True),
+        (lambda pool, v: induced_family(v, 2), "max_group", -1),
+        (lambda pool, v: induced_family(2, v), "max_points", 2.0),
+        (lambda pool, v: induced_family(2, v), "max_points", -1),
+        (lambda pool, v: induced_instances([(Z3, (1,))], v), "max_points", "2"),
+        (lambda pool, v: mutant_family(pool, v), "count", 2.5),
+        (lambda pool, v: mutant_family(pool, v), "count", -1),
+        (lambda pool, v: mutant_family(pool, v), "count", False),
+    ],
+)
+def test_sweep_sizes_and_counts_are_nonnegative_ints(call, name, value):
+    # induced_family(True, 2) gave the C1 family and (2, 2.0) raised a bare
+    # TypeError; mutant_family(pool, 2.5) drew 3 mutants and (pool, -1) none
+    with pytest.raises(ValueError) as caught:
+        call([SWAP], value)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"{name} must be a nonnegative integer, got {value!r}"
+
+
 def test_mutants_of_an_action_with_no_defined_entry(monkeypatch):
     # C2 on two points with every entry undefined: each time the remap
     # mutator is drawn it finds no entry to redirect and gives nothing

@@ -88,7 +88,7 @@ def test_every_record_class_is_covered():
 
 
 # the records whose constructor would only store its arguments
-STORED_ONLY = (Globalization, BorelReport, SeparationFlags, FiniteGroup)
+STORED_ONLY = (Globalization, BorelReport, SeparationFlags, FiniteGroup, _Command)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -177,7 +177,7 @@ def test_repr_texts():
         "Report(name='r', checks=(Check(name='c', status='pass', witness=(), "
         "detail=''),), sections=())")
     assert repr(SelectorMap(2, (0, 0))) == "SelectorMap(size=2, image=(0, 0))"
-    assert repr(_Command("h", {"x"})) == "_Command(help='h', stages={'x'}, options=())"
+    assert repr(_Command("h", {"x"}, ())) == "_Command(help='h', stages={'x'}, options=())"
 
 
 @pytest.mark.parametrize("cls", [c for c in CLASSES if c is not FinTop],
@@ -192,7 +192,6 @@ def test_constructor_defaults():
     assert fields(Check("c", "pass")) == {
         "name": "c", "status": "pass", "witness": (), "detail": ""}
     assert fields(Report("r")) == {"name": "r", "checks": (), "sections": ()}
-    assert _Command("h", set()).options == ()
     assert FinTop(size=2, opens=[0, 1, 3]) == FinTop.from_neighborhoods((1, 3))
 
 
@@ -202,7 +201,7 @@ def test_cached_tables_are_computed_once_and_kept_beside_the_fields():
         record: [n for n, v in vars(type(record)).items() if isinstance(v, cached)]
         for record in (pa, t, rel)
     }
-    assert [len(names) for names in tables.values()] == [12, 2, 2]
+    assert [len(names) for names in tables.values()] == [11, 2, 2]
     for record, names in tables.items():
         cls = type(record)
         for name in names:

@@ -495,7 +495,9 @@ def test_negative_sizes_are_refused(call):
     lambda size: make_topology(size, []),
     lambda size: topology_with_opens(size, [0, 3]),
     lambda size: discrete(size),
-], ids=["FinTop", "all_topologies", "make_topology", "topology_with_opens", "discrete"])
+    lambda size: product_with_discrete(discrete(1), size),
+], ids=["FinTop", "all_topologies", "make_topology", "topology_with_opens", "discrete",
+        "product_with_discrete"])
 def test_sizes_that_are_not_ints_are_refused(build, size, name):
     # True passed as the size 1 (FinTop(True, [0, 1]) stored size=True),
     # and 2.0 or "2" raised a bare TypeError

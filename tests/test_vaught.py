@@ -646,7 +646,7 @@ def test_section_rows_are_the_diagonal_pair_orbits(
 
 def test_settled_tables(valid_family, s3_family):
     for pa in valid_family + s3_family:
-        assert all(pa.settled), pa
+        assert all(settled for *_, settled in pa.sections), pa
 
 
 def test_ideal_sweep_builds_no_pair_action(monkeypatch):
@@ -710,7 +710,7 @@ def test_section_set_matches_members_on_mutants():
     cyclic_valid = [pa for pa in induced_family(4, 3) if validate(pa).ok]
     unsettled = Counter()
     for _, pa in mutant_family(cyclic_valid, count=400, seed=1):
-        settled = all(pa.settled)
+        settled = all(settled for *_, settled in pa.sections)
         unsettled["mutants"] += not settled
         for pairs in range(1 << pa.space.size ** 2):
             want = _outcome(section_set_by_members, pa, pairs)
