@@ -14,7 +14,7 @@ from .paction import PartialAction
 from .record import Record
 from .relations import EqRel, disagreements
 from .reports import Report, ReportBuilder
-from .topology import FinTop, image_of, iter_bits, mask_of
+from .topology import FinTop, image_of, iter_bits, mask_of, union_of
 
 
 class Globalization(Record):
@@ -180,14 +180,14 @@ def effros_report(pa: PartialAction) -> Report:
     equivalence is asserted only on discrete carriers; elsewhere the
     flags are stated without interpretation.  The square is not built:
     R is open in it when N(x)×N(y) ⊆ R at each (x, y) in R, that is,
-    when N(y) lies in the orbit of each z in N(x), the definition itself."""
+    when N(y) lies in the orbit of each z in N(x), the definition itself:
+    at each x, when the union of N(y) over the orbit of x does."""
     rb = ReportBuilder("orbit-class-structure")
     space, orbits = pa.space, pa.orbits
+    nbrs = space.nbrs
+    reach = [union_of(nbrs, o) for o in orbits]  # per x, N(y) over its orbit
     rel_open = all(
-        space.nbrs[y] & ~orbits[z] == 0
-        for x in space.points()
-        for y in iter_bits(orbits[x])
-        for z in iter_bits(space.nbrs[x])
+        r & ~orbits[z] == 0 for r, n in zip(reach, nbrs) for z in iter_bits(n)
     )
     orb_open = all(topo.is_open(space, o) for o in orbits)
     t0 = topo.separation(pa.orbit_quotient).t0

@@ -177,7 +177,13 @@ def from_relation(size: int, rows: Sequence[Sequence[int]]) -> EqRel:
         c = label[p]
         if c < 0 or set(row) != classes[c]:
             return _scan(size, rows)
-    return EqRel(size, tuple(label))
+    # every label is an int, and label c first appears at the point that
+    # made it (that point's row, its class, holds it): the labels are in
+    # first-appearance order, so EqRel's type scan and relabel are skipped
+    rel = EqRel.__new__(EqRel)
+    rel._set("size", size)
+    rel._set("class_id", tuple(label))
+    return rel
 
 
 def _scan(size: int, label_rows: Sequence[Sequence[int]]):  # raises, never returns

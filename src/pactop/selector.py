@@ -277,31 +277,37 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
     rel = pa.lifted_orbits
     class_id = rel.class_id
     members: list[list[int]] = [[] for _ in range(rel.num_classes)]
+    masks = [0] * rel.num_classes
     for p, c in enumerate(class_id):
         members[c].append(p)
+        masks[c] |= 1 << p
     nbrs = pa.product.nbrs
+    # no member's neighborhood holds another member
     discrete_orbit = [
-        all(q == p or class_id[q] != c for p in ps for q in iter_bits(nbrs[p]))
-        for c, ps in enumerate(members)
+        all(not nbrs[p] & (mask ^ 1 << p) for p in ps)
+        for ps, mask in zip(members, masks)
     ]
 
     bad_bij: list[tuple] = []
     bad_inv: list[tuple] = []
     bad_homeo: list[tuple] = []
-    inv, mul = group.inv, group.mul
+    inv, mul, acting = group.inv, group.mul, pa.acting
     for g in group.elements():
         mul_g = mul[g]
+        # h goes to p in slice j = g * inv(h), and back to inv(j) * g: the
+        # inverse depends on (g, h) alone, so the h it misses are read
+        # once per g (none on a group table)
+        missed_h = mask_of(h for h in group.elements() if mul[inv[mul_g[inv[h]]]][g] != h)
         for x, xmoves in enumerate(pa.moves):
             c = class_id[g * size + x]
             image = [mul_g[inv[h]] * size + y for h, y in xmoves]
             if sorted(image) != members[c]:
                 bad_bij.append((g, x))
-                continue
-            # h goes to p = (g * inv(h), h.x), in the order of members[c]
-            missed = [p for p, (h, _) in sorted(zip(image, xmoves))
-                      if mul[inv[p // size]][g] != h]
-            bad_inv += [(g, x, p) for p in missed]
-            if not missed and not discrete_orbit[c]:
+            elif acting[x] & missed_h:
+                # the p whose h is missed, in the order of members[c]
+                bad_inv += [(g, x, p) for p, (h, _) in sorted(zip(image, xmoves))
+                            if (missed_h >> h) & 1]
+            elif not discrete_orbit[c]:
                 bad_homeo.append((g, x))
     rb.check("enumeration is a bijection onto the orbit", not bad_bij, tuple(bad_bij))
     rb.check("stated inverse really inverts it", not bad_inv, tuple(bad_inv[:8]))

@@ -109,6 +109,12 @@ def transform_identities_report(pa: PartialAction) -> Report:
     lemma stated above; a failing check lists the first 8 failing g."""
     size, full = pa.space.size, pa.space.full
     parts = (1 << pa.group.order) - 1
+    # per element g, the points whose acting set lacks g: the acting sets
+    # transposed in one pass, bits at or above the group order ignored
+    lacking = [(1 << len(pa.acting)) - 1] * pa.group.order
+    for x, acting in enumerate(pa.acting):
+        for g in iter_bits(acting & parts):
+            lacking[g] &= ~(1 << x)
     found = [[] for _ in _IDENTITIES]  # failing elements per check
     for g, rows in enumerate(pa.preimages):
         one, undefined = 1 << g, _undefined(pa, g)
@@ -116,7 +122,6 @@ def transform_identities_report(pa: PartialAction) -> Report:
         for row in rows:
             twice |= seen & row
             seen |= row
-        lacking = mask_of(x for x, acting in enumerate(pa.acting) if not acting & one)
         empty = delta_transform(pa, 0, one)
         wide, tight = delta_transform(pa, full, one), star_transform(pa, full, one)
         holds = (
@@ -126,7 +131,7 @@ def transform_identities_report(pa: PartialAction) -> Report:
             not twice & ~undefined,
             # tight exceeds wide the most at A = the empty set, and may
             # there only where the acting set lacks g
-            not star_transform(pa, 0, one) & ~empty & ~lacking,
+            not star_transform(pa, 0, one) & ~empty & ~lacking[g],
             # V = {g} is its only sub-part: the wide transform lies in the tight
             not wide & ~tight,
         )

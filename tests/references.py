@@ -21,14 +21,69 @@ text of a run's JSON report, the reference for ``cli._render``, and
 ``measurability_failures``, the transversal topology's measurability
 clause as one ``is_borel`` call per (g, atom);
 ``min_selector``, the selector onto each class's least member;
-``is_selector_for``, the selector laws of a map against a relation; and
-``fresh``, the copy of an action with none of its tables cached.
+``is_selector_for``, the selector laws of a map against a relation;
+``orbit_consistency_report``, the translate and absorb clauses one
+element at a time; and ``fresh``, the copy of an action with none of
+its tables cached.
 
 Each relation reference reads one product-wide bitmask row per point
 and scans the axioms on masks, as the engine first did; the transform
 reference keeps one point mask per (point set, group part); the
 pair-shaped references build the square or compare every pair.  Slow is
 fine: these run on desk-scale instances only.
+
+Lemma ledger.  Where the engine decides a check through a lemma rather
+than by its definition, the lemma, where it is stated, the engine site
+that relies on it, and what compares the two:
+
+- Per-element transform identities.  On the union and intersection
+  formulas of the wide and tight transforms (meagerness in the discrete
+  group is emptiness), each of the five identities, over every point
+  set A and nonempty group part V, holds exactly when a condition on
+  one element g's preimage rows, or on its transforms at V = {g},
+  holds.  Stated above ``vaught.delta_transform`` (the formulas) and
+  above ``vaught.transform_identities_report`` (the reduction).  Engine:
+  ``vaught.transform_identities_report``.  Compared: this module's
+  ``transform_identities_report``, which enumerates every (A, V), in
+  ``test_vaught.py`` (``test_identities_report_matches_the_row_reference``
+  and ``..._on_flipped_preimages``) and ``test_midsize.py``
+  (``test_midsize_identity_suite_matches_the_row_reference``).
+- The gluing lemma.  Once ``PartialAction.lifted_orbits`` returns and
+  the group table is a group, translation is a well-defined continuous
+  action on the quotient, the identity slice embeds injectively, and
+  the identity-slice member of the class of (g, y) is (e, g.y) when g
+  acts at y, with none otherwise.  Stated above ``globalize.build``.
+  Engine: ``globalize.build``, ``globalize.embedding_report`` and
+  ``selector.normalized_selector``.  Compared: ``normalized_selector``
+  here, which tests the identity-slice description at every (x, g, y),
+  and ``instances.check_total_action`` on the envelope, in
+  ``test_globalize.py::test_the_gluing_formula_makes_the_translations_an_action``;
+  ``check_saturation`` in the saturation tests.
+- Measurability from atom images.  Translation by g is Borel measurable
+  for the transversal topology exactly when it carries each atom into
+  one atom; otherwise the preimage of atom B is not Borel exactly when
+  the image of an atom that g splits meets B.  Stated in
+  ``selector._measurability_failures``, the engine site.  Compared:
+  ``measurability_failures`` here, one ``is_borel`` call per (g, atom),
+  in ``test_selector.py::test_measurability_matches_the_preimage_loop``.
+- The two axiom formulations agree.  On well-formed tables the
+  pair-style axioms (a partial map on G × X) hold exactly when the
+  bijection-style ones (partial bijections between the domains) do.
+  Stated in the ``paction`` module docstring.  Engine: ``paction.validate``
+  decides both and checks that the verdicts agree.  Compared: the
+  accessor forms in ``test_paction.py::test_axioms_match_the_accessor_reference``,
+  and ``test_formulations_agree_across_family``; the check is seen to
+  fail in ``test_formulations_agree_frozen_failure``.
+- The group-table reading of the absorb clause.  For g acting at x,
+  the h with inv(g)*h in the stabilizer St of x are the g*s for s in
+  St, since left multiplication by g is a bijection with inverse left
+  multiplication by inv(g): the clause holds at x exactly when each
+  right shift by an s in St keeps the acting set, and the h failing for
+  g are those of the image of St under left multiplication by g that
+  lie outside it.  Stated in ``paction.orbit_consistency_report``, the
+  engine site, which relies on the ``FiniteGroup`` contract.  Compared:
+  ``orbit_consistency_report`` here, which tests each h, in
+  ``test_paction.py::test_orbit_consistency_matches_the_per_element_reference``.
 """
 
 from __future__ import annotations
@@ -256,6 +311,47 @@ def orbit_homeomorphism_report(pa: PartialAction, rel: EqRel):
         "enumeration is a homeomorphism for the subspace topologies",
         not bad_homeo,
         tuple(bad_homeo),
+    )
+    return rb.build()
+
+
+def orbit_consistency_report(pa: PartialAction):
+    """The orbit-consistency report with its translate and absorb clauses
+    read one element at a time, as first written: the shifted acting set
+    built h by h at each move, and each h tested against each stabilizer
+    right-shift of each acting g, with no use of the group laws."""
+    rb = ReportBuilder("orbit-consistency")
+    group = pa.group
+
+    bad_translate = []
+    for g in group.elements():
+        gi = group.inv[g]
+        for x in iter_bits(pa.dom[g]):
+            moved = pa.act(gi, x)
+            shifted = mask_of(group.mul[h][g] for h in iter_bits(pa.acting[x]))
+            if shifted != pa.acting[moved]:
+                bad_translate.append((g, x))
+    rb.check(
+        "acting set translates along each move", not bad_translate, tuple(bad_translate)
+    )
+
+    cmap, q = pa.orbit_relation.class_id, pa.orbit_quotient
+    rb.check("class map continuous", topo.is_continuous(cmap, pa.space, q))
+    rb.check("class map open", topo.is_open_map(cmap, pa.space, q))
+
+    bad_closure = []
+    for x in pa.space.points():
+        gx = pa.acting[x]
+        st = paction.stabilizer(pa, x)
+        for g in iter_bits(gx):
+            gi = group.inv[g]
+            for h in group.elements():
+                if (st >> group.mul[gi][h]) & 1 and not (gx >> h) & 1:
+                    bad_closure.append((x, g, h))
+    rb.check(
+        "acting set absorbs stabilizer right-shifts",
+        not bad_closure,
+        tuple(bad_closure),
     )
     return rb.build()
 

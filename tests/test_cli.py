@@ -47,6 +47,13 @@ def example_doc() -> dict:
         return json.load(fh)
 
 
+def test_example_k3_is_the_bundled_document():
+    # the library's example and the bundled document are one instance:
+    # an edit to either (a map entry flipped, say) shows here
+    with open(EXAMPLE, encoding="utf-8") as fh:
+        assert parse(fh.read()).pa == example_k3()
+
+
 def test_report_passes_and_output_is_stable():
     first = run_cli("report", EXAMPLE, "--format", "json")
     second = run_cli("report", EXAMPLE, "--format", "json")

@@ -112,6 +112,24 @@ def test_validate_rejects_remapped_entry():
     assert agreement.status == PASS
 
 
+def test_bijection_and_definedness_frozen_failures():
+    # The two tables no sweep reaches, where a count is right and the
+    # points are wrong.  C3 on two discrete points, element 1 sending
+    # both points onto its one-point range {0}: its image is the range,
+    # yet two points collide.  C2 with element 1 defined at point 1
+    # alone, though its domain is {0}: one undefined mark, as many as
+    # the domain leaves, in the wrong place.
+    pa = PartialAction(Z3, discrete(2), (0b11, 0b01, 0b11), ((0, 1), (0, 0), (0, -1)))
+    assert paction.well_formedness(pa).ok
+    bij = check(paction._bijection_axioms(pa), "each map is a bijection onto its range set")
+    assert (bij.status, bij.witness) == (FAIL, ((1, 0, 1), (2, 1)))
+    pa = PartialAction(Z2, discrete(2), (0b11, 0b01), ((0, 1), (-1, 0)))
+    assert [(c.name, c.status, c.witness) for c in paction.well_formedness(pa).checks] == [
+        ("map of element 1 defined exactly on dom(inv(g))", FAIL, (1, 0, 1)),
+        ("tables well-formed", FAIL, ()),
+    ]
+
+
 def test_validate_rejects_identity_gap():
     pa = PartialAction(Z2, discrete(2), (0b01, 0b11), ((0, -1), (0, 1)))
     rep = validate(pa)
@@ -1023,6 +1041,17 @@ def test_sweep_sizes_and_counts_are_nonnegative_ints(call, name, value):
     assert str(caught.value) == f"{name} must be a nonnegative integer, got {value!r}"
 
 
+@pytest.mark.parametrize("call", [
+    lambda: induced_family(0, 3),
+    lambda: induced_family(4, 0),
+    lambda: induced_instances([(Z3, (1,))], 0),
+    lambda: mutant_family([SWAP], 0),
+], ids=["no-group", "no-point", "no-point-instances", "no-mutant"])
+def test_zero_sizes_and_counts_give_nothing(call):
+    # 0 is a count like any other, not refused as the negatives are
+    assert call() == []
+
+
 def test_mutants_of_an_action_with_no_defined_entry(monkeypatch):
     # C2 on two points with every entry undefined: each time the remap
     # mutator is drawn it finds no entry to redirect and gives nothing
@@ -1044,6 +1073,30 @@ def test_mutants_of_an_action_with_no_defined_entry(monkeypatch):
 def test_orbit_consistency_on_valid_family(valid_family):
     for pa in valid_family:
         assert orbit_consistency_report(pa).ok
+
+
+def test_orbit_consistency_matches_the_per_element_reference(
+    valid_family, valid_s3_family, changed_family
+):
+    # The translate clause as one image per move and the absorb clause
+    # read through the group table, against the loops that test each
+    # element: the same checks and witnesses, or the same exception, on
+    # every valid sweep table, the mutants and the one-entry edits.
+    seen: dict = {}
+    for pa in [*valid_family, *valid_s3_family, *changed_family]:
+        expected = references.outcome(references.orbit_consistency_report, pa)
+        got = references.outcome(orbit_consistency_report, references.fresh(pa))
+        assert got == expected, pa
+        kind = (expected[0].__name__ if isinstance(expected, tuple)
+                else tuple(c.status for c in expected.checks))
+        seen[kind] = seen.get(kind, 0) + 1
+    assert seen == {
+        (PASS, PASS, PASS, PASS): 567,
+        (FAIL, PASS, PASS, PASS): 29,
+        (FAIL, PASS, PASS, FAIL): 585,
+        "AxiomViolation": 603,
+        "KeyError": 231,
+    }
 
 
 @pytest.mark.parametrize("nbrs, statuses", [

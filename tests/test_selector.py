@@ -434,6 +434,17 @@ def test_orbit_enumeration_frozen_failures():
     assert [(c.status, c.witness) for c in rep.checks] == [
         (PASS, ()), (FAIL, missed), (PASS, ()),
     ]
+    # C4 with the inverses of 2 and 3 swapped: for g = 1 the h = 3 comes
+    # back to itself, so only the members of the other h are listed
+    swapped = FiniteGroup(4, cyclic(4).mul, 0, (0, 1, 3, 2))
+    rep = orbit_homeomorphism_report(
+        PartialAction(swapped, discrete(1), (1,) * 4, ((0,),) * 4)
+    )
+    missed = ((1, 0, 0), (1, 0, 1), (1, 0, 2),
+              (2, 0, 0), (2, 0, 1), (2, 0, 2), (2, 0, 3), (3, 0, 0))
+    assert [(c.status, c.witness) for c in rep.checks] == [
+        (PASS, ()), (FAIL, missed), (PASS, ()),
+    ]
     coarse = PartialAction(cyclic(3), discrete(1), (1, 1, 1), fixed)
     vars(coarse)["product"] = _coarse_product(coarse)
     rep = orbit_homeomorphism_report(coarse)

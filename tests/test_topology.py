@@ -515,6 +515,8 @@ def test_size_limits_name_the_limit_and_size():
     with pytest.raises(LimitExceeded) as exc:
         borel_algebra(discrete(17))
     assert (exc.value.limit, exc.value.size) == ("Borel atoms", 17)
+    # 16 atoms is within the limit: every one of the 2**16 point sets
+    assert borel_algebra(discrete(16)) == tuple(range(2 ** 16))
     with pytest.raises(LimitExceeded) as exc:
         all_topologies(5)
     assert exc.value.size == 5
