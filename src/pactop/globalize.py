@@ -102,12 +102,22 @@ def embedding_report(glob: Globalization) -> Report:
     group, space = pa.group, pa.space
     rb = ReportBuilder("embedding")
 
-    image = mask_of(glob.embedding)
-    positions = {c: i for i, c in enumerate(iter_bits(image))}
-    sub = topo.subspace(glob.topology, image)
-    emb = [positions[glob.embedding[x]] for x in space.points()]
-    cont = rb.check("embedding continuous", topo.is_continuous(emb, space, sub))
-    opens = rb.check("embedding open onto its image", topo.is_open_map(emb, space, sub))
+    q, emb = glob.topology, glob.embedding
+    image = mask_of(emb)
+    topo._check_subset(q, image, "subspace carrier")
+    # At each x, moved is the image of N(x) and trace the neighbourhood
+    # of its class in the image's subspace.  The map is continuous when
+    # moved lies in trace at every x, and open onto its image when trace
+    # lies in moved at every x: images keep unions, and each y in N(x)
+    # has N(y) inside N(x), so the image of N(x) is open in the subspace
+    # exactly when it holds the trace at each of its classes.
+    cont = opens = True
+    for x, n in enumerate(space.nbrs):
+        moved, trace = image_of(emb, n), q.nbrs[emb[x]] & image
+        cont = cont and not moved & ~trace
+        opens = opens and not trace & ~moved
+    cont = rb.check("embedding continuous", cont)
+    opens = rb.check("embedding open onto its image", opens)
 
     bad_eq = []
     bad_restriction: list[tuple] = [] if cont and opens else [("space",)]
@@ -137,7 +147,6 @@ def embedding_report(glob: Globalization) -> Report:
             "hypothesis failed: definedness graph not open",
         )
 
-    q = glob.topology
     bad_homeo = [
         g for g in group.elements()
         if not topo.is_homeomorphism(glob.action[g], q, q.full, q, q.full)

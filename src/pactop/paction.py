@@ -4,8 +4,9 @@ A partial action stores, for every group element ``g``, the open set
 ``dom[g]`` it maps onto and a point table ``maps[g]`` holding the
 partial map whose domain is ``dom[inv(g)]`` (entries ``-1`` mean
 undefined).  ``validate`` checks the pair-style axioms and the
-bijection-style axioms independently and reports both verdicts; they
-must agree on every well-formed table.
+bijection-style axioms and reports both verdicts; they must agree on
+every well-formed table.  The two composition clauses read the same
+entries, so one scan of the tables decides both.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .topology import FinTop, image_of, iter_bits
 
 class PartialAction(Record):
     """Tables for a candidate partial action; validity is checked by
-    ``validate``, never assumed by the constructor."""
+    ``validate``, never assumed by the constructor.  ``dom`` and each row
+    of ``maps`` may be any sequence; they are stored as tuples."""
 
     group: FiniteGroup
     space: FinTop
@@ -50,8 +52,10 @@ class PartialAction(Record):
                     raise ValueError(f"maps[{g}][{x}] = {y!r} out of range")
         self._set("group", group)
         self._set("space", space)
-        self._set("dom", dom)
-        self._set("maps", maps)
+        # stored as tuples, so an action given lists compares and hashes
+        # as the same action given tuples
+        self._set("dom", tuple(dom))
+        self._set("maps", tuple(map(tuple, maps)))
 
     def act(self, g: int, x: int) -> int:
         y = self.maps[g][x]
@@ -244,12 +248,40 @@ def well_formedness(pa: PartialAction) -> Report:
     return rb.build()
 
 
-def _pair_axioms(pa: PartialAction) -> Report:
+# The failing (g, h, x) of the two composition axioms, in that order.
+Scan = tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...]]
+
+
+def _composition_scan(pa: PartialAction) -> Scan:
+    """Both formulations' composition clauses, from one read of z =
+    g.(h.x) and w = (gh).x at each (g, h, x) with h defined at x: the
+    pair form fails where z is defined and w differs, the bijection form
+    where w is defined and z differs.  On well-formed tables, the only
+    ones ``validate`` scans, maps[g][x] >= 0 says exactly that g is
+    defined at x, so these are the pair form's loop over every move of h
+    and the bijection form's loop over dom(inv h) & dom(inv gh)."""
+    maps, mul = pa.maps, pa.group.mul
+    pair, bij = [], []
+    for g, row_g in enumerate(maps):
+        mul_g = mul[g]
+        for h, row_h in enumerate(maps):
+            row_gh = maps[mul_g[h]]
+            for x, y in enumerate(row_h):
+                if y >= 0:
+                    z, w = row_g[y], row_gh[x]
+                    if z != w:
+                        if z >= 0:
+                            pair.append((g, h, x))
+                        if w >= 0:
+                            bij.append((g, h, x))
+    return tuple(pair), tuple(bij)
+
+
+def _pair_axioms(pa: PartialAction, scan: Scan) -> Report:
     # On well-formed tables maps[g][x] == y >= 0 says exactly that g is
     # defined at x and moves it to y.
     rb = ReportBuilder("pair-axioms")
-    group, size, maps = pa.group, pa.space.size, pa.maps
-    mul, inv = group.mul, group.inv
+    group, size, maps, inv = pa.group, pa.space.size, pa.maps, pa.group.inv
 
     ident = maps[group.identity]
     bad = [x for x in range(size) if ident[x] != x]
@@ -263,23 +295,11 @@ def _pair_axioms(pa: PartialAction) -> Report:
                 bad_undo.append((g, x))
     rb.check("inverse undoes every defined move", not bad_undo, tuple(bad_undo))
 
-    bad_comp = []
-    for g in group.elements():
-        row_g, mul_g = maps[g], mul[g]
-        for h in group.elements():
-            row_gh = maps[mul_g[h]]
-            for x, y in enumerate(maps[h]):
-                if y >= 0:
-                    z = row_g[y]
-                    if z >= 0 and row_gh[x] != z:
-                        bad_comp.append((g, h, x))
-    rb.check(
-        "composed moves extend to the product element", not bad_comp, tuple(bad_comp)
-    )
+    rb.check("composed moves extend to the product element", not scan[0], scan[0])
     return rb.build()
 
 
-def _bijection_axioms(pa: PartialAction) -> Report:
+def _bijection_axioms(pa: PartialAction, scan: Scan) -> Report:
     # validate runs it only on well-formed tables, where maps[g] is
     # defined exactly on dom[inv[g]].
     rb = ReportBuilder("bijection-axioms")
@@ -321,20 +341,8 @@ def _bijection_axioms(pa: PartialAction) -> Report:
         tuple(bad_ranges),
     )
 
-    bad_comp = []
-    for g in group.elements():
-        row_g, mul_g = maps[g], mul[g]
-        for h in group.elements():
-            gh = mul_g[h]
-            row_h, row_gh = maps[h], maps[gh]
-            for x in iter_bits(dom[inv[h]] & dom[inv[gh]]):
-                y = row_h[x]
-                if row_g[y] != row_gh[x]:
-                    bad_comp.append((g, h, x))
     rb.check(
-        "composition agrees with the product element on its region",
-        not bad_comp,
-        tuple(bad_comp),
+        "composition agrees with the product element on its region", not scan[1], scan[1]
     )
     return rb.build()
 
@@ -391,8 +399,9 @@ def validate(pa: PartialAction) -> Report:
         rb.section(_topological(pa, algebra_ok=False))
         return rb.build()
 
-    pair = rb.section(_pair_axioms(pa))
-    bij = rb.section(_bijection_axioms(pa))
+    scan = _composition_scan(pa)
+    pair = rb.section(_pair_axioms(pa, scan))
+    bij = rb.section(_bijection_axioms(pa, scan))
     rb.section(_topological(pa, algebra_ok=bij.ok))
     rb.check(
         "both axiom formulations give the same verdict",

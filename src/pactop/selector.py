@@ -19,7 +19,7 @@ from .paction import PartialAction
 from .record import Record
 from .relations import EqRel, disagreements, from_relation
 from .reports import Report, ReportBuilder
-from .topology import FinTop, image_of, iter_bits, mask_of
+from .topology import FinTop, image_of, iter_bits, mask_of, union_of
 
 
 class SelectorMap(Record):
@@ -38,7 +38,7 @@ class SelectorMap(Record):
             if image[image[x]] != image[x]:
                 raise ValueError(f"not idempotent at {x}")
         self._set("size", size)
-        self._set("image", image)
+        self._set("image", tuple(image))  # a list would not hash
 
 
 def transversal(sel: SelectorMap) -> int:
@@ -74,15 +74,41 @@ class BorelReport(Record):
 
 
 def _quotient_atoms(glob: Globalization) -> tuple[int, ...]:
-    # A class set is Borel in the quotient when its preimage is a union
-    # of product atoms, that is, open in the partition topology of the
-    # product atoms, where each point's neighborhood is its atom.  So the
-    # quotient Borel structure is the quotient of that topology.
-    atom_of = [0] * glob.relation.size
-    for atom in glob.product.atoms:
-        for p in iter_bits(atom):
-            atom_of[p] = atom
-    return topo.quotient(FinTop.from_neighborhoods(atom_of), glob.relation).atoms
+    """The atoms of the quotient Borel structure, in increasing order as
+    ``FinTop.atoms`` lists them.
+
+    A class set is Borel in the quotient when its preimage is a union of
+    product atoms.  The group is discrete, so those atoms are the slices
+    {g} x A of the space's atoms A.  A class set is then Borel exactly
+    when it holds all or none of the classes meeting each slice, so its
+    atoms are the components of the classes joined by a common slice:
+    one image per slice of two or more points, then one frontier walk
+    per component."""
+    space, cid = glob.source.space, glob.relation.class_id
+    size = space.size
+    if len(cid) < glob.source.group.order * size:
+        # a relation on fewer points than the product, built by hand:
+        # the error reading it by product points raised
+        raise IndexError("list assignment index out of range")
+    joined = [0] * glob.num_classes  # per class, the classes sharing a slice
+    for atom in space.atoms:
+        if not atom & (atom - 1):  # one point meets one class
+            continue
+        for g in glob.source.group.elements():
+            meet = image_of(cid[g * size:(g + 1) * size], atom)
+            if meet & (meet - 1):
+                for c in iter_bits(meet):
+                    joined[c] |= meet
+    out = []
+    left = (1 << len(joined)) - 1
+    while left:
+        reach = frontier = left & -left
+        while frontier:
+            frontier = union_of(joined, frontier) & ~reach
+            reach |= frontier
+        out.append(reach)
+        left &= ~reach
+    return tuple(sorted(out))
 
 
 def _check_size(glob: Globalization, sel: SelectorMap) -> None:

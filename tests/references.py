@@ -17,7 +17,10 @@ and builds the restriction again at every carrier; ``json.dumps``'s
 text of a run's JSON report, the reference for ``cli._render``, and
 ``report_dict``, a report tree as the dicts that text is written from;
 ``classes``, the member mask of each class of a relation;
-``quotient_atoms``, the quotient Borel atoms by enumerating class sets;
+``quotient_atoms``, the quotient Borel atoms by enumerating class sets,
+and ``quotient_atoms_by_product``, the quotient of the product's atom
+topology; ``embedding_flags``, the embedding's continuity and openness
+through the image's subspace;
 ``measurability_failures``, the transversal topology's measurability
 clause as one ``is_borel`` call per (g, atom);
 ``min_selector``, the selector onto each class's least member;
@@ -84,6 +87,35 @@ that relies on it, and what compares the two:
   engine site, which relies on the ``FiniteGroup`` contract.  Compared:
   ``orbit_consistency_report`` here, which tests each h, in
   ``test_paction.py::test_orbit_consistency_matches_the_per_element_reference``.
+- One composition scan for both formulations.  On well-formed tables
+  ``maps[g][x] >= 0`` says exactly that g is defined at x, so at each
+  (g, h, x) with h defined at x both composition clauses read the same
+  z = g.(h.x) and w = (gh).x: the pair form fails where z is defined
+  and w differs, the bijection form, whose region is dom(inv h) &
+  dom(inv gh), where w is defined and z differs.  Stated in
+  ``paction._composition_scan``, the engine site; ``validate`` scans
+  once and hands the result to both sections.  Compared: the accessor
+  forms, which read every table themselves, in
+  ``test_paction.py::test_axioms_match_the_accessor_reference``.
+- Continuity and openness onto the image, read per point.  With moved
+  the image of N(x) and trace the quotient neighbourhood of its class
+  cut to the image, the embedding is continuous into the image's
+  subspace exactly when moved lies in trace at every x, and open onto
+  it exactly when trace lies in moved at every x: images keep unions,
+  and N(y) lies in N(x) for each y in N(x).  Stated in
+  ``globalize.embedding_report``, the engine site.  Compared:
+  ``embedding_flags`` here, ``is_continuous`` and ``is_open_map`` into
+  the subspace, in
+  ``test_globalize.py::test_embedding_flags_match_the_subspace_reference``.
+- Quotient Borel atoms as slice components.  The group is discrete, so
+  the product's atoms are the slices {g} x A of the space's atoms A; a
+  class set is Borel in the quotient exactly when it holds all or none
+  of the classes meeting each slice, so the atoms are the components of
+  the classes joined by a common slice.  Stated in
+  ``selector._quotient_atoms``, the engine site.  Compared:
+  ``quotient_atoms`` (every class set) and ``quotient_atoms_by_product``
+  (the quotient of the product's atom topology) here, in
+  ``test_selector.py::test_quotient_atoms_match_the_references_on_every_sweep_table``.
 """
 
 from __future__ import annotations
@@ -501,6 +533,30 @@ def quotient_atoms(glob) -> tuple[int, ...]:
     return tuple(sorted(
         {functools.reduce(and_, [s for s in borel if (s >> c) & 1]) for c in range(n)}
     ))
+
+
+def quotient_atoms_by_product(glob) -> tuple[int, ...]:
+    """The atoms of the quotient Borel structure as the quotient of the
+    product's atom topology, where each product point's neighbourhood is
+    its atom: a class set is Borel when its preimage is a union of
+    product atoms, that is, open in that topology."""
+    atom_of = [0] * glob.relation.size
+    for atom in glob.product.atoms:
+        for p in iter_bits(atom):
+            atom_of[p] = atom
+    return topo.quotient(topo.FinTop.from_neighborhoods(atom_of), glob.relation).atoms
+
+
+def embedding_flags(glob) -> tuple[bool, bool]:
+    """Whether the embedding is continuous, and open onto its image, by
+    ``is_continuous`` and ``is_open_map`` into the image's subspace of
+    the quotient, its classes renumbered densely."""
+    space = glob.source.space
+    image = mask_of(glob.embedding)
+    positions = {c: i for i, c in enumerate(iter_bits(image))}
+    sub = topo.subspace(glob.topology, image)
+    emb = [positions[glob.embedding[x]] for x in space.points()]
+    return topo.is_continuous(emb, space, sub), topo.is_open_map(emb, space, sub)
 
 
 def measurability_failures(glob, tau) -> list[tuple[int, int]]:

@@ -256,6 +256,56 @@ def test_embedding_report_on_family(valid_globs):
         assert embedding_report(glob).ok
 
 
+def test_embedding_flags_match_the_subspace_reference(family, s3_family, changed_family):
+    # Continuity and openness onto the image, read per point on class
+    # labels, against is_continuous and is_open_map into the image's
+    # subspace: on the envelope of every sweep table and invalid
+    # neighbour that builds one, with its own embedding and with every
+    # other injective map of the carrier into its classes, where each of
+    # the four verdict pairs occurs.
+    seen: dict = {}
+    for pa in [*family, *s3_family, *changed_family]:
+        try:
+            glob = build(pa)
+        except (AxiomViolation, KeyError):
+            continue
+        for e in itertools.permutations(range(glob.num_classes), pa.space.size):
+            moved = Globalization(pa, glob.relation, glob.topology, glob.action, e)
+            cont, opens = embedding_report(moved).checks[:2]
+            assert (cont.name, opens.name) == (
+                "embedding continuous", "embedding open onto its image")
+            flags = (cont.status == PASS, opens.status == PASS)
+            assert flags == references.embedding_flags(moved), (pa, e)
+            seen[flags] = seen.get(flags, 0) + 1
+    assert seen == {
+        (True, True): 1554, (False, False): 1632, (False, True): 252, (True, False): 46,
+    }
+
+
+@pytest.mark.parametrize("space, topology, statuses", [
+    # C1 on two discrete points, its quotient made indiscrete: each
+    # point's image lies in the trace of its class, the whole image, but
+    # the image of the open {0} is not open there
+    (discrete(2), FinTop.from_neighborhoods([0b11, 0b11]), (PASS, FAIL)),
+    # C1 on the indiscrete pair, its quotient made discrete: the image of
+    # the one neighbourhood is both classes, the trace of each is itself
+    (FinTop.from_neighborhoods([0b11, 0b11]), discrete(2), (FAIL, PASS)),
+], ids=["continuous-not-open", "open-not-continuous"])
+def test_embedding_one_sided_frozen_failures(space, topology, statuses):
+    # The failing branches build never reaches, one at a time, so that
+    # the two flags read the right inclusion each: exactly one of the
+    # two checks fails, and the restriction check names the space.
+    pa = PartialAction(cyclic(1), space, (0b11,), ((0, 1),))
+    glob = build(pa)
+    moved = Globalization(pa, glob.relation, topology, glob.action, glob.embedding)
+    rep = embedding_report(moved)
+    assert [(c.status, c.witness) for c in rep.checks] == [
+        (statuses[0], ()), (statuses[1], ()), (PASS, ()), (PASS, ()), (PASS, ()),
+        (FAIL, (("space",),)),
+    ]
+    assert references.embedding_flags(moved) == (statuses[0] == PASS, statuses[1] == PASS)
+
+
 def test_embedding_image_open_conditional():
     glob = build(example_k3())
     rep = embedding_report(glob)

@@ -100,6 +100,19 @@ def test_validate_accepts_partial_identity_on_open_piece():
     assert validate(pa).ok
 
 
+def test_tables_given_as_lists_are_stored_as_tuples():
+    # lists used to be kept as given: the action then compared unequal
+    # to the same action built from tuples, and pair_action, memoized on
+    # the action's hash, raised a bare TypeError
+    pa = example_k3()
+    listed = PartialAction(pa.group, pa.space, list(pa.dom), [list(row) for row in pa.maps])
+    assert listed == pa and hash(listed) == hash(pa)
+    assert type(listed.dom) is tuple
+    assert all(type(row) is tuple for row in listed.maps) and type(listed.maps) is tuple
+    assert pair_action(listed) == pair_action(pa)
+    assert validate(listed) == validate(pa)
+
+
 def test_validate_rejects_remapped_entry():
     # same instance with the defined entry redirected: image misses the
     # range set, so both formulations must reject
@@ -121,7 +134,9 @@ def test_bijection_and_definedness_frozen_failures():
     # the domain leaves, in the wrong place.
     pa = PartialAction(Z3, discrete(2), (0b11, 0b01, 0b11), ((0, 1), (0, 0), (0, -1)))
     assert paction.well_formedness(pa).ok
-    bij = check(paction._bijection_axioms(pa), "each map is a bijection onto its range set")
+    scan = paction._composition_scan(pa)
+    bij = check(paction._bijection_axioms(pa, scan),
+                "each map is a bijection onto its range set")
     assert (bij.status, bij.witness) == (FAIL, ((1, 0, 1), (2, 1)))
     pa = PartialAction(Z2, discrete(2), (0b11, 0b01), ((0, 1), (-1, 0)))
     assert [(c.name, c.status, c.witness) for c in paction.well_formedness(pa).checks] == [
@@ -204,8 +219,9 @@ def test_formulations_agree_frozen_failure(monkeypatch):
     # The failing branch no table reaches: both formulations decide the
     # same axioms.  The swap on two discrete points, its pair section
     # patched to fail, so the pair form (False) and the bijection form
-    # (True) disagree.
-    def failing(pa):
+    # (True) disagree.  The section takes the composition scan validate
+    # computes once, and ignores it here.
+    def failing(pa, scan):
         rb = ReportBuilder("pair-axioms")
         rb.check("patched to fail", False)
         return rb.build()
@@ -364,8 +380,11 @@ def test_axioms_match_the_accessor_reference(
         + list(_entry_edits(family + s3_family, 5, seed=14))
     )
     engine = [references.report_dict(validate(pa)) for pa in tables]
-    monkeypatch.setattr(paction, "_pair_axioms", pair_axioms_by_accessors)
-    monkeypatch.setattr(paction, "_bijection_axioms", bijection_axioms_by_accessors)
+    # the references read every table themselves, not validate's scan
+    monkeypatch.setattr(paction, "_pair_axioms",
+                        lambda pa, scan: pair_axioms_by_accessors(pa))
+    monkeypatch.setattr(paction, "_bijection_axioms",
+                        lambda pa, scan: bijection_axioms_by_accessors(pa))
     # the topological section reads the neighbourhoods alone, where the
     # whole is_homeomorphism re-checked what the bijection section shows
     monkeypatch.setattr(paction, "_topological", references.topological_by_homeomorphism)

@@ -255,9 +255,65 @@ def test_quotient_atoms_match_the_class_set_enumeration(
             glob = Globalization(pa, rel, glob.topology, glob.action, glob.embedding)
         atoms = _quotient_atoms(glob)
         assert atoms == references.quotient_atoms(glob), (pa, rel)
+        assert atoms == references.quotient_atoms_by_product(glob), (pa, rel)
         seen["envelopes"] += 1
         seen["joined"] += len(atoms) < rel.num_classes
     assert seen == counts
+
+
+def test_quotient_atoms_match_the_references_on_every_sweep_table(
+    family, s3_family, changed_family
+):
+    # The slice components against the quotient of the product's atom
+    # topology and the class-set enumeration, on the envelope of every
+    # sweep table and invalid neighbour that builds one.  "wide" counts
+    # the carriers with an atom of two or more points, the only slices
+    # that can join classes; "joined", the envelopes where one does (on
+    # each wide carrier: the embedding is injective, so the identity
+    # slice of a wide atom meets two classes).
+    seen = {"envelopes": 0, "wide": 0, "joined": 0}
+    for pa in [*family, *s3_family, *changed_family]:
+        try:
+            glob = build(pa)
+        except (AxiomViolation, KeyError):
+            continue
+        atoms = _quotient_atoms(glob)
+        assert atoms == references.quotient_atoms_by_product(glob), pa
+        assert atoms == references.quotient_atoms(glob), pa
+        seen["envelopes"] += 1
+        seen["wide"] += len(pa.space.atoms) < pa.space.size
+        seen["joined"] += len(atoms) < glob.num_classes
+    assert seen == {"envelopes": 513, "wide": 193, "joined": 193}
+
+
+def test_quotient_atoms_on_the_empty_carrier():
+    # no points, no classes, no atoms, as FinTop.atoms gives on the
+    # empty space
+    pa = PartialAction(cyclic(2), discrete(0), (0, 0), ((), ()))
+    glob = build(pa)
+    assert _quotient_atoms(glob) == () == references.quotient_atoms_by_product(glob)
+    assert transversal_topology(glob, normalized_selector(pa)).report.ok
+
+
+def test_quotient_atoms_on_a_relation_shorter_than_the_product():
+    # A hand-built envelope whose relation misses the product's last
+    # point: the slice reading raises the error the product-point
+    # reading raised, type and message.
+    glob = build(SWAP)
+    rel = EqRel(3, glob.relation.class_id[:3])
+    short = Globalization(SWAP, rel, glob.topology, glob.action, glob.embedding)
+    for reading in (_quotient_atoms, references.quotient_atoms_by_product):
+        with pytest.raises(IndexError, match="^list assignment index out of range$"):
+            reading(short)
+
+
+def test_selector_map_stores_its_image_as_a_tuple():
+    # an image given as a list used to be kept as the list: the map then
+    # compared unequal to the same map given a tuple, and did not hash
+    sel = SelectorMap(2, [0, 1])
+    assert sel == SelectorMap(2, (0, 1))
+    assert sel.image == (0, 1) and type(sel.image) is tuple
+    assert hash(sel) == hash(SelectorMap(2, (0, 1)))
 
 
 def test_extension_frozen_failure():
