@@ -21,10 +21,11 @@ class Globalization(Record):
     """Enveloping space with its quotient topology and total action.
 
     ``relation.class_id[g * |X| + x]`` is the class of (g, x) in the
-    group-indexed product ``source.product``, and ``relation.least[c]``
-    the least such g * |X| + x in class c; ``action[g]`` permutes class
-    indices, ``embedding`` sends carrier points to classes of the
-    identity slice.
+    group-indexed product, and ``relation.least[c]`` the least such
+    g * |X| + x in class c; ``action[g]`` permutes class indices,
+    ``embedding`` sends carrier points to classes of the identity slice.
+    ``product`` builds that product on each read; no engine path reads
+    it, since the neighbourhood of (g, x) is N(x) in slice g.
     """
 
     source: PartialAction
@@ -35,7 +36,7 @@ class Globalization(Record):
 
     @property
     def product(self) -> FinTop:
-        return self.source.product
+        return topo.product_with_discrete(self.source.space, self.source.group.order)
 
     @property
     def num_classes(self) -> int:
@@ -80,7 +81,7 @@ def build(pa: PartialAction) -> Globalization:
     )
     e = pa.group.identity
     embedding = class_id[e * size:(e + 1) * size]
-    quotient = topo.quotient(pa.product, relation)
+    quotient = topo.quotient(pa.space, relation, pa.group.order)
     return Globalization(pa, relation, quotient, action, embedding)
 
 

@@ -64,10 +64,12 @@ class PartialAction(Record):
         return y
 
     # Derived tables, each computed on first read and kept on the
-    # action.  ``acting``, ``graph``, ``product`` and ``graph_open`` read
-    # only ``dom`` and the space, so ``validate`` may read them on any
-    # tables; ``moves`` calls ``act``, the others read it, and all of them
-    # raise KeyError on ill-formed tables.
+    # action.  ``acting``, ``graph`` and ``graph_open`` read only ``dom``
+    # and the space, so ``validate`` may read them on any tables;
+    # ``moves`` calls ``act``, the others read it, and all of them raise
+    # KeyError on ill-formed tables.  None holds the group-indexed
+    # product: each reader takes N(x) in slice g as the neighbourhood of
+    # (g, x).
 
     @cached
     def acting(self) -> tuple[int, ...]:
@@ -142,14 +144,9 @@ class PartialAction(Record):
         return out
 
     @cached
-    def product(self) -> FinTop:
-        """The group-indexed product of the space with the discrete group."""
-        return topo.product_with_discrete(self.space, self.group.order)
-
-    @cached
     def graph_open(self) -> bool:
-        """Whether ``graph`` is open in ``product``: the group is
-        discrete, so exactly when each slice, a domain, is open."""
+        """Whether ``graph`` is open in the group-indexed product: the
+        group is discrete, so exactly when each slice, a domain, is open."""
         return all(topo.is_open(self.space, d) for d in self.dom)
 
     @cached
@@ -491,7 +488,8 @@ def lifted_action(pa: PartialAction) -> PartialAction:
     formula.  It is kept for the benchmark's traced spans and the tests'
     reference forms."""
     mul, inv = pa.group.mul, pa.group.inv
-    return _slice_action(pa, pa.product, pa.group.order, lambda g, h: mul[h][inv[g]])
+    prod = topo.product_with_discrete(pa.space, pa.group.order)
+    return _slice_action(pa, prod, pa.group.order, lambda g, h: mul[h][inv[g]])
 
 
 @functools.lru_cache(maxsize=64)

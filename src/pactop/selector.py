@@ -86,10 +86,6 @@ def _quotient_atoms(glob: Globalization) -> tuple[int, ...]:
     per component."""
     space, cid = glob.source.space, glob.relation.class_id
     size = space.size
-    if len(cid) < glob.source.group.order * size:
-        # a relation on fewer points than the product, built by hand:
-        # the error reading it by product points raised
-        raise IndexError("list assignment index out of range")
     joined = [0] * glob.num_classes  # per class, the classes sharing a slice
     for atom in space.atoms:
         if not atom & (atom - 1):  # one point meets one class
@@ -113,10 +109,10 @@ def _quotient_atoms(glob: Globalization) -> tuple[int, ...]:
 
 def _check_size(glob: Globalization, sel: SelectorMap) -> None:
     # another size would raise IndexError, or be read in part
-    if sel.size != glob.relation.size:
-        raise ValueError(
-            f"selector has {sel.size} points, the product {glob.relation.size}"
-        )
+    points = glob.source.group.order * glob.source.space.size
+    for what, size in (("relation", glob.relation.size), ("selector", sel.size)):
+        if size != points:
+            raise ValueError(f"{what} has {size} points, the product {points}")
 
 
 def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
@@ -135,9 +131,12 @@ def transversal_topology(glob: Globalization, sel: SelectorMap) -> BorelReport:
             tuple(classes_of_t),
         )
 
+    # the neighbourhood of p = (g, x) in the product is N(x) in slice g
+    size, nbrs = pa.space.size, pa.space.nbrs
     tau_nbrs = [0] * n_classes
     for p in iter_bits(t_mask):
-        tau_nbrs[cid[p]] = image_of(cid, glob.product.nbrs[p] & t_mask)
+        g, x = divmod(p, size)
+        tau_nbrs[cid[p]] = image_of(cid, nbrs[x] << (g * size) & t_mask)
     tau = FinTop.from_neighborhoods(tau_nbrs)
 
     rb = ReportBuilder("transversal-topology")
@@ -296,23 +295,25 @@ def orbit_homeomorphism_report(pa: PartialAction) -> Report:
 
     The source is a subspace of the discrete group, so a bijection is a
     homeomorphism exactly when the orbit's subspace of the product is
-    discrete: decided once per class, on class labels."""
+    discrete: decided once per class, on class labels, with N(y) in slice
+    j the neighbourhood of (j, y).  Once the stated inverse holds, distinct
+    h land in distinct slices, so only moves that are not a function fail it."""
     group, space = pa.group, pa.space
     size = space.size
     rb = ReportBuilder("orbit-enumeration")
     rel = pa.lifted_orbits
     class_id = rel.class_id
     members: list[list[int]] = [[] for _ in range(rel.num_classes)]
-    masks = [0] * rel.num_classes
     for p, c in enumerate(class_id):
         members[c].append(p)
-        masks[c] |= 1 << p
-    nbrs = pa.product.nbrs
-    # no member's neighborhood holds another member
-    discrete_orbit = [
-        all(not nbrs[p] & (mask ^ 1 << p) for p in ps)
-        for ps, mask in zip(members, masks)
-    ]
+    # no member's neighborhood holds another member: no (j, y) has a
+    # point of its class in N(y) - {y} in slice j
+    discrete_orbit = [True] * rel.num_classes
+    for j in group.elements():
+        cid = class_id[j * size:(j + 1) * size]
+        for y, (c, n) in enumerate(zip(cid, space.nbrs)):
+            if image_of(cid, n ^ 1 << y) >> c & 1:
+                discrete_orbit[c] = False
 
     bad_bij: list[tuple] = []
     bad_inv: list[tuple] = []

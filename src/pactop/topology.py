@@ -240,20 +240,24 @@ def product(a: FinTop, b: FinTop) -> FinTop:
     return FinTop.from_neighborhoods(nbrs)
 
 
-def quotient(t: FinTop, e: EqRel) -> FinTop:
-    """Quotient topology on the classes of ``e``.
+def quotient(t: FinTop, e: EqRel, copies: int = 1) -> FinTop:
+    """Quotient topology on the classes of ``e``, a relation on
+    ``product_with_discrete(t, copies)``, read slice by slice with no
+    product built: the neighborhood of (j, x) is N(x) in slice j.
 
-    A class set is open exactly when its preimage is open in ``t``, so
-    the neighborhood of a class is the least class set that contains it
-    and every class meeting the neighborhood of a member: saturate up to
-    a fixed point.
+    A class set is open exactly when its preimage is open in the product,
+    so the neighborhood of a class is the least class set that contains
+    it and every class meeting the neighborhood of a member: saturate up
+    to a fixed point.
     """
-    if e.size != t.size:
+    _check_size(copies)
+    if e.size != t.size * copies:
         raise ValueError("relation carrier does not match the space")
-    cid = e.class_id
     step = [0] * e.num_classes
-    for x, n in enumerate(t.nbrs):
-        step[cid[x]] |= image_of(cid, n)
+    for j in range(copies):
+        cid = e.class_id[j * t.size:(j + 1) * t.size]
+        for c, n in zip(cid, t.nbrs):
+            step[c] |= image_of(cid, n)
     nbrs = []
     for c in range(len(step)):
         reach = frontier = 1 << c

@@ -26,8 +26,9 @@ clause as one ``is_borel`` call per (g, atom);
 ``min_selector``, the selector onto each class's least member;
 ``is_selector_for``, the selector laws of a map against a relation;
 ``orbit_consistency_report``, the translate and absorb clauses one
-element at a time; and ``fresh``, the copy of an action with none of
-its tables cached.
+element at a time; ``without_product``, a command's JSON output with
+the group-indexed product refused and with it built; and ``fresh``, the
+copy of an action with none of its tables cached.
 
 Each relation reference reads one product-wide bitmask row per point
 and scans the axioms on masks, as the engine first did; the transform
@@ -116,6 +117,20 @@ that relies on it, and what compares the two:
   ``quotient_atoms`` (every class set) and ``quotient_atoms_by_product``
   (the quotient of the product's atom topology) here, in
   ``test_selector.py::test_quotient_atoms_match_the_references_on_every_sweep_table``.
+- Orbits are discrete once the stated inverse holds.  Where the
+  enumeration h -> (g * inv(h), h.x) is a bijection onto the orbit and
+  (j, y) -> inv(j) * g inverts it, distinct h land in distinct slices j;
+  the neighbourhood of (j, y) in the product is N(y) in slice j, so no
+  member's neighbourhood holds another member, and the homeomorphism
+  clause holds.  It can fail only on a moves table that is not a
+  function.  Stated in ``selector.orbit_homeomorphism_report``, the
+  engine site, which still decides the clause, per class on the slice
+  formula.  Compared: ``orbit_homeomorphism_report`` here, one
+  ``is_homeomorphism`` per (g, x) into the product, in
+  ``test_selector.py::test_orbit_checks_match_the_mask_references``; the
+  clause is seen to fail on a frozen moves table listing one element
+  twice at a point, in
+  ``test_selector.py::test_orbit_enumeration_frozen_failures``.
 """
 
 from __future__ import annotations
@@ -128,7 +143,7 @@ from operator import and_, or_
 
 import pactop.topology as topo
 from pactop import PartialAction, induced
-from pactop import globalize, paction, selector, vaught
+from pactop import cli, globalize, paction, selector, vaught
 from pactop.errors import AxiomViolation, LimitExceeded, NotAnAction, has_entries, in_range
 from pactop.relations import EqRel
 from pactop.reports import FAIL, PASS, Report, ReportBuilder
@@ -310,6 +325,7 @@ def orbit_homeomorphism_report(pa: PartialAction, rel: EqRel):
     size = space.size
     rb = ReportBuilder("orbit-enumeration")
     group_top = topo.discrete(group.order)
+    prod = topo.product_with_discrete(space, group.order)
     class_masks = classes(rel)
 
     bad_bij: list[tuple] = []
@@ -335,7 +351,7 @@ def orbit_homeomorphism_report(pa: PartialAction, rel: EqRel):
                     bad_inv.append((g, x, p))
             if not ok_inv:
                 continue
-            if not topo.is_homeomorphism(rho, group_top, gx, pa.product, o_mask):
+            if not topo.is_homeomorphism(rho, group_top, gx, prod, o_mask):
                 bad_homeo.append((g, x))
     rb.check("enumeration is a bijection onto the orbit", not bad_bij, tuple(bad_bij))
     rb.check("stated inverse really inverts it", not bad_inv, tuple(bad_inv[:8]))
@@ -450,23 +466,37 @@ def report_ok(report) -> bool:
 def graph_open(pa: PartialAction) -> bool:
     """``PartialAction.graph_open`` as first written: the definedness
     graph tested for openness in the group-indexed product itself."""
-    return topo.is_open(pa.product, pa.graph)
+    return topo.is_open(topo.product_with_discrete(pa.space, pa.group.order), pa.graph)
 
 
 def _no_product(*args):
     raise AssertionError("the group-indexed product was built")
 
 
-def validate_without_product(pa: PartialAction, monkeypatch) -> tuple[dict, dict]:
-    """``validate`` on a fresh copy of ``pa`` with
-    ``topology.product_with_discrete`` patched to raise, and on another
-    whose ``graph_open`` is read from the product, as dicts."""
-    old = fresh(pa)
+def spec_of(pa: PartialAction) -> cli.ActionSpec:
+    """``pa`` as a parsed document would hold it, its points named p0, p1, ..."""
+    return cli.ActionSpec("", tuple(f"p{x}" for x in pa.space.points()), pa)
+
+
+def command_json(spec: cli.ActionSpec, command: str) -> str:
+    """The JSON output of ``pactop <command>`` on ``spec``, without its
+    final newline."""
+    data, reports = cli._run(spec, cli._read_argv([command, "doc.json"]))
+    return cli._render(spec.label, command, data, reports, "json")[0]
+
+
+def without_product(spec: cli.ActionSpec, monkeypatch, command: str) -> tuple[str, str]:
+    """The JSON output of ``command``'s stages on a fresh copy of the
+    action with ``topology.product_with_discrete`` patched to raise, and
+    on another, unpatched, whose ``graph_open`` is read from the
+    product."""
+    old = fresh(spec.pa)
     vars(old)["graph_open"] = graph_open(old)
-    expected = report_dict(paction.validate(old))
+    expected = command_json(cli.ActionSpec(spec.label, spec.names, old), command)
     with monkeypatch.context() as patched:
         patched.setattr(topo, "product_with_discrete", _no_product)
-        return report_dict(paction.validate(fresh(pa))), expected
+        got = command_json(cli.ActionSpec(spec.label, spec.names, fresh(spec.pa)), command)
+    return got, expected
 
 
 def effros_report(pa: PartialAction):

@@ -916,3 +916,20 @@ def test_demo_runs(demo):
     res = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                          capture_output=True, text=True, timeout=60, env=env)
     assert res.returncode == 0, res.stderr
+
+
+def test_no_report_stage_builds_the_product(family, s3_family, changed_family, monkeypatch):
+    # Each stage reads the group-indexed product by its formula, the
+    # neighbourhood of (g, x) being N(x) in slice g, and the action keeps
+    # no product table: with the product refused, ``pactop report``
+    # writes the JSON it writes with it, on the bundled example (its
+    # golden report) and on every sweep table and their neighbours.
+    assert not hasattr(paction.PartialAction, "product")
+    with open(EXAMPLE, "rb") as fh:
+        spec = parse(fh.read())
+    got, expected = references.without_product(spec, monkeypatch, "report")
+    assert got + "\n" == expected + "\n" == (GOLDEN / "report.json").read_text()
+    for pa in [*family, *s3_family, *changed_family]:
+        got, expected = references.without_product(
+            references.spec_of(pa), monkeypatch, "report")
+        assert got == expected, pa

@@ -172,7 +172,8 @@ def build_by_class_masks(pa):
                 if action_rows[g][action_rows[h][c]] != action_rows[gh][c]:
                     raise AxiomViolation("translations do not compose", (g, h, c))
 
-    quotient = topology.quotient(pa.product, relation)
+    product = topology.product_with_discrete(pa.space, group.order)
+    quotient = topology.quotient(product, relation)
     return Globalization(pa, relation, quotient, tuple(action_rows), embedding)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from operator import attrgetter
 
 import pytest
@@ -137,7 +138,8 @@ def test_midsize_graph_open_reads_the_domains(midsize, monkeypatch):
     for n, (_, _, _, pa) in enumerate(midsize):
         for edit in [pa, *references.one_entry_edits([pa], 4, seed=n), blanked(pa)]:
             assert edit.graph_open == references.graph_open(edit), edit
-            got, expected = references.validate_without_product(edit, monkeypatch)
+            got, expected = references.without_product(
+                references.spec_of(edit), monkeypatch, "validate")
             assert got == expected, edit
             counts[edit.graph_open] = counts.get(edit.graph_open, 0) + 1
     assert counts == {True: 83, False: 61}
@@ -276,6 +278,23 @@ def test_c8_on_2048_points_minus_one():
     assert separation(glob.topology) == SeparationFlags(True, True, True)
     assert bireducibility_report(glob, normalized_selector(pa)).ok
     assert glob.num_classes == 2048
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_build_peak_memory_per_product_point(n):
+    # C8 on n points minus one, its gluing relation cached: ``build``
+    # reads the quotient slice by slice, with no product masks (|G|*|X|
+    # of them, each up to |G|*|X| bits wide), so its traced peak stays
+    # within 200 B per product point at both sizes.
+    _, _, _, pa = rotation(8, n)
+    assert pa.lifted_orbits.num_classes == n
+    tracemalloc.start()
+    try:
+        build(pa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * 8 * n, peak
 
 
 def test_transform_limit_on_c8_on_2048_points_minus_one_prints_a_short_count():

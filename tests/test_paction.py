@@ -205,7 +205,6 @@ def test_formulations_agree_across_family(family):
         assert pa.graph == sum(
             pa.dom[group.inv[g]] << (g * size) for g in group.elements()
         )
-        assert pa.product == product_with_discrete(pa.space, group.order)
         assert pa.orbit_quotient == quotient(pa.space, orbit_equivalence(pa))
         rep = validate(pa)
         agreement = check(rep, "both axiom formulations give the same verdict")
@@ -364,7 +363,8 @@ def test_graph_open_reads_the_domains(family, s3_family, changed_family, monkeyp
     counts: dict = {}
     for pa in [*family, *s3_family, *changed_family]:
         assert pa.graph_open == references.graph_open(pa), pa
-        got, expected = references.validate_without_product(pa, monkeypatch)
+        got, expected = references.without_product(
+            references.spec_of(pa), monkeypatch, "validate")
         assert got == expected, pa
         counts[pa.graph_open] = counts.get(pa.graph_open, 0) + 1
     assert counts == {True: 1411, False: 636}

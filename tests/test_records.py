@@ -201,7 +201,7 @@ def test_cached_tables_are_computed_once_and_kept_beside_the_fields():
         record: [n for n, v in vars(type(record)).items() if isinstance(v, cached)]
         for record in (pa, t, rel)
     }
-    assert [len(names) for names in tables.values()] == [11, 2, 2]
+    assert [len(names) for names in tables.values()] == [10, 2, 2]
     for record, names in tables.items():
         cls = type(record)
         for name in names:

@@ -297,14 +297,15 @@ def test_quotient_atoms_on_the_empty_carrier():
 
 def test_quotient_atoms_on_a_relation_shorter_than_the_product():
     # A hand-built envelope whose relation misses the product's last
-    # point: the slice reading raises the error the product-point
-    # reading raised, type and message.
+    # point, with a selector of the relation's size: both checks that
+    # take a selector refuse it, naming both sizes, before the slices
+    # are read.
     glob = build(SWAP)
     rel = EqRel(3, glob.relation.class_id[:3])
     short = Globalization(SWAP, rel, glob.topology, glob.action, glob.embedding)
-    for reading in (_quotient_atoms, references.quotient_atoms_by_product):
-        with pytest.raises(IndexError, match="^list assignment index out of range$"):
-            reading(short)
+    for check in (transversal_topology, bireducibility_report):
+        with pytest.raises(ValueError, match="^relation has 3 points, the product 4$"):
+            check(short, SelectorMap(3, (0, 1, 2)))
 
 
 def test_selector_map_stores_its_image_as_a_tuple():
@@ -467,20 +468,15 @@ def test_orbit_checks_match_the_mask_references(family, s3_family, changed_famil
     }
 
 
-def _coarse_product(pa):
-    # the product with the indiscrete group: each neighbourhood meets
-    # every slice, so no orbit of two or more points is discrete in it
-    order, size = pa.group.order, pa.space.size
-    spread = [sum(n << (j * size) for j in range(order)) for n in pa.space.nbrs]
-    return FinTop.from_neighborhoods(spread * order)
-
-
 def test_orbit_enumeration_frozen_failures():
-    # The two clauses no group table reaches, each on C3 fixing one
-    # point.  A stated inverse table that makes every element its own
-    # inverse: for g != e, inv(j) * g misses the h sending g to (j, 0).
-    # The product with the indiscrete group: the orbit of three product
-    # points is not discrete in it.
+    # The two clauses no valid tables reach.  A stated inverse table
+    # that makes every element its own inverse, on C3 fixing one point:
+    # for g != e, inv(j) * g misses the h sending g to (j, 0).  Once the
+    # inverse holds, every orbit is discrete (the lemma in
+    # references.py), so the homeomorphism clause is reached by a moves
+    # table that is not a function: C1 on the Sierpinski pair, sending
+    # each point to both, whose one orbit holds the open point 1 in the
+    # neighbourhood of point 0.
     fixed = ((0,),) * 3
     wrong_inverse = FiniteGroup(3, cyclic(3).mul, 0, (0, 1, 2))
     rep = orbit_homeomorphism_report(
@@ -501,11 +497,11 @@ def test_orbit_enumeration_frozen_failures():
     assert [(c.status, c.witness) for c in rep.checks] == [
         (PASS, ()), (FAIL, missed), (PASS, ()),
     ]
-    coarse = PartialAction(cyclic(3), discrete(1), (1, 1, 1), fixed)
-    vars(coarse)["product"] = _coarse_product(coarse)
-    rep = orbit_homeomorphism_report(coarse)
+    twice = PartialAction(cyclic(1), FinTop(2, (0, 2, 3)), (3,), ((0, 1),))
+    vars(twice)["moves"] = (((0, 0), (0, 1)),) * 2
+    rep = orbit_homeomorphism_report(twice)
     assert [(c.status, c.witness) for c in rep.checks] == [
-        (PASS, ()), (PASS, ()), (FAIL, ((0, 0), (1, 0), (2, 0))),
+        (PASS, ()), (PASS, ()), (FAIL, ((0, 0), (0, 1))),
     ]
 
 
@@ -539,36 +535,27 @@ def test_bireducibility_witnesses_match_the_pair_scan_on_changed_relations(
     [
         ("merge", {(OH, (FAIL, PASS, PASS)): 401}),
         ("split", {(OH, (FAIL, PASS, PASS)): 363, (OH, PASSES): 38}),
-        ("coarse product", {
-            (NS, "selector"): 415, (OH, (PASS, PASS, FAIL)): 367, (OH, PASSES): 48,
-        }),
     ],
 )
 def test_orbit_checks_match_the_references_on_changed_lifted_classes(
     valid_family, valid_s3_family, change, kinds
 ):
     # Seeded merges and splits of the lifted classes reach the failure
-    # witnesses of the orbit enumeration; a product in which the orbits
-    # are not discrete reaches its homeomorphism clause.  The normalized
-    # selector reads the classes by the lemma above ``globalize.build``,
-    # which holds on the classes ``lifted_orbits`` builds and not on
-    # injected ones, so it is compared on the coarse product alone.
+    # witnesses of the orbit enumeration.  The normalized selector reads
+    # the classes by the lemma above ``globalize.build``, which holds on
+    # the classes ``lifted_orbits`` builds and not on injected ones, so it
+    # is not compared here.
     rng = random.Random(0)
     seen: dict = {}
-    checks = _CHECKS if change == "coarse product" else _CHECKS[1:]
     for pa in [*valid_family, *valid_s3_family]:
         pa = references.fresh(pa)
-        if change == "coarse product":
-            vars(pa)["product"] = _coarse_product(pa)
         rel = pa.lifted_orbits
-        if change in ("merge", "split"):
-            if rel.num_classes < 2:
-                continue
-            redraw = references.merge_two if change == "merge" else references.split_two
-            rel = vars(pa)["lifted_orbits"] = EqRel(rel.size, redraw(rel, rng))
-        for check, reference in checks:
-            expected = references.outcome(reference, pa, rel)
-            assert references.outcome(check, pa) == expected, (check, pa)
-            kind = _kind(check, expected)
-            seen[kind] = seen.get(kind, 0) + 1
+        if rel.num_classes < 2:
+            continue
+        redraw = references.merge_two if change == "merge" else references.split_two
+        rel = vars(pa)["lifted_orbits"] = EqRel(rel.size, redraw(rel, rng))
+        expected = references.outcome(references.orbit_homeomorphism_report, pa, rel)
+        assert references.outcome(orbit_homeomorphism_report, pa) == expected, pa
+        kind = _kind(orbit_homeomorphism_report, expected)
+        seen[kind] = seen.get(kind, 0) + 1
     assert seen == kinds
